@@ -12,7 +12,6 @@ from .algebra import (
     fiber_integrate,
     graded_exp,
     graded_invert,
-    graded_mul,
     series_invert,
     series_mul,
 )

@@ -397,10 +397,6 @@ class WLaurentRational:
         return WLaurentRational(WLaurentPoly.w(exp, coeff))
 
     @staticmethod
-    def from_poly(p: WLaurentPoly) -> "WLaurentRational":
-        return WLaurentRational(p)
-
-    @staticmethod
     def _coerce(x) -> "WLaurentRational | None":
         if isinstance(x, WLaurentRational):
             return x
@@ -422,9 +418,6 @@ class WLaurentRational:
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)
         return self.num.constant()
-
-    def is_w_free(self) -> bool:
-        return self.is_constant()
 
     # -- ring ops
 
@@ -585,15 +578,6 @@ class GradedElement:
     def scalar_part(self):
         return self.terms.get((0,) * len(self.gens), 0)
 
-    def max_degree(self) -> int:
-        degrees = tuple(d for _, d in self.gens)
-        return max((_term_degree(e, degrees) for e in self.terms), default=0)
-
-    def degree_part(self, d: int) -> "GradedElement":
-        degrees = tuple(dd for _, dd in self.gens)
-        return GradedElement(self.gens, self.cap,
-                             {e: v for e, v in self.terms.items() if _term_degree(e, degrees) == d})
-
     def _check(self, other: "GradedElement"):
         if self.gens != other.gens or self.cap != other.cap:
             raise GeneratorTableMismatch("mismatched generator tables or caps")
@@ -708,11 +692,6 @@ class GradedElement:
         return "GradedElement(%s)" % self
 
 
-def graded_mul(a: GradedElement, b: GradedElement) -> GradedElement:
-    """Product with terms above the cap discarded."""
-    return a * b
-
-
 def graded_exp(a: GradedElement) -> GradedElement:
     """exp of a nilpotent element: finite sum of a^k / k!."""
     if a.scalar_part() != 0:
@@ -775,10 +754,6 @@ def fiber_integrate(a: GradedElement, table: IntegrationTable) -> GradedElement:
         (fiber_idx if n in table.fiber_gens else base_idx).append(i)
     # order the fiber exponents as the table expects
     name_to_pos = {a.gens[i][0]: i for i in fiber_idx}
-    for n in table.fiber_gens:
-        if n not in name_to_pos:
-            # generator absent from the element's table: treat as exponent 0
-            pass
     degrees = tuple(d for _, d in a.gens)
     base_gens = tuple(a.gens[i] for i in base_idx)
     base_cap = a.cap - 2 * table.k_alpha
@@ -787,6 +762,7 @@ def fiber_integrate(a: GradedElement, table: IntegrationTable) -> GradedElement:
         fdeg = sum(exps[i] * degrees[i] for i in fiber_idx)
         if fdeg != 2 * table.k_alpha:
             continue
+        # a table generator absent from the element's table has exponent 0
         key = tuple(exps[name_to_pos[n]] if n in name_to_pos else 0 for n in table.fiber_gens)
         if table.k_alpha == 0:
             weight = Fraction(1)
@@ -1011,8 +987,6 @@ def series_invert(a: QSeries) -> QSeries:
     a0 = a.c[la]
     try:
         a0i = ring_inverse(a0)
-    except NonInvertibleLeadingCoefficient:
-        raise
     except ZeroDivisionError:
         raise NonInvertibleLeadingCoefficient("leading coefficient is zero")
     # unit part u_k = a_{la+k}; invert by the standard recurrence
@@ -1030,21 +1004,3 @@ def series_invert(a: QSeries) -> QSeries:
     out.c = {e - la: v for e, v in binv.items() if v != 0 and e - la <= a.n8 - 2 * la}
     return out
 
-
-def series_div(num: QSeries, den: QSeries) -> QSeries:
-    """num / den via one leading-coefficient inversion and back substitution."""
-    return series_mul(num, series_invert(den))
-
-
-def series_pow(a: QSeries, n: int) -> QSeries:
-    if n < 0:
-        return series_pow(series_invert(a), -n)
-    out: QSeries | None = None
-    b = a
-    while n:
-        if n & 1:
-            out = b if out is None else series_mul(out, b)
-        n >>= 1
-        if n:
-            b = series_mul(b, b)
-    return QSeries.one(a.n8) if out is None else out

@@ -2,14 +2,12 @@
 
 Exit codes: 0 success, 2 parse/ingestion error, 3 validation error,
 4 computation error.  Reports go to stdout, diagnostics to stderr.
-The only environment variable consulted is GENUS_THREADS (parallelism
-cap for numeric sampling).
+No environment variable is consulted.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -55,13 +53,6 @@ _VALIDATION_ERRORS = (ValidationError, InconsistentAnomaly, UnknownEntry,
 _COMPUTE_ERRORS = (NonInvertibleLeadingCoefficient, OffGridExponent, NearPole,
                    NonconvergentDomain, BoundaryZero, NonFiniteSample,
                    AlgebraError, ZeroDivisionError)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GENUS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_input(source: str):
@@ -188,7 +179,7 @@ def cmd_jacobi(args) -> int:
     spec = designated_spec(kind, n, k, l, args.degree // 2)
     F = degree_component_function(data, kind, args.degree,
                                   normalized=not args.raw, eps=args.tol * 1e-4)
-    rep = check_jacobi(F, spec, samples=args.samples, eps=args.tol, workers=_threads())
+    rep = check_jacobi(F, spec, samples=args.samples, eps=args.tol)
     report = {
         "format": 1, "command": "jacobi", "dataset": data.name or args.input,
         "operator": kind.value, "degree": args.degree, "monomial": F.monomial,

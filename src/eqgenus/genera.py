@@ -6,7 +6,10 @@ Two independent realizations of each integrand are provided:
   factorizations of the four theta functions.  With the Chern roots
   normalized so 2 pi i is absorbed into the degree-2 generators, every
   constant of 2 pi and i cancels identically and the coefficients are
-  honest rational functions of w.
+  honest rational functions of w.  One recipe interpreter builds it; its
+  exact q-series backend serves this function and its numeric jet
+  backend serves ``numeric_integrand``, the same product at a point
+  (t, tau).
 
 * ``witten_element_ch`` plus ``a_hat`` / spinor characters -- the
   exterior/symmetric-power expansion, assembled term by term in q.
@@ -40,7 +43,7 @@ from .algebra import (
     series_invert,
     series_mul,
 )
-from .theta import NonconvergentDomain
+from .theta import NonconvergentDomain, series_product, unit_product
 
 
 class ZeroWeightNormalBundle(Exception):
@@ -101,91 +104,26 @@ def _one(gens, cap) -> GradedElement:
     return GradedElement.scalar(gens, cap, Fraction(1))
 
 
-def _exp(x: GradedElement, num=1, den=1) -> GradedElement:
-    return graded_exp(x * Fraction(num, den))
-
-
 def _line(tw: int, x: GradedElement) -> GradedElement:
     """E = w^{tw} e^x as a graded element with w-rational coefficients."""
     e = graded_exp(x)
     return e * WLaurentRational.w(tw) if tw else e
 
 
-def _sigma(y: GradedElement) -> GradedElement:
-    """sinh(y/2)/(y/2) truncated: the unit dividing theta's order-1 zero."""
-    out = y.one_like()
-    p = y.one_like()
+def _sigma(y: GradedElement, one=Fraction(1)) -> GradedElement:
+    """sinh(y/2)/(y/2) truncated: the unit dividing theta's order-1 zero.
+    ``one`` is the unit of y's coefficient ring."""
+    out = p = GradedElement.scalar(y.gens, y.cap, one)
     for j in range(1, y.cap // 4 + 1):
         p = p * y * y
         if not p:
             break
-        out = out + p * Fraction(1, 4 ** j * factorial(2 * j + 1))
+        out = out + p * (one / (4 ** j * factorial(2 * j + 1)))
     return out
 
 
-def _pair_product(E: GradedElement, Einv: GradedElement, n8: int,
-                  sign: int, half: bool) -> QSeries:
-    """prod_{n>=1} (1 + sign q^{a_n} E)(1 + sign q^{a_n} E^{-1}),
-    a_n = n (half=False) or n - 1/2 (half=True), as eighth-grid keys."""
-    one = E.one_like()
-    acc = QSeries({0: one}, n8)
-    n = 1
-    while True:
-        key = 8 * n - (4 if half else 0)
-        if key > n8:
-            break
-        sE = E * Fraction(sign)
-        sEi = Einv * Fraction(sign)
-        acc = series_mul(acc, QSeries({0: one, key: sE}, n8))
-        acc = series_mul(acc, QSeries({0: one, key: sEi}, n8))
-        n += 1
-    return acc
-
-
-def _scalar_series(n8: int, factors: list[tuple[int, Fraction]]) -> QSeries:
-    """prod (1 + c q^{key/8}) over (key, c) pairs, rational coefficients."""
-    acc = QSeries({0: Fraction(1)}, n8)
-    for key, cval in factors:
-        if key <= n8:
-            acc = series_mul(acc, QSeries({0: Fraction(1), key: cval}, n8))
-    return acc
-
-
-def _cq_series(n8: int, power: int = 1) -> QSeries:
-    """c(q)^power = prod (1 - q^n)^power for power >= 1."""
-    acc = QSeries({0: Fraction(1)}, n8)
-    n = 1
-    while 8 * n <= n8:
-        f = QSeries({0: Fraction(1), 8 * n: Fraction(-1)}, n8)
-        for _ in range(power):
-            acc = series_mul(acc, f)
-        n += 1
-    return acc
-
-
-def _nullwert_series(token: str, n8: int) -> QSeries:
-    """theta nullwert unit parts: prod(1+q^n)^2, prod(1 -+ q^{n-1/2})^2."""
-    acc = QSeries({0: Fraction(1)}, n8)
-    n = 1
-    while True:
-        if token == "null-plus-int":
-            key, c = 8 * n, Fraction(1)
-        elif token == "null-minus-half":
-            key, c = 8 * n - 4, Fraction(-1)
-        elif token == "null-plus-half":
-            key, c = 8 * n - 4, Fraction(1)
-        else:
-            raise ValueError(token)
-        if key > n8:
-            break
-        f = QSeries({0: Fraction(1), key: c}, n8)
-        acc = series_mul(acc, series_mul(f, f))
-        n += 1
-    return acc
-
-
 # ---------------------------------------------------------------------------
-# the closed theta-quotient path
+# the recipe interpreter
 
 
 @dataclass(frozen=True)
@@ -275,27 +213,6 @@ def _recipe(kind: OperatorKind, normalized: bool) -> _Recipe:
     return _RAW[kind]
 
 
-def _token_series(token: str, tw: int, x: GradedElement, n8: int) -> QSeries:
-    one = x.one_like()
-    if token == "pairs+":
-        return _pair_product(_line(tw, x), _line(-tw, -x), n8, 1, False)
-    if token == "pairs-":
-        return _pair_product(_line(tw, x), _line(-tw, -x), n8, -1, False)
-    if token == "half+":
-        return _pair_product(_line(tw, x), _line(-tw, -x), n8, 1, True)
-    if token == "half-":
-        return _pair_product(_line(tw, x), _line(-tw, -x), n8, -1, True)
-    if token == "lin+":
-        return QSeries({0: one + _line(-tw, -x)}, n8)
-    if token == "lin-":
-        return QSeries({0: one - _line(-tw, -x)}, n8)
-    if token == "cosh":
-        return QSeries({0: _exp(x, 1, 2) + _exp(x, -1, 2)}, n8)
-    if token == "sigma":
-        return QSeries({0: _sigma(x)}, n8)
-    raise ValueError(token)
-
-
 def _iter_lines(bundles) -> list[tuple[int, GradedElement]]:
     out = []
     for b in bundles:
@@ -317,14 +234,34 @@ def _fold_strays(series: QSeries, stray_w: Fraction, stray_cls: GradedElement) -
     return series.scale(mult)
 
 
-def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
-                             normalized: bool = False) -> QSeries:
-    """The bracketed localization integrand for one fixed component.
+# (first key, sign) of the pair-product tokens and the null-value squares
+_PAIRS = {"pairs+": (8, 1), "pairs-": (8, -1), "half+": (4, 1), "half-": (4, -1)}
+_NULLWERT = {"null-plus-int": (8, 1), "null-minus-half": (4, -1), "null-plus-half": (4, 1)}
 
-    Returns a q-series of graded elements with w-rational coefficients,
-    exact on the requested grid.  The removable singularity of the tangent
-    factor is resolved by dividing out theta's explicit order-1 unit; all
-    powers of 2 pi and i cancel by construction.
+
+def _token(be, tok: str, tw: int, x: GradedElement):
+    """One per-line factor of a recipe in the backend's product ring."""
+    if tok in _PAIRS:
+        first, sign = _PAIRS[tok]
+        return be.product(be.one, first, (be.line(tw, x) * sign, be.line(-tw, -x) * sign))
+    if tok == "lin+":
+        return be.lift(be.one + be.line(-tw, -x))
+    if tok == "lin-":
+        return be.lift(be.one - be.line(-tw, -x))
+    if tok == "cosh":
+        return be.lift(be.exp_half(x, 1) + be.exp_half(x, -1))
+    if tok == "sigma":
+        return be.lift(be.sigma(x))
+    raise ValueError(tok)
+
+
+def _interpret(kind: OperatorKind, component, normalized: bool, backend):
+    """Walk the recipe of (kind, normalized) over one fixed component.
+
+    ``backend(q8_shift, lines)`` builds the coefficient backend once the
+    shape of the component is known.  Returns (num, den, q8_shift, halves,
+    stray_w, stray_cls): the integrand is num / den times q^{q8_shift/8},
+    2^{-halves} and the half-character w^{stray_w} e^{stray_cls/2}.
     """
     rec = _recipe(kind, normalized)
     tangent = component.tangent
@@ -340,43 +277,92 @@ def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
     t_lines = _iter_lines([tangent] if tangent is not None else [])
     n_lines = _iter_lines(component.normals)
     v_lines = _iter_lines(component.vbundles) if kind.needs_v else []
-
-    gens, cap = component.gens, component.cap
     q8_shift = (rec.q8_tangent * len(t_lines) + rec.q8_normal * len(n_lines)
                 + rec.q8_v * len(v_lines))
     c_power = (rec.c_tangent * len(t_lines) + rec.c_normal * len(n_lines)
                + rec.c_v * len(v_lines))
-    n8w = n8 - q8_shift  # work high enough that the shifted result reaches n8
+    be = backend(q8_shift, len(t_lines) + len(n_lines) + len(v_lines))
 
-    one = _one(gens, cap)
-    num = QSeries({0: one}, n8w)
-    den = QSeries({0: one}, n8w)
+    num = den = be.lift(be.one)
     stray_w = Fraction(0)
-    stray_cls = GradedElement.zero(gens, cap)
-
+    stray_cls = GradedElement.zero(component.gens, component.cap)
     for lines, num_toks, den_toks, stray in (
             (t_lines, rec.tangent_num, rec.tangent_den, 0),
             (n_lines, rec.normal_num, rec.normal_den, rec.stray_normal),
             (v_lines, rec.v_num, rec.v_den, rec.stray_v)):
         for tw, x in lines:
             for tok in num_toks:
-                num = series_mul(num, _token_series(tok, tw, x, n8w))
+                num = num * _token(be, tok, tw, x)
             for tok in den_toks:
-                den = series_mul(den, _token_series(tok, tw, x, n8w))
+                den = den * _token(be, tok, tw, x)
             if stray:
                 stray_w += Fraction(stray * tw, 2)
                 stray_cls = stray_cls + x * stray
-    for tok in rec.v_scalar_den:
-        for _ in v_lines:
-            den = series_mul(den, _nullwert_series(tok, n8w).scale(one))
-    if c_power > 0:
-        num = series_mul(num, _cq_series(n8w, c_power).scale(one))
-    elif c_power < 0:
-        den = series_mul(den, _cq_series(n8w, -c_power).scale(one))
 
+    # c(q)^|c_power| and the null-value squares stay in the scalar ring
+    # and are lifted once
+    scalar_den = None
+    if c_power:
+        cq = be.product(be.scalar_one, 8, (-1,) * abs(c_power))
+        if c_power > 0:
+            num = num * be.lift_scalar(cq)
+        else:
+            scalar_den = cq
+    for tok in rec.v_scalar_den:
+        first, c = _NULLWERT[tok]
+        null = be.product(be.scalar_one, first, (c, c) * len(v_lines))
+        scalar_den = null if scalar_den is None else scalar_den * null
+    if scalar_den is not None:
+        den = den * be.lift_scalar(scalar_den)
+    halves = len(v_lines) if rec.half_per_v else 0
+    return num, den, q8_shift, halves, stray_w, stray_cls
+
+
+class _SeriesBackend:
+    """Exact coefficients: q-series truncated at n8 over graded elements
+    with w-rational coefficients; scalar products are Fraction series."""
+
+    scalar_one = Fraction(1)
+
+    def __init__(self, component, n8: int):
+        self.n8 = n8
+        self.one = _one(component.gens, component.cap)
+
+    def lift(self, g: GradedElement) -> QSeries:
+        return QSeries({0: g}, self.n8)
+
+    def lift_scalar(self, s: QSeries) -> QSeries:
+        return s.scale(self.one)
+
+    def line(self, tw: int, x: GradedElement) -> GradedElement:
+        return _line(tw, x)
+
+    def exp_half(self, x: GradedElement, sign: int) -> GradedElement:
+        return graded_exp(x * Fraction(sign, 2))
+
+    def sigma(self, x: GradedElement) -> GradedElement:
+        return _sigma(x)
+
+    def product(self, one, first: int, coeffs) -> QSeries:
+        return series_product(QSeries({0: one}, self.n8), one, first, coeffs)
+
+
+def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
+                             normalized: bool = False) -> QSeries:
+    """The bracketed localization integrand for one fixed component.
+
+    Returns a q-series of graded elements with w-rational coefficients,
+    exact on the requested grid.  The removable singularity of the tangent
+    factor is resolved by dividing out theta's explicit order-1 unit; all
+    powers of 2 pi and i cancel by construction.
+    """
+    # work high enough that the shifted result reaches n8
+    num, den, q8_shift, halves, stray_w, stray_cls = _interpret(
+        kind, component, normalized,
+        lambda q8_shift, _lines: _SeriesBackend(component, n8 - q8_shift))
     out = series_mul(num, series_invert(den))
-    if rec.half_per_v and v_lines:
-        out = out.scale(Fraction(1, 2 ** len(v_lines)))
+    if halves:
+        out = out.scale(Fraction(1, 2 ** halves))
     out = _fold_strays(out, stray_w, stray_cls)
     return out.shift_q8(q8_shift).truncate(n8)
 
@@ -542,7 +528,9 @@ def bridge_to_index_character(kind: OperatorKind, normalized: bool,
                  OperatorKind.DVStarDifference: k - l}[kind]
         out = series.shift_q8(shift)
         if k != l:
-            cpow = _cq_series(out.n8 + abs(k - l) * 8, abs(k - l))
+            # c(q)^{|k - l|}
+            cpow = series_product(QSeries({0: Fraction(1)}, out.n8 + abs(k - l) * 8),
+                                  Fraction(1), 8, (-1,) * abs(k - l))
             cpow = cpow.truncate(out.n8) if k > l else series_invert(cpow).truncate(out.n8)
             out = series_mul(out, cpow.scale(_one_like_series(series)))
         if kind is OperatorKind.DVStarDifference and l % 2:
@@ -625,7 +613,7 @@ def oracle_expand_vs_closed(kind: OperatorKind, component, n8_small: int,
 
 
 # ---------------------------------------------------------------------------
-# numeric (jet) realization of the same recipes
+# the numeric (jet) backend of the recipe interpreter
 
 
 def _jet(x: GradedElement) -> GradedElement:
@@ -644,135 +632,77 @@ def _jet_exp(x: GradedElement, scale: complex = 1.0) -> GradedElement:
     return out
 
 
-def _jet_line(tw: int, x: GradedElement, w: complex) -> GradedElement:
-    return _jet_exp(x) * (w ** tw)
-
-
-def _jet_sigma(y: GradedElement) -> GradedElement:
-    j = _jet(y)
-    out = j.one_like() * (1 + 0j)
-    p = out
-    for jj in range(1, y.cap // 4 + 1):
-        p = p * j * j
-        if not p:
-            break
-        out = out + p * (1.0 / (4 ** jj * factorial(2 * jj + 1)))
-    return out
-
-
-def _jet_norm(a: GradedElement) -> float:
+def _jet_norm(a) -> float:
+    if not isinstance(a, GradedElement):
+        return abs(a)
     return sum(abs(v) for v in a.terms.values()) or 0.0
+
+
+class _JetBackend:
+    """Numeric coefficients: complex jets at (t, tau); scalar products are
+    complex numbers.
+
+    A product stops after the factors of key k once |q^{(k+8)/8}| times
+    the largest coefficient norm (at least 1) is below
+    min(1/4, eps / (8 (lines + 1))), and gives up after 100000 keys.
+    """
+
+    scalar_one = 1 + 0j
+
+    def __init__(self, component, t: complex, tau: complex, eps: float, lines: int):
+        self.w = cmath.exp(1j * math.pi * t)
+        self.qh = cmath.exp(1j * math.pi * tau)
+        self.q = self.qh * self.qh
+        self.aq = abs(self.q)
+        if self.aq >= 1:
+            raise NonconvergentDomain("Im tau must be positive")
+        self.stop = min(0.25, eps / (8.0 * (lines + 1)))
+        self.one = GradedElement.scalar(component.gens, component.cap, 1 + 0j)
+
+    def lift(self, g):
+        return g
+
+    lift_scalar = lift
+
+    def line(self, tw: int, x: GradedElement) -> GradedElement:
+        return _jet_exp(x) * (self.w ** tw)
+
+    def exp_half(self, x: GradedElement, sign: int) -> GradedElement:
+        return _jet_exp(x, 0.5 * sign)
+
+    def sigma(self, x: GradedElement) -> GradedElement:
+        return _sigma(_jet(x), 1 + 0j)
+
+    def qpow(self, k: int) -> complex:
+        """q^{k/8} for a key on the integer or the half-integer grid."""
+        return self.q ** (k // 8) if k % 8 == 0 else self.qh ** (k // 4)
+
+    def keys(self, first: int, mag: float):
+        k = first
+        for _ in range(100000):
+            yield k
+            if abs(self.qpow(k)) * self.aq * mag < self.stop:
+                return
+            k += 8
+        raise NonconvergentDomain("numeric product did not certify")
+
+    def product(self, one, first: int, coeffs):
+        mag = max([_jet_norm(c) for c in coeffs] + [1.0])
+        return unit_product(one, self.keys(first, mag), coeffs,
+                            lambda k, c: one + c * self.qpow(k))
 
 
 def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
                       eps: float, normalized: bool = False) -> GradedElement:
     """Evaluate the theta-quotient integrand at numeric (t, tau) as a jet:
     a graded element with complex coefficients over the component's
-    generators.  Same recipes as the formal path."""
-    rec = _recipe(kind, normalized)
-    if kind.needs_v and not component.vbundles:
-        raise ValueError("%s requires V-bundle data" % kind.value)
-    gens, cap = component.gens, component.cap
-    w = cmath.exp(1j * math.pi * t)
-    qh = cmath.exp(1j * math.pi * tau)
-    q = qh * qh
-    aq = abs(q)
-    if aq >= 1:
-        raise NonconvergentDomain("Im tau must be positive")
-    t_lines = _iter_lines([component.tangent] if component.tangent is not None else [])
-    n_lines = _iter_lines(component.normals)
-    v_lines = _iter_lines(component.vbundles) if kind.needs_v else []
-    budget = eps / (8.0 * (len(t_lines) + len(n_lines) + len(v_lines) + 1))
-
-    one = GradedElement.scalar(gens, cap, 1 + 0j)
-    num = one
-    den = one
-    stray_w = Fraction(0)
-    stray_cls = GradedElement.zero(gens, cap)
-
-    def pair_prod(tw, x, sign, half):
-        nonlocal num
-        E = _jet_line(tw, x, w)
-        Ei = _jet_line(-tw, -x, w)
-        mag = max(_jet_norm(E), _jet_norm(Ei), 1.0)
-        out = one
-        n = 1
-        while True:
-            qa = qh ** (2 * n - 1) if half else q ** n
-            out = out * (one + E * (sign * qa)) * (one + Ei * (sign * qa))
-            if abs(qa) * aq * mag < min(0.25, budget):
-                break
-            n += 1
-            if n > 100000:
-                raise NonconvergentDomain("numeric pair product did not certify")
-        return out
-
-    def token_jet(tok, tw, x):
-        if tok == "pairs+":
-            return pair_prod(tw, x, 1.0, False)
-        if tok == "pairs-":
-            return pair_prod(tw, x, -1.0, False)
-        if tok == "half+":
-            return pair_prod(tw, x, 1.0, True)
-        if tok == "half-":
-            return pair_prod(tw, x, -1.0, True)
-        if tok == "lin+":
-            return one + _jet_line(-tw, -x, w)
-        if tok == "lin-":
-            return one - _jet_line(-tw, -x, w)
-        if tok == "cosh":
-            return _jet_exp(x, 0.5) + _jet_exp(x, -0.5)
-        if tok == "sigma":
-            return _jet_sigma(x)
-        raise ValueError(tok)
-
-    for lines, num_toks, den_toks, stray in (
-            (t_lines, rec.tangent_num, rec.tangent_den, 0),
-            (n_lines, rec.normal_num, rec.normal_den, rec.stray_normal),
-            (v_lines, rec.v_num, rec.v_den, rec.stray_v)):
-        for tw, x in lines:
-            for tok in num_toks:
-                num = num * token_jet(tok, tw, x)
-            for tok in den_toks:
-                den = den * token_jet(tok, tw, x)
-            if stray:
-                stray_w += Fraction(stray * tw, 2)
-                stray_cls = stray_cls + x * stray
-
-    def scalar_prod(keyf, coeff):
-        out = 1 + 0j
-        n = 1
-        while True:
-            qa = keyf(n)
-            out *= (1 + coeff * qa) ** 2
-            if abs(qa) * aq < min(0.25, budget):
-                return out
-            n += 1
-
-    for tok in rec.v_scalar_den:
-        c = {"null-plus-int": (lambda n: q ** n, 1.0),
-             "null-minus-half": (lambda n: qh ** (2 * n - 1), -1.0),
-             "null-plus-half": (lambda n: qh ** (2 * n - 1), 1.0)}[tok]
-        for _ in v_lines:
-            den = den * scalar_prod(*c)
-
-    c_power = (rec.c_tangent * len(t_lines) + rec.c_normal * len(n_lines)
-               + rec.c_v * len(v_lines))
-    if c_power:
-        cval = 1 + 0j
-        n = 1
-        while True:
-            cval *= (1 - q ** n)
-            if aq ** (n + 1) < min(0.25, budget):
-                break
-            n += 1
-        num = num * (cval ** c_power)
-
-    q8_shift = (rec.q8_tangent * len(t_lines) + rec.q8_normal * len(n_lines)
-                + rec.q8_v * len(v_lines))
+    generators.  Same recipe walk as the formal path."""
+    num, den, q8_shift, halves, stray_w, stray_cls = _interpret(
+        kind, component, normalized,
+        lambda _q8_shift, lines: _JetBackend(component, t, tau, eps, lines))
     out = num * graded_invert(den)
-    if rec.half_per_v and v_lines:
-        out = out * (0.5 ** len(v_lines))
+    if halves:
+        out = out * (0.5 ** halves)
     if q8_shift:
         out = out * cmath.exp(2j * math.pi * tau * q8_shift / 8)
     if stray_w:

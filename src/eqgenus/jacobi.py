@@ -164,16 +164,8 @@ def _jacobi_samples(samples, seed=271828):
     return list(samples)
 
 
-def _run_samples(fn, items, workers: int):
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
-
-
 def check_jacobi(F, spec: JacobiFormSpec, generators=None, lattice_vectors=None,
-                 samples=16, eps: float = 1e-8, workers: int = 1) -> JacobiReport:
+                 samples=16, eps: float = 1e-8) -> JacobiReport:
     """Sampled check of both defining transformation laws.
 
     Generators must belong to spec.group; lattice vectors default to the
@@ -190,26 +182,22 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None, lattice_vectors=None,
     pts = _jacobi_samples(samples)
     m = float(spec.index)
 
-    def modular_diff(item):
-        g, t, tau = item
+    def modular_diff(g, t, tau):
         lhs = slash_action(F, g, spec)(t, tau)
         rhs = F(t, tau)
         if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
             raise NonFiniteSample("non-finite value at t=%s tau=%s" % (t, tau))
         return _norm_diff(lhs, rhs)
 
-    def lattice_diff(item):
-        (lam, mu), t, tau = item
+    def lattice_diff(lam, mu, t, tau):
         lhs = F(t + lam * tau + mu, tau)
         rhs = cmath.exp(-2j * math.pi * m * (lam * lam * tau + 2 * lam * t)) * F(t, tau)
         if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
             raise NonFiniteSample("non-finite value at t=%s tau=%s" % (t, tau))
         return _norm_diff(lhs, rhs)
 
-    mods = _run_samples(modular_diff,
-                        [(g, t, tau) for g in generators for t, tau in pts], workers)
-    lats = _run_samples(lattice_diff,
-                        [(v, t, tau) for v in lattice_vectors for t, tau in pts], workers)
+    mods = [modular_diff(g, t, tau) for g in generators for t, tau in pts]
+    lats = [lattice_diff(lam, mu, t, tau) for lam, mu in lattice_vectors for t, tau in pts]
     return JacobiReport(spec, len(pts), max(mods, default=0.0),
                         max(lats, default=0.0), eps)
 

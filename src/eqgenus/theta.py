@@ -34,7 +34,6 @@ from .algebra import (
     QSeries,
     WLaurentPoly,
     WLaurentRational,
-    series_mul,
 )
 
 
@@ -66,16 +65,31 @@ class ConstantsLedger:
     def value(self) -> complex:
         return (2 * math.pi) ** self.two_pi * (1j ** (self.i % 4)) * 2 ** self.two
 
-    def rational_value(self) -> Fraction:
-        """Exact value when no 2*pi survives and the i-power is even."""
-        if self.two_pi != 0 or self.i % 2 != 0:
-            raise ValueError("ledger %r is not rational" % (self,))
-        sign = -1 if self.i % 4 == 2 else 1
-        return Fraction(sign) * Fraction(2) ** self.two
-
 
 # ---------------------------------------------------------------------------
 # Formal expansions
+
+
+def unit_product(acc, keys, coeffs, factor):
+    """acc times the product of factor(k, c) = (1 + c q^{k/8}) over every
+    key k and every c in coeffs.
+
+    Every theta and integrand product of this form is built here.  The
+    caller's ``keys`` set the truncation: a finite range for exact series,
+    or a generator that stops once the remaining factors are negligible.
+    """
+    for k in keys:
+        for c in coeffs:
+            acc = acc * factor(k, c)
+    return acc
+
+
+def series_product(acc: QSeries, one, first: int, coeffs) -> QSeries:
+    """acc times prod (1 + c q^{k/8}) over k = first, first + 8, ... <= acc.n8;
+    ``one`` is the unit of the coefficient ring."""
+    n8 = acc.n8
+    return unit_product(acc, range(first, n8 + 1, 8), coeffs,
+                        lambda k, c: QSeries({0: one, k: c}, n8))
 
 
 @lru_cache(maxsize=None)
@@ -87,31 +101,14 @@ def _char_series(kind: ThetaKind, n8: int) -> tuple[int, QSeries]:
     c(q) factor; the sin/cos kinds carry q^{1/8} and the (s -+ s^{-1}) unit.
     """
     one = WLaurentPoly.one()
-    acc = QSeries({0: one}, n8)
-    # c(q)
-    n = 1
-    while 8 * n <= n8:
-        acc = series_mul(acc, QSeries({0: one, 8 * n: WLaurentPoly.const(-1)}, n8))
-        n += 1
+    acc = series_product(QSeries({0: one}, n8), one, 8, (WLaurentPoly.const(-1),))
+    sgn = -1 if kind in (ThetaKind.Theta, ThetaKind.Theta2) else 1
+    pair = (WLaurentPoly.w(2, sgn), WLaurentPoly.w(-2, sgn))
     if kind in (ThetaKind.Theta, ThetaKind.Theta1):
-        sgn = -1 if kind is ThetaKind.Theta else 1
-        n = 1
-        while 8 * n <= n8:
-            for e in (2, -2):
-                acc = series_mul(acc, QSeries({0: one, 8 * n: WLaurentPoly.w(e, sgn)}, n8))
-            n += 1
+        acc = series_product(acc, one, 8, pair)
         unit = WLaurentPoly({1: Fraction(1), -1: Fraction(sgn)})
-        acc = acc.scale(unit).shift_q8(1).truncate(n8)
-        i_pow = -1 if kind is ThetaKind.Theta else 0
-    else:
-        sgn = -1 if kind is ThetaKind.Theta2 else 1
-        n = 1
-        while 8 * n - 4 <= n8:
-            for e in (2, -2):
-                acc = series_mul(acc, QSeries({0: one, 8 * n - 4: WLaurentPoly.w(e, sgn)}, n8))
-            n += 1
-        i_pow = 0
-    return i_pow, acc
+        return (-1 if kind is ThetaKind.Theta else 0), acc.scale(unit).shift_q8(1).truncate(n8)
+    return 0, series_product(acc, one, 4, pair)
 
 
 def _subst_char(poly: WLaurentPoly, m: Fraction, k: int) -> WLaurentRational:

@@ -156,14 +156,6 @@ def test_rigidity_with_v_equal_tx_via_json(capsys, tmp_path):
     assert "anomaly n = 0" in out and "rigid" in out
 
 
-def test_genus_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("GENUS_THREADS", "3")
-    code, out, _ = run(capsys, "jacobi", "--input", "catalog:s2-v-double-tangent",
-                       "--operator", "dv-theta-q", "--degree", "0",
-                       "--samples", "4", "--tol", "1e-8")
-    assert code == 0 and "PASS" in out
-
-
 def test_fibered_component_dataset(capsys, tmp_path):
     # a fixed component that is a whole projective-line fiber: tangent root
     # 2y, integration table {y: 1}, no normal summands

@@ -226,27 +226,45 @@ def test_oracle_half_integer_weights():
 
 # -- numeric jets ---------------------------------------------------------------
 
-def test_numeric_matches_formal_point():
+# every recipe: the 8 raw kinds and the 5 dim-normalized variants
+RECIPES = [(kind, False) for kind in OperatorKind] + \
+    [(kind, True) for kind in OperatorKind if kind.supports_normalized]
+
+
+def recipe_id(recipe):
+    kind, normalized = recipe
+    return kind.value + ("-normalized" if normalized else "")
+
+
+@pytest.mark.parametrize("kind,normalized", RECIPES, ids=map(recipe_id, RECIPES))
+def test_numeric_matches_formal_point(kind, normalized):
     from eqgenus.theta import evaluate_formal
-    comp = point(1, 2)
+    comp = point(1, 2, v=((1, 2),))
     t, tau = 0.287, 0.1 + 1.05j
-    for kind in (OperatorKind.DThetaQ, OperatorKind.DsThetaPrime, OperatorKind.WittenH):
-        ser = as_wrat(scalar_series(theta_quotient_integrand(kind, comp, 80)))
-        ref = evaluate_formal(ser, t, tau)
-        jet = numeric_integrand(kind, comp, t, tau, 1e-10)
-        assert abs(jet.scalar_part() - ref) < 1e-8, kind
+    ser = as_wrat(scalar_series(theta_quotient_integrand(kind, comp, 80, normalized)))
+    ref = evaluate_formal(ser, t, tau)
+    jet = numeric_integrand(kind, comp, t, tau, 1e-10, normalized)
+    assert abs(jet.scalar_part() - ref) < 1e-8
 
 
-def test_numeric_matches_formal_graded():
+@pytest.mark.parametrize("kind,normalized", RECIPES, ids=map(recipe_id, RECIPES))
+def test_numeric_matches_formal_graded(kind, normalized):
     from eqgenus.theta import evaluate_formal
     gens = (("b", 2),)
     b = GradedElement.generator(gens, 2, "b")
     comp = Comp(gens, 2, None, (RootBundle(1, 1, (b,)),), (RootBundle(1, 1, (b,)),))
     t, tau = 0.41, -0.2 + 0.9j
-    for kind in (OperatorKind.DVThetaQ, OperatorKind.DeltaVThetaPrime):
-        ser = theta_quotient_integrand(kind, comp, 80, normalized=True)
-        coeff = ser.map_coefficients(lambda g: g.terms.get((1,), WLaurentRational.zero()))
-        coeff = as_wrat(coeff)
-        ref = evaluate_formal(coeff, t, tau)
-        jet = numeric_integrand(kind, comp, t, tau, 1e-10, normalized=True)
-        assert abs(jet.terms.get((1,), 0j) - ref) < 1e-7, kind
+    ser = theta_quotient_integrand(kind, comp, 80, normalized)
+    coeff = ser.map_coefficients(lambda g: g.terms.get((1,), WLaurentRational.zero()))
+    coeff = as_wrat(coeff)
+    ref = evaluate_formal(coeff, t, tau)
+    jet = numeric_integrand(kind, comp, t, tau, 1e-10, normalized)
+    assert abs(jet.terms.get((1,), 0j) - ref) < 1e-7
+
+
+def test_numeric_zero_weight_normal_rejected():
+    # the numeric path runs the same component checks as the formal one
+    comp = point(1)
+    bad = Comp((), 0, None, comp.normals + (RootBundle(0, 1, (GradedElement.zero((), 0),)),))
+    with pytest.raises(ZeroWeightNormalBundle):
+        numeric_integrand(OperatorKind.DThetaQ, bad, 0.287, 0.1 + 1.05j, 1e-10)

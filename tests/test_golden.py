@@ -1,0 +1,73 @@
+"""Golden-output gate for refactors of the exact engine.
+
+Every catalog entry is expanded with every operator that applies to it
+(the V-twisted families only where the entry carries V data, and those
+both raw and dim-normalized), and every theta kind is expanded formally
+at m = 1 and m = 2.  The canonical form of each ``--format json`` report
+is hashed and compared against ``golden_digests.json``, which holds the
+digests of the reference implementation.  A change that alters any
+exact coefficient, truncation order or report field fails here.
+"""
+import hashlib
+import json
+import os
+
+import pytest
+
+from eqgenus.catalog import builtin, names
+from eqgenus.cli import main
+from eqgenus.genera import OperatorKind
+from eqgenus.theta import ThetaKind
+
+ORDER = "16"
+DIGESTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
+
+
+def _expand_cases():
+    out = []
+    for name in names():
+        has_v = all(c.vbundles for c in builtin(name).data.components)
+        for kind in OperatorKind:
+            if kind.needs_v and not has_v:
+                continue
+            for normalized in ((False, True) if kind.needs_v else (False,)):
+                argv = ["expand", "--input", "catalog:" + name, "--operator", kind.value,
+                        "--order", ORDER, "--format", "json"]
+                case = "expand-%s-%s" % (name, kind.value)
+                out.append((case + "-normalized", argv + ["--normalized"]) if normalized
+                           else (case, argv))
+    return out
+
+
+def _theta_cases():
+    return [("theta-%s-m%d" % (kind.value, m),
+             ["theta", "--kind", kind.value, "--formal", "--m", str(m),
+              "--order", ORDER, "--format", "json"])
+            for kind in ThetaKind for m in (1, 2)]
+
+
+CASES = dict(_expand_cases() + _theta_cases())
+
+
+def report_digest(argv, capsys) -> str:
+    """sha256 of the command's JSON report in canonical form."""
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0, argv
+    canon = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def recorded_digests() -> dict[str, str]:
+    with open(DIGESTS_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_case_list_is_complete():
+    assert len(CASES) == 48
+    assert sorted(recorded_digests()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digest(case, capsys):
+    assert report_digest(CASES[case], capsys) == recorded_digests()[case]

@@ -139,18 +139,6 @@ def test_check_jacobi_rigid_catalog_degree0():
             assert rep.passed, (name, kind, rep.max_discrepancy)
 
 
-def test_check_jacobi_workers_env():
-    data = builtin("s2-v-double-tangent").data
-    n = anomaly_index(data)
-    spec = designated_spec(OperatorKind.DVThetaQ, n, 1, 2, 0)
-    F = degree_component_function(data, OperatorKind.DVThetaQ, 0,
-                                  normalized=True, eps=1e-12)
-    seq = check_jacobi(F, spec, samples=6, eps=1e-8, workers=1)
-    par = check_jacobi(F, spec, samples=6, eps=1e-8, workers=3)
-    assert seq.passed and par.passed
-    assert abs(seq.max_discrepancy - par.max_discrepancy) < 1e-15
-
-
 def test_check_jacobi_rejects_outside_generator():
     spec = JacobiFormSpec(Fraction(0), 2, 2, ModularGroup.GAMMA0_2)
     with pytest.raises(ValueError):
