@@ -3,7 +3,9 @@
 Everything downstream is built over four carriers:
 
 * ``WLaurentPoly``   -- Laurent polynomials in w = z^{1/2} over the rationals,
-  where z = e^{2 pi i t} is the circle character.
+  where z = e^{2 pi i t} is the circle character.  Integral coefficients
+  are kept as ``int``, so isolated-point kernels run on Python ints, not
+  ``Fraction``.
 * ``WLaurentRational`` -- reduced quotients of such polynomials, the
   coefficient field for equivariant characters.
 * ``GradedElement``  -- nilpotent polynomials in even-degree generators
@@ -54,21 +56,36 @@ class OffGridExponent(AlgebraError):
 # Laurent polynomials in w
 
 
+def _exact(v) -> int | Fraction:
+    """v as an exact rational: an int when integral, else a Fraction."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _quo(a, b) -> int | Fraction:
+    """The exact quotient a / b of two rationals (``/`` on ints is float)."""
+    return _exact(Fraction(a, b))
+
+
 class WLaurentPoly:
     """Laurent polynomial in w with exact rational coefficients.
 
-    Stored sparsely as exponent -> nonzero Fraction; exponents may be
-    negative.  w stands for z^{1/2}, so the exponent counts half-powers
-    of the circle character z.
+    Stored sparsely as exponent -> nonzero coefficient, an int when
+    integral and a Fraction otherwise; exponents may be negative.  w
+    stands for z^{1/2}, so the exponent counts half-powers of the circle
+    character z.
     """
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        c: dict[int, Fraction] = {}
+    def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
+        c: dict[int, int | Fraction] = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = Fraction(v)
+                v = _exact(v)
                 if v:
                     c[int(e)] = v
         self.c = c
@@ -81,15 +98,15 @@ class WLaurentPoly:
 
     @staticmethod
     def one() -> "WLaurentPoly":
-        return WLaurentPoly({0: Fraction(1)})
+        return WLaurentPoly({0: 1})
 
     @staticmethod
     def w(exp: int = 1, coeff=1) -> "WLaurentPoly":
-        return WLaurentPoly({exp: Fraction(coeff)})
+        return WLaurentPoly({exp: coeff})
 
     @staticmethod
     def const(v) -> "WLaurentPoly":
-        return WLaurentPoly({0: Fraction(v)})
+        return WLaurentPoly({0: v})
 
     # -- structure
 
@@ -115,10 +132,10 @@ class WLaurentPoly:
     def is_constant(self) -> bool:
         return not self.c or set(self.c) == {0}
 
-    def constant(self) -> Fraction:
+    def constant(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)
-        return self.c.get(0, Fraction(0))
+        return self.c.get(0, 0)
 
     # -- arithmetic
 
@@ -142,7 +159,7 @@ class WLaurentPoly:
             return NotImplemented
         c = dict(self.c)
         for e, v in other.c.items():
-            s = c.get(e, Fraction(0)) + v
+            s = c.get(e, 0) + v
             if s:
                 c[e] = s
             else:
@@ -161,15 +178,15 @@ class WLaurentPoly:
 
     def __mul__(self, other) -> "WLaurentPoly":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
+            f = _exact(other)
             return WLaurentPoly({e: v * f for e, v in self.c.items()})
         if not isinstance(other, WLaurentPoly):
             return NotImplemented
-        c: dict[int, Fraction] = {}
+        c: dict[int, int | Fraction] = {}
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
                 e = e1 + e2
-                s = c.get(e, Fraction(0)) + v1 * v2
+                s = c.get(e, 0) + v1 * v2
                 if s:
                     c[e] = s
                 else:
@@ -292,7 +309,7 @@ def wpoly_gcd(a: WLaurentPoly, b: WLaurentPoly) -> WLaurentPoly:
         A, B = B, R
     if A[-1] < 0:
         A = [-x for x in A]
-    return WLaurentPoly({i: Fraction(v) for i, v in enumerate(A)})
+    return WLaurentPoly(dict(enumerate(A)))
 
 def wpoly_divexact(a: WLaurentPoly, b: WLaurentPoly) -> WLaurentPoly:
     """Exact division a / b; raises AlgebraError when not exact."""
@@ -307,16 +324,16 @@ def wpoly_divexact(a: WLaurentPoly, b: WLaurentPoly) -> WLaurentPoly:
     if da < db:
         raise AlgebraError("inexact polynomial division")
     lb = B[db]
-    q: dict[int, Fraction] = {}
+    q: dict[int, int | Fraction] = {}
     rem = dict(A)
     for e in range(da - db, -1, -1):
-        v = rem.get(e + db, Fraction(0))
+        v = rem.get(e + db, 0)
         if not v:
             continue
-        qv = v / lb
+        qv = _quo(v, lb)
         q[e] = qv
         for eb, vb in B.items():
-            s = rem.get(e + eb, Fraction(0)) - qv * vb
+            s = rem.get(e + eb, 0) - qv * vb
             if s:
                 rem[e + eb] = s
             else:
@@ -350,7 +367,7 @@ class WLaurentRational:
             return
         if den.is_constant():
             f = den.constant()
-            self.num = num * (1 / f)
+            self.num = num * _quo(1, f)
             self.den = WLaurentPoly.one()
             return
         g = wpoly_gcd(num, den)
@@ -362,20 +379,15 @@ class WLaurentRational:
         if lo:
             den = den.shift(-lo)
             num = num.shift(-lo)
-        dd = _dense_int(den)
-        scale = Fraction(dd[-1] if dd[-1] > 0 else -dd[-1], 1)
         # den currently has rational coeffs; rescale so den matches its
         # primitive integer image with positive leading coefficient
-        prim = _primitive(dd)
+        prim = _primitive(_dense_int(den))
         if prim[-1] < 0:
             prim = [-x for x in prim]
-        newden = WLaurentPoly({i: Fraction(v) for i, v in enumerate(prim)})
-        # num must be scaled by den/newden (a constant)
-        ratio = None
-        for e, v in newden.c.items():
-            ratio = den.c[e] / v
-            break
-        self.num = num * (1 / ratio)
+        newden = WLaurentPoly(dict(enumerate(prim)))
+        # num must be scaled by newden/den (a constant)
+        e, v = next(iter(newden.c.items()))
+        self.num = num * _quo(v, den.c[e])
         self.den = newden
 
     # -- constructors / coercion

@@ -26,9 +26,29 @@ class DatasetFormatError(Exception):
         self.path = path
 
 
+_JSON_TYPES = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _field(obj: dict, key: str, kind: type, path: str, default=None):
+    """obj[key], which must be a JSON value of type ``kind`` (int, list or
+    dict); ``default`` when the key is absent."""
+    if key not in obj:
+        return default
+    v = obj[key]
+    if not isinstance(v, kind) or isinstance(v, bool):
+        raise DatasetFormatError("%s.%s" % (path, key),
+                                 "expected %s, got %s" % (_JSON_TYPES[kind], json.dumps(v)))
+    return v
+
+
+def _optional_int(obj: dict, key: str, path: str) -> int | None:
+    """An integer field that may be absent or null."""
+    return None if obj.get(key) is None else _field(obj, key, int, path)
+
+
 def parse_rational(s, path: str) -> Fraction:
     try:
-        if isinstance(s, int):
+        if isinstance(s, int) and not isinstance(s, bool):
             return Fraction(s)
         if isinstance(s, str):
             return Fraction(s.replace(" ", ""))
@@ -111,36 +131,36 @@ def _gen_list(raw, path: str) -> tuple[tuple[str, int], ...]:
     out = []
     for i, g in enumerate(raw):
         p = "%s[%d]" % (path, i)
-        if not isinstance(g, dict) or "name" not in g:
+        if not isinstance(g, dict) or not isinstance(g.get("name"), str):
             raise DatasetFormatError(p, "generator entries are {name, degree}")
-        deg = int(g.get("degree", 2))
+        deg = _field(g, "degree", int, p, 2)
         if deg <= 0 or deg % 2:
             raise DatasetFormatError(p, "generator degree must be a positive even integer")
-        out.append((str(g["name"]), deg))
+        out.append((g["name"], deg))
     return tuple(out)
 
 
 def _parse_bundles(raw, gens, cap, path: str) -> tuple[RootBundle, ...]:
     out = []
-    for i, b in enumerate(raw or []):
+    for i, b in enumerate(raw):
         p = "%s[%d]" % (path, i)
         if not isinstance(b, dict):
             raise DatasetFormatError(p, "bundle entries are objects")
         weight = parse_rational(b.get("weight", "0"), p + ".weight")
-        rank = b.get("rank", None)
-        roots_raw = b.get("roots", None)
+        rank = _field(b, "rank", int, p)
+        roots_raw = _field(b, "roots", list, p)
         if roots_raw is None:
             if rank is None:
                 raise DatasetFormatError(p, "need rank or roots")
-            roots_raw = ["0"] * int(rank)
+            roots_raw = ["0"] * rank
         if rank is None:
             rank = len(roots_raw)
-        if len(roots_raw) != int(rank):
+        if len(roots_raw) != rank:
             raise DatasetFormatError(p, "rank %s but %d roots" % (rank, len(roots_raw)))
         roots = tuple(parse_root_expr(r, gens, cap, "%s.roots[%d]" % (p, j))
                       for j, r in enumerate(roots_raw))
         try:
-            out.append(RootBundle(weight, int(rank), roots))
+            out.append(RootBundle(weight, rank, roots))
         except ValueError as e:
             raise DatasetFormatError(p, str(e))
     return tuple(out)
@@ -154,28 +174,30 @@ def parse_dataset(obj: dict) -> ActionData:
         raise DatasetFormatError("$.format", "unsupported format %r" % fmt)
     if "fiber_half_dim" not in obj:
         raise DatasetFormatError("$.fiber_half_dim", "missing")
-    k = int(obj["fiber_half_dim"])
-    base_gens = _gen_list(obj.get("base_generators", []), "$.base_generators")
-    base_cap = int(obj.get("base_degree_cap", 0))
+    k = _field(obj, "fiber_half_dim", int, "$")
+    base_gens = _gen_list(_field(obj, "base_generators", list, "$", []), "$.base_generators")
+    base_cap = _field(obj, "base_degree_cap", int, "$", 0)
     if base_cap % 2:
         raise DatasetFormatError("$.base_degree_cap", "must be even")
     comps = []
-    for ci, c in enumerate(obj.get("components", [])):
+    for ci, c in enumerate(_field(obj, "components", list, "$", [])):
         path = "$.components[%d]" % ci
         if not isinstance(c, dict):
             raise DatasetFormatError(path, "components are objects")
         name = str(c.get("name", "component-%d" % ci))
-        k_alpha = int(c.get("k_alpha", 0))
-        sign = int(c.get("sign", 1))
-        tangent_raw = c.get("tangent_roots", [])
+        k_alpha = _field(c, "k_alpha", int, path, 0)
+        sign = _field(c, "sign", int, path, 1)
+        tangent_raw = _field(c, "tangent_roots", list, path, [])
+        table_raw = _field(c, "integration_table", dict, path, {})
         # fiber generators: explicit, else inferred from table keys and
         # tangent root expressions (degree 2)
         if "fiber_generators" in c:
-            fiber_gens = _gen_list(c["fiber_generators"], path + ".fiber_generators")
+            fiber_gens = _gen_list(_field(c, "fiber_generators", list, path),
+                                   path + ".fiber_generators")
         else:
             seen: list[str] = []
             base_names = {n for n, _ in base_gens}
-            for key in (c.get("integration_table") or {}):
+            for key in table_raw:
                 for factor in str(key).replace(" ", "").split("*"):
                     nm = factor.partition("^")[0]
                     if nm and nm != "1" and nm not in base_names and nm not in seen:
@@ -193,22 +215,21 @@ def parse_dataset(obj: dict) -> ActionData:
                               for j, r in enumerate(tangent_raw))
         tangent = RootBundle(Fraction(0), len(tangent_roots), tangent_roots) \
             if tangent_roots else None
-        normals = _parse_bundles(c.get("normals", []), gens, cap, path + ".normals")
-        vbundles = _parse_bundles(c.get("v", []), gens, cap, path + ".v")
+        normals = _parse_bundles(_field(c, "normals", list, path, []), gens, cap,
+                                 path + ".normals")
+        vbundles = _parse_bundles(_field(c, "v", list, path, []), gens, cap, path + ".v")
         fiber_names = [n for n, _ in fiber_gens]
         entries = {}
-        for key, val in (c.get("integration_table") or {}).items():
+        for key, val in table_raw.items():
             kpath = "%s.integration_table[%r]" % (path, key)
             entries[parse_monomial(str(key), fiber_names, kpath)] = \
                 parse_rational(val, kpath)
         table = IntegrationTable(fiber_names, k_alpha, entries)
         comps.append(FixedComponent(name, k_alpha, tangent, normals, vbundles,
                                     table, sign, gens, cap))
-    v_half_rank = obj.get("v_half_rank")
-    declared = obj.get("declared_anomaly")
     return ActionData(k, tuple(comps), base_gens, base_cap,
-                      None if v_half_rank is None else int(v_half_rank),
-                      None if declared is None else int(declared),
+                      _optional_int(obj, "v_half_rank", "$"),
+                      _optional_int(obj, "declared_anomaly", "$"),
                       str(obj.get("name", "")))
 
 

@@ -11,6 +11,17 @@ Two independent realizations of each integrand are provided:
   backend serves ``numeric_integrand``, the same product at a point
   (t, tau).
 
+  The denominator of each component's integrand factors as L * U.  L is
+  the q-free product of the factors (1 - w^{-2m} e^{-x}) over the normal
+  lines; U (the sigma units, the pair products, c(q) and the null values)
+  is a unit series: its q^0 coefficient has scalar part 1.  So 1/U, the
+  numerator and every product run over Laurent polynomials in w, with no
+  gcd, and the rational-function field enters once: each output
+  q-coefficient is multiplied by L^{-1}, which is one reduction per
+  coefficient at an isolated fixed point.  Canonical forms of reduced
+  quotients are unique, so the result equals the term-by-term reduced
+  computation exactly.
+
 * ``witten_element_ch`` plus ``a_hat`` / spinor characters -- the
   exterior/symmetric-power expansion, assembled term by term in q.
 
@@ -37,6 +48,7 @@ from .algebra import (
     GradedElement,
     OffGridExponent,
     QSeries,
+    WLaurentPoly,
     WLaurentRational,
     graded_exp,
     graded_invert,
@@ -104,10 +116,11 @@ def _one(gens, cap) -> GradedElement:
     return GradedElement.scalar(gens, cap, Fraction(1))
 
 
-def _line(tw: int, x: GradedElement) -> GradedElement:
-    """E = w^{tw} e^x as a graded element with w-rational coefficients."""
+def _line(tw: int, x: GradedElement, carrier=WLaurentRational) -> GradedElement:
+    """E = w^{tw} e^x as a graded element, the w-power built by
+    ``carrier.w``."""
     e = graded_exp(x)
-    return e * WLaurentRational.w(tw) if tw else e
+    return e * carrier.w(tw) if tw else e
 
 
 def _sigma(y: GradedElement, one=Fraction(1)) -> GradedElement:
@@ -221,7 +234,10 @@ def _iter_lines(bundles) -> list[tuple[int, GradedElement]]:
     return out
 
 
-def _fold_strays(series: QSeries, stray_w: Fraction, stray_cls: GradedElement) -> QSeries:
+def _fold_strays(series: QSeries, stray_w: Fraction, stray_cls: GradedElement,
+                 carrier=WLaurentRational) -> QSeries:
+    """series times w^{stray_w} e^{stray_cls/2}, the w-power built by
+    ``carrier.w``."""
     if stray_w == 0 and not stray_cls:
         return series
     if stray_w.denominator != 1:
@@ -230,7 +246,7 @@ def _fold_strays(series: QSeries, stray_w: Fraction, stray_cls: GradedElement) -
             "the weight data is not spin-consistent" % stray_w)
     mult = graded_exp(stray_cls * Fraction(1, 2))
     if stray_w:
-        mult = mult * WLaurentRational.w(int(stray_w))
+        mult = mult * carrier.w(int(stray_w))
     return series.scale(mult)
 
 
@@ -247,7 +263,7 @@ def _token(be, tok: str, tw: int, x: GradedElement):
     if tok == "lin+":
         return be.lift(be.one + be.line(-tw, -x))
     if tok == "lin-":
-        return be.lift(be.one - be.line(-tw, -x))
+        return be.lift(_lin_minus(be, tw, x))
     if tok == "cosh":
         return be.lift(be.exp_half(x, 1) + be.exp_half(x, -1))
     if tok == "sigma":
@@ -255,13 +271,22 @@ def _token(be, tok: str, tw: int, x: GradedElement):
     raise ValueError(tok)
 
 
+def _lin_minus(be, tw: int, x: GradedElement):
+    """The q-free factor 1 - E^{-1} of a line, unlifted."""
+    return be.one - be.line(-tw, -x)
+
+
 def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     """Walk the recipe of (kind, normalized) over one fixed component.
 
     ``backend(q8_shift, lines)`` builds the coefficient backend once the
-    shape of the component is known.  Returns (num, den, q8_shift, halves,
-    stray_w, stray_cls): the integrand is num / den times q^{q8_shift/8},
-    2^{-halves} and the half-character w^{stray_w} e^{stray_cls/2}.
+    shape of the component is known.  Returns (num, den, lin, q8_shift,
+    halves, stray_w, stray_cls): the integrand is num / (den * lin) times
+    q^{q8_shift/8}, 2^{-halves} and the half-character
+    w^{stray_w} e^{stray_cls/2}.  ``lin`` is the q-free product of the
+    "lin-" denominator tokens, an unlifted coefficient; ``den`` holds the
+    other denominator tokens, a series whose q^0 coefficient has scalar
+    part 1, so it inverts without dividing by any function of w.
     """
     rec = _recipe(kind, normalized)
     tangent = component.tangent
@@ -284,6 +309,7 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     be = backend(q8_shift, len(t_lines) + len(n_lines) + len(v_lines))
 
     num = den = be.lift(be.one)
+    lin = be.one
     stray_w = Fraction(0)
     stray_cls = GradedElement.zero(component.gens, component.cap)
     for lines, num_toks, den_toks, stray in (
@@ -294,7 +320,10 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
             for tok in num_toks:
                 num = num * _token(be, tok, tw, x)
             for tok in den_toks:
-                den = den * _token(be, tok, tw, x)
+                if tok == "lin-":
+                    lin = lin * _lin_minus(be, tw, x)
+                else:
+                    den = den * _token(be, tok, tw, x)
             if stray:
                 stray_w += Fraction(stray * tw, 2)
                 stray_cls = stray_cls + x * stray
@@ -315,12 +344,13 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     if scalar_den is not None:
         den = den * be.lift_scalar(scalar_den)
     halves = len(v_lines) if rec.half_per_v else 0
-    return num, den, q8_shift, halves, stray_w, stray_cls
+    return num, den, lin, q8_shift, halves, stray_w, stray_cls
 
 
 class _SeriesBackend:
     """Exact coefficients: q-series truncated at n8 over graded elements
-    with w-rational coefficients; scalar products are Fraction series."""
+    with Laurent-polynomial coefficients; scalar products are Fraction
+    series."""
 
     scalar_one = Fraction(1)
 
@@ -335,7 +365,7 @@ class _SeriesBackend:
         return s.scale(self.one)
 
     def line(self, tw: int, x: GradedElement) -> GradedElement:
-        return _line(tw, x)
+        return _line(tw, x, WLaurentPoly)
 
     def exp_half(self, x: GradedElement, sign: int) -> GradedElement:
         return graded_exp(x * Fraction(sign, 2))
@@ -355,16 +385,30 @@ def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
     exact on the requested grid.  The removable singularity of the tangent
     factor is resolved by dividing out theta's explicit order-1 unit; all
     powers of 2 pi and i cancel by construction.
+
+    Everything but the q-free factor ``lin`` runs over Laurent polynomials;
+    each output coefficient is then reduced once, when it is multiplied by
+    the rational-function inverse of ``lin``.
     """
     # work high enough that the shifted result reaches n8
-    num, den, q8_shift, halves, stray_w, stray_cls = _interpret(
+    num, den, lin, q8_shift, halves, stray_w, stray_cls = _interpret(
         kind, component, normalized,
         lambda q8_shift, _lines: _SeriesBackend(component, n8 - q8_shift))
     out = series_mul(num, series_invert(den))
     if halves:
         out = out.scale(Fraction(1, 2 ** halves))
-    out = _fold_strays(out, stray_w, stray_cls)
+    out = _fold_strays(out, stray_w, stray_cls, WLaurentPoly)
+    lin_inv = graded_invert(lin.map_coefficients(_rational))
+    # lift before multiplying: with no normal lines lin_inv is the Fraction 1,
+    # and the product alone would leave Laurent polynomials in the result
+    out = out.map_coefficients(lambda g: g.map_coefficients(_rational) * lin_inv)
     return out.shift_q8(q8_shift).truncate(n8)
+
+
+def _rational(v):
+    """A Laurent polynomial as an element of the rational-function field;
+    other coefficients unchanged."""
+    return WLaurentRational(v) if isinstance(v, WLaurentPoly) else v
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +741,10 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
     """Evaluate the theta-quotient integrand at numeric (t, tau) as a jet:
     a graded element with complex coefficients over the component's
     generators.  Same recipe walk as the formal path."""
-    num, den, q8_shift, halves, stray_w, stray_cls = _interpret(
+    num, den, lin, q8_shift, halves, stray_w, stray_cls = _interpret(
         kind, component, normalized,
         lambda _q8_shift, lines: _JetBackend(component, t, tau, eps, lines))
-    out = num * graded_invert(den)
+    out = num * graded_invert(den * lin)
     if halves:
         out = out * (0.5 ** halves)
     if q8_shift:

@@ -182,22 +182,21 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None, lattice_vectors=None,
     pts = _jacobi_samples(samples)
     m = float(spec.index)
 
-    def modular_diff(g, t, tau):
-        lhs = slash_action(F, g, spec)(t, tau)
-        rhs = F(t, tau)
+    def diff(lhs, rhs, t, tau):
         if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
             raise NonFiniteSample("non-finite value at t=%s tau=%s" % (t, tau))
         return _norm_diff(lhs, rhs)
 
-    def lattice_diff(lam, mu, t, tau):
-        lhs = F(t + lam * tau + mu, tau)
-        rhs = cmath.exp(-2j * math.pi * m * (lam * lam * tau + 2 * lam * t)) * F(t, tau)
-        if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
-            raise NonFiniteSample("non-finite value at t=%s tau=%s" % (t, tau))
-        return _norm_diff(lhs, rhs)
-
-    mods = [modular_diff(g, t, tau) for g in generators for t, tau in pts]
-    lats = [lattice_diff(lam, mu, t, tau) for lam, mu in lattice_vectors for t, tau in pts]
+    # F(t, tau) is the right-hand side of every law at the sample: one
+    # evaluation serves all generators and lattice vectors
+    mods, lats = [], []
+    for t, tau in pts:
+        base = F(t, tau)
+        mods += [diff(slash_action(F, g, spec)(t, tau), base, t, tau) for g in generators]
+        lats += [diff(F(t + lam * tau + mu, tau),
+                      cmath.exp(-2j * math.pi * m * (lam * lam * tau + 2 * lam * t)) * base,
+                      t, tau)
+                 for lam, mu in lattice_vectors]
     return JacobiReport(spec, len(pts), max(mods, default=0.0),
                         max(lats, default=0.0), eps)
 

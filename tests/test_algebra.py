@@ -18,6 +18,7 @@ from eqgenus.algebra import (
     graded_invert,
     series_invert,
     series_mul,
+    wpoly_divexact,
     wpoly_gcd,
 )
 
@@ -170,6 +171,106 @@ def test_wpoly_gcd_basic():
     g = wpoly_gcd(a, b)
     # common factor (w - 1) up to unit/sign
     assert g.degree_span() == 1
+
+
+# -- carrier properties: int coefficients, canonical forms ---------------------
+
+def _rand_laurent(rng, lo=-3, hi=3, den=1):
+    return WLaurentPoly({e: Fraction(rng.randrange(-6, 7), rng.randrange(1, den + 1))
+                         for e in range(lo, hi + 1) if rng.random() < 0.6})
+
+
+def _exact_types(p):
+    return {type(v) for v in p.c.values()}
+
+
+def test_wpoly_int_and_fraction_coefficients_agree():
+    rng = random.Random(37)
+    for _ in range(50):
+        ints = {rng.randrange(-4, 5): rng.randrange(-6, 7) for _ in range(4)}
+        a = WLaurentPoly(ints)
+        b = WLaurentPoly({e: Fraction(v) for e, v in ints.items()})
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+        assert _exact_types(b) <= {int}
+        assert a * b == b * b and str(a * a) == str(b * b)
+        half = WLaurentPoly({e: Fraction(v, 2) for e, v in ints.items()})
+        assert half * 2 == a and _exact_types(half * 2) <= {int}
+    assert WLaurentPoly.w(3, Fraction(4, 2)).c == {3: 2}
+    assert type(WLaurentPoly.const(Fraction(6, 3)).constant()) is int
+
+
+def test_integer_inputs_never_yield_float():
+    rng = random.Random(41)
+    for _ in range(60):
+        a, b = _rand_laurent(rng), _rand_laurent(rng)
+        if not a or not b:
+            continue
+        q = wpoly_divexact(a * b, b)
+        assert q == a and _exact_types(q) <= {int, Fraction}
+        r = WLaurentRational(a, b)
+        assert _exact_types(r.num) <= {int, Fraction}
+        assert _exact_types(r.den) <= {int}
+        assert r.num * b == a * r.den
+    # thirds are inexact in binary floating point, so a quotient of two ints
+    # taken with "/" shows here: a non-integral exact quotient, a constant
+    # denominator and a denominator with content 3
+    q = wpoly_divexact(WLaurentPoly({0: 1, 1: 1}), WLaurentPoly({0: 3, 1: 3}))
+    assert q.c == {0: Fraction(1, 3)}
+    c = WLaurentRational(WLaurentPoly({0: 2}), WLaurentPoly({0: 3}))
+    assert c.num.c == {0: Fraction(2, 3)} and c.den.c == {0: 1}
+    r = WLaurentRational(WLaurentPoly({0: 1}), WLaurentPoly({0: 3, 2: 6}))
+    assert r.num.c == {0: Fraction(1, 3)} and r.den.c == {0: 1, 2: 2}
+
+
+def _sympy_laurent(sympy, w, p):
+    return sum((sympy.Rational(v.numerator, v.denominator) * w ** e for e, v in p.c.items()),
+               sympy.Integer(0))
+
+
+def test_wrational_canonical_form_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    w = sympy.Symbol("w")
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(60):
+        common = _rand_laurent(rng, -2, 1, den=2)
+        num = _rand_laurent(rng, -3, 2, den=3) * common
+        den = _rand_laurent(rng, -2, 3, den=2) * common
+        if not num or not den:
+            continue
+        r = WLaurentRational(num, den)
+        p, q = sympy.fraction(sympy.cancel(_sympy_laurent(sympy, w, num)
+                                           / _sympy_laurent(sympy, w, den)))
+        # powers of w are units: strip them, then clear denominators and
+        # take the primitive part with positive leading coefficient
+        qp = sympy.Poly(q, w)
+        qp = sympy.Poly(sympy.expand(q / w ** min(m for (m,) in qp.monoms())), w)
+        qp = qp.clear_denoms(convert=True)[1].primitive()[1]
+        if qp.LC() < 0:
+            qp = -qp
+        assert sympy.Poly(_sympy_laurent(sympy, w, r.den), w) == qp
+        assert sympy.expand(_sympy_laurent(sympy, w, r.num) * q
+                            - p * _sympy_laurent(sympy, w, r.den)) == 0
+        checked += 1
+    assert checked >= 40
+
+
+def test_invert_roundtrip_negative_low_exponent():
+    rng = random.Random(47)
+    for _ in range(25):
+        n8 = rng.randrange(6, 16)
+        low = -rng.randrange(1, 7)
+        coeffs = {low: WLaurentPoly.const(rng.choice([1, -1, 2, Fraction(1, 3)]))}
+        for k in range(low + 1, n8 + 1):
+            if rng.random() < 0.4:
+                coeffs[k] = _rand_laurent(rng, -2, 2, den=2)
+        a = QSeries({k: WLaurentRational(v) for k, v in coeffs.items()}, n8)
+        inv = series_invert(a)
+        assert inv.low == -low and inv.n8 == n8 - 2 * low
+        prod = series_mul(a, inv)
+        assert prod.n8 == n8 - low
+        assert prod.c == {0: WLaurentRational.one()}
+        assert series_mul(inv, a) == prod
 
 
 # -- graded elements ----------------------------------------------------------

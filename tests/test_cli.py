@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from eqgenus.cli import main
 from eqgenus.dataset import dataset_to_json, parse_dataset
 from eqgenus.catalog import builtin, names
@@ -97,6 +99,55 @@ def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "expand", "--input", "/nonexistent/x.json",
                        "--operator", "witten-h")
     assert code == 2
+
+
+def _set_sign_null(d):
+    d["components"][0]["sign"] = None
+
+
+def _set_roots_int(d):
+    d["components"][0]["normals"][0]["roots"] = 0
+
+
+def _set_table_string(d):
+    d["components"][0]["integration_table"] = "1/2"
+
+
+def _set_components_null(d):
+    d["components"] = None
+
+
+def _set_fiber_half_dim_list(d):
+    d["fiber_half_dim"] = [1]
+
+
+def _set_weight_true(d):
+    d["components"][0]["normals"][0]["weight"] = True
+
+
+def _set_generator_name_null(d):
+    d["base_generators"][0]["name"] = None
+
+
+@pytest.mark.parametrize("mutate, json_path", [
+    (_set_sign_null, "$.components[0].sign"),
+    (_set_roots_int, "$.components[0].normals[0].roots"),
+    (_set_table_string, "$.components[0].integration_table"),
+    (_set_components_null, "$.components"),
+    (_set_fiber_half_dim_list, "$.fiber_half_dim"),
+    (_set_weight_true, "$.components[0].normals[0].weight"),
+    (_set_generator_name_null, "$.base_generators[0]"),
+])
+def test_mistyped_field_exit_2_with_path(capsys, tmp_path, mutate, json_path):
+    payload = dataset_to_json(builtin("s2-family-base").data)
+    mutate(payload)
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "expand", "--input", str(path),
+                         "--operator", "dv-theta-q", "--order", "8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: %s: " % json_path)
 
 
 def test_rigidity_corrupted_dataset(capsys, tmp_path):

@@ -2,10 +2,11 @@
 
 Every catalog entry is expanded with every operator that applies to it
 (the V-twisted families only where the entry carries V data, and those
-both raw and dim-normalized), and every theta kind is expanded formally
-at m = 1 and m = 2.  The canonical form of each ``--format json`` report
-is hashed and compared against ``golden_digests.json``, which holds the
-digests of the reference implementation.  A change that alters any
+both raw and dim-normalized) at orders 16 and 32, and every theta kind
+is expanded formally at m = 1 and m = 2 at order 16.  The canonical form
+of each ``--format json`` report is hashed and compared against
+``golden_digests.json``, which holds the digests of the reference
+implementation.  A change that alters any
 exact coefficient, truncation order or report field fails here.
 """
 import hashlib
@@ -20,10 +21,11 @@ from eqgenus.genera import OperatorKind
 from eqgenus.theta import ThetaKind
 
 ORDER = "16"
+DEEP_ORDER = "32"
 DIGESTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 
 
-def _expand_cases():
+def _expand_cases(order: str, suffix: str = ""):
     out = []
     for name in names():
         has_v = all(c.vbundles for c in builtin(name).data.components)
@@ -32,10 +34,10 @@ def _expand_cases():
                 continue
             for normalized in ((False, True) if kind.needs_v else (False,)):
                 argv = ["expand", "--input", "catalog:" + name, "--operator", kind.value,
-                        "--order", ORDER, "--format", "json"]
+                        "--order", order, "--format", "json"]
                 case = "expand-%s-%s" % (name, kind.value)
-                out.append((case + "-normalized", argv + ["--normalized"]) if normalized
-                           else (case, argv))
+                out.append((case + "-normalized" + suffix, argv + ["--normalized"])
+                           if normalized else (case + suffix, argv))
     return out
 
 
@@ -46,7 +48,7 @@ def _theta_cases():
             for kind in ThetaKind for m in (1, 2)]
 
 
-CASES = dict(_expand_cases() + _theta_cases())
+CASES = dict(_expand_cases(ORDER) + _expand_cases(DEEP_ORDER, "-order32") + _theta_cases())
 
 
 def report_digest(argv, capsys) -> str:
@@ -64,7 +66,7 @@ def recorded_digests() -> dict[str, str]:
 
 
 def test_case_list_is_complete():
-    assert len(CASES) == 48
+    assert len(CASES) == 88
     assert sorted(recorded_digests()) == sorted(CASES)
 
 

@@ -145,6 +145,23 @@ def test_check_jacobi_rejects_outside_generator():
         check_jacobi(lambda t, tau: 1.0, spec, generators=[S], samples=2)
 
 
+def test_check_jacobi_evaluates_base_once_per_sample():
+    # F(t, tau) is shared by both laws: one base value, one slashed value
+    # per generator and one translate per lattice vector
+    calls = []
+
+    def F(t, tau):
+        calls.append((t, tau))
+        return cmath.exp(1j * t) + tau
+
+    spec = JacobiFormSpec(Fraction(1, 2), 2, 2, ModularGroup.GAMMA_THETA)
+    rep = check_jacobi(F, spec, samples=3)
+    assert rep.samples == 3
+    assert len(GROUP_GENERATORS[spec.group]) == 2
+    assert len(calls) == 3 * 5
+    assert len(set(calls)) == 3 * 5
+
+
 def test_lattice_translation_example():
     # F(t + 2 tau, tau) = e^{-2 pi i m(4 tau + 4 t)} F(t, tau) for theta3
     # (a Jacobi-type function of index 1/2 for the doubled lattice)
