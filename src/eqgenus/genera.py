@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .algebra import (
@@ -123,15 +124,14 @@ def _line(tw: int, x: GradedElement, carrier=WLaurentRational) -> GradedElement:
     return e * carrier.w(tw) if tw else e
 
 
-def _sigma(y: GradedElement, one=Fraction(1)) -> GradedElement:
-    """sinh(y/2)/(y/2) truncated: the unit dividing theta's order-1 zero.
-    ``one`` is the unit of y's coefficient ring."""
-    out = p = GradedElement.scalar(y.gens, y.cap, one)
+def _sigma(y: GradedElement) -> GradedElement:
+    """sinh(y/2)/(y/2) truncated: the unit dividing theta's order-1 zero."""
+    out = p = y.one_like()
     for j in range(1, y.cap // 4 + 1):
         p = p * y * y
         if not p:
             break
-        out = out + p * (one / (4 ** j * factorial(2 * j + 1)))
+        out = out + p * Fraction(1, 4 ** j * factorial(2 * j + 1))
     return out
 
 
@@ -155,7 +155,6 @@ class _Recipe:
     normal_num: tuple[str, ...] = ()
     normal_den: tuple[str, ...] = ()
     v_num: tuple[str, ...] = ()
-    v_den: tuple[str, ...] = ()
     v_scalar_den: tuple[str, ...] = ()
     stray_normal: int = 0
     stray_v: int = 0
@@ -315,7 +314,7 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     for lines, num_toks, den_toks, stray in (
             (t_lines, rec.tangent_num, rec.tangent_den, 0),
             (n_lines, rec.normal_num, rec.normal_den, rec.stray_normal),
-            (v_lines, rec.v_num, rec.v_den, rec.stray_v)):
+            (v_lines, rec.v_num, (), rec.stray_v)):
         for tw, x in lines:
             for tok in num_toks:
                 num = num * _token(be, tok, tw, x)
@@ -660,30 +659,84 @@ def oracle_expand_vs_closed(kind: OperatorKind, component, n8_small: int,
 # the numeric (jet) backend of the recipe interpreter
 
 
-def _jet(x: GradedElement) -> GradedElement:
-    return x.map_coefficients(complex)
+class _Layout:
+    """Dense jet layout of the ring (gens, cap): ``monos`` are its monomials
+    of degree <= cap, the constant first, ``index`` their positions, and
+    ``rows[i]`` the pairs (j, k) with mono[i] * mono[j] = mono[k] under the
+    cap.  Built once per ring (``_layout``)."""
+
+    def __init__(self, gens, cap: int):
+        degrees = [d for _, d in gens]
+        monos = [()]
+        for d in degrees:
+            monos = [m + (e,) for m in monos
+                     for e in range((cap - sum(a * b for a, b in zip(m, degrees))) // d + 1)]
+        self.monos, self.cap = monos, cap
+        self.index = {m: i for i, m in enumerate(monos)}
+        self.rows = tuple(tuple((j, self.index[s]) for j, n in enumerate(monos)
+                                if (s := tuple(a + b for a, b in zip(m, n))) in self.index)
+                          for m in monos)
+        self.one = _Jet([1 + 0j] + [0j] * (len(monos) - 1), self)
+
+    def jet(self, x: GradedElement) -> "_Jet":
+        c = [0j] * len(self.monos)
+        for e, v in x.terms.items():
+            c[self.index[e]] = complex(v)
+        return _Jet(c, self)
 
 
-def _jet_exp(x: GradedElement, scale: complex = 1.0) -> GradedElement:
-    j = _jet(x) * scale
-    out = j.one_like() * (1 + 0j)
-    term = out
-    for kk in range(1, x.cap // 2 + 1):
-        term = term * j * (1.0 / kk)
-        if not term:
-            break
-        out = out + term
-    return out
+_layout = lru_cache(maxsize=None)(_Layout)
 
 
-def _jet_norm(a) -> float:
-    if not isinstance(a, GradedElement):
-        return abs(a)
-    return sum(abs(v) for v in a.terms.values()) or 0.0
+class _Jet:
+    """A complex jet: a flat list of coefficients over a ``_Layout``."""
+
+    __slots__ = ("c", "lay")
+
+    def __init__(self, c: list[complex], lay: _Layout):
+        self.c, self.lay = c, lay
+
+    def __add__(self, other: "_Jet") -> "_Jet":
+        return _Jet([a + b for a, b in zip(self.c, other.c)], self.lay)
+
+    def __sub__(self, other: "_Jet") -> "_Jet":
+        return _Jet([a - b for a, b in zip(self.c, other.c)], self.lay)
+
+    def __mul__(self, other) -> "_Jet":
+        a = self.c
+        if not isinstance(other, _Jet):
+            return _Jet([v * other for v in a], self.lay)
+        b = other.c
+        if len(a) == 1:
+            return _Jet([a[0] * b[0]], self.lay)
+        out = [0j] * len(a)
+        for ai, row in zip(a, self.lay.rows):
+            if ai:
+                for j, k in row:
+                    out[k] += ai * b[j]
+        return _Jet(out, self.lay)
+
+    def series(self, coeffs) -> "_Jet":
+        """1 + sum of coeffs[k-1] self^k; self has no scalar part."""
+        out = p = self.lay.one
+        for a in coeffs:
+            p = p * self
+            out = out + p * a
+        return out
+
+    def exp(self) -> "_Jet":
+        return self.series([1.0 / factorial(k) for k in range(1, self.lay.cap // 2 + 1)])
+
+    def invert(self) -> "_Jet":
+        s = self.c[0]
+        nil = _Jet([0j] + self.c[1:], self.lay) * (-1 / s)
+        return nil.series([1.0] * (self.lay.cap // 2)) * (1 / s)
 
 
 class _JetBackend:
-    """Numeric coefficients: complex jets at (t, tau); scalar products are
+    """Numeric coefficients: dense complex jets at (t, tau), flat lists over
+    the monomials of the component's ring (``_Layout``), so with no
+    generators a jet product is one complex multiply; scalar products are
     complex numbers.
 
     A product stops after the factors of key k once |q^{(k+8)/8}| times
@@ -701,21 +754,24 @@ class _JetBackend:
         if self.aq >= 1:
             raise NonconvergentDomain("Im tau must be positive")
         self.stop = min(0.25, eps / (8.0 * (lines + 1)))
-        self.one = GradedElement.scalar(component.gens, component.cap, 1 + 0j)
+        self.lay = _layout(component.gens, component.cap)
+        self.one = self.lay.one
 
     def lift(self, g):
         return g
 
     lift_scalar = lift
 
-    def line(self, tw: int, x: GradedElement) -> GradedElement:
-        return _jet_exp(x) * (self.w ** tw)
+    def line(self, tw: int, x: GradedElement) -> _Jet:
+        return self.lay.jet(x).exp() * (self.w ** tw)
 
-    def exp_half(self, x: GradedElement, sign: int) -> GradedElement:
-        return _jet_exp(x, 0.5 * sign)
+    def exp_half(self, x: GradedElement, sign: int) -> _Jet:
+        return (self.lay.jet(x) * (0.5 * sign)).exp()
 
-    def sigma(self, x: GradedElement) -> GradedElement:
-        return _sigma(_jet(x), 1 + 0j)
+    def sigma(self, x: GradedElement) -> _Jet:
+        y = self.lay.jet(x)
+        return (y * y).series([1.0 / (4 ** j * factorial(2 * j + 1))
+                               for j in range(1, self.lay.cap // 4 + 1)])
 
     def qpow(self, k: int) -> complex:
         """q^{k/8} for a key on the integer or the half-integer grid."""
@@ -731,7 +787,8 @@ class _JetBackend:
         raise NonconvergentDomain("numeric product did not certify")
 
     def product(self, one, first: int, coeffs):
-        mag = max([_jet_norm(c) for c in coeffs] + [1.0])
+        mag = max([sum(map(abs, c.c)) if isinstance(c, _Jet) else abs(c)
+                   for c in coeffs] + [1.0])
         return unit_product(one, self.keys(first, mag), coeffs,
                             lambda k, c: one + c * self.qpow(k))
 
@@ -744,7 +801,7 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
     num, den, lin, q8_shift, halves, stray_w, stray_cls = _interpret(
         kind, component, normalized,
         lambda _q8_shift, lines: _JetBackend(component, t, tau, eps, lines))
-    out = num * graded_invert(den * lin)
+    out = num * (den * lin).invert()
     if halves:
         out = out * (0.5 ** halves)
     if q8_shift:
@@ -752,5 +809,5 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
     if stray_w:
         out = out * cmath.exp(1j * math.pi * t * float(stray_w))
     if stray_cls:
-        out = out * _jet_exp(stray_cls, 0.5)
-    return out
+        out = out * (out.lay.jet(stray_cls) * 0.5).exp()
+    return GradedElement(component.gens, component.cap, dict(zip(out.lay.monos, out.c)))

@@ -243,14 +243,15 @@ def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> comp
         prod, sgn, delta = 1 + 0j, -1.0, 0.5
     else:
         prod, sgn, delta = 1 + 0j, 1.0, 0.5
+    zi = 1 / z
+    # at step n: qn = q^n, qz = q^{n - delta}, head = |q|^{n+1-delta} (1 + 2 mz)
+    qn, qz = q, (qh if delta else q)
+    head = aq ** (2 - delta) * (1 + 2 * mz)
     n = 1
     while True:
-        qn = q ** n
-        qz = qh ** (2 * n - 1) if delta else qn
-        prod *= (1 - qn) * (1 + sgn * qz * z) * (1 + sgn * qz / z)
-        # remaining factors differ from 1 by at most 2|q|^{n+1-delta}(1+2 mz)
-        # each, summable geometrically once that is below 1/2
-        head = aq ** (n + 1 - delta) * (1 + 2 * mz)
+        prod *= (1 - qn) * (1 + sgn * qz * z) * (1 + sgn * qz * zi)
+        # remaining factors differ from 1 by at most 2 head each, summable
+        # geometrically once head is below 1/2
         if head < 0.5:
             tail = 2 * head / (1 - aq)
             if abs(prod) * math.expm1(tail) < eps:
@@ -258,6 +259,7 @@ def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> comp
         n += 1
         if n > 100000:
             raise NonconvergentDomain("theta product did not certify at Im tau=%g" % tau.imag)
+        qn, qz, head = qn * q, qz * q, head * aq
 
 
 def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:

@@ -201,6 +201,30 @@ def test_theta_numeric_low_im_tau_reduction():
     assert abs(via_reduction - raw) / (1 + abs(raw)) < 1e-9
 
 
+def test_theta_numeric_matches_mpmath():
+    # 0.05 <= Im tau <= 1.4: points below Im tau = 0.3 go through the S/T
+    # reduction.  mpmath's jtheta(n, pi v, nome) is theta1 = eqgenus theta,
+    # theta2 = theta1, theta3 = theta3, theta4 = theta2 here; it takes
+    # nome^{1/4} on the principal branch, eqgenus e^{i pi tau / 4}.
+    mpmath = pytest.importorskip("mpmath")
+    number = {ThetaKind.Theta: 1, ThetaKind.Theta1: 2, ThetaKind.Theta2: 4, ThetaKind.Theta3: 3}
+    rng = random.Random(53)
+    worst = 0.0
+    with mpmath.workdps(20):
+        for _ in range(300):
+            t = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05))
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.4))
+            mtau = mpmath.mpc(tau)
+            nome = mpmath.exp(1j * mpmath.pi * mtau)
+            branch = mpmath.exp(1j * mpmath.pi * mtau / 4) / mpmath.nthroot(nome, 4)
+            for kind, n in number.items():
+                ref = mpmath.jtheta(n, mpmath.pi * mpmath.mpc(t), nome)
+                ref = complex(ref * branch if n in (1, 2) else ref)
+                got = theta_numeric(kind, t, tau, 1e-12)
+                worst = max(worst, abs(got - ref) / (1 + max(abs(got), abs(ref))))
+    assert worst < 1e-9
+
+
 def test_periodicity_t_plus_one():
     rng = random.Random(37)
     for _ in range(10):
