@@ -9,7 +9,9 @@ Everything downstream is built over four carriers:
 * ``WLaurentRational`` -- reduced quotients of such polynomials, the
   coefficient field for equivariant characters.
 * ``GradedElement``  -- nilpotent polynomials in even-degree generators
-  (Chern roots and base classes), truncated above a degree cap.
+  (Chern roots and base classes), truncated above a degree cap and
+  stored densely over the ring's monomials; the same class carries the
+  exact coefficients and the complex ones of the numeric path.
 * ``QSeries``        -- truncated formal series in q^{1/8} over any of the
   above; truncation is tracked, never silent.
 
@@ -18,6 +20,8 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 from math import factorial, gcd as int_gcd
 from typing import Callable, Iterable, Mapping
 
@@ -527,37 +531,82 @@ class WLaurentRational:
 # Graded (nilpotent) elements
 
 
-def _term_degree(exps: tuple[int, ...], degrees: tuple[int, ...]) -> int:
-    return sum(e * d for e, d in zip(exps, degrees))
+def format_monomial(exps: tuple[int, ...], names) -> str:
+    """The monomial with exponents ``exps`` over ``names``: 'x*y^2', or '1'."""
+    parts = [(n if e == 1 else "%s^%d" % (n, e)) for n, e in zip(names, exps) if e]
+    return "*".join(parts) if parts else "1"
+
+
+class _Layout:
+    """Dense layout of the ring (gens, cap): ``monos`` are its monomials of
+    degree <= cap in lexicographic order, the constant first, ``degrees``
+    their degrees, ``index`` their positions, and ``rows[i]`` the pairs
+    (j, k) with monos[i] * monos[j] = monos[k] under the cap.  Built once
+    per ring (``_layout``)."""
+
+    def __init__(self, gens: tuple[tuple[str, int], ...], cap: int):
+        monos, degrees = [()], [0]
+        for _, d in gens:
+            grown = [(m + (e,), dm + e * d) for m, dm in zip(monos, degrees)
+                     for e in range((cap - dm) // d + 1)]
+            monos, degrees = [m for m, _ in grown], [dm for _, dm in grown]
+        self.gens, self.cap, self.monos, self.degrees = gens, cap, monos, degrees
+        self.index = index = {m: i for i, m in enumerate(monos)}
+        self.rows = tuple(tuple((j, index[tuple(a + b for a, b in zip(m, n))])
+                                for j, (n, dn) in enumerate(zip(monos, degrees)) if dm + dn <= cap)
+                          for m, dm in zip(monos, degrees))
+
+
+_layout = lru_cache(maxsize=None)(_Layout)
+
+# exact coefficients that add to a graded element as its scalar part
+_SCALARS = (int, Fraction, WLaurentPoly, WLaurentRational)
 
 
 class GradedElement:
     """Polynomial in even-degree nilpotent generators, truncated at a cap.
 
     ``gens`` is a tuple of (name, degree) pairs shared by every element of
-    the same ring; ``terms`` maps exponent tuples to coefficients in an
-    arbitrary commutative ring (Fraction, WLaurentRational, or complex for
-    the numeric path).  Terms above the cap are discarded on construction.
+    the same ring.  The coefficients lie in any commutative ring
+    (Fraction, Laurent polynomials or rational functions in w, complex
+    numbers on the numeric path) and are stored densely in ``c``, one per
+    monomial of the ring's ``_Layout``: an absent term is the int 0 and
+    the unit is the int 1.  ``terms`` is the sparse view, exponent tuples
+    to nonzero coefficients.  Terms above the cap are discarded on
+    construction.
     """
 
-    __slots__ = ("gens", "cap", "terms")
+    __slots__ = ("lay", "c")
 
     def __init__(self, gens: tuple[tuple[str, int], ...], cap: int, terms: Mapping[tuple[int, ...], object] | None = None):
-        self.gens = tuple((str(n), int(d)) for n, d in gens)
-        self.cap = int(cap)
-        degrees = tuple(d for _, d in self.gens)
-        t: dict[tuple[int, ...], object] = {}
-        if terms:
-            for exps, v in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(self.gens):
-                    raise GeneratorTableMismatch("exponent tuple length %d != %d generators" % (len(exps), len(self.gens)))
-                if _term_degree(exps, degrees) > self.cap:
-                    continue
-                if v == 0:
-                    continue
-                t[exps] = v
-        self.terms = t
+        lay = _layout(tuple((str(n), int(d)) for n, d in gens), int(cap))
+        c = [0] * len(lay.monos)
+        for exps, v in (terms or {}).items():
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != len(lay.gens):
+                raise GeneratorTableMismatch("exponent tuple length %d != %d generators" % (len(exps), len(lay.gens)))
+            i = lay.index.get(exps)
+            if i is not None and v:
+                c[i] = v
+        self.lay, self.c = lay, c
+
+    def _like(self, c: list) -> "GradedElement":
+        """The element of this ring with coefficient list c."""
+        out = object.__new__(GradedElement)
+        out.lay, out.c = self.lay, c
+        return out
+
+    @property
+    def gens(self) -> tuple[tuple[str, int], ...]:
+        return self.lay.gens
+
+    @property
+    def cap(self) -> int:
+        return self.lay.cap
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], object]:
+        return {m: v for m, v in zip(self.lay.monos, self.c) if v}
 
     # -- constructors
 
@@ -577,91 +626,72 @@ class GradedElement:
             raise GeneratorTableMismatch("unknown generator %r" % name)
         i = names.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(gens)))
-        return GradedElement(gens, cap, {e: Fraction(1)})
+        return GradedElement(gens, cap, {e: 1})
 
     def one_like(self) -> "GradedElement":
-        return GradedElement.scalar(self.gens, self.cap, Fraction(1))
+        return self._like([1] + [0] * (len(self.c) - 1))
 
     # -- structure
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return any(self.c)
 
     def scalar_part(self):
-        return self.terms.get((0,) * len(self.gens), 0)
+        return self.c[0] or 0
 
     def _check(self, other: "GradedElement"):
-        if self.gens != other.gens or self.cap != other.cap:
+        if self.lay is not other.lay:
             raise GeneratorTableMismatch("mismatched generator tables or caps")
 
-    # -- arithmetic
+    # -- arithmetic; zero coefficients are skipped, never added or multiplied
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return not self.terms
+                return not self
             other = GradedElement.scalar(self.gens, self.cap, other)
         if not isinstance(other, GradedElement):
             return NotImplemented
-        return self.gens == other.gens and self.cap == other.cap and self.terms == other.terms
+        return self.lay is other.lay and self.c == other.c
 
     def __neg__(self):
-        return GradedElement(self.gens, self.cap, {e: -v for e, v in self.terms.items()})
+        return self._like([-v for v in self.c])
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)) or (not isinstance(other, GradedElement) and WLaurentRational._coerce(other) is not None):
-            other = GradedElement.scalar(self.gens, self.cap, other)
         if not isinstance(other, GradedElement):
-            return NotImplemented
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = GradedElement.scalar(self.gens, self.cap, other)
         self._check(other)
-        t = dict(self.terms)
-        for e, v in other.terms.items():
-            if e in t:
-                s = t[e] + v
-                if s == 0:
-                    del t[e]
-                else:
-                    t[e] = s
-            else:
-                t[e] = v
-        out = GradedElement(self.gens, self.cap)
-        out.terms = t
-        return out
+        return self._like([(x + y if y else x) if x else y for x, y in zip(self.c, other.c)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GradedElement):
-            return self + (-other)
-        return self + (-Fraction(other) if isinstance(other, int) else -other)
+        if not isinstance(other, GradedElement):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = GradedElement.scalar(self.gens, self.cap, other)
+        self._check(other)
+        return self._like([(x - y if y else x) if x else -y for x, y in zip(self.c, other.c)])
 
     def __mul__(self, other):
+        a = self.c
         if not isinstance(other, GradedElement):
             # scalar from the coefficient ring
-            return GradedElement(self.gens, self.cap,
-                                 {e: v * other for e, v in self.terms.items()})
+            return self._like([v * other if v else 0 for v in a])
         self._check(other)
-        degrees = tuple(d for _, d in self.gens)
-        cap = self.cap
-        t: dict[tuple[int, ...], object] = {}
-        for e1, v1 in self.terms.items():
-            d1 = _term_degree(e1, degrees)
-            for e2, v2 in other.terms.items():
-                if d1 + _term_degree(e2, degrees) > cap:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = v1 * v2
-                if e in t:
-                    s = t[e] + p
-                    if s == 0:
-                        del t[e]
-                    else:
-                        t[e] = s
-                elif p != 0:
-                    t[e] = p
-        out = GradedElement(self.gens, self.cap)
-        out.terms = t
-        return out
+        b = other.c
+        if len(a) == 1:
+            return self._like([a[0] * b[0] if a[0] and b[0] else 0])
+        out = [0] * len(a)
+        for ai, row in zip(a, self.lay.rows):
+            if ai:
+                for j, k in row:
+                    if b[j]:
+                        p = ai * b[j]
+                        out[k] = out[k] + p if out[k] else p
+        return self._like(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -676,46 +706,48 @@ class GradedElement:
             n >>= 1
         return out
 
-    def scale(self, v) -> "GradedElement":
-        return self * v
-
     def map_coefficients(self, f: Callable) -> "GradedElement":
-        return GradedElement(self.gens, self.cap, {e: f(v) for e, v in self.terms.items()})
+        return self._like([f(v) if v else 0 for v in self.c])
 
     def subs_w_inverse(self) -> "GradedElement":
         return self.map_coefficients(lambda v: v.subs_w_inverse() if isinstance(v, WLaurentRational) else v)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         names = [n for n, _ in self.gens]
         parts = []
-        for e in sorted(self.terms):
-            mon = "*".join(("%s" % n if k == 1 else "%s^%d" % (n, k)) for n, k in zip(names, e) if k)
-            v = self.terms[e]
+        for e, v in self.terms.items():
             vs = str(v)
-            if mon:
+            if any(e):
+                mon = format_monomial(e, names)
                 parts.append("(%s)*%s" % (vs, mon) if ("+" in vs or " " in vs) else "%s*%s" % (vs, mon))
             else:
                 parts.append(vs)
-        return " + ".join(parts)
+        return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         return "GradedElement(%s)" % self
 
 
-def graded_exp(a: GradedElement) -> GradedElement:
-    """exp of a nilpotent element: finite sum of a^k / k!."""
+def graded_series(a: GradedElement, coeffs: Iterable) -> GradedElement:
+    """1 + sum over k >= 1 of coeffs[k-1] a^k for a nilpotent a, stopping
+    once a^k vanishes; a coefficient equal to 1 adds a^k unscaled."""
+    out = p = a.one_like()
+    for v in coeffs:
+        p = p * a
+        if not p:
+            break
+        out = out + (p if v == 1 else p * v)
+    return out
+
+
+def graded_exp(a: GradedElement, field=Fraction) -> GradedElement:
+    """exp of a nilpotent element: finite sum of a^k / k!, with the
+    constants 1/k! built in ``field``: Fraction for exact coefficients,
+    float for complex ones (a complex times a Fraction runs in Python,
+    about 50 times slower than a complex times a float)."""
     if a.scalar_part() != 0:
         raise NonNilpotentInput("graded_exp needs a vanishing degree-0 term")
-    out = a.one_like()
-    term = a.one_like()
-    for k in range(1, a.cap // 2 + 1):
-        term = term * a
-        if not term:
-            break
-        out = out + term * Fraction(1, factorial(k))
-    return out
+    return graded_series(a, (field(1) / factorial(k) for k in range(1, a.cap // 2 + 1)))
 
 
 def graded_invert(a: GradedElement) -> GradedElement:
@@ -724,16 +756,9 @@ def graded_invert(a: GradedElement) -> GradedElement:
     if s == 0:
         raise NonInvertibleLeadingCoefficient("graded element with zero scalar part")
     sinv = ring_inverse(s)
-    nil = (a - GradedElement.scalar(a.gens, a.cap, s)) * sinv
-    # geometric series sum (-nil)^k, finite by nilpotency
-    out = a.one_like()
-    term = a.one_like()
-    for _ in range(a.cap // 2 + 1):
-        term = term * (-nil)
-        if not term:
-            break
-        out = out + term
-    return out * sinv
+    # s^{-1} times the geometric series in -(a - s)/s, finite by nilpotency
+    nil = a._like([0] + a.c[1:]) * -sinv
+    return graded_series(nil, repeat(1, a.cap // 2)) * sinv
 
 
 # ---------------------------------------------------------------------------
@@ -767,32 +792,20 @@ def fiber_integrate(a: GradedElement, table: IntegrationTable) -> GradedElement:
     # order the fiber exponents as the table expects
     name_to_pos = {a.gens[i][0]: i for i in fiber_idx}
     degrees = tuple(d for _, d in a.gens)
-    base_gens = tuple(a.gens[i] for i in base_idx)
-    base_cap = a.cap - 2 * table.k_alpha
-    out_terms: dict[tuple[int, ...], object] = {}
-    for exps, v in a.terms.items():
-        fdeg = sum(exps[i] * degrees[i] for i in fiber_idx)
-        if fdeg != 2 * table.k_alpha:
+    out = GradedElement(tuple(a.gens[i] for i in base_idx), a.cap - 2 * table.k_alpha)
+    c, index = out.c, out.lay.index
+    for exps, v in zip(a.lay.monos, a.c):
+        if not v or sum(exps[i] * degrees[i] for i in fiber_idx) != 2 * table.k_alpha:
             continue
-        # a table generator absent from the element's table has exponent 0
-        key = tuple(exps[name_to_pos[n]] if n in name_to_pos else 0 for n in table.fiber_gens)
-        if table.k_alpha == 0:
-            weight = Fraction(1)
-        else:
+        if table.k_alpha:
+            # a table generator absent from the element's table has exponent 0
+            key = tuple(exps[name_to_pos[n]] if n in name_to_pos else 0 for n in table.fiber_gens)
             if key not in table.entries:
                 raise MissingTableEntry("no table entry for fiber monomial %r" % (key,))
-            weight = table.entries[key]
-        be = tuple(exps[i] for i in base_idx)
-        w = v * weight
-        if be in out_terms:
-            s = out_terms[be] + w
-            if s == 0:
-                del out_terms[be]
-            else:
-                out_terms[be] = s
-        elif w != 0:
-            out_terms[be] = w
-    return GradedElement(base_gens, base_cap, out_terms)
+            v = v * table.entries[key]
+        j = index[tuple(exps[i] for i in base_idx)]
+        c[j] = c[j] + v if c[j] else v
+    return out
 
 
 # ---------------------------------------------------------------------------

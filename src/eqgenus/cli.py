@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "circle-action fixed-point data.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, order_default=32):
+    def common(sp):
         sp.add_argument("--input", required=True,
                         help="dataset JSON file, or catalog:NAME")
         sp.add_argument("--format", choices=("text", "json"), default="text")

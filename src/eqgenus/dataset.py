@@ -11,11 +11,16 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import GradedElement, IntegrationTable
+from .algebra import GradedElement, IntegrationTable, format_monomial
 from .genera import RootBundle
 from .localization import ActionData, FixedComponent
 
 FORMAT_VERSION = 1
+
+# The largest graded ring a component may span: every ring builds a dense
+# product table of about n^2 / 2 entries once, which takes about 1 s at
+# 1000 monomials on one generator (the worst shape).
+MAX_RING_MONOMIALS = 1000
 
 
 class DatasetFormatError(Exception):
@@ -122,9 +127,31 @@ def parse_monomial(key: str, fiber_names, path: str) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def format_monomial(exps: tuple[int, ...], names) -> str:
-    parts = [(n if e == 1 else "%s^%d" % (n, e)) for n, e in zip(names, exps) if e]
-    return "*".join(parts) if parts else "1"
+def _ring_size(degrees, cap: int, limit: int) -> int:
+    """The number of monomials of degree <= cap over generators of the
+    given degrees, counted without listing them; stops once it exceeds
+    limit, so the work is O(limit * generators) whatever the cap."""
+    caps = {cap: 1}  # degree left -> number of monomials in the generators so far
+    for d in degrees:
+        out, total = {}, 0
+        for left, n in caps.items():
+            for low in range(left, -1, -d):
+                out[low] = out.get(low, 0) + n
+                total += n
+                if total > limit:
+                    return total
+        caps = out
+    return sum(caps.values())
+
+
+def _check_ring(gens, cap: int, path: str):
+    """Reject a ring too large to lay out, before anything is built on it."""
+    if cap < 0:
+        raise DatasetFormatError(path, "degree cap %d is negative" % cap)
+    if _ring_size([d for _, d in gens], cap, MAX_RING_MONOMIALS) > MAX_RING_MONOMIALS:
+        raise DatasetFormatError(
+            path, "degree cap %d over the generators %s gives more than %d monomials"
+            % (cap, [n for n, _ in gens], MAX_RING_MONOMIALS))
 
 
 def _gen_list(raw, path: str) -> tuple[tuple[str, int], ...]:
@@ -179,6 +206,7 @@ def parse_dataset(obj: dict) -> ActionData:
     base_cap = _field(obj, "base_degree_cap", int, "$", 0)
     if base_cap % 2:
         raise DatasetFormatError("$.base_degree_cap", "must be even")
+    _check_ring(base_gens, base_cap, "$.base_degree_cap")
     comps = []
     for ci, c in enumerate(_field(obj, "components", list, "$", [])):
         path = "$.components[%d]" % ci
@@ -211,6 +239,7 @@ def parse_dataset(obj: dict) -> ActionData:
             fiber_gens = tuple((nm, 2) for nm in seen)
         gens = fiber_gens + base_gens
         cap = 2 * k_alpha + base_cap
+        _check_ring(gens, cap, path)
         tangent_roots = tuple(parse_root_expr(r, gens, cap, "%s.tangent_roots[%d]" % (path, j))
                               for j, r in enumerate(tangent_raw))
         tangent = RootBundle(Fraction(0), len(tangent_roots), tangent_roots) \

@@ -6,10 +6,15 @@ Two independent realizations of each integrand are provided:
   factorizations of the four theta functions.  With the Chern roots
   normalized so 2 pi i is absorbed into the degree-2 generators, every
   constant of 2 pi and i cancels identically and the coefficients are
-  honest rational functions of w.  One recipe interpreter builds it; its
-  exact q-series backend serves this function and its numeric jet
-  backend serves ``numeric_integrand``, the same product at a point
-  (t, tau).
+  honest rational functions of w.  One recipe interpreter builds it
+  over one carrier, ``GradedElement``, through two backends that differ
+  only in their coefficient ring: the exact q-series backend serves
+  this function and the numeric backend serves ``numeric_integrand``,
+  the same product at a point (t, tau), on complex jets.  The backends
+  supply the w-power (a Laurent monomial or the complex number
+  w^{2m}), the scalar field of the constants 1/k! (Fraction or float),
+  the lift into the product ring (q-series or the jet itself) and the
+  keys of the q-products (a finite range or a certified stopping rule).
 
   The denominator of each component's integrand factors as L * U.  L is
   the q-free product of the factors (1 - w^{-2m} e^{-x}) over the normal
@@ -42,7 +47,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .algebra import (
@@ -53,6 +57,7 @@ from .algebra import (
     WLaurentRational,
     graded_exp,
     graded_invert,
+    graded_series,
     series_invert,
     series_mul,
 )
@@ -114,25 +119,20 @@ class RootBundle:
 
 
 def _one(gens, cap) -> GradedElement:
-    return GradedElement.scalar(gens, cap, Fraction(1))
+    return GradedElement.scalar(gens, cap, 1)
 
 
-def _line(tw: int, x: GradedElement, carrier=WLaurentRational) -> GradedElement:
+def _line(tw: int, x: GradedElement, carrier=WLaurentRational, field=Fraction) -> GradedElement:
     """E = w^{tw} e^x as a graded element, the w-power built by
-    ``carrier.w``."""
-    e = graded_exp(x)
+    ``carrier.w`` and the constants of exp in ``field``."""
+    e = graded_exp(x, field)
     return e * carrier.w(tw) if tw else e
 
 
-def _sigma(y: GradedElement) -> GradedElement:
+def _sigma(y: GradedElement, field=Fraction) -> GradedElement:
     """sinh(y/2)/(y/2) truncated: the unit dividing theta's order-1 zero."""
-    out = p = y.one_like()
-    for j in range(1, y.cap // 4 + 1):
-        p = p * y * y
-        if not p:
-            break
-        out = out + p * Fraction(1, 4 ** j * factorial(2 * j + 1))
-    return out
+    return graded_series(y * y, (field(1) / (4 ** j * factorial(2 * j + 1))
+                                 for j in range(1, y.cap // 4 + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,31 +255,35 @@ _NULLWERT = {"null-plus-int": (8, 1), "null-minus-half": (4, -1), "null-plus-hal
 
 
 def _token(be, tok: str, tw: int, x: GradedElement):
-    """One per-line factor of a recipe in the backend's product ring."""
+    """One per-line factor of a recipe in the backend's product ring; x is
+    the line's root in the backend's coefficient ring."""
     if tok in _PAIRS:
         first, sign = _PAIRS[tok]
-        return be.product(be.one, first, (be.line(tw, x) * sign, be.line(-tw, -x) * sign))
+        return be.product(be.one, first, (_line(tw, x, be, be.field) * sign,
+                                          _line(-tw, -x, be, be.field) * sign))
     if tok == "lin+":
-        return be.lift(be.one + be.line(-tw, -x))
+        return be.lift(be.one + _line(-tw, -x, be, be.field))
     if tok == "lin-":
         return be.lift(_lin_minus(be, tw, x))
     if tok == "cosh":
-        return be.lift(be.exp_half(x, 1) + be.exp_half(x, -1))
+        half = x * (be.field(1) / 2)
+        return be.lift(graded_exp(half, be.field) + graded_exp(-half, be.field))
     if tok == "sigma":
-        return be.lift(be.sigma(x))
+        return be.lift(_sigma(x, be.field))
     raise ValueError(tok)
 
 
 def _lin_minus(be, tw: int, x: GradedElement):
     """The q-free factor 1 - E^{-1} of a line, unlifted."""
-    return be.one - be.line(-tw, -x)
+    return be.one - _line(-tw, -x, be, be.field)
 
 
 def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     """Walk the recipe of (kind, normalized) over one fixed component.
 
     ``backend(q8_shift, lines)`` builds the coefficient backend once the
-    shape of the component is known.  Returns (num, den, lin, q8_shift,
+    shape of the component is known; each root enters its coefficient
+    ring once (``root``).  Returns (num, den, lin, q8_shift,
     halves, stray_w, stray_cls): the integrand is num / (den * lin) times
     q^{q8_shift/8}, 2^{-halves} and the half-character
     w^{stray_w} e^{stray_cls/2}.  ``lin`` is the q-free product of the
@@ -316,6 +320,7 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
             (n_lines, rec.normal_num, rec.normal_den, rec.stray_normal),
             (v_lines, rec.v_num, (), rec.stray_v)):
         for tw, x in lines:
+            x = be.root(x)
             for tok in num_toks:
                 num = num * _token(be, tok, tw, x)
             for tok in den_toks:
@@ -348,29 +353,25 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
 
 class _SeriesBackend:
     """Exact coefficients: q-series truncated at n8 over graded elements
-    with Laurent-polynomial coefficients; scalar products are Fraction
-    series."""
+    with Laurent-polynomial coefficients; the constants are Fractions and
+    scalar products are Fraction series."""
 
+    field = Fraction
     scalar_one = Fraction(1)
+    w = staticmethod(WLaurentPoly.w)
 
     def __init__(self, component, n8: int):
         self.n8 = n8
         self.one = _one(component.gens, component.cap)
+
+    def root(self, x: GradedElement) -> GradedElement:
+        return x
 
     def lift(self, g: GradedElement) -> QSeries:
         return QSeries({0: g}, self.n8)
 
     def lift_scalar(self, s: QSeries) -> QSeries:
         return s.scale(self.one)
-
-    def line(self, tw: int, x: GradedElement) -> GradedElement:
-        return _line(tw, x, WLaurentPoly)
-
-    def exp_half(self, x: GradedElement, sign: int) -> GradedElement:
-        return graded_exp(x * Fraction(sign, 2))
-
-    def sigma(self, x: GradedElement) -> GradedElement:
-        return _sigma(x)
 
     def product(self, one, first: int, coeffs) -> QSeries:
         return series_product(QSeries({0: one}, self.n8), one, first, coeffs)
@@ -656,122 +657,44 @@ def oracle_expand_vs_closed(kind: OperatorKind, component, n8_small: int,
 
 
 # ---------------------------------------------------------------------------
-# the numeric (jet) backend of the recipe interpreter
-
-
-class _Layout:
-    """Dense jet layout of the ring (gens, cap): ``monos`` are its monomials
-    of degree <= cap, the constant first, ``index`` their positions, and
-    ``rows[i]`` the pairs (j, k) with mono[i] * mono[j] = mono[k] under the
-    cap.  Built once per ring (``_layout``)."""
-
-    def __init__(self, gens, cap: int):
-        degrees = [d for _, d in gens]
-        monos = [()]
-        for d in degrees:
-            monos = [m + (e,) for m in monos
-                     for e in range((cap - sum(a * b for a, b in zip(m, degrees))) // d + 1)]
-        self.monos, self.cap = monos, cap
-        self.index = {m: i for i, m in enumerate(monos)}
-        self.rows = tuple(tuple((j, self.index[s]) for j, n in enumerate(monos)
-                                if (s := tuple(a + b for a, b in zip(m, n))) in self.index)
-                          for m in monos)
-        self.one = _Jet([1 + 0j] + [0j] * (len(monos) - 1), self)
-
-    def jet(self, x: GradedElement) -> "_Jet":
-        c = [0j] * len(self.monos)
-        for e, v in x.terms.items():
-            c[self.index[e]] = complex(v)
-        return _Jet(c, self)
-
-
-_layout = lru_cache(maxsize=None)(_Layout)
-
-
-class _Jet:
-    """A complex jet: a flat list of coefficients over a ``_Layout``."""
-
-    __slots__ = ("c", "lay")
-
-    def __init__(self, c: list[complex], lay: _Layout):
-        self.c, self.lay = c, lay
-
-    def __add__(self, other: "_Jet") -> "_Jet":
-        return _Jet([a + b for a, b in zip(self.c, other.c)], self.lay)
-
-    def __sub__(self, other: "_Jet") -> "_Jet":
-        return _Jet([a - b for a, b in zip(self.c, other.c)], self.lay)
-
-    def __mul__(self, other) -> "_Jet":
-        a = self.c
-        if not isinstance(other, _Jet):
-            return _Jet([v * other for v in a], self.lay)
-        b = other.c
-        if len(a) == 1:
-            return _Jet([a[0] * b[0]], self.lay)
-        out = [0j] * len(a)
-        for ai, row in zip(a, self.lay.rows):
-            if ai:
-                for j, k in row:
-                    out[k] += ai * b[j]
-        return _Jet(out, self.lay)
-
-    def series(self, coeffs) -> "_Jet":
-        """1 + sum of coeffs[k-1] self^k; self has no scalar part."""
-        out = p = self.lay.one
-        for a in coeffs:
-            p = p * self
-            out = out + p * a
-        return out
-
-    def exp(self) -> "_Jet":
-        return self.series([1.0 / factorial(k) for k in range(1, self.lay.cap // 2 + 1)])
-
-    def invert(self) -> "_Jet":
-        s = self.c[0]
-        nil = _Jet([0j] + self.c[1:], self.lay) * (-1 / s)
-        return nil.series([1.0] * (self.lay.cap // 2)) * (1 / s)
+# the numeric backend of the recipe interpreter
 
 
 class _JetBackend:
-    """Numeric coefficients: dense complex jets at (t, tau), flat lists over
-    the monomials of the component's ring (``_Layout``), so with no
-    generators a jet product is one complex multiply; scalar products are
-    complex numbers.
+    """Numeric coefficients: jets at (t, tau), graded elements with complex
+    coefficients (with no generators a jet product is one complex
+    multiply); the constants are floats and scalar products are complex
+    numbers.
 
     A product stops after the factors of key k once |q^{(k+8)/8}| times
     the largest coefficient norm (at least 1) is below
     min(1/4, eps / (8 (lines + 1))), and gives up after 100000 keys.
     """
 
+    field = float
     scalar_one = 1 + 0j
 
     def __init__(self, component, t: complex, tau: complex, eps: float, lines: int):
-        self.w = cmath.exp(1j * math.pi * t)
+        self.w1 = cmath.exp(1j * math.pi * t)
         self.qh = cmath.exp(1j * math.pi * tau)
         self.q = self.qh * self.qh
         self.aq = abs(self.q)
         if self.aq >= 1:
             raise NonconvergentDomain("Im tau must be positive")
         self.stop = min(0.25, eps / (8.0 * (lines + 1)))
-        self.lay = _layout(component.gens, component.cap)
-        self.one = self.lay.one
+        self.one = _one(component.gens, component.cap)
+
+    def w(self, tw: int) -> complex:
+        """w^{tw} at w = e^{pi i t}."""
+        return self.w1 ** tw
+
+    def root(self, x: GradedElement) -> GradedElement:
+        return x.map_coefficients(complex)
 
     def lift(self, g):
         return g
 
     lift_scalar = lift
-
-    def line(self, tw: int, x: GradedElement) -> _Jet:
-        return self.lay.jet(x).exp() * (self.w ** tw)
-
-    def exp_half(self, x: GradedElement, sign: int) -> _Jet:
-        return (self.lay.jet(x) * (0.5 * sign)).exp()
-
-    def sigma(self, x: GradedElement) -> _Jet:
-        y = self.lay.jet(x)
-        return (y * y).series([1.0 / (4 ** j * factorial(2 * j + 1))
-                               for j in range(1, self.lay.cap // 4 + 1)])
 
     def qpow(self, k: int) -> complex:
         """q^{k/8} for a key on the integer or the half-integer grid."""
@@ -787,7 +710,7 @@ class _JetBackend:
         raise NonconvergentDomain("numeric product did not certify")
 
     def product(self, one, first: int, coeffs):
-        mag = max([sum(map(abs, c.c)) if isinstance(c, _Jet) else abs(c)
+        mag = max([sum(map(abs, c.c)) if isinstance(c, GradedElement) else abs(c)
                    for c in coeffs] + [1.0])
         return unit_product(one, self.keys(first, mag), coeffs,
                             lambda k, c: one + c * self.qpow(k))
@@ -801,7 +724,7 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
     num, den, lin, q8_shift, halves, stray_w, stray_cls = _interpret(
         kind, component, normalized,
         lambda _q8_shift, lines: _JetBackend(component, t, tau, eps, lines))
-    out = num * (den * lin).invert()
+    out = num * graded_invert(den * lin)
     if halves:
         out = out * (0.5 ** halves)
     if q8_shift:
@@ -809,5 +732,5 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
     if stray_w:
         out = out * cmath.exp(1j * math.pi * t * float(stray_w))
     if stray_cls:
-        out = out * (out.lay.jet(stray_cls) * 0.5).exp()
-    return GradedElement(component.gens, component.cap, dict(zip(out.lay.monos, out.c)))
+        out = out * graded_exp(stray_cls * 0.5, float)
+    return out

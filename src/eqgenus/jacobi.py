@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .genera import OperatorKind
+from .theta import _norm_diff
 
 
 class BoundaryZero(Exception):
@@ -129,10 +130,6 @@ def slash_action(F, g: ModularMatrix, spec: JacobiFormSpec):
         return den ** (-l) * cmath.exp(-2j * math.pi * m * g.c * t * t / den) * F(t1, tau1)
 
     return slashed
-
-
-def _norm_diff(a: complex, b: complex) -> float:
-    return abs(a - b) / (1.0 + max(abs(a), abs(b)))
 
 
 @dataclass(frozen=True)

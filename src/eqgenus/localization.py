@@ -22,7 +22,9 @@ from .algebra import (
     IntegrationTable,
     QSeries,
     WLaurentRational,
+    _layout,
     fiber_integrate,
+    format_monomial,
 )
 from .genera import (
     OperatorKind,
@@ -172,8 +174,7 @@ def validate(data: ActionData) -> ValidationReport:
                             % (label, spin_sum))
         if c.k_alpha > 0:
             fiber_degrees = [d for (n, d) in c.gens if n in c.table.fiber_gens]
-            names = list(c.table.fiber_gens)
-            tops = _top_monomials(names, fiber_degrees, 2 * c.k_alpha)
+            tops = _top_monomials(tuple(zip(c.table.fiber_gens, fiber_degrees)), 2 * c.k_alpha)
             for mono in tops:
                 if mono not in c.table.entries:
                     errors.append("%s: integration table misses top monomial %r" % (label, mono))
@@ -255,23 +256,11 @@ def validate(data: ActionData) -> ValidationReport:
                             h_ok and anomaly_tx is not None, notes)
 
 
-def _top_monomials(names, degrees, target):
-    """All exponent tuples over (names, degrees) with total degree = target."""
-    if not names:
-        return [()] if target == 0 else []
-    out = []
-
-    def rec(i, left, acc):
-        if i == len(names):
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        d = degrees[i]
-        for e in range(0, left // d + 1):
-            rec(i + 1, left - e * d, acc + [e])
-
-    rec(0, target, [])
-    return out
+def _top_monomials(gens, target: int) -> list[tuple[int, ...]]:
+    """The monomials over gens of degree exactly target, in lexicographic
+    order."""
+    lay = _layout(gens, target)
+    return [m for m, d in zip(lay.monos, lay.degrees) if d == target]
 
 
 def anomaly_index(data: ActionData) -> int:
@@ -320,9 +309,7 @@ class GenusResult:
         return sorted(out)
 
     def monomial_name(self, exps: tuple[int, ...]) -> str:
-        parts = [("%s" % n if e == 1 else "%s^%d" % (n, e))
-                 for (n, _), e in zip(self.base_gens, exps) if e]
-        return "*".join(parts) if parts else "1"
+        return format_monomial(exps, [n for n, _ in self.base_gens])
 
     def coefficient(self, n8key: int, exps: tuple[int, ...] | None = None) -> WLaurentRational:
         g = self.series.c.get(n8key)
@@ -492,8 +479,6 @@ def evaluate_numeric(data: ActionData, kind: OperatorKind, t, tau,
                 raise NearPole("t=%s is within tolerance of a pole of weight %s"
                                % (t, b.weight))
     totals: dict[tuple[int, ...], complex] = {}
-    names: dict[tuple[int, ...], str] = {}
-    degrees = tuple(d for _, d in data.base_gens)
     for comp in data.components:
         jet = numeric_integrand(kind, comp, t, tau, eps, normalized)
         pushed = fiber_integrate(jet, comp.table)
@@ -502,12 +487,8 @@ def evaluate_numeric(data: ActionData, kind: OperatorKind, t, tau,
             totals[exps] = totals.get(exps, 0j) + val
     zero = (0,) * len(data.base_gens)
     totals.setdefault(zero, 0j)
-    out: dict[str, complex] = {}
-    for exps, v in totals.items():
-        parts = [("%s" % n if e == 1 else "%s^%d" % (n, e))
-                 for (n, _), e in zip(data.base_gens, exps) if e]
-        out["*".join(parts) if parts else "1"] = v
-    return out
+    names = [n for n, _ in data.base_gens]
+    return {format_monomial(exps, names): v for exps, v in totals.items()}
 
 
 def degree_component_function(data: ActionData, kind: OperatorKind, p2: int,
@@ -515,21 +496,16 @@ def degree_component_function(data: ActionData, kind: OperatorKind, p2: int,
                               eps: float = 1e-10):
     """Numeric callable F(t, tau) for one degree-2p base monomial of the
     localized character; the input for the Jacobi-form checkers."""
-    degrees = {n: d for n, d in data.base_gens}
     if p2 < 0 or p2 > data.base_cap:
         raise DegreeOutOfRange("degree %d outside the base cap %d" % (p2, data.base_cap))
     if monomial is None:
         if p2 == 0:
             monomial = "1"
         else:
-            cands = _top_monomials([n for n, _ in data.base_gens],
-                                   [d for _, d in data.base_gens], p2)
+            cands = _top_monomials(data.base_gens, p2)
             if not cands:
                 raise DegreeOutOfRange("no base monomial of degree %d" % p2)
-            exps = cands[0]
-            parts = [("%s" % n if e == 1 else "%s^%d" % (n, e))
-                     for (n, _), e in zip(data.base_gens, exps) if e]
-            monomial = "*".join(parts)
+            monomial = format_monomial(cands[0], [n for n, _ in data.base_gens])
 
     def f(t: complex, tau: complex) -> complex:
         vals = evaluate_numeric(data, kind, t, tau, eps, normalized)

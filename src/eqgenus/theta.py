@@ -56,15 +56,6 @@ class ConstantsLedger:
     i: int = 0
     two: int = 0
 
-    def __mul__(self, other: "ConstantsLedger") -> "ConstantsLedger":
-        return ConstantsLedger(self.two_pi + other.two_pi, self.i + other.i, self.two + other.two)
-
-    def inverse(self) -> "ConstantsLedger":
-        return ConstantsLedger(-self.two_pi, -self.i, -self.two)
-
-    def value(self) -> complex:
-        return (2 * math.pi) ** self.two_pi * (1j ** (self.i % 4)) * 2 ** self.two
-
 
 # ---------------------------------------------------------------------------
 # Formal expansions
@@ -157,9 +148,8 @@ class ThetaTaylorStack:
     """Normalized derivative stack D_v^k theta_kind(v, tau) at v = m t.
 
     Entry k has rational coefficients; the true k-th derivative in v is
-    (2 pi i)^k times entry k times the ledger constant.  The folded
-    q^{1/8} and c(q) prefactor powers are recorded for audit (zero here:
-    both are exactly representable and live inside the series).
+    (2 pi i)^k times entry k times the ledger constant.  The q^{1/8} and
+    c(q) prefactors are exactly representable and live inside the series.
     """
 
     kind: ThetaKind
@@ -167,8 +157,6 @@ class ThetaTaylorStack:
     entries: tuple[QSeries, ...]
     ledger: ConstantsLedger
     vanishes_at_zero: bool
-    q8_folded: int = 0
-    cq_folded: int = 0
 
     def entry(self, k: int) -> QSeries:
         return self.entries[k]

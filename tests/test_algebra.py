@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -13,6 +14,7 @@ from eqgenus.algebra import (
     QSeries,
     WLaurentPoly,
     WLaurentRational,
+    _layout,
     fiber_integrate,
     graded_exp,
     graded_invert,
@@ -330,6 +332,77 @@ def test_graded_invert():
     one = GradedElement.scalar(GENS, 4, Fraction(1))
     u = one + x
     assert u * graded_invert(u) == one
+
+
+# -- the dense layout, against a sparse sympy reference ------------------------
+
+DENSE_GENS = (("a", 2), ("b", 2), ("c", 4))
+DENSE_CAP = 8
+
+
+def test_layout_monomials():
+    lay = _layout(DENSE_GENS, DENSE_CAP)
+    # (i, j, k) with 2i + 2j + 4k <= 8: 15 + 6 + 1
+    assert len(lay.monos) == 22 and lay.monos[0] == (0, 0, 0)
+    assert all(2 * i + 2 * j + 4 * k <= DENSE_CAP for i, j, k in lay.monos)
+    assert _layout((), 0).monos == [()]
+
+
+def random_element(rng, exact: bool, nilpotent=False) -> GradedElement:
+    """A random coefficient on every monomial of the dense test ring."""
+    def draw():
+        if exact:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    terms = {m: draw() for m in _layout(DENSE_GENS, DENSE_CAP).monos}
+    if nilpotent:
+        terms[(0, 0, 0)] = 0
+    return GradedElement(DENSE_GENS, DENSE_CAP, terms)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["fraction", "complex"])
+def test_dense_ring_matches_sympy(exact):
+    # sympy's sparse polynomial ring, truncated by degree after each step,
+    # is the reference for product, sum, difference, inverse and exp
+    rings = pytest.importorskip("sympy.polys.rings")
+    domains = pytest.importorskip("sympy.polys.domains")
+    dom = domains.QQ if exact else domains.CC
+    R = rings.ring("a,b,c", dom)[0]
+
+    def num(v):
+        return dom(v.numerator, v.denominator) if exact else dom(v.real, v.imag)
+
+    def ref(g: GradedElement):
+        return R.from_dict({m: num(v) for m, v in g.terms.items()})
+
+    def truncated(p):
+        return {m: v for m, v in dict(p).items()
+                if 2 * m[0] + 2 * m[1] + 4 * m[2] <= DENSE_CAP and v}
+
+    def assert_matches(got: GradedElement, p):
+        want = truncated(p)
+        if exact:
+            assert got.terms == {m: Fraction(int(v.numerator), int(v.denominator))
+                                 for m, v in want.items()}
+            return
+        scale = 1 + max(abs(complex(v)) for v in want.values())
+        for m in set(want) | set(got.terms):
+            assert abs(got.terms.get(m, 0) - complex(want.get(m, 0))) < 1e-14 * scale, m
+
+    rng = random.Random(43)
+    for _ in range(20):
+        a, b = random_element(rng, exact), random_element(rng, exact)
+        assert_matches(a * b, ref(a) * ref(b))
+        assert_matches(a + b, ref(a) + ref(b))
+        assert_matches(a - b, ref(a) - ref(b))
+        # the inverse times a is 1 under the cap
+        assert_matches(a * graded_invert(a), R.one)
+        n = random_element(rng, exact, nilpotent=True)
+        want, p = R.one, R.one
+        for k in range(1, DENSE_CAP // 2 + 1):
+            p = R.from_dict(truncated(p * ref(n)))
+            want += p * dom(1) / dom(factorial(k))
+        assert_matches(graded_exp(n, Fraction if exact else float), want)
 
 
 # -- fiber integration ---------------------------------------------------------

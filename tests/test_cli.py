@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import eqgenus
 from eqgenus.cli import main
 from eqgenus.dataset import dataset_to_json, parse_dataset
 from eqgenus.catalog import builtin, names
@@ -148,6 +152,55 @@ def test_mistyped_field_exit_2_with_path(capsys, tmp_path, mutate, json_path):
     assert code == 2
     assert out == ""
     assert err.startswith("parse error: %s: " % json_path)
+
+
+def _set_base_cap_huge(d):
+    d["base_degree_cap"] = 1000000
+
+
+def _set_k_alpha_huge(d):
+    d["components"][0]["k_alpha"] = 1000000
+
+
+def test_negative_cap_exit_2_with_path(capsys, tmp_path):
+    payload = dataset_to_json(builtin("s2-family-base").data)
+    payload["components"][0]["k_alpha"] = -3
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "expand", "--input", str(path),
+                         "--operator", "dv-theta-q", "--order", "8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: $.components[0]: ")
+
+
+def _limit_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("mutate, argv, json_path", [
+    (_set_base_cap_huge, ["expand", "--operator", "dv-theta-q", "--order", "8"],
+     "$.base_degree_cap"),
+    (_set_base_cap_huge, ["jacobi", "--operator", "dv-theta-q", "--samples", "1"],
+     "$.base_degree_cap"),
+    (_set_k_alpha_huge, ["expand", "--operator", "dv-theta-q", "--order", "8"],
+     "$.components[0]"),
+], ids=["base-cap-expand", "base-cap-jacobi", "k-alpha-expand"])
+def test_oversized_ring_exit_2_with_path(tmp_path, mutate, argv, json_path):
+    # without the bound these commands run unbounded, so they run in a
+    # separate process under a timeout and a 1 GB address-space limit
+    payload = dataset_to_json(builtin("s2-family-base").data)
+    mutate(payload)
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(payload))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eqgenus.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "eqgenus.cli", argv[0], "--input", str(path),
+                           *argv[1:]], capture_output=True, text=True, env=env, timeout=20,
+                          preexec_fn=_limit_memory)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("parse error: %s: " % json_path)
 
 
 def test_rigidity_corrupted_dataset(capsys, tmp_path):

@@ -8,14 +8,11 @@ from eqgenus.algebra import (
     GradedElement,
     QSeries,
     WLaurentRational,
-    graded_exp,
-    graded_invert,
     series_invert,
     series_mul,
 )
 from eqgenus.genera import (
     OperatorKind,
-    _layout,
     RootBundle,
     ZeroWeightNormalBundle,
     a_hat,
@@ -273,16 +270,21 @@ def test_numeric_zero_weight_normal_rejected():
         numeric_integrand(OperatorKind.DThetaQ, bad, 0.287, 0.1 + 1.05j, 1e-10)
 
 
-def test_numeric_matches_formal_fiber_and_base():
-    # a weight-0 tangent root on a fiber generator runs the sigma and cosh
-    # tokens; every monomial of the jet must match the formal integrand
-    from eqgenus.theta import evaluate_formal
+def fiber_and_base() -> Comp:
+    """A weight-0 tangent root on a fiber generator, which runs the sigma
+    and cosh tokens, with a base generator and V data."""
     gens = (("x", 2), ("b", 2))
     x = GradedElement.generator(gens, 4, "x")
     b = GradedElement.generator(gens, 4, "b")
-    comp = Comp(gens, 4, RootBundle(0, 1, (x,)),
+    return Comp(gens, 4, RootBundle(0, 1, (x,)),
                 (RootBundle(1, 1, (x + b,)), RootBundle(-2, 1, (b,))),
                 (RootBundle(1, 1, (x * Fraction(1, 2) - b,)),))
+
+
+def test_numeric_matches_formal_fiber_and_base():
+    # every monomial of the jet must match the formal integrand
+    from eqgenus.theta import evaluate_formal
+    comp = fiber_and_base()
     t, tau = 0.37, 0.15 + 1.6j
     for kind, normalized in RECIPES:
         ser = theta_quotient_integrand(kind, comp, 24, normalized)
@@ -297,44 +299,19 @@ def test_numeric_matches_formal_fiber_and_base():
             assert abs(got - ref) / (1 + abs(ref)) < 1e-9, (kind, normalized, m)
 
 
-# -- dense jets ------------------------------------------------------------------
-
-JET_GENS = (("a", 2), ("b", 2), ("c", 4))
-JET_CAP = 8
-
-
-def random_element(rng, lay, nilpotent=False) -> GradedElement:
-    """GradedElement[complex] with a random coefficient on every monomial."""
-    terms = {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in lay.monos}
-    if nilpotent:
-        terms[lay.monos[0]] = 0j
-    return GradedElement(JET_GENS, JET_CAP, terms)
-
-
-def assert_jet_matches(jet, ref: GradedElement):
-    assert set(ref.terms) <= set(jet.lay.monos)
-    scale = 1 + max(map(abs, ref.terms.values()))
-    for m, v in zip(jet.lay.monos, jet.c):
-        assert abs(v - ref.terms.get(m, 0)) < 1e-14 * scale, m
-
-
-def test_jet_layout_monomials():
-    lay = _layout(JET_GENS, JET_CAP)
-    # (i, j, k) with 2i + 2j + 4k <= 8: 15 + 6 + 1
-    assert len(lay.monos) == 22 and lay.monos[0] == (0, 0, 0)
-    assert all(2 * i + 2 * j + 4 * k <= JET_CAP for i, j, k in lay.monos)
-    assert _layout((), 0).monos == [()]
-
-
-def test_jet_matches_graded_element():
-    lay = _layout(JET_GENS, JET_CAP)
-    rng = random.Random(43)
-    for _ in range(20):
-        a, b = random_element(rng, lay), random_element(rng, lay)
-        ja, jb = lay.jet(a), lay.jet(b)
-        assert_jet_matches(ja * jb, a * b)
-        assert_jet_matches(ja + jb, a + b)
-        assert_jet_matches(ja - jb, a - b)
-        assert_jet_matches(ja.invert(), graded_invert(a))
-        n = random_element(rng, lay, nilpotent=True)
-        assert_jet_matches(lay.jet(n).exp(), graded_exp(n))
+def test_numeric_integrand_never_mixes_fraction_and_complex(monkeypatch):
+    # a Fraction constant or unit reaching a complex jet would make every
+    # product run in Python, about 50 times slower than with a float
+    mixed = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def spy(a, b, name=name, op=getattr(Fraction, name)):
+            if isinstance(b, complex):
+                mixed.append(name)
+            return op(a, b)
+        monkeypatch.setattr(Fraction, name, spy)
+    comp = fiber_and_base()
+    for kind, normalized in RECIPES:
+        jet = numeric_integrand(kind, comp, 0.37, 0.15 + 1.6j, 1e-12, normalized)
+        assert len(jet.terms) > 1
+        assert not mixed, (kind, normalized, sorted(set(mixed)))

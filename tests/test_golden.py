@@ -2,8 +2,9 @@
 
 Every catalog entry is expanded with every operator that applies to it
 (the V-twisted families only where the entry carries V data, and those
-both raw and dim-normalized) at orders 16 and 32, and every theta kind
-is expanded formally at m = 1 and m = 2 at order 16.  The canonical form
+both raw and dim-normalized) at orders 16 and 32, every entry runs
+``rigidity --operator all`` at order 24, and every theta kind is expanded
+formally at m = 1 and m = 2 at order 16.  The canonical form
 of each ``--format json`` report is hashed and compared against
 ``golden_digests.json``, which holds the digests of the reference
 implementation.  A change that alters any
@@ -22,6 +23,7 @@ from eqgenus.theta import ThetaKind
 
 ORDER = "16"
 DEEP_ORDER = "32"
+RIGIDITY_ORDER = "24"
 DIGESTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 
 
@@ -41,6 +43,13 @@ def _expand_cases(order: str, suffix: str = ""):
     return out
 
 
+def _rigidity_cases():
+    return [("rigidity-%s" % name,
+             ["rigidity", "--input", "catalog:" + name, "--operator", "all",
+              "--order", RIGIDITY_ORDER, "--format", "json"])
+            for name in names()]
+
+
 def _theta_cases():
     return [("theta-%s-m%d" % (kind.value, m),
              ["theta", "--kind", kind.value, "--formal", "--m", str(m),
@@ -48,7 +57,8 @@ def _theta_cases():
             for kind in ThetaKind for m in (1, 2)]
 
 
-CASES = dict(_expand_cases(ORDER) + _expand_cases(DEEP_ORDER, "-order32") + _theta_cases())
+CASES = dict(_expand_cases(ORDER) + _expand_cases(DEEP_ORDER, "-order32")
+             + _rigidity_cases() + _theta_cases())
 
 
 def report_digest(argv, capsys) -> str:
@@ -66,7 +76,7 @@ def recorded_digests() -> dict[str, str]:
 
 
 def test_case_list_is_complete():
-    assert len(CASES) == 88
+    assert len(CASES) == 94
     assert sorted(recorded_digests()) == sorted(CASES)
 
 
