@@ -20,7 +20,7 @@ from .algebra import (
 )
 from .catalog import UnknownEntry, builtin, names as catalog_names
 from .dataset import DatasetFormatError, dataset_to_json, load_dataset
-from .genera import OperatorKind, ZeroWeightNormalBundle
+from .genera import NON_V_KINDS, V_KINDS, OperatorKind, ZeroWeightNormalBundle
 from .jacobi import (
     BoundaryZero,
     NonFiniteSample,
@@ -131,12 +131,9 @@ def cmd_expand(args) -> int:
 def cmd_rigidity(args) -> int:
     data = _load_input(args.input)
     if args.operator == "all":
-        kinds = [OperatorKind.DsThetaPrime, OperatorKind.DThetaQ, OperatorKind.DThetaMinusQ]
-        if all(c.vbundles for c in data.components):
-            kinds += [OperatorKind.DeltaVThetaPrime, OperatorKind.DVThetaQ,
-                      OperatorKind.DVThetaMinusQ, OperatorKind.DVStarDifference]
+        kinds = NON_V_KINDS + (V_KINDS if all(c.vbundles for c in data.components) else ())
     else:
-        kinds = [_operator(args.operator)]
+        kinds = (_operator(args.operator),)
     rep = validate(data)
     verdicts = {}
     lines = ["dataset: %s" % (data.name or args.input)]

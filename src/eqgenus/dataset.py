@@ -22,6 +22,12 @@ FORMAT_VERSION = 1
 # 1000 monomials on one generator (the worst shape).
 MAX_RING_MONOMIALS = 1000
 
+# The largest rank of a bundle and the largest fiber half-dimension: every
+# line of a bundle is one factor of the integrand.  At the bound, two fixed
+# points with rank-64 normals of weight +-1 take about 4 s for
+# `expand --operator d-theta-q --order 16` on a 2-core VM.
+MAX_RANK = 64
+
 
 class DatasetFormatError(Exception):
     """Ingestion failure addressed by JSON path."""
@@ -154,6 +160,11 @@ def _check_ring(gens, cap: int, path: str):
             % (cap, [n for n, _ in gens], MAX_RING_MONOMIALS))
 
 
+def _check_rank(rank: int, path: str):
+    if rank > MAX_RANK:
+        raise DatasetFormatError(path, "%d is above the rank bound %d" % (rank, MAX_RANK))
+
+
 def _gen_list(raw, path: str) -> tuple[tuple[str, int], ...]:
     out = []
     for i, g in enumerate(raw):
@@ -176,12 +187,14 @@ def _parse_bundles(raw, gens, cap, path: str) -> tuple[RootBundle, ...]:
         weight = parse_rational(b.get("weight", "0"), p + ".weight")
         rank = _field(b, "rank", int, p)
         roots_raw = _field(b, "roots", list, p)
-        if roots_raw is None:
-            if rank is None:
-                raise DatasetFormatError(p, "need rank or roots")
-            roots_raw = ["0"] * rank
         if rank is None:
+            if roots_raw is None:
+                raise DatasetFormatError(p, "need rank or roots")
             rank = len(roots_raw)
+        # bounded before the roots are built or parsed
+        _check_rank(rank, p + (".rank" if "rank" in b else ".roots"))
+        if roots_raw is None:
+            roots_raw = ["0"] * rank
         if len(roots_raw) != rank:
             raise DatasetFormatError(p, "rank %s but %d roots" % (rank, len(roots_raw)))
         roots = tuple(parse_root_expr(r, gens, cap, "%s.roots[%d]" % (p, j))
@@ -202,6 +215,7 @@ def parse_dataset(obj: dict) -> ActionData:
     if "fiber_half_dim" not in obj:
         raise DatasetFormatError("$.fiber_half_dim", "missing")
     k = _field(obj, "fiber_half_dim", int, "$")
+    _check_rank(k, "$.fiber_half_dim")
     base_gens = _gen_list(_field(obj, "base_generators", list, "$", []), "$.base_generators")
     base_cap = _field(obj, "base_degree_cap", int, "$", 0)
     if base_cap % 2:

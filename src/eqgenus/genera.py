@@ -16,16 +16,20 @@ Two independent realizations of each integrand are provided:
   the lift into the product ring (q-series or the jet itself) and the
   keys of the q-products (a finite range or a certified stopping rule).
 
-  The denominator of each component's integrand factors as L * U.  L is
+  Every family divides by the same theta denominator, a property of the
+  fixed component, not of the recipe; the recipes differ only in their
+  numerators and scalar powers.  The denominator factors as L * U.  L is
   the q-free product of the factors (1 - w^{-2m} e^{-x}) over the normal
-  lines; U (the sigma units, the pair products, c(q) and the null values)
-  is a unit series: its q^0 coefficient has scalar part 1.  So 1/U, the
-  numerator and every product run over Laurent polynomials in w, with no
-  gcd, and the rational-function field enters once: each output
-  q-coefficient is multiplied by L^{-1}, which is one reduction per
-  coefficient at an isolated fixed point.  Canonical forms of reduced
-  quotients are unique, so the result equals the term-by-term reduced
-  computation exactly.
+  lines; U (the sigma units and the pair products, times the recipe's
+  c(q) and null values) is a unit series: its q^0 coefficient has scalar
+  part 1.  So 1/U, the numerator and every product run over Laurent
+  polynomials in w, with no gcd.  So does L^{-1} = adj(L) / s^{J+1}, s
+  the scalar part of L and J = cap // 2, and the rational-function field
+  enters once: each output coefficient is multiplied by adj(L) and
+  reduced over s^{J+1}, one reduction per coefficient on every
+  component, families included.  Canonical forms of reduced quotients
+  are unique, so the result equals the term-by-term reduced computation
+  exactly.
 
 * ``witten_element_ch`` plus ``a_hat`` / spinor characters -- the
   exterior/symmetric-power expansion, assembled term by term in q.
@@ -141,63 +145,52 @@ def _sigma(y: GradedElement, field=Fraction) -> GradedElement:
 
 @dataclass(frozen=True)
 class _Recipe:
-    """Per-root factor tokens for one operator family.
+    """What one operator family puts over the shared theta denominator.
+
+    Every family divides by the same denominator, a property of the fixed
+    component: L * U with L = prod (1 - E^{-1}) over the normal lines and
+    U = sigma * pairs- over the tangent lines times pairs- over the normal
+    lines (``_interpret`` builds both).  A recipe lists only what differs:
+    per-root numerator tokens, strays, and the scalar powers.
 
     Tokens: "pairs+/-" are the integer-grid pair products, "half+/-" the
     half-grid ones, "lin+/-" the factors (1 +- E^{-1}), "cosh" the unit
-    e^{y/2} + e^{-y/2}, "sigma" the order-1 unit of theta at v = 0.
-    Strays count powers of E^{1/2}; c_* count powers of c(q); q8_* count
-    powers of q^{1/8}.
+    e^{y/2} + e^{-y/2}.  Strays count powers of E^{1/2}; c_* count powers
+    of c(q) and q8_* powers of q^{1/8}, per line of TX (tangent and normal
+    lines alike) or of V.
     """
 
     tangent_num: tuple[str, ...] = ()
-    tangent_den: tuple[str, ...] = ()
     normal_num: tuple[str, ...] = ()
-    normal_den: tuple[str, ...] = ()
     v_num: tuple[str, ...] = ()
     v_scalar_den: tuple[str, ...] = ()
     stray_normal: int = 0
     stray_v: int = 0
-    c_tangent: int = 0
-    c_normal: int = 0
+    c_tx: int = 0
     c_v: int = 0
-    q8_tangent: int = 0
-    q8_normal: int = 0
+    q8_tx: int = 0
     q8_v: int = 0
     half_per_v: bool = False
 
 
-_H_ROWS = dict(tangent_den=("sigma", "pairs-"), c_tangent=2,
-               normal_den=("lin-", "pairs-"), stray_normal=-1, c_normal=2)
+_H_ROWS = dict(stray_normal=-1, c_tx=2)
+
+# the raw V families: c(q)^{-1} and q^{-1/8} per line of TX
+_V_ROWS = dict(stray_normal=-1, c_tx=-1, q8_tx=-1)
 
 _RAW: dict[OperatorKind, _Recipe] = {
     OperatorKind.DsThetaPrime: _Recipe(
-        tangent_num=("cosh", "pairs+"), tangent_den=("sigma", "pairs-"),
-        normal_num=("lin+", "pairs+"), normal_den=("lin-", "pairs-")),
+        tangent_num=("cosh", "pairs+"), normal_num=("lin+", "pairs+")),
     OperatorKind.DThetaQ: _Recipe(
-        tangent_num=("half-",), tangent_den=("sigma", "pairs-"), q8_tangent=-1,
-        normal_num=("half-",), normal_den=("lin-", "pairs-"),
-        stray_normal=-1, q8_normal=-1),
+        tangent_num=("half-",), normal_num=("half-",), stray_normal=-1, q8_tx=-1),
     OperatorKind.DThetaMinusQ: _Recipe(
-        tangent_num=("half+",), tangent_den=("sigma", "pairs-"), q8_tangent=-1,
-        normal_num=("half+",), normal_den=("lin-", "pairs-"),
-        stray_normal=-1, q8_normal=-1),
+        tangent_num=("half+",), normal_num=("half+",), stray_normal=-1, q8_tx=-1),
     OperatorKind.DeltaVThetaPrime: _Recipe(
-        tangent_den=("sigma", "pairs-"), c_tangent=-1, q8_tangent=-1,
-        normal_den=("lin-", "pairs-"), stray_normal=-1, c_normal=-1, q8_normal=-1,
-        v_num=("lin+", "pairs+"), stray_v=1, c_v=1, q8_v=1),
-    OperatorKind.DVThetaQ: _Recipe(
-        tangent_den=("sigma", "pairs-"), c_tangent=-1, q8_tangent=-1,
-        normal_den=("lin-", "pairs-"), stray_normal=-1, c_normal=-1, q8_normal=-1,
-        v_num=("half-",), c_v=1),
-    OperatorKind.DVThetaMinusQ: _Recipe(
-        tangent_den=("sigma", "pairs-"), c_tangent=-1, q8_tangent=-1,
-        normal_den=("lin-", "pairs-"), stray_normal=-1, c_normal=-1, q8_normal=-1,
-        v_num=("half+",), c_v=1),
+        **_V_ROWS, v_num=("lin+", "pairs+"), stray_v=1, c_v=1, q8_v=1),
+    OperatorKind.DVThetaQ: _Recipe(**_V_ROWS, v_num=("half-",), c_v=1),
+    OperatorKind.DVThetaMinusQ: _Recipe(**_V_ROWS, v_num=("half+",), c_v=1),
     OperatorKind.DVStarDifference: _Recipe(
-        tangent_den=("sigma", "pairs-"), c_tangent=-1, q8_tangent=-1,
-        normal_den=("lin-", "pairs-"), stray_normal=-1, c_normal=-1, q8_normal=-1,
-        v_num=("lin-", "pairs-"), stray_v=1, c_v=1, q8_v=1),
+        **_V_ROWS, v_num=("lin-", "pairs-"), stray_v=1, c_v=1, q8_v=1),
     OperatorKind.WittenH: _Recipe(**_H_ROWS),
 }
 
@@ -233,20 +226,23 @@ def _iter_lines(bundles) -> list[tuple[int, GradedElement]]:
     return out
 
 
-def _fold_strays(series: QSeries, stray_w: Fraction, stray_cls: GradedElement,
-                 carrier=WLaurentRational) -> QSeries:
-    """series times w^{stray_w} e^{stray_cls/2}, the w-power built by
-    ``carrier.w``."""
-    if stray_w == 0 and not stray_cls:
-        return series
+def _half_character(stray_w: Fraction, stray_cls: GradedElement, w, field) -> GradedElement:
+    """w^{stray_w} e^{stray_cls/2}, the w-power built by ``w`` and the
+    constants of exp in ``field``.  The strays must recombine into an
+    integer w-power, which is the spin consistency of the data."""
     if stray_w.denominator != 1:
         raise OffGridExponent(
             "total half-character w^%s is off the integer grid; "
             "the weight data is not spin-consistent" % stray_w)
-    mult = graded_exp(stray_cls * Fraction(1, 2))
-    if stray_w:
-        mult = mult * carrier.w(int(stray_w))
-    return series.scale(mult)
+    mult = graded_exp(stray_cls * (field(1) / 2), field)
+    return mult * w(int(stray_w)) if stray_w else mult
+
+
+def _fold_strays(series: QSeries, stray_w: Fraction, stray_cls: GradedElement) -> QSeries:
+    """series times w^{stray_w} e^{stray_cls/2} over rational functions."""
+    if stray_w == 0 and not stray_cls:
+        return series
+    return series.scale(_half_character(stray_w, stray_cls, WLaurentRational.w, Fraction))
 
 
 # (first key, sign) of the pair-product tokens and the null-value squares
@@ -255,8 +251,8 @@ _NULLWERT = {"null-plus-int": (8, 1), "null-minus-half": (4, -1), "null-plus-hal
 
 
 def _token(be, tok: str, tw: int, x: GradedElement):
-    """One per-line factor of a recipe in the backend's product ring; x is
-    the line's root in the backend's coefficient ring."""
+    """One per-line numerator factor of a recipe in the backend's product
+    ring; x is the line's root in the backend's coefficient ring."""
     if tok in _PAIRS:
         first, sign = _PAIRS[tok]
         return be.product(be.one, first, (_line(tw, x, be, be.field) * sign,
@@ -268,8 +264,6 @@ def _token(be, tok: str, tw: int, x: GradedElement):
     if tok == "cosh":
         half = x * (be.field(1) / 2)
         return be.lift(graded_exp(half, be.field) + graded_exp(-half, be.field))
-    if tok == "sigma":
-        return be.lift(_sigma(x, be.field))
     raise ValueError(tok)
 
 
@@ -283,13 +277,14 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
 
     ``backend(q8_shift, lines)`` builds the coefficient backend once the
     shape of the component is known; each root enters its coefficient
-    ring once (``root``).  Returns (num, den, lin, q8_shift,
-    halves, stray_w, stray_cls): the integrand is num / (den * lin) times
-    q^{q8_shift/8}, 2^{-halves} and the half-character
-    w^{stray_w} e^{stray_cls/2}.  ``lin`` is the q-free product of the
-    "lin-" denominator tokens, an unlifted coefficient; ``den`` holds the
-    other denominator tokens, a series whose q^0 coefficient has scalar
-    part 1, so it inverts without dividing by any function of w.
+    ring once (``root``).  Returns (num, den, lin, q8_shift): the
+    integrand is num / (den * lin) times q^{q8_shift/8}.  ``lin`` = L and
+    ``den`` = U times the recipe's scalar denominators, the shared theta
+    denominator of ``_Recipe``; ``lin`` is q-free, an unlifted
+    coefficient, and ``den`` is a series whose q^0 coefficient has scalar
+    part 1, so it inverts without dividing by any function of w.  The
+    half-character of the strays and the recipe's 2^{-halves} are folded
+    into ``num``.
     """
     rec = _recipe(kind, normalized)
     tangent = component.tangent
@@ -302,35 +297,41 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     if kind.needs_v and not component.vbundles:
         raise ValueError("%s requires V-bundle data" % kind.value)
 
-    t_lines = _iter_lines([tangent] if tangent is not None else [])
-    n_lines = _iter_lines(component.normals)
-    v_lines = _iter_lines(component.vbundles) if kind.needs_v else []
-    q8_shift = (rec.q8_tangent * len(t_lines) + rec.q8_normal * len(n_lines)
-                + rec.q8_v * len(v_lines))
-    c_power = (rec.c_tangent * len(t_lines) + rec.c_normal * len(n_lines)
-               + rec.c_v * len(v_lines))
-    be = backend(q8_shift, len(t_lines) + len(n_lines) + len(v_lines))
+    parts = (_iter_lines([tangent] if tangent is not None else []),
+             _iter_lines(component.normals),
+             _iter_lines(component.vbundles) if kind.needs_v else [])
+    n_tx, n_v = len(parts[0]) + len(parts[1]), len(parts[2])
+    q8_shift = rec.q8_tx * n_tx + rec.q8_v * n_v
+    c_power = rec.c_tx * n_tx + rec.c_v * n_v
+    be = backend(q8_shift, n_tx + n_v)
+    t_lines, n_lines, v_lines = ([(tw, be.root(x)) for tw, x in lines] for lines in parts)
 
-    num = den = be.lift(be.one)
+    # the shared denominator
+    den = be.lift(be.one)
     lin = be.one
+    for tw, x in t_lines:
+        den = den * be.lift(_sigma(x, be.field)) * _token(be, "pairs-", tw, x)
+    for tw, x in n_lines:
+        lin = lin * _lin_minus(be, tw, x)
+        den = den * _token(be, "pairs-", tw, x)
+
+    num = be.lift(be.one)
     stray_w = Fraction(0)
     stray_cls = GradedElement.zero(component.gens, component.cap)
-    for lines, num_toks, den_toks, stray in (
-            (t_lines, rec.tangent_num, rec.tangent_den, 0),
-            (n_lines, rec.normal_num, rec.normal_den, rec.stray_normal),
-            (v_lines, rec.v_num, (), rec.stray_v)):
+    for lines, toks, stray in ((t_lines, rec.tangent_num, 0),
+                               (n_lines, rec.normal_num, rec.stray_normal),
+                               (v_lines, rec.v_num, rec.stray_v)):
         for tw, x in lines:
-            x = be.root(x)
-            for tok in num_toks:
+            for tok in toks:
                 num = num * _token(be, tok, tw, x)
-            for tok in den_toks:
-                if tok == "lin-":
-                    lin = lin * _lin_minus(be, tw, x)
-                else:
-                    den = den * _token(be, tok, tw, x)
             if stray:
                 stray_w += Fraction(stray * tw, 2)
                 stray_cls = stray_cls + x * stray
+    if stray_w or stray_cls or rec.half_per_v:
+        mult = _half_character(stray_w, stray_cls, be.w, be.field)
+        if rec.half_per_v:
+            mult = mult * (be.field(1) / 2 ** n_v)
+        num = num * be.lift(mult)
 
     # c(q)^|c_power| and the null-value squares stay in the scalar ring
     # and are lifted once
@@ -343,12 +344,11 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
             scalar_den = cq
     for tok in rec.v_scalar_den:
         first, c = _NULLWERT[tok]
-        null = be.product(be.scalar_one, first, (c, c) * len(v_lines))
+        null = be.product(be.scalar_one, first, (c, c) * n_v)
         scalar_den = null if scalar_den is None else scalar_den * null
     if scalar_den is not None:
         den = den * be.lift_scalar(scalar_den)
-    halves = len(v_lines) if rec.half_per_v else 0
-    return num, den, lin, q8_shift, halves, stray_w, stray_cls
+    return num, den, lin, q8_shift
 
 
 class _SeriesBackend:
@@ -381,34 +381,37 @@ def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
                              normalized: bool = False) -> QSeries:
     """The bracketed localization integrand for one fixed component.
 
-    Returns a q-series of graded elements with w-rational coefficients,
-    exact on the requested grid.  The removable singularity of the tangent
-    factor is resolved by dividing out theta's explicit order-1 unit; all
-    powers of 2 pi and i cancel by construction.
+    Returns a q-series of graded elements whose nonzero coefficients are
+    all ``WLaurentRational``, exact on the requested grid.  The removable
+    singularity of the tangent factor is resolved by dividing out theta's
+    explicit order-1 unit; all powers of 2 pi and i cancel by
+    construction.
 
-    Everything but the q-free factor ``lin`` runs over Laurent polynomials;
-    each output coefficient is then reduced once, when it is multiplied by
-    the rational-function inverse of ``lin``.
+    Everything runs over Laurent polynomials.  With s the scalar part of
+    L and n = L - s (nilpotent, n^{J+1} = 0 for J = cap // 2),
+    L^{-1} = adj(L) / s^{J+1} where adj(L) = sum_j (-n)^j s^{J-j}; each
+    output coefficient is multiplied by adj(L) and reduced once over
+    s^{J+1}.
     """
     # work high enough that the shifted result reaches n8
-    num, den, lin, q8_shift, halves, stray_w, stray_cls = _interpret(
+    num, den, lin, q8_shift = _interpret(
         kind, component, normalized,
         lambda q8_shift, _lines: _SeriesBackend(component, n8 - q8_shift))
-    out = series_mul(num, series_invert(den))
-    if halves:
-        out = out.scale(Fraction(1, 2 ** halves))
-    out = _fold_strays(out, stray_w, stray_cls, WLaurentPoly)
-    lin_inv = graded_invert(lin.map_coefficients(_rational))
-    # lift before multiplying: with no normal lines lin_inv is the Fraction 1,
-    # and the product alone would leave Laurent polynomials in the result
-    out = out.map_coefficients(lambda g: g.map_coefficients(_rational) * lin_inv)
-    return out.shift_q8(q8_shift).truncate(n8)
+    out = series_mul(num, series_invert(den)).shift_q8(q8_shift).truncate(n8)
+    s, J = _poly(lin.scalar_part()), component.cap // 2
+    neg_n = -(lin - s)
+    adj = term = lin.one_like()
+    for _ in range(J):
+        term = term * neg_n
+        adj = adj * s + term
+    den_s = s ** (J + 1)
+    return out.map_coefficients(lambda g: (g * adj).map_coefficients(
+        lambda v: WLaurentRational(_poly(v), den_s)))
 
 
-def _rational(v):
-    """A Laurent polynomial as an element of the rational-function field;
-    other coefficients unchanged."""
-    return WLaurentRational(v) if isinstance(v, WLaurentPoly) else v
+def _poly(v) -> WLaurentPoly:
+    """An exact coefficient as a Laurent polynomial."""
+    return v if isinstance(v, WLaurentPoly) else WLaurentPoly.const(v)
 
 
 # ---------------------------------------------------------------------------
@@ -721,16 +724,10 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
     """Evaluate the theta-quotient integrand at numeric (t, tau) as a jet:
     a graded element with complex coefficients over the component's
     generators.  Same recipe walk as the formal path."""
-    num, den, lin, q8_shift, halves, stray_w, stray_cls = _interpret(
+    num, den, lin, q8_shift = _interpret(
         kind, component, normalized,
         lambda _q8_shift, lines: _JetBackend(component, t, tau, eps, lines))
     out = num * graded_invert(den * lin)
-    if halves:
-        out = out * (0.5 ** halves)
     if q8_shift:
         out = out * cmath.exp(2j * math.pi * tau * q8_shift / 8)
-    if stray_w:
-        out = out * cmath.exp(1j * math.pi * t * float(stray_w))
-    if stray_cls:
-        out = out * graded_exp(stray_cls * 0.5, float)
     return out

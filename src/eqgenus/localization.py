@@ -318,8 +318,7 @@ class GenusResult:
         if g is None:
             return WLaurentRational.zero()
         exps = exps if exps is not None else (0,) * len(self.base_gens)
-        v = g.terms.get(tuple(exps), WLaurentRational.zero())
-        return v if isinstance(v, WLaurentRational) else WLaurentRational.const(v)
+        return g.terms.get(tuple(exps), WLaurentRational.zero())
 
     def index_character(self) -> QSeries:
         """The Chern character of the index bundle (ledger constants and
@@ -389,8 +388,7 @@ def rigidity_check(result: GenusResult) -> RigidityVerdict:
     constants: dict[tuple[int, str], Fraction] = {}
     for key in sorted(result.series.c):
         g = result.series.c[key]
-        for exps, v in sorted(g.terms.items()):
-            coeff = v if isinstance(v, WLaurentRational) else WLaurentRational.const(v)
+        for exps, coeff in sorted(g.terms.items()):
             mono = result.monomial_name(exps)
             if not coeff.is_constant():
                 return RigidityVerdict(False, None, (key, mono, coeff))
@@ -448,10 +446,8 @@ def degree_component(result: GenusResult, p2: int) -> dict[str, QSeries]:
         for exps, v in g.terms.items():
             if sum(e * d for e, d in zip(exps, degrees)) != p2:
                 continue
-            mono = result.monomial_name(exps)
-            coeff = v if isinstance(v, WLaurentRational) else WLaurentRational.const(v)
-            ser = out.setdefault(mono, QSeries({}, result.series.n8))
-            ser.c[key] = coeff
+            ser = out.setdefault(result.monomial_name(exps), QSeries({}, result.series.n8))
+            ser.c[key] = v
     return out
 
 

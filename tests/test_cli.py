@@ -162,6 +162,14 @@ def _set_k_alpha_huge(d):
     d["components"][0]["k_alpha"] = 1000000
 
 
+def _set_rank_without_roots(rank):
+    def mutate(d):
+        normal = d["components"][0]["normals"][0]
+        normal.pop("roots", None)
+        normal["rank"] = rank
+    return mutate
+
+
 def test_negative_cap_exit_2_with_path(capsys, tmp_path):
     payload = dataset_to_json(builtin("s2-family-base").data)
     payload["components"][0]["k_alpha"] = -3
@@ -186,7 +194,12 @@ def _limit_memory():
      "$.base_degree_cap"),
     (_set_k_alpha_huge, ["expand", "--operator", "dv-theta-q", "--order", "8"],
      "$.components[0]"),
-], ids=["base-cap-expand", "base-cap-jacobi", "k-alpha-expand"])
+    (_set_rank_without_roots(10 ** 6), ["expand", "--operator", "dv-theta-q", "--order", "8"],
+     "$.components[0].normals[0].rank"),
+    (_set_rank_without_roots(10 ** 9), ["expand", "--operator", "dv-theta-q", "--order", "8"],
+     "$.components[0].normals[0].rank"),
+], ids=["base-cap-expand", "base-cap-jacobi", "k-alpha-expand", "rank-1e6-expand",
+        "rank-1e9-expand"])
 def test_oversized_ring_exit_2_with_path(tmp_path, mutate, argv, json_path):
     # without the bound these commands run unbounded, so they run in a
     # separate process under a timeout and a 1 GB address-space limit

@@ -6,12 +6,15 @@ import pytest
 
 from eqgenus.algebra import (
     GradedElement,
+    IntegrationTable,
+    OffGridExponent,
     QSeries,
     WLaurentRational,
     series_invert,
     series_mul,
 )
 from eqgenus.genera import (
+    NON_V_KINDS,
     OperatorKind,
     RootBundle,
     ZeroWeightNormalBundle,
@@ -23,6 +26,7 @@ from eqgenus.genera import (
     theta_quotient_integrand,
     witten_element_ch,
 )
+from eqgenus.localization import ActionData, FixedComponent, equivariant_character
 from eqgenus.theta import ThetaKind, theta_formal
 
 
@@ -270,6 +274,16 @@ def test_numeric_zero_weight_normal_rejected():
         numeric_integrand(OperatorKind.DThetaQ, bad, 0.287, 0.1 + 1.05j, 1e-10)
 
 
+def test_numeric_off_grid_stray_rejected():
+    # one half-integer weight leaves the strays off the integer w-grid; both
+    # paths reject such spin-inconsistent data
+    comp = point(Fraction(1, 2))
+    with pytest.raises(OffGridExponent):
+        theta_quotient_integrand(OperatorKind.DThetaQ, comp, 16)
+    with pytest.raises(OffGridExponent):
+        numeric_integrand(OperatorKind.DThetaQ, comp, 0.3, 1j, 1e-10)
+
+
 def fiber_and_base() -> Comp:
     """A weight-0 tangent root on a fiber generator, which runs the sigma
     and cosh tokens, with a base generator and V data."""
@@ -315,3 +329,32 @@ def test_numeric_integrand_never_mixes_fraction_and_complex(monkeypatch):
         jet = numeric_integrand(kind, comp, 0.37, 0.15 + 1.6j, 1e-12, normalized)
         assert len(jet.terms) > 1
         assert not mixed, (kind, normalized, sorted(set(mixed)))
+
+
+def test_exact_coefficients_are_rational_functions():
+    # every nonzero exact coefficient leaves the engine as a WLaurentRational,
+    # also on a component with no normal lines; localization relies on it
+    gens = (("y", 2), ("b", 2))
+    y = GradedElement.generator(gens, 4, "y")
+    b = GradedElement.generator(gens, 4, "b")
+    tangent_only = Comp(gens, 4, RootBundle(0, 1, (y + b,)), ())
+    fb = fiber_and_base()
+    for comp in (tangent_only, fb):
+        for kind, normalized in RECIPES:
+            if kind.needs_v and not comp.vbundles:
+                continue
+            ser = theta_quotient_integrand(kind, comp, 16, normalized)
+            coeffs = [v for g in ser.c.values() for v in g.terms.values()]
+            assert coeffs, (kind, normalized)
+            assert all(isinstance(v, WLaurentRational) for v in coeffs), (kind, normalized)
+    # the same through the component sum; fiber_and_base's V data fails the
+    # anomaly checks of validate, so it is dropped there
+    for comp, fiber, k in ((tangent_only, "y", 1), (fb, "x", 3)):
+        fixed = FixedComponent("c", 1, comp.tangent, comp.normals, (),
+                               IntegrationTable((fiber,), 1, {(1,): 1}), 1, comp.gens, 4)
+        data = ActionData(k, (fixed,), (("b", 2),), 2)
+        for kind in NON_V_KINDS + (OperatorKind.WittenH,):
+            res = equivariant_character(data, kind, 16)
+            coeffs = [v for g in res.series.c.values() for v in g.terms.values()]
+            assert coeffs, (fiber, kind)
+            assert all(isinstance(v, WLaurentRational) for v in coeffs), (fiber, kind)
