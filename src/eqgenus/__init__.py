@@ -6,7 +6,6 @@ from .algebra import (
     GradedElement,
     IntegrationTable,
     QSeries,
-    Rat,
     WLaurentPoly,
     WLaurentRational,
     fiber_integrate,

@@ -25,8 +25,6 @@ from itertools import repeat
 from math import factorial, gcd as int_gcd
 from typing import Callable, Iterable, Mapping
 
-Rat = Fraction
-
 
 class AlgebraError(Exception):
     """Base class for exact-arithmetic failures."""
@@ -857,10 +855,6 @@ class QSeries:
     @staticmethod
     def one(n8: int, one_coeff=Fraction(1)) -> "QSeries":
         return QSeries({0: one_coeff}, n8)
-
-    @staticmethod
-    def monomial(n8key: int, coeff, n8: int) -> "QSeries":
-        return QSeries({n8key: coeff}, n8)
 
     def __bool__(self):
         return bool(self.c)

@@ -22,11 +22,18 @@ FORMAT_VERSION = 1
 # 1000 monomials on one generator (the worst shape).
 MAX_RING_MONOMIALS = 1000
 
-# The largest rank of a bundle and the largest fiber half-dimension: every
-# line of a bundle is one factor of the integrand.  At the bound, two fixed
-# points with rank-64 normals of weight +-1 take about 4 s for
-# `expand --operator d-theta-q --order 16` on a 2-core VM.
-MAX_RANK = 64
+# Every line of a bundle is one factor of the integrand, whose cost grows
+# faster than linearly in the number of lines and in their weights, and
+# every fixed component is one integrand per operator.  Bounded: the total
+# rank of a component's normals and of its V, and the fiber half-dimension
+# (MAX_RANK); the absolute value of every rotation weight (MAX_WEIGHT); the
+# number of fixed components (MAX_COMPONENTS).  At every bound at once
+# (32 isolated points, each with normals and V of rank 16 at weight +-16)
+# `rigidity --operator all --order 16` takes 11-13 s on a 2-core VM; at
+# rank 64, two such points at weight +-1 took 15 s.
+MAX_RANK = 16
+MAX_WEIGHT = 16
+MAX_COMPONENTS = 32
 
 
 class DatasetFormatError(Exception):
@@ -57,11 +64,16 @@ def _optional_int(obj: dict, key: str, path: str) -> int | None:
     return None if obj.get(key) is None else _field(obj, key, int, path)
 
 
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+
+
 def parse_rational(s, path: str) -> Fraction:
+    """An integer or a "p/q" string; no decimal or exponent forms, whose
+    parsing alone can take unbounded time ("1e999999999")."""
     try:
         if isinstance(s, int) and not isinstance(s, bool):
             return Fraction(s)
-        if isinstance(s, str):
+        if isinstance(s, str) and _RATIONAL_RE.fullmatch(s.replace(" ", "")):
             return Fraction(s.replace(" ", ""))
     except (ValueError, ZeroDivisionError):
         pass
@@ -161,6 +173,8 @@ def _check_ring(gens, cap: int, path: str):
 
 
 def _check_rank(rank: int, path: str):
+    """``rank`` is a fiber half-dimension or the total rank of a bundle
+    list up to the bundle at ``path``."""
     if rank > MAX_RANK:
         raise DatasetFormatError(path, "%d is above the rank bound %d" % (rank, MAX_RANK))
 
@@ -180,11 +194,15 @@ def _gen_list(raw, path: str) -> tuple[tuple[str, int], ...]:
 
 def _parse_bundles(raw, gens, cap, path: str) -> tuple[RootBundle, ...]:
     out = []
+    total = 0
     for i, b in enumerate(raw):
         p = "%s[%d]" % (path, i)
         if not isinstance(b, dict):
             raise DatasetFormatError(p, "bundle entries are objects")
         weight = parse_rational(b.get("weight", "0"), p + ".weight")
+        if abs(weight) > MAX_WEIGHT:
+            raise DatasetFormatError(p + ".weight", "%s is above the weight bound %d in "
+                                     "absolute value" % (weight, MAX_WEIGHT))
         rank = _field(b, "rank", int, p)
         roots_raw = _field(b, "roots", list, p)
         if rank is None:
@@ -192,7 +210,8 @@ def _parse_bundles(raw, gens, cap, path: str) -> tuple[RootBundle, ...]:
                 raise DatasetFormatError(p, "need rank or roots")
             rank = len(roots_raw)
         # bounded before the roots are built or parsed
-        _check_rank(rank, p + (".rank" if "rank" in b else ".roots"))
+        total += rank
+        _check_rank(total, p + (".rank" if "rank" in b else ".roots"))
         if roots_raw is None:
             roots_raw = ["0"] * rank
         if len(roots_raw) != rank:
@@ -221,8 +240,12 @@ def parse_dataset(obj: dict) -> ActionData:
     if base_cap % 2:
         raise DatasetFormatError("$.base_degree_cap", "must be even")
     _check_ring(base_gens, base_cap, "$.base_degree_cap")
+    comps_raw = _field(obj, "components", list, "$", [])
+    if len(comps_raw) > MAX_COMPONENTS:
+        raise DatasetFormatError("$.components", "%d components are above the bound %d"
+                                 % (len(comps_raw), MAX_COMPONENTS))
     comps = []
-    for ci, c in enumerate(_field(obj, "components", list, "$", [])):
+    for ci, c in enumerate(comps_raw):
         path = "$.components[%d]" % ci
         if not isinstance(c, dict):
             raise DatasetFormatError(path, "components are objects")
@@ -251,6 +274,8 @@ def parse_dataset(obj: dict) -> ActionData:
                             and nm not in seen:
                         seen.append(nm)
             fiber_gens = tuple((nm, 2) for nm in seen)
+        if k_alpha < 0:
+            raise DatasetFormatError(path, "k_alpha %d is negative" % k_alpha)
         gens = fiber_gens + base_gens
         cap = 2 * k_alpha + base_cap
         _check_ring(gens, cap, path)

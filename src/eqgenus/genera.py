@@ -1,35 +1,41 @@
 """Characteristic-class integrands for the elliptic operator families.
 
+Each family is a quotient of Jacobi theta functions (``_FAMILIES``): a
+numerator over the lines of TX (theta1, theta2, theta3 or theta'(0)) or
+over the lines of V (theta, theta1, theta2 or theta3), divided by theta
+over every line of TX.  The dim-normalized variants put theta'(0) on TX
+and divide each V factor by its value at 0 (theta'(0) for theta).  One
+table (``_NUMERATORS``) gives each numerator's per-line factors and its
+powers of E^{1/2}, c(q) and q^{1/8}; everything else is derived.
+
 Two independent realizations of each integrand are provided:
 
 * ``theta_quotient_integrand`` -- the closed product form built from the
   factorizations of the four theta functions.  With the Chern roots
   normalized so 2 pi i is absorbed into the degree-2 generators, every
   constant of 2 pi and i cancels identically and the coefficients are
-  honest rational functions of w.  One recipe interpreter builds it
-  over one carrier, ``GradedElement``, through two backends that differ
-  only in their coefficient ring: the exact q-series backend serves
-  this function and the numeric backend serves ``numeric_integrand``,
-  the same product at a point (t, tau), on complex jets.  The backends
-  supply the w-power (a Laurent monomial or the complex number
-  w^{2m}), the scalar field of the constants 1/k! (Fraction or float),
-  the lift into the product ring (q-series or the jet itself) and the
-  keys of the q-products (a finite range or a certified stopping rule).
+  honest rational functions of w.  One interpreter builds it over one
+  carrier, ``GradedElement``, through two backends that differ only in
+  their coefficient ring: the exact q-series backend serves this
+  function and the numeric backend serves ``numeric_integrand``, the
+  same product at a point (t, tau), on complex jets.  The backends
+  supply the w-power (a Laurent monomial or the complex number w^{2m}),
+  the scalar field of the constants 1/k! (Fraction or float), the lift
+  into the product ring (q-series or the jet itself) and the keys of
+  the q-products (a finite range or a certified stopping rule).
 
-  Every family divides by the same theta denominator, a property of the
-  fixed component, not of the recipe; the recipes differ only in their
-  numerators and scalar powers.  The denominator factors as L * U.  L is
-  the q-free product of the factors (1 - w^{-2m} e^{-x}) over the normal
-  lines; U (the sigma units and the pair products, times the recipe's
-  c(q) and null values) is a unit series: its q^0 coefficient has scalar
-  part 1.  So 1/U, the numerator and every product run over Laurent
-  polynomials in w, with no gcd.  So does L^{-1} = adj(L) / s^{J+1}, s
-  the scalar part of L and J = cap // 2, and the rational-function field
-  enters once: each output coefficient is multiplied by adj(L) and
-  reduced over s^{J+1}, one reduction per coefficient on every
-  component, families included.  Canonical forms of reduced quotients
-  are unique, so the result equals the term-by-term reduced computation
-  exactly.
+  The theta denominator is a property of the fixed component, not of
+  the family.  It factors as L * U.  L is the q-free product of the
+  factors (1 - w^{-2m} e^{-x}) over the normal lines; U (the sigma
+  units and the pair products, times the family's c(q) and null values)
+  is a unit series: its q^0 coefficient has scalar part 1.  So 1/U, the
+  numerator and every product run over Laurent polynomials in w, with
+  no gcd.  So does L^{-1} = adj(L) / s^{J+1}, s the scalar part of L and
+  J = cap // 2, and the rational-function field enters once: each
+  output coefficient is multiplied by adj(L) and reduced over s^{J+1},
+  one reduction per coefficient on every component, families included.
+  Canonical forms of reduced quotients are unique, so the result equals
+  the term-by-term reduced computation exactly.
 
 * ``witten_element_ch`` plus ``a_hat`` / spinor characters -- the
   exterior/symmetric-power expansion, assembled term by term in q.
@@ -65,7 +71,7 @@ from .algebra import (
     series_invert,
     series_mul,
 )
-from .theta import NonconvergentDomain, series_product, unit_product
+from .theta import PAIR_GRID, NonconvergentDomain, ThetaKind, series_product, unit_product
 
 
 class ZeroWeightNormalBundle(Exception):
@@ -84,17 +90,13 @@ class OperatorKind(Enum):
 
     @property
     def needs_v(self) -> bool:
-        return self in (OperatorKind.DeltaVThetaPrime, OperatorKind.DVThetaQ,
-                        OperatorKind.DVThetaMinusQ, OperatorKind.DVStarDifference)
+        return _FAMILIES[self][1] is not None
 
     @property
     def supports_normalized(self) -> bool:
-        return self.needs_v or self is OperatorKind.WittenH
-
-
-NON_V_KINDS = (OperatorKind.DsThetaPrime, OperatorKind.DThetaQ, OperatorKind.DThetaMinusQ)
-V_KINDS = (OperatorKind.DeltaVThetaPrime, OperatorKind.DVThetaQ,
-           OperatorKind.DVThetaMinusQ, OperatorKind.DVStarDifference)
+        """Whether normalizing (theta'(0) on TX) keeps the family: TX
+        carries no theta of its lines."""
+        return _FAMILIES[self][0] in (None, _THETA_PRIME_0)
 
 
 @dataclass(frozen=True)
@@ -140,82 +142,43 @@ def _sigma(y: GradedElement, field=Fraction) -> GradedElement:
 
 
 # ---------------------------------------------------------------------------
-# the recipe interpreter
+# the families as theta quotients
 
 
-@dataclass(frozen=True)
-class _Recipe:
-    """What one operator family puts over the shared theta denominator.
+# theta'(0) = c(q)^3 q^{1/8}, in the units of ``theta`` (D_v = (2 pi i)^{-1} d/dv)
+_THETA_PRIME_0 = "theta'(0)"
 
-    Every family divides by the same denominator, a property of the fixed
-    component: L * U with L = prod (1 - E^{-1}) over the normal lines and
-    U = sigma * pairs- over the tangent lines times pairs- over the normal
-    lines (``_interpret`` builds both).  A recipe lists only what differs:
-    per-root numerator tokens, strays, and the scalar powers.
-
-    Tokens: "pairs+/-" are the integer-grid pair products, "half+/-" the
-    half-grid ones, "lin+/-" the factors (1 +- E^{-1}), "cosh" the unit
-    e^{y/2} + e^{-y/2}.  Strays count powers of E^{1/2}; c_* count powers
-    of c(q) and q8_* powers of q^{1/8}, per line of TX (tangent and normal
-    lines alike) or of V.
-    """
-
-    tangent_num: tuple[str, ...] = ()
-    normal_num: tuple[str, ...] = ()
-    v_num: tuple[str, ...] = ()
-    v_scalar_den: tuple[str, ...] = ()
-    stray_normal: int = 0
-    stray_v: int = 0
-    c_tx: int = 0
-    c_v: int = 0
-    q8_tx: int = 0
-    q8_v: int = 0
-    half_per_v: bool = False
-
-
-_H_ROWS = dict(stray_normal=-1, c_tx=2)
-
-# the raw V families: c(q)^{-1} and q^{-1/8} per line of TX
-_V_ROWS = dict(stray_normal=-1, c_tx=-1, q8_tx=-1)
-
-_RAW: dict[OperatorKind, _Recipe] = {
-    OperatorKind.DsThetaPrime: _Recipe(
-        tangent_num=("cosh", "pairs+"), normal_num=("lin+", "pairs+")),
-    OperatorKind.DThetaQ: _Recipe(
-        tangent_num=("half-",), normal_num=("half-",), stray_normal=-1, q8_tx=-1),
-    OperatorKind.DThetaMinusQ: _Recipe(
-        tangent_num=("half+",), normal_num=("half+",), stray_normal=-1, q8_tx=-1),
-    OperatorKind.DeltaVThetaPrime: _Recipe(
-        **_V_ROWS, v_num=("lin+", "pairs+"), stray_v=1, c_v=1, q8_v=1),
-    OperatorKind.DVThetaQ: _Recipe(**_V_ROWS, v_num=("half-",), c_v=1),
-    OperatorKind.DVThetaMinusQ: _Recipe(**_V_ROWS, v_num=("half+",), c_v=1),
-    OperatorKind.DVStarDifference: _Recipe(
-        **_V_ROWS, v_num=("lin-", "pairs-"), stray_v=1, c_v=1, q8_v=1),
-    OperatorKind.WittenH: _Recipe(**_H_ROWS),
+# Each numerator: (tokens on a weighted line, tokens on a weight-0 tangent
+# line, power of E^{1/2} on a weighted line, powers of c(q) and q^{1/8} on
+# every line).  A ThetaKind token is that theta's pair product
+# (``theta.PAIR_GRID``), "lin+-" the factor 1 +- E^{-1} and "cosh" the unit
+# e^{y/2} + e^{-y/2}; theta sits on the tangent only in the denominator,
+# where y / theta(y) = 1 / (sigma pairs).
+_NUMERATORS = {
+    ThetaKind.Theta: (("lin-", ThetaKind.Theta), None, 1, 1, 1),
+    ThetaKind.Theta1: (("lin+", ThetaKind.Theta1), ("cosh", ThetaKind.Theta1), 1, 1, 1),
+    ThetaKind.Theta2: ((ThetaKind.Theta2,), (ThetaKind.Theta2,), 0, 1, 0),
+    ThetaKind.Theta3: ((ThetaKind.Theta3,), (ThetaKind.Theta3,), 0, 1, 0),
+    _THETA_PRIME_0: ((), (), 0, 3, 1),
+    None: ((), (), 0, 0, 0),
 }
 
-_VNORM: dict[OperatorKind, _Recipe] = {
-    OperatorKind.DeltaVThetaPrime: _Recipe(
-        **_H_ROWS, v_num=("lin+", "pairs+"), stray_v=1,
-        v_scalar_den=("null-plus-int",), half_per_v=True),
-    OperatorKind.DVThetaQ: _Recipe(
-        **_H_ROWS, v_num=("half-",), v_scalar_den=("null-minus-half",)),
-    OperatorKind.DVThetaMinusQ: _Recipe(
-        **_H_ROWS, v_num=("half+",), v_scalar_den=("null-plus-half",)),
-    OperatorKind.DVStarDifference: _Recipe(
-        **_H_ROWS, v_num=("lin-", "pairs-"), stray_v=1, c_v=-2),
-    OperatorKind.WittenH: _Recipe(**_H_ROWS),
+# Each family: (numerator over every line of TX, numerator over every line
+# of V), both divided by theta over every line of TX.  The dim-normalized
+# variant puts theta'(0) on TX and divides each V factor by its value at 0.
+_FAMILIES = {
+    OperatorKind.DsThetaPrime: (ThetaKind.Theta1, None),
+    OperatorKind.DThetaQ: (ThetaKind.Theta2, None),
+    OperatorKind.DThetaMinusQ: (ThetaKind.Theta3, None),
+    OperatorKind.DeltaVThetaPrime: (None, ThetaKind.Theta1),
+    OperatorKind.DVThetaQ: (None, ThetaKind.Theta2),
+    OperatorKind.DVThetaMinusQ: (None, ThetaKind.Theta3),
+    OperatorKind.DVStarDifference: (None, ThetaKind.Theta),
+    OperatorKind.WittenH: (_THETA_PRIME_0, None),
 }
 
-
-def _recipe(kind: OperatorKind, normalized: bool) -> _Recipe:
-    if kind is OperatorKind.WittenH:
-        return _RAW[kind]
-    if normalized:
-        if not kind.supports_normalized:
-            raise ValueError("%s has no dim-normalized variant" % kind.value)
-        return _VNORM[kind]
-    return _RAW[kind]
+NON_V_KINDS = tuple(k for k in OperatorKind if isinstance(_FAMILIES[k][0], ThetaKind))
+V_KINDS = tuple(k for k in OperatorKind if k.needs_v)
 
 
 def _iter_lines(bundles) -> list[tuple[int, GradedElement]]:
@@ -245,16 +208,11 @@ def _fold_strays(series: QSeries, stray_w: Fraction, stray_cls: GradedElement) -
     return series.scale(_half_character(stray_w, stray_cls, WLaurentRational.w, Fraction))
 
 
-# (first key, sign) of the pair-product tokens and the null-value squares
-_PAIRS = {"pairs+": (8, 1), "pairs-": (8, -1), "half+": (4, 1), "half-": (4, -1)}
-_NULLWERT = {"null-plus-int": (8, 1), "null-minus-half": (4, -1), "null-plus-half": (4, 1)}
-
-
-def _token(be, tok: str, tw: int, x: GradedElement):
-    """One per-line numerator factor of a recipe in the backend's product
-    ring; x is the line's root in the backend's coefficient ring."""
-    if tok in _PAIRS:
-        first, sign = _PAIRS[tok]
+def _token(be, tok, tw: int, x: GradedElement):
+    """One per-line numerator factor in the backend's product ring; x is
+    the line's root in the backend's coefficient ring."""
+    if isinstance(tok, ThetaKind):
+        first, sign = PAIR_GRID[tok]
         return be.product(be.one, first, (_line(tw, x, be, be.field) * sign,
                                           _line(-tw, -x, be, be.field) * sign))
     if tok == "lin+":
@@ -273,20 +231,29 @@ def _lin_minus(be, tw: int, x: GradedElement):
 
 
 def _interpret(kind: OperatorKind, component, normalized: bool, backend):
-    """Walk the recipe of (kind, normalized) over one fixed component.
+    """Build the theta quotient of (kind, normalized) over one fixed component.
 
     ``backend(q8_shift, lines)`` builds the coefficient backend once the
     shape of the component is known; each root enters its coefficient
     ring once (``root``).  Returns (num, den, lin, q8_shift): the
-    integrand is num / (den * lin) times q^{q8_shift/8}.  ``lin`` = L and
-    ``den`` = U times the recipe's scalar denominators, the shared theta
-    denominator of ``_Recipe``; ``lin`` is q-free, an unlifted
-    coefficient, and ``den`` is a series whose q^0 coefficient has scalar
-    part 1, so it inverts without dividing by any function of w.  The
-    half-character of the strays and the recipe's 2^{-halves} are folded
-    into ``num``.
+    integrand is num / (den * lin) times q^{q8_shift/8}.
+
+    The theta denominator over TX is the same for every family: on a
+    weighted line theta = c(q) q^{1/8} E^{1/2} (1 - E^{-1}) pairs, and on
+    the tangent y / theta(y) = 1 / (c(q) q^{1/8} sigma(y) pairs).  ``lin``
+    = L, the q-free product of the (1 - E^{-1}), and ``den`` = U (the sigma
+    units and the pair products) times the scalar denominators; ``lin`` is
+    an unlifted coefficient, and ``den`` is a series whose q^0 coefficient
+    has scalar part 1, so it inverts without dividing by any function of
+    w.  The numerators and the scalar powers come from ``_NUMERATORS``;
+    the half-character of the strays and the 1/2 of each theta1(0) are
+    folded into ``num``.
     """
-    rec = _recipe(kind, normalized)
+    tx_num, v_num = _FAMILIES[kind]
+    if normalized:
+        if not kind.supports_normalized:
+            raise ValueError("%s has no dim-normalized variant" % kind.value)
+        tx_num = _THETA_PRIME_0
     tangent = component.tangent
     if tangent is not None and tangent.rank and tangent.weight != 0:
         raise ValueError("tangent part must have weight 0")
@@ -297,12 +264,22 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     if kind.needs_v and not component.vbundles:
         raise ValueError("%s requires V-bundle data" % kind.value)
 
+    on_line, on_tangent, tx_stray, tx_c, tx_q8 = _NUMERATORS[tx_num]
+    v_toks, _, v_stray, v_c, v_q8 = _NUMERATORS[v_num]
+    _, _, den_stray, den_c, den_q8 = _NUMERATORS[ThetaKind.Theta]
+    null_toks = ()
+    if normalized:
+        # theta vanishes at 0; its value there is theta'(0)
+        null_toks, _, _, null_c, null_q8 = _NUMERATORS[
+            _THETA_PRIME_0 if v_num is ThetaKind.Theta else v_num]
+        v_c, v_q8 = v_c - null_c, v_q8 - null_q8
     parts = (_iter_lines([tangent] if tangent is not None else []),
              _iter_lines(component.normals),
              _iter_lines(component.vbundles) if kind.needs_v else [])
     n_tx, n_v = len(parts[0]) + len(parts[1]), len(parts[2])
-    q8_shift = rec.q8_tx * n_tx + rec.q8_v * n_v
-    c_power = rec.c_tx * n_tx + rec.c_v * n_v
+    q8_shift = (tx_q8 - den_q8) * n_tx + v_q8 * n_v
+    c_power = (tx_c - den_c) * n_tx + v_c * n_v
+    halves = n_v * null_toks.count("lin+")
     be = backend(q8_shift, n_tx + n_v)
     t_lines, n_lines, v_lines = ([(tw, be.root(x)) for tw, x in lines] for lines in parts)
 
@@ -310,31 +287,31 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     den = be.lift(be.one)
     lin = be.one
     for tw, x in t_lines:
-        den = den * be.lift(_sigma(x, be.field)) * _token(be, "pairs-", tw, x)
+        den = den * be.lift(_sigma(x, be.field)) * _token(be, ThetaKind.Theta, tw, x)
     for tw, x in n_lines:
         lin = lin * _lin_minus(be, tw, x)
-        den = den * _token(be, "pairs-", tw, x)
+        den = den * _token(be, ThetaKind.Theta, tw, x)
 
     num = be.lift(be.one)
     stray_w = Fraction(0)
     stray_cls = GradedElement.zero(component.gens, component.cap)
-    for lines, toks, stray in ((t_lines, rec.tangent_num, 0),
-                               (n_lines, rec.normal_num, rec.stray_normal),
-                               (v_lines, rec.v_num, rec.stray_v)):
+    for lines, toks, stray in ((t_lines, on_tangent, 0),
+                               (n_lines, on_line, tx_stray - den_stray),
+                               (v_lines, v_toks, v_stray)):
         for tw, x in lines:
             for tok in toks:
                 num = num * _token(be, tok, tw, x)
             if stray:
                 stray_w += Fraction(stray * tw, 2)
                 stray_cls = stray_cls + x * stray
-    if stray_w or stray_cls or rec.half_per_v:
+    if stray_w or stray_cls or halves:
         mult = _half_character(stray_w, stray_cls, be.w, be.field)
-        if rec.half_per_v:
-            mult = mult * (be.field(1) / 2 ** n_v)
+        if halves:
+            mult = mult * (be.field(1) / 2 ** halves)
         num = num * be.lift(mult)
 
-    # c(q)^|c_power| and the null-value squares stay in the scalar ring
-    # and are lifted once
+    # c(q)^|c_power| and the null values' pair products stay in the scalar
+    # ring and are lifted once
     scalar_den = None
     if c_power:
         cq = be.product(be.scalar_one, 8, (-1,) * abs(c_power))
@@ -342,10 +319,11 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
             num = num * be.lift_scalar(cq)
         else:
             scalar_den = cq
-    for tok in rec.v_scalar_den:
-        first, c = _NULLWERT[tok]
-        null = be.product(be.scalar_one, first, (c, c) * n_v)
-        scalar_den = null if scalar_den is None else scalar_den * null
+    for tok in null_toks:
+        if isinstance(tok, ThetaKind):
+            first, sign = PAIR_GRID[tok]
+            null = be.product(be.scalar_one, first, (sign, sign) * n_v)
+            scalar_den = null if scalar_den is None else scalar_den * null
     if scalar_den is not None:
         den = den * be.lift_scalar(scalar_den)
     return num, den, lin, q8_shift
@@ -432,18 +410,15 @@ def a_hat(tangent: RootBundle, gens=None, cap=None) -> GradedElement:
     return out
 
 
-def chern_character(bundle: RootBundle, gens=None, cap=None,
-                    g_weight_as_w_power: bool = True) -> GradedElement:
-    """Equivariant Chern character: sum over roots of w^{2m} e^{x_j};
-    with g_weight_as_w_power=False the group element is dropped and the
-    plain Chern character remains."""
+def chern_character(bundle: RootBundle, gens=None, cap=None) -> GradedElement:
+    """Equivariant Chern character: sum over roots of w^{2m} e^{x_j}."""
     if bundle.roots:
         gens, cap = bundle.roots[0].gens, bundle.roots[0].cap
     if gens is None:
         raise ValueError("empty bundle needs explicit gens/cap")
     out = GradedElement.zero(gens, cap)
     for x in bundle.roots:
-        out = out + (_line(bundle.tw, x) if g_weight_as_w_power else graded_exp(x))
+        out = out + _line(bundle.tw, x)
     return out
 
 
@@ -660,7 +635,7 @@ def oracle_expand_vs_closed(kind: OperatorKind, component, n8_small: int,
 
 
 # ---------------------------------------------------------------------------
-# the numeric backend of the recipe interpreter
+# the numeric backend of the interpreter
 
 
 class _JetBackend:
@@ -723,7 +698,7 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
                       eps: float, normalized: bool = False) -> GradedElement:
     """Evaluate the theta-quotient integrand at numeric (t, tau) as a jet:
     a graded element with complex coefficients over the component's
-    generators.  Same recipe walk as the formal path."""
+    generators.  Same interpreter as the formal path."""
     num, den, lin, q8_shift = _interpret(
         kind, component, normalized,
         lambda _q8_shift, lines: _JetBackend(component, t, tau, eps, lines))

@@ -201,6 +201,9 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None, lattice_vectors=None,
 # ---------------------------------------------------------------------------
 # argument-principle zero counting
 
+# each cell edge starts as this many panels before adaptive splitting
+PANELS = 32
+
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
@@ -254,8 +257,7 @@ def _panel_integral(F, tau, a: complex, b: complex, h: float, nodes) -> complex:
     return total * half
 
 
-def _edge_integral(F, tau, a: complex, b: complex, h: float, panels: int,
-                   zero_floor: float) -> complex:
+def _edge_integral(F, tau, a: complex, b: complex, h: float, zero_floor: float) -> complex:
     nodes = _gauss_legendre(16)
     total = 0j
 
@@ -274,15 +276,14 @@ def _edge_integral(F, tau, a: complex, b: complex, h: float, panels: int,
             raise BoundaryZero("phase jump did not subdivide away")
         total += _panel_integral(F, tau, x0, x1, h, nodes)
 
-    pts = [a + (b - a) * i / panels for i in range(panels + 1)]
+    pts = [a + (b - a) * i / PANELS for i in range(PANELS + 1)]
     vals = [F(p, tau) for p in pts]
-    for i in range(panels):
+    for i in range(PANELS):
         rec(pts[i], pts[i + 1], vals[i], vals[i + 1], 0)
     return total
 
 
-def count_zeros(F, tau: complex, cell: tuple[complex, complex, complex],
-                eps: float = 1e-9, panels: int = 32) -> ZeroCountResult:
+def count_zeros(F, tau: complex, cell: tuple[complex, complex, complex]) -> ZeroCountResult:
     """(1/2 pi i) of the contour integral of F'/F around the cell
     (origin, v1, v2); F' by central differences, panels split adaptively
     whenever the phase of F jumps by more than pi/2.
@@ -316,7 +317,7 @@ def count_zeros(F, tau: complex, cell: tuple[complex, complex, complex],
             total = 0j
             corners = [base, base + v1, base + v1 + v2, base + v2, base]
             for a, b in zip(corners, corners[1:]):
-                total += _edge_integral(F, tau, a, b, h, panels, zero_floor)
+                total += _edge_integral(F, tau, a, b, h, zero_floor)
             count = total / (2j * math.pi)
             return ZeroCountResult(count.real, False, attempt, abs(count.imag))
         except BoundaryZero:

@@ -326,9 +326,6 @@ class GenusResult:
         return bridge_to_index_character(self.kind, self.normalized,
                                          self.bridge_k, self.v_rank, self.series)
 
-    def degree_component(self, p2: int) -> dict[str, QSeries]:
-        return degree_component(self, p2)
-
 
 def component_contribution(data: ActionData, comp: FixedComponent,
                            kind: OperatorKind, n8: int, normalized: bool = False) -> QSeries:

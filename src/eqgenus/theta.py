@@ -83,6 +83,11 @@ def series_product(acc: QSeries, one, first: int, coeffs) -> QSeries:
                         lambda k, c: QSeries({0: one, k: c}, n8))
 
 
+# (first key, sign) of each kind's pairs prod (1 + sign q^{k/8} e^{+-2 pi i v}), k += 8
+PAIR_GRID = {ThetaKind.Theta: (8, -1), ThetaKind.Theta1: (8, 1),
+             ThetaKind.Theta2: (4, -1), ThetaKind.Theta3: (4, 1)}
+
+
 @lru_cache(maxsize=None)
 def _char_series(kind: ThetaKind, n8: int) -> tuple[int, QSeries]:
     """Expansion of theta_kind(v, tau) over the half-character s = e^{pi i v}.
@@ -93,13 +98,12 @@ def _char_series(kind: ThetaKind, n8: int) -> tuple[int, QSeries]:
     """
     one = WLaurentPoly.one()
     acc = series_product(QSeries({0: one}, n8), one, 8, (WLaurentPoly.const(-1),))
-    sgn = -1 if kind in (ThetaKind.Theta, ThetaKind.Theta2) else 1
-    pair = (WLaurentPoly.w(2, sgn), WLaurentPoly.w(-2, sgn))
-    if kind in (ThetaKind.Theta, ThetaKind.Theta1):
-        acc = series_product(acc, one, 8, pair)
-        unit = WLaurentPoly({1: Fraction(1), -1: Fraction(sgn)})
-        return (-1 if kind is ThetaKind.Theta else 0), acc.scale(unit).shift_q8(1).truncate(n8)
-    return 0, series_product(acc, one, 4, pair)
+    first, sgn = PAIR_GRID[kind]
+    acc = series_product(acc, one, first, (WLaurentPoly.w(2, sgn), WLaurentPoly.w(-2, sgn)))
+    if first == 4:
+        return 0, acc
+    unit = WLaurentPoly({1: Fraction(1), -1: Fraction(sgn)})
+    return (-1 if kind is ThetaKind.Theta else 0), acc.scale(unit).shift_q8(1).truncate(n8)
 
 
 def _subst_char(poly: WLaurentPoly, m: Fraction, k: int) -> WLaurentRational:
@@ -221,16 +225,14 @@ def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> comp
     z = cmath.exp(2j * math.pi * t)
     s = cmath.exp(1j * math.pi * t)
     mz = max(abs(z), 1 / abs(z))
+    first, sgn = PAIR_GRID[kind]
+    delta = (8 - first) / 8
     if kind is ThetaKind.Theta:
         prod = cmath.exp(2j * math.pi * tau / 8) * (-1j) * (s - 1 / s)
-        sgn, delta = -1.0, 0.0
     elif kind is ThetaKind.Theta1:
         prod = cmath.exp(2j * math.pi * tau / 8) * (s + 1 / s)
-        sgn, delta = 1.0, 0.0
-    elif kind is ThetaKind.Theta2:
-        prod, sgn, delta = 1 + 0j, -1.0, 0.5
     else:
-        prod, sgn, delta = 1 + 0j, 1.0, 0.5
+        prod = 1 + 0j
     zi = 1 / z
     # at step n: qn = q^n, qz = q^{n - delta}, head = |q|^{n+1-delta} (1 + 2 mz)
     qn, qz = q, (qh if delta else q)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -133,6 +134,15 @@ def _set_generator_name_null(d):
     d["base_generators"][0]["name"] = None
 
 
+def _set_weight_decimal(d):
+    d["components"][0]["normals"][0]["weight"] = "0.5"
+
+
+def _set_k_alpha_negative(d):
+    # the degree cap 2 k_alpha + base_degree_cap stays nonnegative
+    d["components"][0]["k_alpha"] = -1
+
+
 @pytest.mark.parametrize("mutate, json_path", [
     (_set_sign_null, "$.components[0].sign"),
     (_set_roots_int, "$.components[0].normals[0].roots"),
@@ -141,6 +151,8 @@ def _set_generator_name_null(d):
     (_set_fiber_half_dim_list, "$.fiber_half_dim"),
     (_set_weight_true, "$.components[0].normals[0].weight"),
     (_set_generator_name_null, "$.base_generators[0]"),
+    (_set_weight_decimal, "$.components[0].normals[0].weight"),
+    (_set_k_alpha_negative, "$.components[0]"),
 ])
 def test_mistyped_field_exit_2_with_path(capsys, tmp_path, mutate, json_path):
     payload = dataset_to_json(builtin("s2-family-base").data)
@@ -167,6 +179,31 @@ def _set_rank_without_roots(rank):
         normal = d["components"][0]["normals"][0]
         normal.pop("roots", None)
         normal["rank"] = rank
+    return mutate
+
+
+def _scale_weights(factor):
+    # every normal and V weight times factor: still valid data
+    def mutate(d):
+        for c in d["components"]:
+            for b in c["normals"] + c["v"]:
+                b["weight"] = str(int(b["weight"]) * factor)
+    return mutate
+
+
+def _set_weight_exponent(d):
+    d["components"][0]["normals"][0]["weight"] = "1e999999999"
+
+
+def _repeat_components(times):
+    def mutate(d):
+        d["components"] = d["components"] * times
+    return mutate
+
+
+def _add_v_lines(count):
+    def mutate(d):
+        d["components"][0]["v"] += [{"weight": "0", "rank": 1}] * count
     return mutate
 
 
@@ -198,8 +235,19 @@ def _limit_memory():
      "$.components[0].normals[0].rank"),
     (_set_rank_without_roots(10 ** 9), ["expand", "--operator", "dv-theta-q", "--order", "8"],
      "$.components[0].normals[0].rank"),
+    (_add_v_lines(16), ["expand", "--operator", "dv-theta-q", "--order", "8"],
+     "$.components[0].v[16].rank"),
+    (_scale_weights(10 ** 5), ["expand", "--operator", "dv-theta-q", "--order", "8"],
+     "$.components[0].normals[0].weight"),
+    (_scale_weights(10 ** 5), ["rigidity", "--operator", "all", "--order", "16"],
+     "$.components[0].normals[0].weight"),
+    (_set_weight_exponent, ["expand", "--operator", "dv-theta-q", "--order", "8"],
+     "$.components[0].normals[0].weight"),
+    (_repeat_components(10 ** 4), ["expand", "--operator", "dv-theta-q", "--order", "8"],
+     "$.components"),
 ], ids=["base-cap-expand", "base-cap-jacobi", "k-alpha-expand", "rank-1e6-expand",
-        "rank-1e9-expand"])
+        "rank-1e9-expand", "v-total-rank-expand", "weight-1e5-expand", "weight-1e5-rigidity",
+        "weight-exponent-expand", "components-1e4-expand"])
 def test_oversized_ring_exit_2_with_path(tmp_path, mutate, argv, json_path):
     # without the bound these commands run unbounded, so they run in a
     # separate process under a timeout and a 1 GB address-space limit
@@ -214,6 +262,45 @@ def test_oversized_ring_exit_2_with_path(tmp_path, mutate, argv, json_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("parse error: %s: " % json_path)
+
+
+def _field_paths(node, path=()):
+    """Every key or index path of a JSON value, containers included."""
+    out = [path] if path else []
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        out += _field_paths(child, path + (key,))
+    return out
+
+
+_FUZZ_VALUES = [None, True, False, 0.5, -2.5, "", "x", "1/0", "1e999999999", "-99999999",
+                [], [0], ["b"], {}, -1, -(10 ** 12), 10 ** 12, 2 ** 64]
+
+
+def test_fuzz_single_field_mutations(capsys, tmp_path):
+    # 200 seeded single-field mutations of s2-family-base: each run ends in
+    # an exit code, never in an exception or an unbounded computation
+    base = dataset_to_json(builtin("s2-family-base").data)
+    paths = _field_paths(base)
+    rng = random.Random(4)
+    path_file = tmp_path / "mutant.json"
+    codes = []
+    for _ in range(200):
+        payload = json.loads(json.dumps(base))
+        *parents, key = rng.choice(paths)
+        node = payload
+        for p in parents:
+            node = node[p]
+        node[key] = value = rng.choice(_FUZZ_VALUES)
+        path_file.write_text(json.dumps(payload))
+        code = main(["expand", "--input", str(path_file), "--operator", "dv-theta-q",
+                     "--order", "8"])
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4), (parents, key, value, code)
+        codes.append(code)
+    # the mutations reach every stage: parsing, validation and computing
+    assert {0, 2, 3} <= set(codes)
 
 
 def test_rigidity_corrupted_dataset(capsys, tmp_path):

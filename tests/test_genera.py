@@ -240,6 +240,52 @@ def recipe_id(recipe):
     return kind.value + ("-normalized" if normalized else "")
 
 
+# the paper's families: (numerator over each TX line, numerator over each
+# V line), both over theta on each TX line; "d0" is theta'(0)
+PAPER_FAMILIES = {
+    OperatorKind.DsThetaPrime: (ThetaKind.Theta1, None),
+    OperatorKind.DThetaQ: (ThetaKind.Theta2, None),
+    OperatorKind.DThetaMinusQ: (ThetaKind.Theta3, None),
+    OperatorKind.DeltaVThetaPrime: (None, ThetaKind.Theta1),
+    OperatorKind.DVThetaQ: (None, ThetaKind.Theta2),
+    OperatorKind.DVThetaMinusQ: (None, ThetaKind.Theta3),
+    OperatorKind.DVStarDifference: (None, ThetaKind.Theta),
+    OperatorKind.WittenH: ("d0", None),
+}
+
+
+@pytest.mark.parametrize("kind,normalized", RECIPES, ids=map(recipe_id, RECIPES))
+def test_recipe_is_the_papers_theta_quotient(kind, normalized):
+    # prod_TX num_TX(m) prod_V theta_v(n) / prod_TX theta(m), normalized:
+    # theta'(0) on TX and each V factor over its value at 0
+    from eqgenus.theta import theta_taylor
+    n8 = 40
+    d0 = theta_taylor(ThetaKind.Theta, 0, 1, n8).entries[1]
+
+    def S(num, m):
+        return d0 if num == "d0" else theta_formal(num, m, n8).series
+
+    comp = point(1, 2, v=((1, 1), (2, 1)))
+    tx_num, v_num = PAPER_FAMILIES[kind]
+    if normalized:
+        tx_num = "d0"
+    expect = QSeries({0: WLaurentRational.const(1)}, n8)
+    for nb in comp.normals:
+        m = nb.weight
+        if tx_num is not None:
+            expect = series_mul(expect, S(tx_num, m))
+        expect = series_mul(expect, series_invert(S(ThetaKind.Theta, m)))
+    if v_num is not None:
+        for vb in comp.vbundles:
+            expect = series_mul(expect, S(v_num, vb.weight))
+            if normalized:
+                null = "d0" if v_num is ThetaKind.Theta else v_num
+                expect = series_mul(expect, series_invert(S(null, 0)))
+    got = as_wrat(scalar_series(theta_quotient_integrand(kind, comp, 24, normalized)))
+    assert expect.n8 >= 24
+    assert got.agrees_with(expect, up_to=24)
+
+
 @pytest.mark.parametrize("kind,normalized", RECIPES, ids=map(recipe_id, RECIPES))
 def test_numeric_matches_formal_point(kind, normalized):
     from eqgenus.theta import evaluate_formal
