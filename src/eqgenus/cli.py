@@ -19,7 +19,7 @@ from .algebra import (
     QSeries,
 )
 from .catalog import UnknownEntry, builtin, names as catalog_names
-from .dataset import DatasetFormatError, dataset_to_json, load_dataset
+from .dataset import DatasetFormatError, dataset_to_json, load_dataset, parse_rational
 from .genera import NON_V_KINDS, V_KINDS, OperatorKind, ZeroWeightNormalBundle
 from .jacobi import (
     BoundaryZero,
@@ -46,6 +46,9 @@ from .theta import (
 )
 
 EXIT_PARSE, EXIT_VALIDATION, EXIT_COMPUTE = 2, 3, 4
+
+# the largest --order (in eighth-steps) of the exact engine's commands
+MAX_ORDER = 256
 
 _PARSE_ERRORS = (DatasetFormatError, OSError)
 _VALIDATION_ERRORS = (ValidationError, InconsistentAnomaly, UnknownEntry,
@@ -76,6 +79,11 @@ def _parse_complex(s: str) -> complex:
         raise ValidationError("cannot parse complex number %r (use e.g. 0.5+1.2i)" % s)
 
 
+def _check_order(order: int):
+    if not 0 <= order <= MAX_ORDER:
+        raise ValidationError("order %d outside [0, %d] eighth-steps" % (order, MAX_ORDER))
+
+
 def _q_name(key: int) -> str:
     return "%d/8" % key
 
@@ -98,10 +106,9 @@ def _series_payload(ser: QSeries, grid_step: int = 8) -> dict:
 
 
 def cmd_expand(args) -> int:
+    _check_order(args.order)
     data = _load_input(args.input)
     kind = _operator(args.operator)
-    if args.order > 256:
-        raise ValidationError("order capped at 256 eighth-steps")
     res = equivariant_character(data, kind, args.order, args.normalized)
     mono_series: dict[str, dict] = {}
     for exps in res.monomials():
@@ -129,9 +136,15 @@ def cmd_expand(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
+    _check_order(args.order)
     data = _load_input(args.input)
     if args.operator == "all":
         kinds = NON_V_KINDS + (V_KINDS if all(c.vbundles for c in data.components) else ())
+        if args.normalized:
+            kinds = tuple(k for k in kinds if k.supports_normalized)
+            if not kinds:
+                raise ValidationError("no operator of 'all' has a dim-normalized variant "
+                                      "on a dataset without V data on every component")
     else:
         kinds = (_operator(args.operator),)
     rep = validate(data)
@@ -227,7 +240,8 @@ def cmd_zeros(args) -> int:
 def cmd_theta(args) -> int:
     kind = ThetaKind(args.kind)
     if args.formal:
-        ts = theta_formal(kind, Fraction(args.m), args.order)
+        _check_order(args.order)
+        ts = theta_formal(kind, parse_rational(args.m, "--m"), args.order)
         report = {"format": 1, "command": "theta", "kind": kind.value,
                   "m": args.m, "order_n8": args.order, "i_power": ts.i_power,
                   "series": _series_payload(ts.series, 1)}
@@ -244,7 +258,7 @@ def cmd_theta(args) -> int:
     report = {"format": 1, "command": "theta", "kind": kind.value,
               "t": str(t), "tau": str(tau), "eps": args.eps,
               "value": {"re": val.real, "im": val.imag}}
-    _emit(report, args.format, ["%s(%s, %s) = %s (within %g)"
+    _emit(report, args.format, ["%s(%s, %s) = %s (within relative %g)"
                                 % (kind.value, t, tau, val, args.eps)])
     return 0
 

@@ -27,13 +27,19 @@ MAX_RING_MONOMIALS = 1000
 # every fixed component is one integrand per operator.  Bounded: the total
 # rank of a component's normals and of its V, and the fiber half-dimension
 # (MAX_RANK); the absolute value of every rotation weight (MAX_WEIGHT); the
-# number of fixed components (MAX_COMPONENTS).  At every bound at once
-# (32 isolated points, each with normals and V of rank 16 at weight +-16)
-# `rigidity --operator all --order 16` takes 11-13 s on a 2-core VM; at
-# rank 64, two such points at weight +-1 took 15 s.
+# number of fixed components (MAX_COMPONENTS); the degree cap
+# 2 k_alpha + base_degree_cap of every ring (MAX_DEGREE_CAP), which sets
+# the size of every graded product and the order cap // 2 of the
+# normal-line adjugate.  At every bound at once (32 isolated points, each
+# with normals and V of rank 16 at weight +-16, every root the base class
+# b, base_degree_cap 8) `rigidity --operator all --order 16` takes 277 s
+# on a 2-core VM (at cap 0, 2, 4 and 6: 9, 22, 74 and 144 s); cap 8 leaves
+# room for a fixed surface in a family over a base of cap 4.  At rank 64,
+# two isolated points at weight +-1 took 15 s.
 MAX_RANK = 16
 MAX_WEIGHT = 16
 MAX_COMPONENTS = 32
+MAX_DEGREE_CAP = 8
 
 
 class DatasetFormatError(Exception):
@@ -166,6 +172,9 @@ def _check_ring(gens, cap: int, path: str):
     """Reject a ring too large to lay out, before anything is built on it."""
     if cap < 0:
         raise DatasetFormatError(path, "degree cap %d is negative" % cap)
+    if cap > MAX_DEGREE_CAP:
+        raise DatasetFormatError(path, "degree cap %d is above the bound %d"
+                                 % (cap, MAX_DEGREE_CAP))
     if _ring_size([d for _, d in gens], cap, MAX_RING_MONOMIALS) > MAX_RING_MONOMIALS:
         raise DatasetFormatError(
             path, "degree cap %d over the generators %s gives more than %d monomials"

@@ -22,7 +22,8 @@ Two independent realizations of each integrand are provided:
   supply the w-power (a Laurent monomial or the complex number w^{2m}),
   the scalar field of the constants 1/k! (Fraction or float), the lift
   into the product ring (q-series or the jet itself) and the keys of
-  the q-products (a finite range or a certified stopping rule).
+  the q-products (the series order, or ``theta.product_keys``, which
+  certifies a relative error).
 
   The theta denominator is a property of the fixed component, not of
   the family.  It factors as L * U.  L is the q-free product of the
@@ -71,7 +72,8 @@ from .algebra import (
     series_invert,
     series_mul,
 )
-from .theta import PAIR_GRID, NonconvergentDomain, ThetaKind, series_product, unit_product
+from .theta import (PAIR_GRID, NonconvergentDomain, ThetaKind, product_keys,
+                    series_product, unit_product)
 
 
 class ZeroWeightNormalBundle(Exception):
@@ -644,9 +646,11 @@ class _JetBackend:
     multiply); the constants are floats and scalar products are complex
     numbers.
 
-    A product stops after the factors of key k once |q^{(k+8)/8}| times
-    the largest coefficient norm (at least 1) is below
-    min(1/4, eps / (8 (lines + 1))), and gives up after 100000 keys.
+    Each q-product keeps the keys of ``theta.product_keys`` for a lead of
+    the sum of its coefficients' l1 jet norms (l1 is submultiplicative on
+    jets), within a relative budget of eps / (8 (lines + 1)).  The
+    interpreter makes at most 2 (lines + 1) products, so their left-out
+    factors move the integrand by an l1-relative amount below eps.
     """
 
     field = float
@@ -655,11 +659,7 @@ class _JetBackend:
     def __init__(self, component, t: complex, tau: complex, eps: float, lines: int):
         self.w1 = cmath.exp(1j * math.pi * t)
         self.qh = cmath.exp(1j * math.pi * tau)
-        self.q = self.qh * self.qh
-        self.aq = abs(self.q)
-        if self.aq >= 1:
-            raise NonconvergentDomain("Im tau must be positive")
-        self.stop = min(0.25, eps / (8.0 * (lines + 1)))
+        self.budget = eps / (8.0 * (lines + 1))
         self.one = _one(component.gens, component.cap)
 
     def w(self, tw: int) -> complex:
@@ -675,22 +675,13 @@ class _JetBackend:
     lift_scalar = lift
 
     def qpow(self, k: int) -> complex:
-        """q^{k/8} for a key on the integer or the half-integer grid."""
-        return self.q ** (k // 8) if k % 8 == 0 else self.qh ** (k // 4)
-
-    def keys(self, first: int, mag: float):
-        k = first
-        for _ in range(100000):
-            yield k
-            if abs(self.qpow(k)) * self.aq * mag < self.stop:
-                return
-            k += 8
-        raise NonconvergentDomain("numeric product did not certify")
+        """q^{k/8} for a key on the half-integer grid (k divisible by 4)."""
+        return self.qh ** (k // 4)
 
     def product(self, one, first: int, coeffs):
-        mag = max([sum(map(abs, c.c)) if isinstance(c, GradedElement) else abs(c)
-                   for c in coeffs] + [1.0])
-        return unit_product(one, self.keys(first, mag), coeffs,
+        lead = sum(sum(map(abs, c.c)) if isinstance(c, GradedElement) else abs(c)
+                   for c in coeffs)
+        return unit_product(one, product_keys(first, lead, abs(self.qh) ** 2, self.budget), coeffs,
                             lambda k, c: one + c * self.qpow(k))
 
 
@@ -698,11 +689,18 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
                       eps: float, normalized: bool = False) -> GradedElement:
     """Evaluate the theta-quotient integrand at numeric (t, tau) as a jet:
     a graded element with complex coefficients over the component's
-    generators.  Same interpreter as the formal path."""
-    num, den, lin, q8_shift = _interpret(
-        kind, component, normalized,
-        lambda _q8_shift, lines: _JetBackend(component, t, tau, eps, lines))
-    out = num * graded_invert(den * lin)
-    if q8_shift:
-        out = out * cmath.exp(2j * math.pi * tau * q8_shift / 8)
+    generators, within l1-relative error eps.  Same interpreter as the
+    formal path.  Raises NonconvergentDomain where the value or its
+    bound is not finite."""
+    try:
+        num, den, lin, q8_shift = _interpret(
+            kind, component, normalized,
+            lambda _q8_shift, lines: _JetBackend(component, t, tau, eps, lines))
+        out = num * graded_invert(den * lin)
+        if q8_shift:
+            out = out * cmath.exp(2j * math.pi * tau * q8_shift / 8)
+    except ArithmeticError as e:
+        raise NonconvergentDomain("integrand is not finite at t=%s tau=%s" % (t, tau)) from e
+    if not all(map(cmath.isfinite, out.c)):
+        raise NonconvergentDomain("integrand is not finite at t=%s tau=%s" % (t, tau))
     return out

@@ -161,11 +161,11 @@ def _jacobi_samples(samples, seed=271828):
     return list(samples)
 
 
-def check_jacobi(F, spec: JacobiFormSpec, generators=None, lattice_vectors=None,
+def check_jacobi(F, spec: JacobiFormSpec, generators=None,
                  samples=16, eps: float = 1e-8) -> JacobiReport:
     """Sampled check of both defining transformation laws.
 
-    Generators must belong to spec.group; lattice vectors default to the
+    Generators must belong to spec.group; the lattice vectors are the
     basis of (lattice_scale Z)^2.
     """
     if generators is None:
@@ -173,9 +173,7 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None, lattice_vectors=None,
     for g in generators:
         if not subgroup_member(g, spec.group):
             raise ValueError("generator %s is not in %s" % (g, spec.group.value))
-    if lattice_vectors is None:
-        s = spec.lattice_scale
-        lattice_vectors = ((s, 0), (0, s))
+    s = spec.lattice_scale
     pts = _jacobi_samples(samples)
     m = float(spec.index)
 
@@ -193,7 +191,7 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None, lattice_vectors=None,
         lats += [diff(F(t + lam * tau + mu, tau),
                       cmath.exp(-2j * math.pi * m * (lam * lam * tau + 2 * lam * t)) * base,
                       t, tau)
-                 for lam, mu in lattice_vectors]
+                 for lam, mu in ((s, 0), (0, s))]
     return JacobiReport(spec, len(pts), max(mods, default=0.0),
                         max(lats, default=0.0), eps)
 

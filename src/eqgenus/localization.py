@@ -454,11 +454,14 @@ def degree_component(result: GenusResult, p2: int) -> dict[str, QSeries]:
 
 def evaluate_numeric(data: ActionData, kind: OperatorKind, t, tau,
                      eps: float = 1e-10, normalized: bool = False) -> dict[str, complex]:
-    """Direct numeric evaluation per base monomial, certified to eps.
+    """Direct numeric evaluation per base monomial, certified to eps: each
+    component's integrand jet is within l1-relative eps, so its pushed jet
+    is within eps times that jet's l1 norm times the largest integration
+    table entry.
 
     Raises NearPole when t sits within 1e-6 of a character pole of some
     component denominator, and NonconvergentDomain off the upper half
-    plane."""
+    plane or where a value or its bound is not finite."""
     t = complex(t)
     tau = complex(tau)
     if tau.imag <= 0:
@@ -485,20 +488,18 @@ def evaluate_numeric(data: ActionData, kind: OperatorKind, t, tau,
 
 
 def degree_component_function(data: ActionData, kind: OperatorKind, p2: int,
-                              monomial: str | None = None, normalized: bool = False,
-                              eps: float = 1e-10):
-    """Numeric callable F(t, tau) for one degree-2p base monomial of the
-    localized character; the input for the Jacobi-form checkers."""
+                              normalized: bool = False, eps: float = 1e-10):
+    """Numeric callable F(t, tau) for the first degree-2p base monomial of
+    the localized character; the input for the Jacobi-form checkers."""
     if p2 < 0 or p2 > data.base_cap:
         raise DegreeOutOfRange("degree %d outside the base cap %d" % (p2, data.base_cap))
-    if monomial is None:
-        if p2 == 0:
-            monomial = "1"
-        else:
-            cands = _top_monomials(data.base_gens, p2)
-            if not cands:
-                raise DegreeOutOfRange("no base monomial of degree %d" % p2)
-            monomial = format_monomial(cands[0], [n for n, _ in data.base_gens])
+    if p2 == 0:
+        monomial = "1"
+    else:
+        cands = _top_monomials(data.base_gens, p2)
+        if not cands:
+            raise DegreeOutOfRange("no base monomial of degree %d" % p2)
+        monomial = format_monomial(cands[0], [n for n, _ in data.base_gens])
 
     def f(t: complex, tau: complex) -> complex:
         vals = evaluate_numeric(data, kind, t, tau, eps, normalized)

@@ -12,9 +12,10 @@ definitions
 with c(q) = prod (1 - q^n).  The single non-rational constant (a power of
 i from the sine) is kept out of the coefficients in a ledger.
 
-Numeric: certified evaluation anywhere on C x H by truncating the product
-once a geometric tail bound drops below the requested accuracy, after
-moving tau into the |q|-small regime with the S and T transformations.
+Numeric: evaluation on C x H within a relative error eps, after moving tau
+into the |q|-small regime with the S and T transformations; the product
+is cut where a geometric tail bound, solved in closed form
+(``product_keys``), certifies that the rest is negligible.
 
 Derivatives are normalized as D_v = (2 pi i)^{-1} d/dv so that every
 derivative series stays rational.
@@ -66,8 +67,8 @@ def unit_product(acc, keys, coeffs, factor):
     key k and every c in coeffs.
 
     Every theta and integrand product of this form is built here.  The
-    caller's ``keys`` set the truncation: a finite range for exact series,
-    or a generator that stops once the remaining factors are negligible.
+    caller's ``keys`` set the truncation: the range of the series order
+    for exact series, ``product_keys`` for numeric values.
     """
     for k in keys:
         for c in coeffs:
@@ -195,13 +196,36 @@ def evaluate_formal(series: QSeries, t: complex, tau: complex) -> complex:
 # Numeric evaluation
 
 
-def _t_step(kind: ThetaKind, direction: int) -> tuple[ThetaKind, complex]:
-    """theta_kind(t, tau) = factor * theta_kind'(t, tau - direction)."""
-    eighth = cmath.exp(1j * math.pi / 4)
+def product_keys(first: int, lead: float, aq: float, eps: float) -> range:
+    """The keys first, first + 8, ... to keep of a product prod (1 + d)
+    whose factors at key k deviate from 1 by at most lead |q|^{k/8} in
+    total, aq = |q| < 1.
+
+    From the first left-out key K the deviations sum to at most
+    S = lead |q|^{K/8} / (1 - |q|), and |prod (1 + d_j) - 1| <= exp(S) - 1
+    in any submultiplicative norm (|.| on numbers, l1 on jets); so the
+    keys below the least K with S <= log1p(eps) are kept.
+    """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    tail = math.log1p(eps) * (1 - aq)  # the largest lead |q|^{K/8} allowed
+    if not (0 <= aq < 1 and math.isfinite(lead)):
+        raise NonconvergentDomain("no certified truncation at |q|=%g, lead %g" % (aq, lead))
+    if lead * aq ** (first / 8) <= tail:  # also where lead or q is 0
+        return range(first, first, 8)
+    count = math.ceil(math.log(tail / lead) / math.log(aq) - first / 8)
+    if count > 100000:
+        raise NonconvergentDomain("product needs %d factors at |q|=%g" % (count, aq))
+    return range(first, first + 8 * count, 8)
+
+
+def _t_shift(kind: ThetaKind, n: int) -> tuple[ThetaKind, complex]:
+    """theta_kind(t, tau) = factor * theta_kind'(t, tau - n)."""
     if kind in (ThetaKind.Theta, ThetaKind.Theta1):
-        return kind, eighth if direction > 0 else 1 / eighth
-    swap = ThetaKind.Theta3 if kind is ThetaKind.Theta2 else ThetaKind.Theta2
-    return swap, 1 + 0j
+        return kind, cmath.exp(1j * math.pi * (n % 8) / 4)
+    if n % 2:
+        kind = ThetaKind.Theta3 if kind is ThetaKind.Theta2 else ThetaKind.Theta2
+    return kind, 1 + 0j
 
 
 def _s_step(kind: ThetaKind, t1: complex, tau1: complex) -> tuple[ThetaKind, complex]:
@@ -218,74 +242,63 @@ def _s_step(kind: ThetaKind, t1: complex, tau1: complex) -> tuple[ThetaKind, com
 
 
 def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> complex:
-    """Product evaluation, valid for Im tau bounded away from 0."""
+    """Product evaluation within relative eps, valid for Im tau bounded
+    away from 0."""
     qh = cmath.exp(1j * math.pi * tau)  # q^{1/2} pinned by tau, not by a branch cut
     q = qh * qh
-    aq = abs(q)
     z = cmath.exp(2j * math.pi * t)
+    zi = cmath.exp(-2j * math.pi * t)
     s = cmath.exp(1j * math.pi * t)
-    mz = max(abs(z), 1 / abs(z))
     first, sgn = PAIR_GRID[kind]
-    delta = (8 - first) / 8
-    if kind is ThetaKind.Theta:
-        prod = cmath.exp(2j * math.pi * tau / 8) * (-1j) * (s - 1 / s)
-    elif kind is ThetaKind.Theta1:
-        prod = cmath.exp(2j * math.pi * tau / 8) * (s + 1 / s)
-    else:
-        prod = 1 + 0j
-    zi = 1 / z
-    # at step n: qn = q^n, qz = q^{n - delta}, head = |q|^{n+1-delta} (1 + 2 mz)
-    qn, qz = q, (qh if delta else q)
-    head = aq ** (2 - delta) * (1 + 2 * mz)
-    n = 1
-    while True:
+    # theta and theta1 carry q^{1/8} (s + sgn s^{-1}), theta with a factor -i
+    prod = 1 + 0j if first == 4 else \
+        cmath.exp(2j * math.pi * tau / 8) * (s + sgn / s) * (1 if sgn > 0 else -1j)
+    # the factors at key k: 1 - q^{(k + 8 - first)/8} and 1 + sgn q^{k/8} z^{+-1}
+    qn, qz = q, (qh if first == 4 else q)
+    for _ in product_keys(first, 1 + abs(z) + abs(zi), abs(q), eps):
         prod *= (1 - qn) * (1 + sgn * qz * z) * (1 + sgn * qz * zi)
-        # remaining factors differ from 1 by at most 2 head each, summable
-        # geometrically once head is below 1/2
-        if head < 0.5:
-            tail = 2 * head / (1 - aq)
-            if abs(prod) * math.expm1(tail) < eps:
-                return prod
-        n += 1
-        if n > 100000:
-            raise NonconvergentDomain("theta product did not certify at Im tau=%g" % tau.imag)
-        qn, qz, head = qn * q, qz * q, head * aq
+        qn, qz = qn * q, qz * q
+    return prod
 
 
 def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
-    """theta_kind(t, tau) within eps, for tau in the upper half plane.
+    """theta_kind(t, tau) within relative error eps, for tau in the upper
+    half plane; NonconvergentDomain where the value or its bound is not
+    finite.
 
-    Below Im tau = 0.3 the argument is moved by T-translations and the
-    S-inversion (picking up their exact prefactors) until the product
-    truncation is short.
+    Below Im tau = 0.3, T-translations and the S-inversion, whose
+    prefactors are exact, move the argument until the product truncation
+    is short.  The truncation takes eps / 2 and leaves the rest to
+    rounding, which near a zero grows as |t| / dist(t, zero) ulps.
     """
-    t = complex(t)
-    tau = complex(tau)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    t = t0 = complex(t)
+    tau = tau0 = complex(tau)
     if tau.imag <= 0:
         raise NonconvergentDomain("Im tau must be positive, got %g" % tau.imag)
     factor = 1 + 0j
-    guard = 0
-    while tau.imag < 0.3:
-        guard += 1
-        if guard > 200:
-            raise NonconvergentDomain("modular reduction did not terminate")
-        shift = round(tau.real)
-        if shift:
-            step = 1 if shift > 0 else -1
-            for _ in range(abs(shift)):
-                kind, f = _t_step(kind, step)
+    try:
+        for _ in range(200):
+            if tau.imag >= 0.3:
+                break
+            shift = round(tau.real)
+            if shift:
+                kind, f = _t_shift(kind, shift)
                 factor *= f
-            tau -= shift
-            continue
-        tau1 = -1 / tau
-        t1 = t * tau1
-        kind, f = _s_step(kind, t1, tau1)
-        factor *= f
-        t, tau = t1, tau1
-    sub_eps = eps / max(abs(factor), 1e-300)
-    return factor * _theta_direct(kind, t, tau, sub_eps)
+                tau -= shift
+                continue
+            tau1 = -1 / tau
+            t1 = t * tau1
+            kind, f = _s_step(kind, t1, tau1)
+            factor *= f
+            t, tau = t1, tau1
+        else:
+            raise NonconvergentDomain("modular reduction did not terminate")
+        value = factor * _theta_direct(kind, t, tau, eps / 2)
+    except ArithmeticError as e:
+        raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0)) from e
+    if not cmath.isfinite(value):
+        raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0))
+    return value
 
 
 # ---------------------------------------------------------------------------

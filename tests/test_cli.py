@@ -10,6 +10,7 @@ import eqgenus
 from eqgenus.cli import main
 from eqgenus.dataset import dataset_to_json, parse_dataset
 from eqgenus.catalog import builtin, names
+from eqgenus.genera import NON_V_KINDS, V_KINDS
 
 
 def run(capsys, *argv):
@@ -166,12 +167,16 @@ def test_mistyped_field_exit_2_with_path(capsys, tmp_path, mutate, json_path):
     assert err.startswith("parse error: %s: " % json_path)
 
 
-def _set_base_cap_huge(d):
-    d["base_degree_cap"] = 1000000
+def _set_base_cap(cap):
+    def mutate(d):
+        d["base_degree_cap"] = cap
+    return mutate
 
 
-def _set_k_alpha_huge(d):
-    d["components"][0]["k_alpha"] = 1000000
+def _set_k_alpha(k_alpha):
+    def mutate(d):
+        d["components"][0]["k_alpha"] = k_alpha
+    return mutate
 
 
 def _set_rank_without_roots(rank):
@@ -224,12 +229,29 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _cli_process(*argv):
+    """The CLI in a separate process under a timeout and a 1 GB
+    address-space limit: without their bounds these commands run
+    unbounded."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eqgenus.__file__)))
+    return subprocess.run([sys.executable, "-m", "eqgenus.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=20, preexec_fn=_limit_memory)
+
+
 @pytest.mark.parametrize("mutate, argv, json_path", [
-    (_set_base_cap_huge, ["expand", "--operator", "dv-theta-q", "--order", "8"],
+    (_set_base_cap(10 ** 6), ["expand", "--operator", "dv-theta-q", "--order", "8"],
      "$.base_degree_cap"),
-    (_set_base_cap_huge, ["jacobi", "--operator", "dv-theta-q", "--samples", "1"],
+    (_set_base_cap(10 ** 6), ["jacobi", "--operator", "dv-theta-q", "--samples", "1"],
      "$.base_degree_cap"),
-    (_set_k_alpha_huge, ["expand", "--operator", "dv-theta-q", "--order", "8"],
+    (_set_k_alpha(10 ** 6), ["expand", "--operator", "dv-theta-q", "--order", "8"],
+     "$.components[0]"),
+    (_set_base_cap(100), ["expand", "--operator", "dv-theta-q", "--order", "8"],
+     "$.base_degree_cap"),
+    (_set_base_cap(100), ["rigidity", "--operator", "all", "--order", "16"],
+     "$.base_degree_cap"),
+    (_set_base_cap(10), ["expand", "--operator", "dv-theta-q", "--order", "8"],
+     "$.base_degree_cap"),
+    (_set_k_alpha(3), ["expand", "--operator", "dv-theta-q", "--order", "8"],
      "$.components[0]"),
     (_set_rank_without_roots(10 ** 6), ["expand", "--operator", "dv-theta-q", "--order", "8"],
      "$.components[0].normals[0].rank"),
@@ -245,23 +267,57 @@ def _limit_memory():
      "$.components[0].normals[0].weight"),
     (_repeat_components(10 ** 4), ["expand", "--operator", "dv-theta-q", "--order", "8"],
      "$.components"),
-], ids=["base-cap-expand", "base-cap-jacobi", "k-alpha-expand", "rank-1e6-expand",
+], ids=["base-cap-expand", "base-cap-jacobi", "k-alpha-expand", "cap-100-expand",
+        "cap-100-rigidity", "cap-10-expand", "component-cap-10-expand", "rank-1e6-expand",
         "rank-1e9-expand", "v-total-rank-expand", "weight-1e5-expand", "weight-1e5-rigidity",
         "weight-exponent-expand", "components-1e4-expand"])
 def test_oversized_ring_exit_2_with_path(tmp_path, mutate, argv, json_path):
-    # without the bound these commands run unbounded, so they run in a
-    # separate process under a timeout and a 1 GB address-space limit
     payload = dataset_to_json(builtin("s2-family-base").data)
     mutate(payload)
     path = tmp_path / "oversized.json"
     path.write_text(json.dumps(payload))
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eqgenus.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "eqgenus.cli", argv[0], "--input", str(path),
-                           *argv[1:]], capture_output=True, text=True, env=env, timeout=20,
-                          preexec_fn=_limit_memory)
+    proc = _cli_process(argv[0], "--input", str(path), *argv[1:])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("parse error: %s: " % json_path)
+
+
+_S2 = ("--input", "catalog:s2-rotation")
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["expand", *_S2, "--operator", "d-theta-q", "--order", "-8"], 3, "validation error: order "),
+    (["expand", *_S2, "--operator", "d-theta-q", "--order", "-1"], 3, "validation error: order "),
+    (["expand", *_S2, "--operator", "d-theta-q", "--order", "257"], 3, "validation error: order "),
+    (["rigidity", *_S2, "--order", "-1"], 3, "validation error: order "),
+    (["rigidity", *_S2, "--order", "512"], 3, "validation error: order "),
+    (["rigidity", *_S2, "--order", "100000"], 3, "validation error: order "),
+    (["theta", "--kind", "theta", "--formal", "--order", "-1"], 3, "validation error: order "),
+    (["theta", "--kind", "theta", "--formal", "--order", "257"], 3, "validation error: order "),
+    (["theta", "--kind", "theta", "--formal", "--m", "1e99999999"], 2, "parse error: --m: "),
+    (["theta", "--kind", "theta", "--formal", "--m", "1/0"], 2, "parse error: --m: "),
+], ids=["expand-order-minus-8", "expand-order-minus-1", "expand-order-257",
+        "rigidity-order-minus-1", "rigidity-order-512", "rigidity-order-1e5",
+        "theta-order-minus-1", "theta-order-257", "theta-m-exponent", "theta-m-1-over-0"])
+def test_cli_numbers_that_set_the_work_are_bounded(argv, code, prefix):
+    proc = _cli_process(*argv)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(prefix)
+
+
+def test_rigidity_normalized_all(capsys):
+    # with --normalized, "all" means the operators with a dim-normalized variant
+    code, out, _ = run(capsys, "rigidity", "--input", "catalog:s2-family-base",
+                       "--normalized", "--order", "8", "--format", "json")
+    assert code == 0
+    expected = {k.value for k in NON_V_KINDS + V_KINDS if k.supports_normalized}
+    assert expected and set(json.loads(out)["verdicts"]) == expected
+    # without V data none has one
+    code, out, err = run(capsys, "rigidity", *_S2, "--normalized", "--order", "8")
+    assert code == 3
+    assert out == ""
+    assert "dim-normalized" in err and "V data" in err
 
 
 def _field_paths(node, path=()):

@@ -359,6 +359,34 @@ def test_numeric_matches_formal_fiber_and_base():
             assert abs(got - ref) / (1 + abs(ref)) < 1e-9, (kind, normalized, m)
 
 
+def test_numeric_integrand_within_l1_relative_eps():
+    # the exact integrand at n8 = 48, evaluated monomial by monomial, is the
+    # reference: with Im tau >= 1.1 its last q-step (keys 41..48) moves it
+    # by less than eps / 100 in l1, and the left-out tail is |q| times smaller
+    from eqgenus.theta import evaluate_formal
+    comp = fiber_and_base()
+    rng = random.Random(61)
+    points = [(complex(rng.uniform(0.05, 0.95), rng.uniform(-0.2, 0.2)),
+               complex(rng.uniform(-0.5, 0.5), rng.uniform(1.1, 1.6))) for _ in range(3)]
+    zero = WLaurentRational.zero()
+    for kind, normalized in RECIPES:
+        ser = theta_quotient_integrand(kind, comp, 48, normalized)
+        monos = {m for g in ser.c.values() for m in g.terms}
+        coeffs = [as_wrat(ser.map_coefficients(lambda g, m=m: g.terms.get(m, zero)))
+                  for m in monos]
+        for t, tau in points:
+            ref = dict(zip(monos, (evaluate_formal(c, t, tau) for c in coeffs)))
+            norm = sum(map(abs, ref.values()))
+            last = sum(abs(ref[m] - evaluate_formal(c.truncate(40), t, tau))
+                       for m, c in zip(monos, coeffs))
+            assert last < 1e-14 * norm
+            for eps in (1e-9, 1e-12):
+                jet = numeric_integrand(kind, comp, t, tau, eps, normalized)
+                err = sum(abs(jet.terms.get(m, 0j) - ref.get(m, 0j))
+                          for m in monos | set(jet.terms))
+                assert err <= eps * norm, (kind, normalized, t, tau, eps, err / norm / eps)
+
+
 def test_numeric_integrand_never_mixes_fraction_and_complex(monkeypatch):
     # a Fraction constant or unit reaching a complex jet would make every
     # product run in Python, about 50 times slower than with a float

@@ -201,28 +201,69 @@ def test_theta_numeric_low_im_tau_reduction():
     assert abs(via_reduction - raw) / (1 + abs(raw)) < 1e-9
 
 
+def _mpmath_theta(mpmath, kind, t, tau):
+    """theta_kind(t, tau) at mpmath's working precision.  mpmath's
+    jtheta(n, pi v, nome) is theta1 = eqgenus theta, theta2 = theta1,
+    theta3 = theta3, theta4 = theta2 here; it takes nome^{1/4} on the
+    principal branch, eqgenus e^{i pi tau / 4}."""
+    number = {ThetaKind.Theta: 1, ThetaKind.Theta1: 2, ThetaKind.Theta2: 4, ThetaKind.Theta3: 3}
+    mtau = mpmath.mpc(tau)
+    nome = mpmath.exp(1j * mpmath.pi * mtau)
+    ref = mpmath.jtheta(number[kind], mpmath.pi * mpmath.mpc(t), nome)
+    if number[kind] in (1, 2):
+        ref *= mpmath.exp(1j * mpmath.pi * mtau / 4) / mpmath.nthroot(nome, 4)
+    return complex(ref)
+
+
 def test_theta_numeric_matches_mpmath():
     # 0.05 <= Im tau <= 1.4: points below Im tau = 0.3 go through the S/T
-    # reduction.  mpmath's jtheta(n, pi v, nome) is theta1 = eqgenus theta,
-    # theta2 = theta1, theta3 = theta3, theta4 = theta2 here; it takes
-    # nome^{1/4} on the principal branch, eqgenus e^{i pi tau / 4}.
+    # reduction
     mpmath = pytest.importorskip("mpmath")
-    number = {ThetaKind.Theta: 1, ThetaKind.Theta1: 2, ThetaKind.Theta2: 4, ThetaKind.Theta3: 3}
     rng = random.Random(53)
     worst = 0.0
     with mpmath.workdps(20):
         for _ in range(300):
             t = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05))
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.4))
-            mtau = mpmath.mpc(tau)
-            nome = mpmath.exp(1j * mpmath.pi * mtau)
-            branch = mpmath.exp(1j * mpmath.pi * mtau / 4) / mpmath.nthroot(nome, 4)
-            for kind, n in number.items():
-                ref = mpmath.jtheta(n, mpmath.pi * mpmath.mpc(t), nome)
-                ref = complex(ref * branch if n in (1, 2) else ref)
+            for kind in KINDS:
+                ref = _mpmath_theta(mpmath, kind, t, tau)
                 got = theta_numeric(kind, t, tau, 1e-12)
                 worst = max(worst, abs(got - ref) / (1 + max(abs(got), abs(ref))))
     assert worst < 1e-9
+
+
+# (real, tau) part of a zero of each kind; the zeros are these plus Z + tau Z
+_ZERO = {ThetaKind.Theta: (0, 0), ThetaKind.Theta1: (0.5, 0),
+         ThetaKind.Theta2: (0, 0.5), ThetaKind.Theta3: (0.5, 0.5)}
+
+
+def test_theta_numeric_within_relative_eps():
+    # seeded points with Re t in [-0.5, 1.5], |Im t| <= 0.3 and
+    # 0.05 <= Im tau <= 1.4, where |theta| reaches well above 1, and for
+    # each kind a point 5e-4 to 1e-3 from one of its zeros (Im tau <= 0.6
+    # keeps the zeros at +-tau/2 near the strip)
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(59)
+    points = []
+    for _ in range(200):
+        t = complex(rng.uniform(-0.5, 1.5), rng.uniform(-0.3, 0.3))
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.4))
+        points += [(kind, t, tau) for kind in KINDS]
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.6))
+        for kind in KINDS:
+            re, im = _ZERO[kind]
+            t = re + rng.choice((0, 1)) + im * rng.choice((1, -1)) * tau \
+                + cmath.rect(rng.uniform(5e-4, 1e-3), rng.uniform(0, 2 * math.pi))
+            points.append((kind, t, tau))
+    large = 0
+    with mpmath.workdps(30):
+        for kind, t, tau in points:
+            ref = _mpmath_theta(mpmath, kind, t, tau)
+            large += abs(ref) > 1
+            for eps in (1e-9, 1e-12):
+                rel = abs(theta_numeric(kind, t, tau, eps) - ref) / abs(ref)
+                assert rel <= eps, (kind, t, tau, eps, rel / eps)
+    assert large > 100
 
 
 def test_periodicity_t_plus_one():
