@@ -480,12 +480,6 @@ class WLaurentRational:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = WLaurentRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
@@ -873,17 +867,18 @@ class QSeries:
             return NotImplemented
         return self.n8 == other.n8 and self.c == other.c
 
-    def agrees_with(self, other: "QSeries", up_to: int | None = None) -> bool:
-        n = min(self.n8, other.n8)
-        if up_to is not None:
-            n = min(n, up_to)
-        keys = set(self.c) | set(other.c)
-        for k in keys:
+    def first_mismatch(self, other: "QSeries", up_to: int | None = None) -> tuple | None:
+        """(key, mine, theirs) at the lowest key up to both truncations (and
+        up_to) where the coefficients differ, a missing one read as 0; None
+        when the series agree there."""
+        n = min(self.n8, other.n8, self.n8 if up_to is None else up_to)
+        for k in sorted(set(self.c) | set(other.c)):
             if k > n:
-                continue
-            if self.c.get(k, 0) != other.c.get(k, 0):
-                return False
-        return True
+                break
+            a, b = self.c.get(k, 0), other.c.get(k, 0)
+            if a != b:
+                return k, a, b
+        return None
 
     def __neg__(self):
         out = QSeries({}, self.n8)

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import GradedElement, IntegrationTable, QSeries, WLaurentPoly, WLaurentRational
-from .genera import (
-    OperatorKind,
-    RootBundle,
-    complexified,
-    witten_element_ch,
-    _spinor_char,
-    _fold_strays,
-)
+from .genera import OperatorKind, RootBundle, _fold_strays, _twisted_element
 from .localization import ActionData, FixedComponent, equivariant_character
 
 
@@ -224,24 +217,10 @@ def oracle_check_s2(kind: OperatorKind, n8_small: int,
     engine = engine.map_coefficients(
         lambda g: g.scalar_part() if isinstance(g, GradedElement) else g)
 
-    # element restricted to the (+1)-weight point, spinor factors included
-    gens, cap = (), 0
+    # element restricted to the (+1)-weight point, spinor twist included
     plus = data.components[0]
-    tx = complexified(plus.normals)
-    v = complexified(plus.vbundles)
-    el = witten_element_ch(kind, None, tx, v, n8_small,
-                           normalized=normalized, gens=gens, cap=cap)
-    sw = Fraction(0)
-    scls = GradedElement.zero(gens, cap)
-    if kind is OperatorKind.DsThetaPrime:
-        sw, scls, unit = _spinor_char(plus.normals, gens, cap)
-        el = el.scale(unit)
-    elif kind is OperatorKind.DeltaVThetaPrime:
-        sw, scls, unit = _spinor_char(plus.vbundles, gens, cap)
-        el = el.scale(unit)
-    elif kind is OperatorKind.DVStarDifference:
-        sw, scls, unit = _spinor_char(plus.vbundles, gens, cap, difference=True)
-        el = el.scale(unit)
+    el, sw, scls = _twisted_element(kind, plus.normals, plus.vbundles, n8_small,
+                                    normalized, (), 0)
     el = _fold_strays(el, sw, scls)
 
     def to_index(g) -> WLaurentRational:
@@ -253,17 +232,5 @@ def oracle_check_s2(kind: OperatorKind, n8_small: int,
         return WLaurentRational(_apply_borel_weil(v.num))
 
     oracle = el.map_coefficients(to_index)
-
-    n8 = min(engine.n8, oracle.n8)
-    mismatch = None
-    for key in sorted(set(engine.c) | set(oracle.c)):
-        if key > n8:
-            continue
-        a = engine.c.get(key, WLaurentRational.zero())
-        b = oracle.c.get(key, WLaurentRational.zero())
-        a = a if isinstance(a, WLaurentRational) else WLaurentRational.const(a)
-        b = b if isinstance(b, WLaurentRational) else WLaurentRational.const(b)
-        if a != b:
-            mismatch = (key, a, b)
-            break
+    mismatch = engine.first_mismatch(oracle)
     return S2OracleReport(kind, normalized, mismatch is None, mismatch, engine, oracle)

@@ -38,11 +38,19 @@ Two independent realizations of each integrand are provided:
   Canonical forms of reduced quotients are unique, so the result equals
   the term-by-term reduced computation exactly.
 
-* ``witten_element_ch`` plus ``a_hat`` / spinor characters -- the
-  exterior/symmetric-power expansion, assembled term by term in q.
+* the exterior/symmetric-power expansion, assembled term by term in q.
+  One table (``_EXPANSIONS``) gives each family's Lambda factor and spinor
+  twist; it reads no table of the theta quotients.  ``witten_element_ch``
+  builds the element, and ``_twisted_element`` multiplies in the twist's
+  unit and leaves its half-character to the caller, which folds all of
+  its strays at once.
 
 ``oracle_expand_vs_closed`` checks the two paths against each other
-exactly; they are each other's oracle.
+exactly (times A-hat, on the index-character side of
+``bridge_to_index_character``); ``catalog.oracle_check_s2`` maps the same
+twisted element through Borel-Weil on the rotation sphere and checks the
+localization engine against it.  The rational constants between the two
+sides are stated once, in ``constants_ledger``.
 
 Conventions: a complex line of rotation weight m with root x contributes
 the equivariant element E = w^{2m} e^x, w = e^{pi i t}.  Tangent bundles
@@ -72,8 +80,8 @@ from .algebra import (
     series_invert,
     series_mul,
 )
-from .theta import (PAIR_GRID, NonconvergentDomain, ThetaKind, product_keys,
-                    series_product, unit_product)
+from .theta import (PAIR_GRID, ConstantsLedger, NonconvergentDomain, ThetaKind,
+                    product_keys, series_product, unit_product)
 
 
 class ZeroWeightNormalBundle(Exception):
@@ -424,65 +432,63 @@ def chern_character(bundle: RootBundle, gens=None, cap=None) -> GradedElement:
     return out
 
 
-def _lambda_levels(kind: OperatorKind) -> tuple[int, int] | None:
-    """(sign, grid) for the exterior-power factor; grid 0 = integer q,
-    4 = half-integer.  None when the family has no Lambda factor."""
-    return {
-        OperatorKind.DsThetaPrime: (1, 0),
-        OperatorKind.DThetaQ: (-1, 4),
-        OperatorKind.DThetaMinusQ: (1, 4),
-        OperatorKind.DeltaVThetaPrime: (1, 0),
-        OperatorKind.DVThetaQ: (-1, 4),
-        OperatorKind.DVThetaMinusQ: (1, 4),
-        OperatorKind.DVStarDifference: (-1, 0),
-        OperatorKind.WittenH: None,
-    }[kind]
+# Each family's expansion element: (Lambda factor, spinor twist).  The
+# Lambda factor (sign, grid, over) is the product over n >= 1 of
+# Lambda_{sign q^{n - grid/8}} over the lines of "TX" or "V"; grid 0 is the
+# integer q-grid, 4 the half-integer one.  The spinor twist (sign, over) is
+# the character of Delta (sign 1) or Delta+ - Delta- (sign -1) of the
+# complex bundle TX or V.  Every element carries S_{q^n}(TX) for n >= 1;
+# Witten's, with no Lambda factor, is always "- dim" normalized.  The
+# expansion path reads this table and no table of the theta quotients.
+_EXPANSIONS = {
+    OperatorKind.DsThetaPrime: ((1, 0, "TX"), (1, "TX")),
+    OperatorKind.DThetaQ: ((-1, 4, "TX"), None),
+    OperatorKind.DThetaMinusQ: ((1, 4, "TX"), None),
+    OperatorKind.DeltaVThetaPrime: ((1, 0, "V"), (1, "V")),
+    OperatorKind.DVThetaQ: ((-1, 4, "V"), None),
+    OperatorKind.DVThetaMinusQ: ((1, 4, "V"), None),
+    OperatorKind.DVStarDifference: ((-1, 0, "V"), (-1, "V")),
+    OperatorKind.WittenH: (None, None),
+}
 
 
-def witten_element_ch(kind: OperatorKind, tangent: RootBundle | None,
-                      normals, vbundles, n8: int, normalized: bool = False,
+def witten_element_ch(kind: OperatorKind, tx, vbundles, n8: int, normalized: bool = False,
                       gens=None, cap=None) -> QSeries:
-    """Chern character of the exterior/symmetric power element, level by level.
+    """Chern character of ``kind``'s expansion element, level by level: its
+    Lambda factor (``_EXPANSIONS``) over tx or vbundles, and S_{q^n}(tx).
 
     Uses ch Lambda_t(E) = prod (1 + t E_j) and ch S_t(E) = prod (1 - t E_j)^{-1}
     with one factor per listed root; callers model a real bundle by passing
     the bundle together with its conjugate.  The "- dim" normalization
     divides by one root- and weight-free factor per listed line.
     """
-    if normalized and not kind.supports_normalized:
+    lam = _EXPANSIONS[kind][0]
+    over_v = lam is not None and lam[2] == "V"
+    if normalized and lam is not None and not over_v:
         raise ValueError("%s has no dim-normalized variant" % kind.value)
-    tx_bundles = ([tangent] if tangent is not None else []) + list(normals)
-    for b in tx_bundles:
+    for b in tx:
         if b.roots:
             gens, cap = b.roots[0].gens, b.roots[0].cap
     if gens is None:
         raise ValueError("need gens/cap for empty bundle data")
-    tx_lines = _iter_lines(tx_bundles)
+    tx_lines = _iter_lines(tx)
     one = _one(gens, cap)
     acc = QSeries({0: one}, n8)
     scalar_den = QSeries({0: Fraction(1)}, n8)
-    normalize_dims = normalized or kind is OperatorKind.WittenH
+    normalize_dims = normalized or lam is None
 
-    lam = _lambda_levels(kind)
     if lam is not None:
-        sign, grid = lam
-        lam_lines = _iter_lines(vbundles) if kind.needs_v else tx_lines
-        n = 1
-        while True:
-            key = 8 * n - grid
-            if key > n8:
-                break
+        sign, grid, _ = lam
+        lam_lines = _iter_lines(vbundles) if over_v else tx_lines
+        for key in range(8 - grid, n8 + 1, 8):
             f = QSeries({0: Fraction(1), key: Fraction(sign)}, n8)
             for tw, x in lam_lines:
                 acc = series_mul(acc, QSeries({0: one, key: _line(tw, x) * Fraction(sign)}, n8))
-                if normalize_dims and kind.needs_v:
+                if normalize_dims and over_v:
                     scalar_den = series_mul(scalar_den, f)
-            n += 1
 
     # symmetric powers of the tangent element
-    m = 1
-    while 8 * m <= n8:
-        key = 8 * m
+    for key in range(8, n8 + 1, 8):
         drop = QSeries({0: Fraction(1), key: Fraction(-1)}, n8)
         for tw, x in tx_lines:
             E = _line(tw, x)
@@ -490,9 +496,8 @@ def witten_element_ch(kind: OperatorKind, tangent: RootBundle | None,
             acc = series_mul(acc, geom)
             if normalize_dims:
                 acc = series_mul(acc, drop.scale(one))
-        m += 1
 
-    if normalize_dims and kind.needs_v and scalar_den.c != {0: Fraction(1)}:
+    if scalar_den.c != {0: Fraction(1)}:
         acc = series_mul(acc, series_invert(scalar_den).scale(one))
     return acc
 
@@ -507,72 +512,66 @@ def complexified(bundles) -> list[RootBundle]:
     return out
 
 
-def _spinor_char(bundles, gens, cap, difference: bool = False):
-    """Character of Delta(V) (or Delta+ - Delta- with the sign convention
-    fixed by the cross-path oracle): stray part and on-grid unit."""
+def _stray_unit(bundles, unit_of, gens, cap):
+    """prod over the lines of E^{-1/2} unit_of(tw, x) in stray/unit form:
+    (stray_w, stray_cls, unit), the stray being w^{stray_w} e^{stray_cls/2}."""
     stray_w = Fraction(0)
     stray_cls = GradedElement.zero(gens, cap)
     unit = _one(gens, cap)
     for tw, x in _iter_lines(bundles):
         stray_w -= Fraction(tw, 2)
         stray_cls = stray_cls - x
-        E = _line(tw, x)
-        unit = unit * ((unit.one_like() - E) if difference else (unit.one_like() + E))
+        unit = unit * unit_of(tw, x)
     return stray_w, stray_cls, unit
 
 
-def _a_hat_theta_product(normals, gens, cap):
-    """prod over normal roots of 1/(E^{1/2} - E^{-1/2}) in stray/unit form."""
-    stray_w = Fraction(0)
-    stray_cls = GradedElement.zero(gens, cap)
-    unit = _one(gens, cap)
-    for tw, x in _iter_lines(normals):
-        stray_w -= Fraction(tw, 2)
-        stray_cls = stray_cls - x
-        unit = unit * graded_invert(unit.one_like() - _line(-tw, -x))
-    return stray_w, stray_cls, unit
+def _twisted_element(kind: OperatorKind, tx, vbundles, n8: int, normalized: bool, gens, cap):
+    """The expansion element of ``kind`` on the complex bundles tx and V
+    times its spinor twist's unit, as (series, stray_w, stray_cls): the
+    twist's half-character is left for the caller to fold with its own."""
+    element = witten_element_ch(kind, complexified(tx), complexified(vbundles), n8,
+                                normalized, gens, cap)
+    twist = _EXPANSIONS[kind][1]
+    if twist is None:
+        return element, Fraction(0), GradedElement.zero(gens, cap)
+    sign, over = twist
+    one = _one(gens, cap)
+    stray_w, stray_cls, unit = _stray_unit(tx if over == "TX" else vbundles,
+                                           lambda tw, x: one + _line(tw, x) * sign, gens, cap)
+    return element.scale(unit), stray_w, stray_cls
+
+
+def constants_ledger(kind: OperatorKind, normalized: bool, l: int) -> ConstantsLedger:
+    """The rational constants between the localization function and the
+    index character: 2^l for the normalized delta-v-theta-prime and i^{2l}
+    for dv-star-difference, l the rank of V."""
+    if kind is OperatorKind.DeltaVThetaPrime and normalized:
+        return ConstantsLedger(two=l)
+    if kind is OperatorKind.DVStarDifference:
+        return ConstantsLedger(i=2 * l)
+    return ConstantsLedger()
 
 
 def bridge_to_index_character(kind: OperatorKind, normalized: bool,
                               k: int, l: int, series: QSeries) -> QSeries:
     """Map the localization function to the Chern character of the index
     bundle: undo the q^{a/8} and c(q) prefactors of the correspondence and
-    apply the rational ledger constants 2^l and (-1)^l."""
-    n8 = series.n8
-    if kind is OperatorKind.WittenH:
-        return series
+    apply the constants of ``constants_ledger``."""
+    out = series
     if not normalized:
-        if kind in (OperatorKind.DThetaQ, OperatorKind.DThetaMinusQ):
-            return series.shift_q8(k)
-        if kind is OperatorKind.DsThetaPrime:
-            return series
-        shift = {OperatorKind.DeltaVThetaPrime: k - l,
-                 OperatorKind.DVThetaQ: k,
-                 OperatorKind.DVThetaMinusQ: k,
-                 OperatorKind.DVStarDifference: k - l}[kind]
-        out = series.shift_q8(shift)
-        if k != l:
+        out = out.shift_q8({OperatorKind.DThetaQ: k, OperatorKind.DThetaMinusQ: k,
+                            OperatorKind.DVThetaQ: k, OperatorKind.DVThetaMinusQ: k,
+                            OperatorKind.DeltaVThetaPrime: k - l,
+                            OperatorKind.DVStarDifference: k - l}.get(kind, 0))
+        if kind.needs_v and k != l:
             # c(q)^{|k - l|}
             cpow = series_product(QSeries({0: Fraction(1)}, out.n8 + abs(k - l) * 8),
                                   Fraction(1), 8, (-1,) * abs(k - l))
             cpow = cpow.truncate(out.n8) if k > l else series_invert(cpow).truncate(out.n8)
-            out = series_mul(out, cpow.scale(_one_like_series(series)))
-        if kind is OperatorKind.DVStarDifference and l % 2:
-            out = out.scale(Fraction(-1))
-        return out
-    if kind is OperatorKind.DeltaVThetaPrime:
-        return series.scale(Fraction(2 ** l))
-    if kind is OperatorKind.DVStarDifference and l % 2:
-        return series.scale(Fraction(-1))
-    return series
-
-
-def _one_like_series(series: QSeries):
-    for v in series.c.values():
-        if isinstance(v, GradedElement):
-            return v.one_like()
-        return Fraction(1)
-    return Fraction(1)
+            out = series_mul(out, cpow)
+    ledger = constants_ledger(kind, normalized, l)
+    scale = Fraction(2) ** ledger.two * (-1) ** (ledger.i // 2)
+    return out if scale == 1 else out.scale(scale)
 
 
 @dataclass(frozen=True)
@@ -592,47 +591,25 @@ def oracle_expand_vs_closed(kind: OperatorKind, component, n8_small: int,
     if n8_small > 32:
         raise ValueError("oracle path is only run at small orders (n8 <= 32)")
     gens, cap = component.gens, component.cap
-    k = (component.tangent.rank if component.tangent else 0) + \
-        sum(b.rank for b in component.normals)
+    tangent = component.tangent
+    tx = ([tangent] if tangent is not None else []) + list(component.normals)
+    k = sum(b.rank for b in tx)
     l = sum(b.rank for b in component.vbundles)
 
     closed = theta_quotient_integrand(kind, component, n8_small, normalized)
     closed = bridge_to_index_character(kind, normalized, k, l, closed)
 
-    tangent = component.tangent
-    tx_real = complexified(([tangent] if tangent is not None else []) + list(component.normals))
-    v_real = complexified(component.vbundles)
-    element = witten_element_ch(kind, None, tx_real, v_real, n8_small,
-                                normalized=normalized, gens=gens, cap=cap)
-    ahat = a_hat(tangent, gens, cap) if tangent is not None else _one(gens, cap)
-    sw, scls, unit = _a_hat_theta_product(component.normals, gens, cap)
-    prefactor = ahat * unit
-    if kind is OperatorKind.DsThetaPrime:
-        dsw, dscls, dunit = _spinor_char([tangent] if tangent else [], gens, cap)
-        nsw, nscls, nunit = _spinor_char(component.normals, gens, cap)
-        prefactor = prefactor * dunit * nunit
-        sw, scls = sw + dsw + nsw, scls + dscls + nscls
-    elif kind is OperatorKind.DeltaVThetaPrime:
-        vsw, vscls, vunit = _spinor_char(component.vbundles, gens, cap)
-        prefactor = prefactor * vunit
-        sw, scls = sw + vsw, scls + vscls
-    elif kind is OperatorKind.DVStarDifference:
-        vsw, vscls, vunit = _spinor_char(component.vbundles, gens, cap, difference=True)
-        prefactor = prefactor * vunit
-        sw, scls = sw + vsw, scls + vscls
-    expanded = element.scale(prefactor)
-    expanded = _fold_strays(expanded, sw, scls)
-
-    n8 = min(closed.n8, expanded.n8)
-    mismatch = None
-    for key in sorted(set(closed.c) | set(expanded.c)):
-        if key > n8:
-            continue
-        a = closed.c.get(key)
-        b = expanded.c.get(key)
-        if (a is None) != (b is None) or (a is not None and a != b):
-            mismatch = (key, a, b)
-            break
+    expanded, sw, scls = _twisted_element(kind, tx, component.vbundles, n8_small,
+                                          normalized, gens, cap)
+    # A-hat(TX) restricted: the tangent's A-hat, and prod over the normal
+    # lines of 1/(E^{1/2} - E^{-1/2})
+    one = _one(gens, cap)
+    nsw, nscls, unit = _stray_unit(component.normals,
+                                   lambda tw, x: graded_invert(one - _line(-tw, -x)), gens, cap)
+    if tangent is not None:
+        unit = a_hat(tangent, gens, cap) * unit
+    expanded = _fold_strays(expanded.scale(unit), sw + nsw, scls + nscls)
+    mismatch = closed.first_mismatch(expanded)
     return OracleReport(kind, normalized, mismatch is None, mismatch, closed, expanded)
 
 

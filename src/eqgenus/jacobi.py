@@ -234,12 +234,6 @@ class ZeroCountResult:
     perturbations: int
     imag_residue: float = 0.0
 
-    def __str__(self):
-        if self.identically_zero:
-            return "IdenticallyZero"
-        return "%.4f zeros (imag %.1e, %d perturbations)" % (
-            self.count, self.imag_residue, self.perturbations)
-
 
 def _panel_integral(F, tau, a: complex, b: complex, h: float, nodes) -> complex:
     mid = (a + b) / 2
@@ -339,14 +333,6 @@ class IndexVerdict:
     series_is_zero: bool
     contradiction: bool
     rigidity: object | None = None
-
-    def __str__(self):
-        s = self.classification.value
-        if self.series_is_zero:
-            s += " (series identically zero)"
-        if self.contradiction:
-            s += " [CONTRADICTION: expected vanishing, series is nonzero]"
-        return s
 
 
 def rigidity_verdict_from_index(n: int, result) -> IndexVerdict:

@@ -30,6 +30,7 @@ from .genera import (
     OperatorKind,
     RootBundle,
     bridge_to_index_character,
+    constants_ledger,
     numeric_integrand,
     theta_quotient_integrand,
 )
@@ -127,18 +128,6 @@ class ValidationReport:
     witten_h_applicable: bool
     notes: list[str]
 
-    def __str__(self) -> str:
-        lines = ["valid" if self.ok else "INVALID"]
-        lines += ["error: " + e for e in self.errors]
-        lines += ["warning: " + w for w in self.warnings]
-        if self.anomaly is not None:
-            lines.append("anomaly n = %s" % self.anomaly)
-        if self.anomaly_tx is not None:
-            lines.append("tangent anomaly sum m^2 d = %s (loop-space condition %s)"
-                         % (self.anomaly_tx, "holds" if self.witten_h_applicable else "fails"))
-        lines += ["note: " + n for n in self.notes]
-        return "\n".join(lines)
-
 
 def validate(data: ActionData) -> ValidationReport:
     """Rank bookkeeping, weight sanity, and the anomaly consistency checks."""
@@ -175,27 +164,22 @@ def validate(data: ActionData) -> ValidationReport:
         if c.k_alpha > 0:
             fiber_degrees = [d for (n, d) in c.gens if n in c.table.fiber_gens]
             tops = _top_monomials(tuple(zip(c.table.fiber_gens, fiber_degrees)), 2 * c.k_alpha)
-            for mono in tops:
-                if mono not in c.table.entries:
-                    errors.append("%s: integration table misses top monomial %r" % (label, mono))
+            missing = [mono for mono in tops if mono not in c.table.entries]
+            for mono in missing:
+                errors.append("%s: integration table misses top monomial %r" % (label, mono))
             # orientation heuristic for projective-type tables: the top
             # product of the tangent roots should pair positively with the
             # declared sign (the root classes fix the orientation, the list
             # order does not)
-            if c.tangent is not None and c.tangent.roots and not errors:
+            if c.tangent is not None and c.tangent.roots and not missing:
                 top = GradedElement.scalar(c.gens, c.cap, Fraction(1))
                 for r in c.tangent.roots:
                     top = top * r
-                try:
-                    paired = fiber_integrate(top, c.table).scalar_part()
-                except Exception:
-                    paired = None
-                if paired is not None and paired != 0:
-                    val = paired if isinstance(paired, Fraction) else None
-                    if val is not None and (val < 0) != (c.sign < 0):
-                        warnings.append("%s: orientation sign %+d disagrees with the "
-                                        "pairing of the top tangent-root product (%s)"
-                                        % (label, c.sign, val))
+                paired = fiber_integrate(top, c.table).scalar_part()
+                if paired and (paired < 0) != (c.sign < 0):
+                    warnings.append("%s: orientation sign %+d disagrees with the "
+                                    "pairing of the top tangent-root product (%s)"
+                                    % (label, c.sign, paired))
         # anomaly sums
         tx_sq = sum((b.weight ** 2 * b.rank for b in c.normals), Fraction(0))
         per_comp_tx.append(tx_sq)
@@ -352,14 +336,9 @@ def equivariant_character(data: ActionData, kind: OperatorKind, n8: int,
         total = pushed if total is None else total + pushed
     assert total is not None
     l = data.components[0].v_rank() if kind.needs_v else 0
-    if kind is OperatorKind.DeltaVThetaPrime and normalized:
-        ledger = ConstantsLedger(two=l)
-    elif kind is OperatorKind.DVStarDifference:
-        ledger = ConstantsLedger(i=2 * l)
-    else:
-        ledger = ConstantsLedger()
-    return GenusResult(total, kind, normalized, total.n8, data.base_gens,
-                       data.base_cap, data.fiber_half_dim, l, ledger, data.digest())
+    return GenusResult(total, kind, normalized, total.n8, data.base_gens, data.base_cap,
+                       data.fiber_half_dim, l, constants_ledger(kind, normalized, l),
+                       data.digest())
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +350,6 @@ class RigidityVerdict:
     rigid: bool
     constants: dict[tuple[int, str], Fraction] | None
     witness: tuple | None
-
-    def __str__(self):
-        if self.rigid:
-            nonzero = {k: v for k, v in self.constants.items() if v}
-            return "rigid; %d nonzero constants" % len(nonzero)
-        key, mono, coeff = self.witness
-        return "NOT rigid: q^{%d/8} coefficient of %s is %s" % (key, mono, coeff)
 
 
 def rigidity_check(result: GenusResult) -> RigidityVerdict:

@@ -163,9 +163,6 @@ class ThetaTaylorStack:
     ledger: ConstantsLedger
     vanishes_at_zero: bool
 
-    def entry(self, k: int) -> QSeries:
-        return self.entries[k]
-
 
 def theta_taylor(kind: ThetaKind, m, k_max: int, n8: int) -> ThetaTaylorStack:
     """Stack of normalized v-derivatives of theta_kind at v = m t."""

@@ -95,6 +95,13 @@ def test_validation_error_exit_3(capsys, tmp_path):
     assert "ZeroWeight" in err or "validation" in err
 
 
+def test_v_family_without_v_data_exit_3(capsys):
+    code, _, err = run(capsys, "expand", "--operator", "dv-theta-q",
+                       "--input", "catalog:s2-rotation")
+    assert code == 3
+    assert "requires V data on every component" in err
+
+
 def test_degree_beyond_cap_exit_3(capsys):
     code, _, err = run(capsys, "jacobi", "--input", "catalog:s2-v-double-tangent",
                        "--operator", "dv-theta-q", "--degree", "6")

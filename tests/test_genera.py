@@ -69,7 +69,7 @@ def test_point_integrand_is_theta2_over_theta():
     th2 = theta_formal(ThetaKind.Theta2, 1, 18).series
     th = theta_formal(ThetaKind.Theta, 1, 18).series
     expect = series_mul(th2, series_invert(th)).truncate(16)
-    assert as_wrat(got).agrees_with(expect)
+    assert as_wrat(got).first_mismatch(expect) is None
 
 
 def test_ds_normal_factor_q0():
@@ -96,7 +96,7 @@ def test_parity_involution():
         a = as_wrat(scalar_series(theta_quotient_integrand(kind, comp, 12)))
         b = as_wrat(scalar_series(theta_quotient_integrand(kind, neg, 12)))
         flipped = a.map_coefficients(lambda c: c.subs_w_inverse())
-        assert flipped.agrees_with(b)
+        assert flipped.first_mismatch(b) is None
 
 
 def test_tangent_factor_degree0_series():
@@ -143,12 +143,12 @@ def test_witten_element_examples():
     zero = GradedElement.zero(gens, 0)
     line = RootBundle(2, 1, (zero,))
     # q^0 coefficient of any Theta-element is 1
-    el = witten_element_ch(OperatorKind.DThetaQ, None, (line,), (), 12, gens=gens, cap=0)
+    el = witten_element_ch(OperatorKind.DThetaQ, (line,), (), 12, gens=gens, cap=0)
     assert el.coefficient(0).scalar_part() == 1
     # Lambda_{-q^{1/2}} first correction: -w^{2m} at q^{1/2}
     assert el.coefficient(4).scalar_part() == WLaurentRational.w(4) * Fraction(-1)
     # S_q(line): coefficient of q^1 includes w^{2m} e^x; isolate with Theta'_q-free kind
-    h = witten_element_ch(OperatorKind.WittenH, None, (line,), (), 8, gens=gens, cap=0)
+    h = witten_element_ch(OperatorKind.WittenH, (line,), (), 8, gens=gens, cap=0)
     # S_{q}(E - 1): q^1 coefficient is w^{2m} - 1
     assert h.coefficient(8).scalar_part() == WLaurentRational.w(4) - 1
 
@@ -161,7 +161,7 @@ def test_witten_element_sq_with_root():
     # integer grid: WittenH without -dim is not exposed, so check via
     # DThetaQ at integer key 8 where only S contributes once Lambda's
     # half-grid keys are excluded
-    el = witten_element_ch(OperatorKind.DThetaQ, None, (line,), (), 8, gens=gens, cap=4)
+    el = witten_element_ch(OperatorKind.DThetaQ, (line,), (), 8, gens=gens, cap=4)
     # q^1 coefficient: S gives w^2 e^x; Lambda_{-q^{1/2}} twice gives
     # Lambda^2 = 0 for a single line, so only the S term plus the
     # cross term (-q^{1/2} E)^2 from squaring the same line vanishes
@@ -228,6 +228,40 @@ def test_oracle_half_integer_weights():
         assert rep.equal, (kind, rep.first_mismatch)
 
 
+def _drop_theta1_half_power(numerators):
+    on_line, on_tangent, _, c_power, q8_power = numerators[ThetaKind.Theta1]
+    return on_line, on_tangent, 0, c_power, q8_power
+
+
+# engine-table mutations and the families they break.  The sphere's
+# d-theta-q character is 0 with theta2 or theta3 on TX, so only the
+# closed/expansion oracle sees the third.
+BROKEN_ENGINE_TABLES = [
+    ("_FAMILIES", OperatorKind.DVStarDifference, lambda _: (None, ThetaKind.Theta1),
+     (OperatorKind.DVStarDifference,), True),
+    ("_NUMERATORS", ThetaKind.Theta1, _drop_theta1_half_power,
+     (OperatorKind.DsThetaPrime, OperatorKind.DeltaVThetaPrime), True),
+    ("_FAMILIES", OperatorKind.DThetaQ, lambda _: (ThetaKind.Theta3, None),
+     (OperatorKind.DThetaQ,), False),
+]
+
+
+@pytest.mark.parametrize("table,key,broken,kinds,on_sphere", BROKEN_ENGINE_TABLES,
+                         ids=["families-dv-star", "theta1-half-power", "families-d-theta-q"])
+def test_oracles_flag_a_broken_engine_table(monkeypatch, table, key, broken, kinds, on_sphere):
+    # negative control: the expansion side of both oracles is independent of
+    # the engine's tables, so breaking an engine entry must show
+    from eqgenus import genera
+    from eqgenus.catalog import builtin, oracle_check_s2
+    comp = builtin("s2-family-base").data.components[0]
+    entries = getattr(genera, table)
+    monkeypatch.setitem(entries, key, broken(entries))
+    for kind in kinds:
+        assert not oracle_expand_vs_closed(kind, comp, 12).equal, kind
+        if on_sphere:
+            assert not oracle_check_s2(kind, 12).equal, kind
+
+
 # -- numeric jets ---------------------------------------------------------------
 
 # every recipe: the 8 raw kinds and the 5 dim-normalized variants
@@ -283,7 +317,7 @@ def test_recipe_is_the_papers_theta_quotient(kind, normalized):
                 expect = series_mul(expect, series_invert(S(null, 0)))
     got = as_wrat(scalar_series(theta_quotient_integrand(kind, comp, 24, normalized)))
     assert expect.n8 >= 24
-    assert got.agrees_with(expect, up_to=24)
+    assert got.first_mismatch(expect, up_to=24) is None
 
 
 @pytest.mark.parametrize("kind,normalized", RECIPES, ids=map(recipe_id, RECIPES))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,11 @@ def test_orientation_warning_for_flipped_table():
     rep = validate(ActionData(1, (comp,)))
     assert rep.ok
     assert any("orientation" in w for w in rep.warnings)
+    # an error in an earlier component leaves this component's check on
+    empty = FixedComponent("empty", 0, None, (), (), IntegrationTable((), 0, {}), 1, gens, 2)
+    rep = validate(ActionData(1, (empty, comp)))
+    assert not rep.ok
+    assert any("orientation" in w for w in rep.warnings)
 
 
 def test_degree_component_examples():
@@ -190,6 +196,16 @@ def test_linearity_disjoint_union():
     rb = equivariant_character(b, OperatorKind.DThetaMinusQ, 12).series
     ru = equivariant_character(union, OperatorKind.DThetaMinusQ, 12).series
     assert ru == ra + rb
+    # orientation sign -1 enters negated: flipping one cp3 component's sign
+    # moves the character by twice that component's contribution
+    cp3 = builtin("cp3-weighted").data
+    first = cp3.components[0]
+    flipped = ActionData(3, (replace(first, sign=-1),) + cp3.components[1:], name="flipped")
+    r = equivariant_character(cp3, OperatorKind.DThetaMinusQ, 12).series
+    rf = equivariant_character(flipped, OperatorKind.DThetaMinusQ, 12).series
+    part = component_contribution(cp3, first, OperatorKind.DThetaMinusQ, 12)
+    assert part
+    assert r - rf == part + part
 
 
 def test_weight_negation_involution():

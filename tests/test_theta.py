@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqgenus import theta
 from eqgenus.algebra import OffGridExponent, QSeries, WLaurentRational
 from eqgenus.theta import (
     ConstantsLedger,
@@ -237,11 +238,13 @@ _ZERO = {ThetaKind.Theta: (0, 0), ThetaKind.Theta1: (0.5, 0),
          ThetaKind.Theta2: (0, 0.5), ThetaKind.Theta3: (0.5, 0.5)}
 
 
-def test_theta_numeric_within_relative_eps():
+def test_theta_numeric_within_relative_eps(monkeypatch):
     # seeded points with Re t in [-0.5, 1.5], |Im t| <= 0.3 and
     # 0.05 <= Im tau <= 1.4, where |theta| reaches well above 1, and for
     # each kind a point 5e-4 to 1e-3 from one of its zeros (Im tau <= 0.6
-    # keeps the zeros at +-tau/2 near the strip)
+    # keeps the zeros at +-tau/2 near the strip); then points with Re tau
+    # within 0.2 of +-1 or +-3 and Im tau < 0.3, whose reduction starts
+    # with an odd T-shift, which swaps theta2 and theta3
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(59)
     points = []
@@ -255,6 +258,20 @@ def test_theta_numeric_within_relative_eps():
             t = re + rng.choice((0, 1)) + im * rng.choice((1, -1)) * tau \
                 + cmath.rect(rng.uniform(5e-4, 1e-3), rng.uniform(0, 2 * math.pi))
             points.append((kind, t, tau))
+    rng = random.Random(67)
+    for _ in range(300):
+        t = complex(rng.uniform(-0.5, 1.5), rng.uniform(-0.3, 0.3))
+        tau = complex(rng.choice((-3, -1, 1, 3)) + rng.uniform(-0.2, 0.2), rng.uniform(0.05, 0.3))
+        points += [(kind, t, tau) for kind in KINDS]
+    swaps = []
+    t_shift = theta._t_shift
+
+    def spy(kind, n):
+        swapped, factor = t_shift(kind, n)
+        swaps.append(swapped is not kind)
+        return swapped, factor
+
+    monkeypatch.setattr(theta, "_t_shift", spy)
     large = 0
     with mpmath.workdps(30):
         for kind, t, tau in points:
@@ -264,6 +281,8 @@ def test_theta_numeric_within_relative_eps():
                 rel = abs(theta_numeric(kind, t, tau, eps) - ref) / abs(ref)
                 assert rel <= eps, (kind, t, tau, eps, rel / eps)
     assert large > 100
+    # each theta2 and theta3 point of the last set swaps at its first step
+    assert sum(swaps) >= 2 * 2 * 300
 
 
 def test_periodicity_t_plus_one():
