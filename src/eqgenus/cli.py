@@ -49,6 +49,8 @@ EXIT_PARSE, EXIT_VALIDATION, EXIT_COMPUTE = 2, 3, 4
 
 # the largest --order (in eighth-steps) of the exact engine's commands
 MAX_ORDER = 256
+# the largest jacobi --samples
+MAX_SAMPLES = 1024
 
 _PARSE_ERRORS = (DatasetFormatError, OSError)
 _VALIDATION_ERRORS = (ValidationError, InconsistentAnomaly, UnknownEntry,
@@ -82,6 +84,17 @@ def _parse_complex(s: str) -> complex:
 def _check_order(order: int):
     if not 0 <= order <= MAX_ORDER:
         raise ValidationError("order %d outside [0, %d] eighth-steps" % (order, MAX_ORDER))
+
+
+def _check_samples(samples: int):
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValidationError("--samples %d outside [1, %d]" % (samples, MAX_SAMPLES))
+
+
+def _check_unit_interval(flag: str, x: float):
+    # a NaN fails both comparisons and is rejected too
+    if not 0 < x < 1:
+        raise ValidationError("%s %r outside the open interval (0, 1)" % (flag, x))
 
 
 def _q_name(key: int) -> str:
@@ -178,6 +191,8 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
+    _check_samples(args.samples)
+    _check_unit_interval("--tol", args.tol)
     data = _load_input(args.input)
     kind = _operator(args.operator)
     if args.degree % 2 or args.degree < 0 or args.degree > data.base_cap:
@@ -220,7 +235,7 @@ def cmd_zeros(args) -> int:
     res = count_zeros(F, tau, (origin, 2, 2 * tau))
     try:
         n = anomaly_index(data)
-    except (ValidationError, InconsistentAnomaly):
+    except InconsistentAnomaly:
         n = None
     report = {"format": 1, "command": "zeros", "dataset": data.name or args.input,
               "operator": kind.value, "tau": str(tau),
@@ -252,6 +267,7 @@ def cmd_theta(args) -> int:
             lines.append("  identically zero (order-%d vanishing at v=0)" % ts.vanishing_order)
         _emit(report, args.format, lines)
         return 0
+    _check_unit_interval("--eps", args.eps)
     t = _parse_complex(args.t)
     tau = _parse_complex(args.tau)
     val = theta_numeric(kind, t, tau, args.eps)

@@ -3,7 +3,8 @@
 Implements membership tests for the three congruence subgroups attached to
 the theta kinds, the weight/index slash action, sampled checks of the two
 defining Jacobi-form transformation laws, and argument-principle zero
-counting by adaptive Gauss-Legendre quadrature of F'/F.
+counting by the winding number of F around the cell, from summed phase
+increments.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from .genera import OperatorKind
 from .theta import _norm_diff
@@ -175,6 +175,8 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None,
             raise ValueError("generator %s is not in %s" % (g, spec.group.value))
     s = spec.lattice_scale
     pts = _jacobi_samples(samples)
+    if not pts:
+        raise ValueError("no samples: a check of nothing cannot pass")
     m = float(spec.index)
 
     def diff(lhs, rhs, t, tau):
@@ -192,8 +194,7 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None,
                       cmath.exp(-2j * math.pi * m * (lam * lam * tau + 2 * lam * t)) * base,
                       t, tau)
                  for lam, mu in ((s, 0), (0, s))]
-    return JacobiReport(spec, len(pts), max(mods, default=0.0),
-                        max(lats, default=0.0), eps)
+    return JacobiReport(spec, len(pts), max(mods, default=0.0), max(lats), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -203,70 +204,31 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None,
 PANELS = 32
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
-    """Nodes and weights on [-1, 1] by Newton iteration on the Legendre
-    recurrence (checked against the weight-sum and moment identities)."""
-    out = []
-    for i in range(1, n + 1):
-        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
-        for _ in range(100):
-            p0, p1 = 1.0, 0.0
-            for j in range(1, n + 1):
-                p0, p1 = ((2 * j - 1) * x * p0 - (j - 1) * p1) / j, p0
-            dp = n * (x * p0 - p1) / (x * x - 1.0)
-            dx = p0 / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        p0, p1 = 1.0, 0.0
-        for j in range(1, n + 1):
-            p0, p1 = ((2 * j - 1) * x * p0 - (j - 1) * p1) / j, p0
-        dp = n * (x * p0 - p1) / (x * x - 1.0)
-        out.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ZeroCountResult:
     count: float | None
     identically_zero: bool
     perturbations: int
-    imag_residue: float = 0.0
 
 
-def _panel_integral(F, tau, a: complex, b: complex, h: float, nodes) -> complex:
-    mid = (a + b) / 2
-    half = (b - a) / 2
-    total = 0j
-    for x, wgt in nodes:
-        z = mid + half * x
-        fp = (F(z + h, tau) - F(z - h, tau)) / (2 * h)
-        fz = F(z, tau)
-        if fz == 0:
-            raise BoundaryZero("F vanishes on the contour at %s" % z)
-        total += wgt * fp / fz
-    return total * half
-
-
-def _edge_integral(F, tau, a: complex, b: complex, h: float, zero_floor: float) -> complex:
-    nodes = _gauss_legendre(16)
-    total = 0j
+def _edge_winding(F, tau, a: complex, b: complex, zero_floor: float) -> float:
+    """Summed principal phase increments of F along the edge a -> b."""
+    total = 0.0
 
     def rec(x0, x1, f0, f1, depth):
         nonlocal total
         if abs(f0) < zero_floor or abs(f1) < zero_floor:
             raise BoundaryZero("contour passes too close to a zero")
-        dphase = abs(cmath.phase(f1 / f0))
-        if dphase > math.pi / 2 and depth < 14:
+        dphase = cmath.phase(f1 / f0)
+        if abs(dphase) > math.pi / 2 and depth < 14:
             xm = (x0 + x1) / 2
             fm = F(xm, tau)
             rec(x0, xm, f0, fm, depth + 1)
             rec(xm, x1, fm, f1, depth + 1)
             return
-        if dphase > math.pi / 2:
+        if abs(dphase) > math.pi / 2:
             raise BoundaryZero("phase jump did not subdivide away")
-        total += _panel_integral(F, tau, x0, x1, h, nodes)
+        total += dphase
 
     pts = [a + (b - a) * i / PANELS for i in range(PANELS + 1)]
     vals = [F(p, tau) for p in pts]
@@ -276,9 +238,10 @@ def _edge_integral(F, tau, a: complex, b: complex, h: float, zero_floor: float) 
 
 
 def count_zeros(F, tau: complex, cell: tuple[complex, complex, complex]) -> ZeroCountResult:
-    """(1/2 pi i) of the contour integral of F'/F around the cell
-    (origin, v1, v2); F' by central differences, panels split adaptively
-    whenever the phase of F jumps by more than pi/2.
+    """Zeros minus poles of F in the cell (origin, v1, v2): the winding
+    number of F around its boundary, from summed phase increments.  Panels
+    split adaptively whenever the phase of F jumps by more than pi/2, so
+    each increment is the true phase change along its panel.
 
     The zero function is detected on a 16 x 16 grid first; the deciding
     samples are restricted to the low-imaginary band of the cell, where a
@@ -300,18 +263,15 @@ def count_zeros(F, tau: complex, cell: tuple[complex, complex, complex]) -> Zero
                 band_max = max(band_max, abs(val))
     if band_max < 1e-10:
         return ZeroCountResult(None, True, 0)
-    h = 1e-6 * max(abs(v1), abs(v2))
     zero_floor = 1e-12 * scale
     shift = 0.0137 + 0.0089j
     base = origin
     for attempt in range(4):
         try:
-            total = 0j
             corners = [base, base + v1, base + v1 + v2, base + v2, base]
-            for a, b in zip(corners, corners[1:]):
-                total += _edge_integral(F, tau, a, b, h, zero_floor)
-            count = total / (2j * math.pi)
-            return ZeroCountResult(count.real, False, attempt, abs(count.imag))
+            total = sum(_edge_winding(F, tau, a, b, zero_floor)
+                        for a, b in zip(corners, corners[1:]))
+            return ZeroCountResult(total / (2 * math.pi), False, attempt)
         except BoundaryZero:
             base = base + shift * (attempt + 1)
     raise BoundaryZero("boundary zero persisted after 3 perturbations")

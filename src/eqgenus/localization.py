@@ -240,6 +240,14 @@ def validate(data: ActionData) -> ValidationReport:
                             h_ok and anomaly_tx is not None, notes)
 
 
+def validated(data: ActionData) -> ValidationReport:
+    """The validation report of a dataset; ValidationError on any error."""
+    rep = validate(data)
+    if rep.errors:
+        raise ValidationError("; ".join(rep.errors))
+    return rep
+
+
 def _top_monomials(gens, target: int) -> list[tuple[int, ...]]:
     """The monomials over gens of degree exactly target, in lexicographic
     order."""
@@ -251,9 +259,7 @@ def anomaly_index(data: ActionData) -> int:
     """The common anomaly integer n; per component this is
     sum n_v^2 d(n_v) - sum m_gamma^2 d(m_gamma), or just the tangent sum
     when no V data is present."""
-    rep = validate(data)
-    if rep.errors:
-        raise ValidationError("; ".join(rep.errors))
+    rep = validated(data)
     if rep.anomaly is not None:
         n = rep.anomaly
     elif rep.anomaly_tx is not None:
@@ -325,9 +331,7 @@ def component_contribution(data: ActionData, comp: FixedComponent,
 def equivariant_character(data: ActionData, kind: OperatorKind, n8: int,
                           normalized: bool = False) -> GenusResult:
     """Sum of pushed-forward integrands over the fixed components."""
-    rep = validate(data)
-    if rep.errors:
-        raise ValidationError("; ".join(rep.errors))
+    validated(data)
     if kind.needs_v and any(not c.vbundles for c in data.components):
         raise ValidationError("%s requires V data on every component" % kind.value)
     total: QSeries | None = None
@@ -462,7 +466,9 @@ def evaluate_numeric(data: ActionData, kind: OperatorKind, t, tau,
 def degree_component_function(data: ActionData, kind: OperatorKind, p2: int,
                               normalized: bool = False, eps: float = 1e-10):
     """Numeric callable F(t, tau) for the first degree-2p base monomial of
-    the localized character; the input for the Jacobi-form checkers."""
+    the localized character; the input for the Jacobi-form checkers.
+    The dataset is validated once here, not per evaluation."""
+    validated(data)
     if p2 < 0 or p2 > data.base_cap:
         raise DegreeOutOfRange("degree %d outside the base cap %d" % (p2, data.base_cap))
     if p2 == 0:

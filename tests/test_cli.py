@@ -303,14 +303,48 @@ _S2 = ("--input", "catalog:s2-rotation")
     (["theta", "--kind", "theta", "--formal", "--order", "257"], 3, "validation error: order "),
     (["theta", "--kind", "theta", "--formal", "--m", "1e99999999"], 2, "parse error: --m: "),
     (["theta", "--kind", "theta", "--formal", "--m", "1/0"], 2, "parse error: --m: "),
+    (["jacobi", *_S2, "--operator", "witten-h", "--samples", "0"], 3,
+     "validation error: --samples "),
+    (["jacobi", *_S2, "--operator", "witten-h", "--samples", "-3"], 3,
+     "validation error: --samples "),
+    (["jacobi", *_S2, "--operator", "witten-h", "--samples", "1025"], 3,
+     "validation error: --samples "),
+    (["jacobi", *_S2, "--operator", "witten-h", "--tol", "2"], 3, "validation error: --tol "),
+    (["theta", "--kind", "theta", "--eps", "inf"], 3, "validation error: --eps "),
 ], ids=["expand-order-minus-8", "expand-order-minus-1", "expand-order-257",
         "rigidity-order-minus-1", "rigidity-order-512", "rigidity-order-1e5",
-        "theta-order-minus-1", "theta-order-257", "theta-m-exponent", "theta-m-1-over-0"])
+        "theta-order-minus-1", "theta-order-257", "theta-m-exponent", "theta-m-1-over-0",
+        "jacobi-samples-0", "jacobi-samples-minus-3", "jacobi-samples-1025", "jacobi-tol-2",
+        "theta-eps-inf"])
 def test_cli_numbers_that_set_the_work_are_bounded(argv, code, prefix):
     proc = _cli_process(*argv)
     assert proc.returncode == code
     assert proc.stdout == ""
     assert proc.stderr.startswith(prefix)
+
+
+def _set_sign_3(d):
+    d["components"][0]["sign"] = 3
+
+
+def _set_fiber_half_dim_2(d):
+    d["fiber_half_dim"] = 2
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_sign_3, "orientation sign must be +-1"),
+    (_set_fiber_half_dim_2, "!= fiber half-dimension 2"),
+], ids=["sign-3", "rank-mismatch"])
+def test_zeros_validates_the_dataset(tmp_path, capsys, mutate, message):
+    doc = dataset_to_json(builtin("s2-v-double-tangent").data)
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "zeros", "--input", str(path),
+                         "--operator", "dv-theta-q", "--tau", "0.5+1.2i")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("validation error: ") and message in err
 
 
 def test_rigidity_normalized_all(capsys):

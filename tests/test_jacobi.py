@@ -145,6 +145,13 @@ def test_check_jacobi_rejects_outside_generator():
         check_jacobi(lambda t, tau: 1.0, spec, generators=[S], samples=2)
 
 
+@pytest.mark.parametrize("samples", [0, -3, []])
+def test_check_jacobi_rejects_empty_sample_set(samples):
+    spec = JacobiFormSpec(Fraction(0), 2, 2, ModularGroup.GAMMA0_2)
+    with pytest.raises(ValueError):
+        check_jacobi(lambda t, tau: 1.0, spec, samples=samples)
+
+
 def test_check_jacobi_evaluates_base_once_per_sample():
     # F(t, tau) is shared by both laws: one base value, one slashed value
     # per generator and one translate per lattice vector
@@ -211,6 +218,57 @@ def test_count_zeros_random_theta_quotients():
         res = count_zeros(F, tau, (0.161 + 0.093j, 1, tau))
         assert abs(res.count - expected) < 0.2, (exps, res)
         assert abs(res.count - round(res.count)) < 0.2
+
+
+def _seeded_theta_quotients():
+    # the ten quotients of test_count_zeros_random_theta_quotients, with
+    # their expected counts
+    rng = random.Random(113)
+    kinds = list(ThetaKind)
+    for _ in range(10):
+        exps = {k: rng.randrange(-1, 3) for k in kinds}
+        if all(e == 0 for e in exps.values()):
+            exps[ThetaKind.Theta] = 1
+
+        def F(t, tt, exps=exps):
+            out = 1 + 0j
+            for k, e in exps.items():
+                if e:
+                    out *= theta_numeric(k, t, tt, 1e-13) ** e
+            return out
+
+        yield F, sum(exps.values())
+
+
+def test_count_zeros_is_integral_to_1e9():
+    # the winding number sums exact phase increments of F: no quadrature
+    # or difference quotient error is left in the count
+    tau = 0.3 + 1.1j
+    for F, expected in _seeded_theta_quotients():
+        res = count_zeros(F, tau, (0.161 + 0.093j, 1, tau))
+        assert abs(res.count - expected) < 1e-9, (expected, res)
+
+
+def test_count_zeros_perturbs_origin_off_a_boundary_zero():
+    # theta(0) = 0 exactly: the corner at the origin is a boundary zero
+    tau = 0.5 + 1.2j
+    F = lambda t, tt: theta_numeric(ThetaKind.Theta, t, tt, 1e-12)
+    res = count_zeros(F, tau, (0, 1, tau))
+    assert res.perturbations == 1
+    assert round(res.count) == 1
+
+
+def test_count_zeros_evaluation_budget():
+    # the 16 x 16 zero-function grid plus the adaptively split edges
+    calls = []
+
+    def F(t, tt):
+        calls.append(t)
+        return theta_numeric(ThetaKind.Theta, t, tt, 1e-12)
+
+    tau = 0.5 + 1.2j
+    count_zeros(F, tau, (0.171 + 0.113j, 1, tau))
+    assert len(calls) <= 400
 
 
 # -- index classification ---------------------------------------------------------------
