@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import GradedElement, IntegrationTable, QSeries, WLaurentPoly, WLaurentRational
-from .genera import OperatorKind, RootBundle, _fold_strays, _twisted_element
+from .algebra import GradedElement, IntegrationTable, WLaurentPoly, WLaurentRational
+from .genera import OperatorKind, OracleReport, RootBundle, _fold_strays, _twisted_element
 from .localization import ActionData, FixedComponent, equivariant_character
 
 
@@ -196,18 +196,8 @@ def _apply_borel_weil(poly: WLaurentPoly) -> WLaurentPoly:
     return out
 
 
-@dataclass(frozen=True)
-class S2OracleReport:
-    kind: OperatorKind
-    normalized: bool
-    equal: bool
-    first_mismatch: tuple | None
-    engine: QSeries
-    oracle: QSeries
-
-
 def oracle_check_s2(kind: OperatorKind, n8_small: int,
-                    normalized: bool = False) -> S2OracleReport:
+                    normalized: bool = False) -> OracleReport:
     """Compare the localization engine on the rotation sphere against the
     Borel-Weil expansion of the element into tangent-character powers."""
     if n8_small > 16:
@@ -233,4 +223,4 @@ def oracle_check_s2(kind: OperatorKind, n8_small: int,
 
     oracle = el.map_coefficients(to_index)
     mismatch = engine.first_mismatch(oracle)
-    return S2OracleReport(kind, normalized, mismatch is None, mismatch, engine, oracle)
+    return OracleReport(kind, normalized, mismatch is None, mismatch, engine, oracle)

@@ -36,7 +36,6 @@ from .localization import (
     degree_component_function,
     equivariant_character,
     rigidity_check,
-    validate,
 )
 from .theta import (
     NonconvergentDomain,
@@ -160,7 +159,7 @@ def cmd_rigidity(args) -> int:
                                       "on a dataset without V data on every component")
     else:
         kinds = (_operator(args.operator),)
-    rep = validate(data)
+    rep = data.report
     verdicts = {}
     lines = ["dataset: %s" % (data.name or args.input)]
     if rep.anomaly is not None:
@@ -199,9 +198,8 @@ def cmd_jacobi(args) -> int:
         raise ValidationError("degree %d outside the even range [0, %d]"
                               % (args.degree, data.base_cap))
     n = anomaly_index(data)
-    k = data.fiber_half_dim
-    l = data.components[0].v_rank()
-    spec = designated_spec(kind, n, k, l, args.degree // 2)
+    spec = designated_spec(kind, n, data.fiber_half_dim, data.components[0].v_rank(),
+                           args.degree // 2)
     F = degree_component_function(data, kind, args.degree,
                                   normalized=not args.raw, eps=args.tol * 1e-4)
     rep = check_jacobi(F, spec, samples=args.samples, eps=args.tol)
@@ -245,7 +243,8 @@ def cmd_zeros(args) -> int:
     if res.identically_zero:
         lines = ["IdenticallyZero (sampled max |F| below the zero floor)"]
     else:
-        lines = ["zero count over the (2Z)^2 cell at tau=%s: %.4f" % (tau, res.count),
+        lines = ["zero count over the (2Z)^2 cell at tau=%s: %.4f"
+                 % (tau, round(res.count, 4) + 0.0),  # -1e-17 prints 0.0000
                  "(area-scaled expectation for index n/2: 4n = %s)"
                  % (4 * n if n is not None else "unknown")]
     _emit(report, args.format, lines)

@@ -6,7 +6,8 @@ over the lines of V (theta, theta1, theta2 or theta3), divided by theta
 over every line of TX.  The dim-normalized variants put theta'(0) on TX
 and divide each V factor by its value at 0 (theta'(0) for theta).  One
 table (``_NUMERATORS``) gives each numerator's per-line factors and its
-powers of E^{1/2}, c(q) and q^{1/8}; everything else is derived.
+powers of E^{1/2}, c(q) and q^{1/8}; everything else is derived from the
+two, the q^{1/8} and c(q) prefactors of the index-character bridge too.
 
 Two independent realizations of each integrand are provided:
 
@@ -240,6 +241,26 @@ def _lin_minus(be, tw: int, x: GradedElement):
     return be.one - _line(-tw, -x, be, be.field)
 
 
+def _numerators(kind: OperatorKind, normalized: bool):
+    """(TX numerator, V numerator, V's value at 0) of (kind, normalized);
+    theta vanishes at 0, and its value there is theta'(0)."""
+    tx_num, v_num = _FAMILIES[kind]
+    if not normalized:
+        return tx_num, v_num, None
+    if not kind.supports_normalized:
+        raise ValueError("%s has no dim-normalized variant" % kind.value)
+    return _THETA_PRIME_0, v_num, _THETA_PRIME_0 if v_num is ThetaKind.Theta else v_num
+
+
+def _prefactors(kind: OperatorKind, normalized: bool, n_tx: int, n_v: int) -> tuple[int, int]:
+    """(q8_shift, c_power): the quotient of (kind, normalized) over n_tx TX
+    and n_v V lines carries q^{q8_shift/8} c(q)^{c_power} (``_NUMERATORS``)."""
+    (tx_c, tx_q8), (v_c, v_q8), (null_c, null_q8), (den_c, den_q8) = (
+        _NUMERATORS[num][3:] for num in (*_numerators(kind, normalized), ThetaKind.Theta))
+    return ((tx_q8 - den_q8) * n_tx + (v_q8 - null_q8) * n_v,
+            (tx_c - den_c) * n_tx + (v_c - null_c) * n_v)
+
+
 def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     """Build the theta quotient of (kind, normalized) over one fixed component.
 
@@ -248,22 +269,12 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     ring once (``root``).  Returns (num, den, lin, q8_shift): the
     integrand is num / (den * lin) times q^{q8_shift/8}.
 
-    The theta denominator over TX is the same for every family: on a
-    weighted line theta = c(q) q^{1/8} E^{1/2} (1 - E^{-1}) pairs, and on
-    the tangent y / theta(y) = 1 / (c(q) q^{1/8} sigma(y) pairs).  ``lin``
-    = L, the q-free product of the (1 - E^{-1}), and ``den`` = U (the sigma
-    units and the pair products) times the scalar denominators; ``lin`` is
-    an unlifted coefficient, and ``den`` is a series whose q^0 coefficient
-    has scalar part 1, so it inverts without dividing by any function of
-    w.  The numerators and the scalar powers come from ``_NUMERATORS``;
-    the half-character of the strays and the 1/2 of each theta1(0) are
-    folded into ``num``.
+    On a weighted line theta = c(q) q^{1/8} E^{1/2} (1 - E^{-1}) pairs, and
+    on the tangent y / theta(y) = 1 / (c(q) q^{1/8} sigma(y) pairs).  ``lin``
+    = L is an unlifted coefficient and ``den`` = U times the scalar
+    denominators; num takes the strays' half-character and 1/2 per theta1(0).
     """
-    tx_num, v_num = _FAMILIES[kind]
-    if normalized:
-        if not kind.supports_normalized:
-            raise ValueError("%s has no dim-normalized variant" % kind.value)
-        tx_num = _THETA_PRIME_0
+    tx_num, v_num, null_num = _numerators(kind, normalized)
     tangent = component.tangent
     if tangent is not None and tangent.rank and tangent.weight != 0:
         raise ValueError("tangent part must have weight 0")
@@ -274,21 +285,15 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     if kind.needs_v and not component.vbundles:
         raise ValueError("%s requires V-bundle data" % kind.value)
 
-    on_line, on_tangent, tx_stray, tx_c, tx_q8 = _NUMERATORS[tx_num]
-    v_toks, _, v_stray, v_c, v_q8 = _NUMERATORS[v_num]
-    _, _, den_stray, den_c, den_q8 = _NUMERATORS[ThetaKind.Theta]
-    null_toks = ()
-    if normalized:
-        # theta vanishes at 0; its value there is theta'(0)
-        null_toks, _, _, null_c, null_q8 = _NUMERATORS[
-            _THETA_PRIME_0 if v_num is ThetaKind.Theta else v_num]
-        v_c, v_q8 = v_c - null_c, v_q8 - null_q8
+    on_line, on_tangent, tx_stray, _, _ = _NUMERATORS[tx_num]
+    v_toks, _, v_stray, _, _ = _NUMERATORS[v_num]
+    den_stray = _NUMERATORS[ThetaKind.Theta][2]
+    null_toks = _NUMERATORS[null_num][0]
     parts = (_iter_lines([tangent] if tangent is not None else []),
              _iter_lines(component.normals),
              _iter_lines(component.vbundles) if kind.needs_v else [])
     n_tx, n_v = len(parts[0]) + len(parts[1]), len(parts[2])
-    q8_shift = (tx_q8 - den_q8) * n_tx + v_q8 * n_v
-    c_power = (tx_c - den_c) * n_tx + v_c * n_v
+    q8_shift, c_power = _prefactors(kind, normalized, n_tx, n_v)
     halves = n_v * null_toks.count("lin+")
     be = backend(q8_shift, n_tx + n_v)
     t_lines, n_lines, v_lines = ([(tw, be.root(x)) for tw, x in lines] for lines in parts)
@@ -555,20 +560,17 @@ def constants_ledger(kind: OperatorKind, normalized: bool, l: int) -> ConstantsL
 def bridge_to_index_character(kind: OperatorKind, normalized: bool,
                               k: int, l: int, series: QSeries) -> QSeries:
     """Map the localization function to the Chern character of the index
-    bundle: undo the q^{a/8} and c(q) prefactors of the correspondence and
-    apply the constants of ``constants_ledger``."""
+    bundle: undo the prefactor q^{q8_shift/8} c(q)^{c_power} of k TX and l V
+    lines (``_prefactors``, from ``_NUMERATORS``; none when theta'(0) sits
+    on TX) and apply the constants of ``constants_ledger``."""
     out = series
-    if not normalized:
-        out = out.shift_q8({OperatorKind.DThetaQ: k, OperatorKind.DThetaMinusQ: k,
-                            OperatorKind.DVThetaQ: k, OperatorKind.DVThetaMinusQ: k,
-                            OperatorKind.DeltaVThetaPrime: k - l,
-                            OperatorKind.DVStarDifference: k - l}.get(kind, 0))
-        if kind.needs_v and k != l:
-            # c(q)^{|k - l|}
-            cpow = series_product(QSeries({0: Fraction(1)}, out.n8 + abs(k - l) * 8),
-                                  Fraction(1), 8, (-1,) * abs(k - l))
-            cpow = cpow.truncate(out.n8) if k > l else series_invert(cpow).truncate(out.n8)
-            out = series_mul(out, cpow)
+    if _numerators(kind, normalized)[0] is not _THETA_PRIME_0:
+        q8_shift, c_power = _prefactors(kind, normalized, k, l)
+        out = out.shift_q8(-q8_shift)
+        if c_power:
+            cpow = series_product(QSeries({0: Fraction(1)}, out.n8), Fraction(1), 8,
+                                  (-1,) * abs(c_power))
+            out = series_mul(out, cpow if c_power < 0 else series_invert(cpow))
     ledger = constants_ledger(kind, normalized, l)
     scale = Fraction(2) ** ledger.two * (-1) ** (ledger.i // 2)
     return out if scale == 1 else out.scale(scale)
@@ -576,12 +578,14 @@ def bridge_to_index_character(kind: OperatorKind, normalized: bool,
 
 @dataclass(frozen=True)
 class OracleReport:
+    """One oracle's verdict: the engine's series against the oracle's."""
+
     kind: OperatorKind
     normalized: bool
     equal: bool
     first_mismatch: tuple | None
-    closed: QSeries
-    expanded: QSeries
+    engine: QSeries
+    oracle: QSeries
 
 
 def oracle_expand_vs_closed(kind: OperatorKind, component, n8_small: int,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .genera import OperatorKind
-from .theta import _norm_diff
+from .genera import _FAMILIES, _THETA_PRIME_0, OperatorKind
+from .theta import ThetaKind, _norm_diff
 
 
 class BoundaryZero(Exception):
@@ -86,36 +86,41 @@ GROUP_GENERATORS: dict[ModularGroup, tuple[ModularMatrix, ...]] = {
 }
 
 
+LATTICE_SCALE = 2  # the elliptic law's lattice is (2Z)^2 for all forms arising here
+
+
 @dataclass(frozen=True)
 class JacobiFormSpec:
-    """Index, weight, lattice scale and modular subgroup of a Jacobi form."""
+    """Index, weight and modular subgroup of a Jacobi form."""
 
     index: Fraction
     weight: int
-    lattice_scale: int = 2  # (2Z)^2 for all forms arising here
     group: ModularGroup = ModularGroup.SL2Z
 
     def __post_init__(self):
         object.__setattr__(self, "index", Fraction(self.index))
 
 
-DESIGNATED_GROUP: dict[OperatorKind, ModularGroup] = {
-    OperatorKind.DeltaVThetaPrime: ModularGroup.GAMMA0_2,
-    OperatorKind.DVThetaQ: ModularGroup.GAMMA_UPPER0_2,
-    OperatorKind.DVThetaMinusQ: ModularGroup.GAMMA_THETA,
-    OperatorKind.DVStarDifference: ModularGroup.SL2Z,
-    OperatorKind.WittenH: ModularGroup.SL2Z,
+# the modular group of each theta numerator of a family
+DESIGNATED_GROUP = {
+    ThetaKind.Theta1: ModularGroup.GAMMA0_2,
+    ThetaKind.Theta2: ModularGroup.GAMMA_UPPER0_2,
+    ThetaKind.Theta3: ModularGroup.GAMMA_THETA,
+    ThetaKind.Theta: ModularGroup.SL2Z,
+    _THETA_PRIME_0: ModularGroup.SL2Z,
 }
 
 
 def designated_spec(kind: OperatorKind, anomaly: int, k: int, l: int, p: int) -> JacobiFormSpec:
     """Expected Jacobi-form data of the degree-2p component: index n/2,
-    weight k+p (k-l+p for the antisymmetrized family), and the subgroup
-    attached to the theta kind."""
-    if kind not in DESIGNATED_GROUP:
+    weight k+p (k-l+p when theta is the V numerator), and the subgroup of
+    the family's theta kind: its V numerator, or theta'(0) on TX."""
+    tx_num, v_num = _FAMILIES[kind]
+    theta = tx_num if v_num is None and tx_num is _THETA_PRIME_0 else v_num
+    if theta not in DESIGNATED_GROUP:
         raise ValueError("%s has no designated Jacobi-form group" % kind.value)
-    weight = k - l + p if kind is OperatorKind.DVStarDifference else k + p
-    return JacobiFormSpec(Fraction(anomaly, 2), weight, 2, DESIGNATED_GROUP[kind])
+    weight = k + p - (l if v_num is ThetaKind.Theta else 0)
+    return JacobiFormSpec(Fraction(anomaly, 2), weight, DESIGNATED_GROUP[theta])
 
 
 def slash_action(F, g: ModularMatrix, spec: JacobiFormSpec):
@@ -166,14 +171,13 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None,
     """Sampled check of both defining transformation laws.
 
     Generators must belong to spec.group; the lattice vectors are the
-    basis of (lattice_scale Z)^2.
+    basis of (LATTICE_SCALE Z)^2.
     """
     if generators is None:
         generators = GROUP_GENERATORS[spec.group]
     for g in generators:
         if not subgroup_member(g, spec.group):
             raise ValueError("generator %s is not in %s" % (g, spec.group.value))
-    s = spec.lattice_scale
     pts = _jacobi_samples(samples)
     if not pts:
         raise ValueError("no samples: a check of nothing cannot pass")
@@ -193,7 +197,7 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None,
         lats += [diff(F(t + lam * tau + mu, tau),
                       cmath.exp(-2j * math.pi * m * (lam * lam * tau + 2 * lam * t)) * base,
                       t, tau)
-                 for lam, mu in ((s, 0), (0, s))]
+                 for lam, mu in ((LATTICE_SCALE, 0), (0, LATTICE_SCALE))]
     return JacobiReport(spec, len(pts), max(mods, default=0.0), max(lats), eps)
 
 

@@ -15,6 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     DegreeOutOfRange,
@@ -102,6 +103,11 @@ class ActionData:
             h.update(repr(sorted((k, str(v)) for k, v in c.table.entries.items())).encode())
         return h.hexdigest()[:16]
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """The validation report, computed on first use."""
+        return validate(self)
+
 
 # ---------------------------------------------------------------------------
 # validation and the anomaly
@@ -183,6 +189,10 @@ def validate(data: ActionData) -> ValidationReport:
         # anomaly sums
         tx_sq = sum((b.weight ** 2 * b.rank for b in c.normals), Fraction(0))
         per_comp_tx.append(tx_sq)
+        # sum m_gamma x_gamma over the normals, sum y^2 + sum x^2 over TX
+        tx_lin = _root_sum(c.normals, True, False, c.gens, c.cap)
+        tx_roots_sq = _root_sum(([c.tangent] if c.tangent else []) + list(c.normals),
+                                False, True, c.gens, c.cap)
         if data.v_half_rank is not None or c.vbundles:
             l = c.v_rank()
             if data.v_half_rank is not None and l != data.v_half_rank:
@@ -190,20 +200,12 @@ def validate(data: ActionData) -> ValidationReport:
                               % (label, l, data.v_half_rank))
             v_sq = sum((b.weight ** 2 * b.rank for b in c.vbundles), Fraction(0))
             per_comp_n.append(v_sq - tx_sq)
-            lhs = _root_sum(c.vbundles, True, False, c.gens, c.cap)
-            rhs = _root_sum(c.normals, True, False, c.gens, c.cap)
-            if lhs != rhs:
+            if _root_sum(c.vbundles, True, False, c.gens, c.cap) != tx_lin:
                 errors.append("%s: sum n_v u_v != sum m_gamma x_gamma" % label)
-            lhs2 = _root_sum(c.vbundles, False, True, c.gens, c.cap)
-            rhs2 = _root_sum(c.normals, False, True, c.gens, c.cap) + \
-                _root_sum([c.tangent] if c.tangent else [], False, True, c.gens, c.cap)
-            if lhs2 != rhs2:
+            if _root_sum(c.vbundles, False, True, c.gens, c.cap) != tx_roots_sq:
                 errors.append("%s: sum u_v^2 != sum y^2 + sum x^2" % label)
         # loop-space condition p1(TX) restricted to the component
-        if _root_sum(c.normals, True, False, c.gens, c.cap):
-            h_ok = False
-        if _root_sum(c.normals, False, True, c.gens, c.cap) + \
-           _root_sum([c.tangent] if c.tangent else [], False, True, c.gens, c.cap):
+        if tx_lin or tx_roots_sq:
             h_ok = False
 
     v_ranks = {c.v_rank() for c in data.components if c.vbundles}
@@ -242,10 +244,9 @@ def validate(data: ActionData) -> ValidationReport:
 
 def validated(data: ActionData) -> ValidationReport:
     """The validation report of a dataset; ValidationError on any error."""
-    rep = validate(data)
-    if rep.errors:
-        raise ValidationError("; ".join(rep.errors))
-    return rep
+    if data.report.errors:
+        raise ValidationError("; ".join(data.report.errors))
+    return data.report
 
 
 def _top_monomials(gens, target: int) -> list[tuple[int, ...]]:

@@ -427,6 +427,37 @@ def test_zeros_cli(capsys):
     assert "IdenticallyZero" in out or "zero count" in out
 
 
+def test_zeros_text_count_has_no_negative_zero(capsys):
+    # the winding sum lands a hair below zero here; the text report prints
+    # 0.0000 and the JSON count keeps the raw sum
+    argv = ("zeros", "--input", "catalog:s2-family-base",
+            "--operator", "dv-star-difference", "--tau", "0.5+1.2i")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == "zero count over the (2Z)^2 cell at tau=(0.5+1.2j): 0.0000"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert abs(json.loads(out)["count"]) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ("rigidity", "--input", "catalog:s2-family-base", "--order", "8"),
+    ("jacobi", "--input", "catalog:s2-v-double-tangent", "--operator", "dv-theta-q",
+     "--samples", "2"),
+    ("zeros", "--input", "catalog:s2-v-double-tangent", "--operator", "dv-theta-q",
+     "--tau", "0.5+1.2i"),
+], ids=["rigidity-all", "jacobi", "zeros"])
+def test_each_command_validates_its_dataset_once(monkeypatch, capsys, argv):
+    from eqgenus import localization
+    calls = []
+    validate = localization.validate
+    monkeypatch.setattr(localization, "validate",
+                        lambda data: calls.append(data) or validate(data))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_theta_cli_cross_path(capsys):
     code, out, _ = run(capsys, "theta", "--kind", "theta3", "--t", "0.3",
                        "--tau", "1.0i", "--eps", "1e-12", "--format", "json")

@@ -288,18 +288,16 @@ PAPER_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("kind,normalized", RECIPES, ids=map(recipe_id, RECIPES))
-def test_recipe_is_the_papers_theta_quotient(kind, normalized):
-    # prod_TX num_TX(m) prod_V theta_v(n) / prod_TX theta(m), normalized:
-    # theta'(0) on TX and each V factor over its value at 0
+def papers_theta_quotient(kind, normalized, comp, n8=40):
+    """prod_TX num_TX(m) prod_V theta_v(n) / prod_TX theta(m) over a point
+    component, from ``theta_formal``; normalized: theta'(0) on TX and each
+    V factor over its value at 0."""
     from eqgenus.theta import theta_taylor
-    n8 = 40
     d0 = theta_taylor(ThetaKind.Theta, 0, 1, n8).entries[1]
 
     def S(num, m):
         return d0 if num == "d0" else theta_formal(num, m, n8).series
 
-    comp = point(1, 2, v=((1, 1), (2, 1)))
     tx_num, v_num = PAPER_FAMILIES[kind]
     if normalized:
         tx_num = "d0"
@@ -315,9 +313,35 @@ def test_recipe_is_the_papers_theta_quotient(kind, normalized):
             if normalized:
                 null = "d0" if v_num is ThetaKind.Theta else v_num
                 expect = series_mul(expect, series_invert(S(null, 0)))
-    got = as_wrat(scalar_series(theta_quotient_integrand(kind, comp, 24, normalized)))
+    return expect
+
+
+# a point with two TX lines and two V lines
+QUOTIENT_POINT = point(1, 2, v=((1, 1), (2, 1)))
+
+
+@pytest.mark.parametrize("kind,normalized", RECIPES, ids=map(recipe_id, RECIPES))
+def test_recipe_is_the_papers_theta_quotient(kind, normalized):
+    expect = papers_theta_quotient(kind, normalized, QUOTIENT_POINT)
+    got = as_wrat(scalar_series(theta_quotient_integrand(kind, QUOTIENT_POINT, 24, normalized)))
     assert expect.n8 >= 24
     assert got.first_mismatch(expect, up_to=24) is None
+
+
+@pytest.mark.parametrize("c_power,q8_power", [(0, 0), (1, 1)],
+                         ids=["theta2-c-power-0", "theta2-q8-power-1"])
+def test_theta_quotient_flags_a_broken_prefactor_power(monkeypatch, c_power, q8_power):
+    # negative control: the index bridge undoes the c(q) and q^{1/8} powers
+    # it reads from _NUMERATORS, so both oracles are blind to a wrong power
+    # there; the product of theta_formal series is not
+    from eqgenus import genera
+    on_line, on_tangent, stray, _, _ = genera._NUMERATORS[ThetaKind.Theta2]
+    monkeypatch.setitem(genera._NUMERATORS, ThetaKind.Theta2,
+                        (on_line, on_tangent, stray, c_power, q8_power))
+    for kind in (OperatorKind.DThetaQ, OperatorKind.DVThetaQ):
+        expect = papers_theta_quotient(kind, False, QUOTIENT_POINT)
+        got = as_wrat(scalar_series(theta_quotient_integrand(kind, QUOTIENT_POINT, 24)))
+        assert got.first_mismatch(expect, up_to=24) is not None, kind
 
 
 @pytest.mark.parametrize("kind,normalized", RECIPES, ids=map(recipe_id, RECIPES))

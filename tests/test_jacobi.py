@@ -63,6 +63,34 @@ def test_generators_belong_to_their_groups():
             assert subgroup_member(g, grp), (grp, str(g))
 
 
+# -- designated specs ---------------------------------------------------------------
+
+# (group, weight) of designated_spec at (n, k, l, p) = (1, 2, 3, 1): weight
+# k + p, and k - l + p for dv-star-difference; None where theta1, theta2 or
+# theta3 sits on TX and there is no designated group
+DESIGNATED_SPECS = {
+    OperatorKind.DsThetaPrime: None,
+    OperatorKind.DThetaQ: None,
+    OperatorKind.DThetaMinusQ: None,
+    OperatorKind.DeltaVThetaPrime: (ModularGroup.GAMMA0_2, 3),
+    OperatorKind.DVThetaQ: (ModularGroup.GAMMA_UPPER0_2, 3),
+    OperatorKind.DVThetaMinusQ: (ModularGroup.GAMMA_THETA, 3),
+    OperatorKind.DVStarDifference: (ModularGroup.SL2Z, 0),
+    OperatorKind.WittenH: (ModularGroup.SL2Z, 3),
+}
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind), ids=lambda k: k.value)
+def test_designated_spec_of_every_family(kind):
+    expected = DESIGNATED_SPECS[kind]
+    if expected is None:
+        with pytest.raises(ValueError, match="has no designated Jacobi-form group"):
+            designated_spec(kind, 1, 2, 3, 1)
+    else:
+        spec = designated_spec(kind, 1, 2, 3, 1)
+        assert (spec.index, spec.group, spec.weight) == (Fraction(1, 2),) + expected
+
+
 # -- slash action -----------------------------------------------------------------
 
 def test_slash_identity():
@@ -140,14 +168,14 @@ def test_check_jacobi_rigid_catalog_degree0():
 
 
 def test_check_jacobi_rejects_outside_generator():
-    spec = JacobiFormSpec(Fraction(0), 2, 2, ModularGroup.GAMMA0_2)
+    spec = JacobiFormSpec(Fraction(0), 2, ModularGroup.GAMMA0_2)
     with pytest.raises(ValueError):
         check_jacobi(lambda t, tau: 1.0, spec, generators=[S], samples=2)
 
 
 @pytest.mark.parametrize("samples", [0, -3, []])
 def test_check_jacobi_rejects_empty_sample_set(samples):
-    spec = JacobiFormSpec(Fraction(0), 2, 2, ModularGroup.GAMMA0_2)
+    spec = JacobiFormSpec(Fraction(0), 2, ModularGroup.GAMMA0_2)
     with pytest.raises(ValueError):
         check_jacobi(lambda t, tau: 1.0, spec, samples=samples)
 
@@ -161,7 +189,7 @@ def test_check_jacobi_evaluates_base_once_per_sample():
         calls.append((t, tau))
         return cmath.exp(1j * t) + tau
 
-    spec = JacobiFormSpec(Fraction(1, 2), 2, 2, ModularGroup.GAMMA_THETA)
+    spec = JacobiFormSpec(Fraction(1, 2), 2, ModularGroup.GAMMA_THETA)
     rep = check_jacobi(F, spec, samples=3)
     assert rep.samples == 3
     assert len(GROUP_GENERATORS[spec.group]) == 2
