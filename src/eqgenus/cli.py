@@ -22,6 +22,7 @@ from .catalog import UnknownEntry, builtin, names as catalog_names
 from .dataset import DatasetFormatError, dataset_to_json, load_dataset, parse_rational
 from .genera import NON_V_KINDS, V_KINDS, OperatorKind, ZeroWeightNormalBundle
 from .jacobi import (
+    LATTICE_SCALE,
     BoundaryZero,
     NonFiniteSample,
     check_jacobi,
@@ -60,9 +61,14 @@ _COMPUTE_ERRORS = (NonInvertibleLeadingCoefficient, OffGridExponent, NearPole,
 
 
 def _load_input(source: str):
+    """The dataset of --input; its validation warnings go to stderr."""
     if source.startswith("catalog:"):
-        return builtin(source.split(":", 1)[1]).data
-    return load_dataset(source)
+        data = builtin(source.split(":", 1)[1]).data
+    else:
+        data = load_dataset(source)
+    for w in data.report.warnings:
+        print("warning: %s" % w, file=sys.stderr)
+    return data
 
 
 def _operator(name: str) -> OperatorKind:
@@ -201,7 +207,7 @@ def cmd_jacobi(args) -> int:
     spec = designated_spec(kind, n, data.fiber_half_dim, data.components[0].v_rank(),
                            args.degree // 2)
     F = degree_component_function(data, kind, args.degree,
-                                  normalized=not args.raw, eps=args.tol * 1e-4)
+                                  normalized=True, eps=args.tol * 1e-4)
     rep = check_jacobi(F, spec, samples=args.samples, eps=args.tol)
     report = {
         "format": 1, "command": "jacobi", "dataset": data.name or args.input,
@@ -228,25 +234,27 @@ def cmd_zeros(args) -> int:
     tau = _parse_complex(args.tau)
     if tau.imag <= 0:
         raise ValidationError("tau must lie in the upper half plane")
-    F = degree_component_function(data, kind, 0, normalized=not args.raw, eps=1e-12)
+    F = degree_component_function(data, kind, 0, normalized=True, eps=1e-12)
     origin = _parse_complex(args.origin) if args.origin else 0.171 + 0.113j
-    res = count_zeros(F, tau, (origin, 2, 2 * tau))
+    res = count_zeros(F, tau, (origin, LATTICE_SCALE, LATTICE_SCALE * tau))
     try:
         n = anomaly_index(data)
     except InconsistentAnomaly:
         n = None
+    # a form of index n/2 has n zeros in each unit cell of the lattice
+    cells = LATTICE_SCALE ** 2
     report = {"format": 1, "command": "zeros", "dataset": data.name or args.input,
               "operator": kind.value, "tau": str(tau),
               "identically_zero": res.identically_zero,
               "count": res.count, "anomaly": n,
-              "cell": "(2Z)^2 fundamental cell (4 unit cells)"}
+              "cell": "(%dZ)^2 fundamental cell (%d unit cells)" % (LATTICE_SCALE, cells)}
     if res.identically_zero:
         lines = ["IdenticallyZero (sampled max |F| below the zero floor)"]
     else:
-        lines = ["zero count over the (2Z)^2 cell at tau=%s: %.4f"
-                 % (tau, round(res.count, 4) + 0.0),  # -1e-17 prints 0.0000
-                 "(area-scaled expectation for index n/2: 4n = %s)"
-                 % (4 * n if n is not None else "unknown")]
+        lines = ["zero count over the (%dZ)^2 cell at tau=%s: %.4f"
+                 % (LATTICE_SCALE, tau, round(res.count, 4) + 0.0),  # -1e-17 prints 0.0000
+                 "(area-scaled expectation for index n/2: %dn = %s)"
+                 % (cells, cells * n if n is not None else "unknown")]
     _emit(report, args.format, lines)
     return 0
 
@@ -334,15 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, default=0, help="base degree 2p")
     sp.add_argument("--samples", type=int, default=32)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--raw", action="store_true",
-                    help="check the un-normalized family instead")
     sp.set_defaults(fn=cmd_jacobi)
 
     sp = common(sub.add_parser("zeros", help="argument-principle zero count"))
     sp.add_argument("--operator", required=True)
     sp.add_argument("--tau", required=True)
     sp.add_argument("--origin", default=None)
-    sp.add_argument("--raw", action="store_true")
     sp.set_defaults(fn=cmd_zeros)
 
     sp = sub.add_parser("theta", help="theta function values and expansions")

@@ -5,9 +5,13 @@ numerator over the lines of TX (theta1, theta2, theta3 or theta'(0)) or
 over the lines of V (theta, theta1, theta2 or theta3), divided by theta
 over every line of TX.  The dim-normalized variants put theta'(0) on TX
 and divide each V factor by its value at 0 (theta'(0) for theta).  One
-table (``_NUMERATORS``) gives each numerator's per-line factors and its
-powers of E^{1/2}, c(q) and q^{1/8}; everything else is derived from the
-two, the q^{1/8} and c(q) prefactors of the index-character bridge too.
+table (``_NUMERATORS``) gives each numerator's one list of per-line
+factors and its powers of E^{1/2}, c(q) and q^{1/8}.  The list serves
+every line of TX: on a weight-0 tangent line the factors and the E^{1/2}
+power give theta's tangent factor, and the stray is the numerator's
+alone, since theta's tangent denominator is the sigma unit.  Everything
+else is derived from the two tables: the q^{1/8} and c(q) prefactors of
+the index-character bridge and its ledger of powers of 2 and i too.
 
 Two independent realizations of each integrand are provided:
 
@@ -51,7 +55,7 @@ exactly (times A-hat, on the index-character side of
 ``bridge_to_index_character``); ``catalog.oracle_check_s2`` maps the same
 twisted element through Borel-Weil on the rotation sphere and checks the
 localization engine against it.  The rational constants between the two
-sides are stated once, in ``constants_ledger``.
+sides (``constants_ledger``) are derived from ``_NUMERATORS``.
 
 Conventions: a complex line of rotation weight m with root x contributes
 the equivariant element E = w^{2m} e^x, w = e^{pi i t}.  Tangent bundles
@@ -159,19 +163,19 @@ def _sigma(y: GradedElement, field=Fraction) -> GradedElement:
 # theta'(0) = c(q)^3 q^{1/8}, in the units of ``theta`` (D_v = (2 pi i)^{-1} d/dv)
 _THETA_PRIME_0 = "theta'(0)"
 
-# Each numerator: (tokens on a weighted line, tokens on a weight-0 tangent
-# line, power of E^{1/2} on a weighted line, powers of c(q) and q^{1/8} on
-# every line).  A ThetaKind token is that theta's pair product
-# (``theta.PAIR_GRID``), "lin+-" the factor 1 +- E^{-1} and "cosh" the unit
-# e^{y/2} + e^{-y/2}; theta sits on the tangent only in the denominator,
-# where y / theta(y) = 1 / (sigma pairs).
+# Each numerator: (tokens on every line, power of E^{1/2}, powers of c(q)
+# and q^{1/8}).  A ThetaKind token is that theta's pair product
+# (``theta.PAIR_GRID``) and "lin+-" the factor 1 +- E^{-1}.  The same
+# tokens serve a weight-0 tangent line: with the E^{1/2} power they give
+# theta1's e^{y/2} + e^{-y/2}.  Theta sits on TX only in the denominator,
+# where y / theta(y) = 1 / (sigma pairs) carries no E^{1/2}.
 _NUMERATORS = {
-    ThetaKind.Theta: (("lin-", ThetaKind.Theta), None, 1, 1, 1),
-    ThetaKind.Theta1: (("lin+", ThetaKind.Theta1), ("cosh", ThetaKind.Theta1), 1, 1, 1),
-    ThetaKind.Theta2: ((ThetaKind.Theta2,), (ThetaKind.Theta2,), 0, 1, 0),
-    ThetaKind.Theta3: ((ThetaKind.Theta3,), (ThetaKind.Theta3,), 0, 1, 0),
-    _THETA_PRIME_0: ((), (), 0, 3, 1),
-    None: ((), (), 0, 0, 0),
+    ThetaKind.Theta: (("lin-", ThetaKind.Theta), 1, 1, 1),
+    ThetaKind.Theta1: (("lin+", ThetaKind.Theta1), 1, 1, 1),
+    ThetaKind.Theta2: ((ThetaKind.Theta2,), 0, 1, 0),
+    ThetaKind.Theta3: ((ThetaKind.Theta3,), 0, 1, 0),
+    _THETA_PRIME_0: ((), 0, 3, 1),
+    None: ((), 0, 0, 0),
 }
 
 # Each family: (numerator over every line of TX, numerator over every line
@@ -230,9 +234,6 @@ def _token(be, tok, tw: int, x: GradedElement):
         return be.lift(be.one + _line(-tw, -x, be, be.field))
     if tok == "lin-":
         return be.lift(_lin_minus(be, tw, x))
-    if tok == "cosh":
-        half = x * (be.field(1) / 2)
-        return be.lift(graded_exp(half, be.field) + graded_exp(-half, be.field))
     raise ValueError(tok)
 
 
@@ -252,13 +253,21 @@ def _numerators(kind: OperatorKind, normalized: bool):
     return _THETA_PRIME_0, v_num, _THETA_PRIME_0 if v_num is ThetaKind.Theta else v_num
 
 
-def _prefactors(kind: OperatorKind, normalized: bool, n_tx: int, n_v: int) -> tuple[int, int]:
-    """(q8_shift, c_power): the quotient of (kind, normalized) over n_tx TX
-    and n_v V lines carries q^{q8_shift/8} c(q)^{c_power} (``_NUMERATORS``)."""
+def _prefactors(kind: OperatorKind, normalized: bool, n_tx: int,
+                n_v: int) -> tuple[int, int, int, int]:
+    """(q8_shift, c_power, two, i) of (kind, normalized) over n_tx TX and n_v
+    V lines: the quotient carries q^{q8_shift/8} c(q)^{c_power}
+    (``_NUMERATORS``), and it differs from the index character by
+    2^two i^i.  Each theta1(0) in the V nulls is 2 c(q) q^{1/8}, whose 2 is
+    its "lin+" token at E = 1; theta's sine E^{1/2} - E^{-1/2} on a V line
+    is minus the unit of the spinor twist Delta+ - Delta-, i^2 per line."""
+    tx_num, v_num, null_num = _numerators(kind, normalized)
     (tx_c, tx_q8), (v_c, v_q8), (null_c, null_q8), (den_c, den_q8) = (
-        _NUMERATORS[num][3:] for num in (*_numerators(kind, normalized), ThetaKind.Theta))
+        _NUMERATORS[num][2:] for num in (tx_num, v_num, null_num, ThetaKind.Theta))
     return ((tx_q8 - den_q8) * n_tx + (v_q8 - null_q8) * n_v,
-            (tx_c - den_c) * n_tx + (v_c - null_c) * n_v)
+            (tx_c - den_c) * n_tx + (v_c - null_c) * n_v,
+            n_v * _NUMERATORS[null_num][0].count("lin+"),
+            2 * n_v if v_num is ThetaKind.Theta else 0)
 
 
 def _interpret(kind: OperatorKind, component, normalized: bool, backend):
@@ -270,9 +279,10 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     integrand is num / (den * lin) times q^{q8_shift/8}.
 
     On a weighted line theta = c(q) q^{1/8} E^{1/2} (1 - E^{-1}) pairs, and
-    on the tangent y / theta(y) = 1 / (c(q) q^{1/8} sigma(y) pairs).  ``lin``
-    = L is an unlifted coefficient and ``den`` = U times the scalar
-    denominators; num takes the strays' half-character and 1/2 per theta1(0).
+    on the tangent y / theta(y) = 1 / (c(q) q^{1/8} sigma(y) pairs), so a
+    tangent line's stray is the numerator's alone.  ``lin`` = L is an
+    unlifted coefficient and ``den`` = U times the scalar denominators;
+    num takes the strays' half-character and 1/2 per theta1(0).
     """
     tx_num, v_num, null_num = _numerators(kind, normalized)
     tangent = component.tangent
@@ -285,16 +295,15 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     if kind.needs_v and not component.vbundles:
         raise ValueError("%s requires V-bundle data" % kind.value)
 
-    on_line, on_tangent, tx_stray, _, _ = _NUMERATORS[tx_num]
-    v_toks, _, v_stray, _, _ = _NUMERATORS[v_num]
-    den_stray = _NUMERATORS[ThetaKind.Theta][2]
+    tx_toks, tx_stray = _NUMERATORS[tx_num][:2]
+    v_toks, v_stray = _NUMERATORS[v_num][:2]
+    den_stray = _NUMERATORS[ThetaKind.Theta][1]
     null_toks = _NUMERATORS[null_num][0]
     parts = (_iter_lines([tangent] if tangent is not None else []),
              _iter_lines(component.normals),
              _iter_lines(component.vbundles) if kind.needs_v else [])
     n_tx, n_v = len(parts[0]) + len(parts[1]), len(parts[2])
-    q8_shift, c_power = _prefactors(kind, normalized, n_tx, n_v)
-    halves = n_v * null_toks.count("lin+")
+    q8_shift, c_power, halves, _ = _prefactors(kind, normalized, n_tx, n_v)
     be = backend(q8_shift, n_tx + n_v)
     t_lines, n_lines, v_lines = ([(tw, be.root(x)) for tw, x in lines] for lines in parts)
 
@@ -310,8 +319,8 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     num = be.lift(be.one)
     stray_w = Fraction(0)
     stray_cls = GradedElement.zero(component.gens, component.cap)
-    for lines, toks, stray in ((t_lines, on_tangent, 0),
-                               (n_lines, on_line, tx_stray - den_stray),
+    for lines, toks, stray in ((t_lines, tx_toks, tx_stray),
+                               (n_lines, tx_toks, tx_stray - den_stray),
                                (v_lines, v_toks, v_stray)):
         for tw, x in lines:
             for tok in toks:
@@ -548,31 +557,29 @@ def _twisted_element(kind: OperatorKind, tx, vbundles, n8: int, normalized: bool
 
 def constants_ledger(kind: OperatorKind, normalized: bool, l: int) -> ConstantsLedger:
     """The rational constants between the localization function and the
-    index character: 2^l for the normalized delta-v-theta-prime and i^{2l}
-    for dv-star-difference, l the rank of V."""
-    if kind is OperatorKind.DeltaVThetaPrime and normalized:
-        return ConstantsLedger(two=l)
-    if kind is OperatorKind.DVStarDifference:
-        return ConstantsLedger(i=2 * l)
-    return ConstantsLedger()
+    index character over l V lines, derived from ``_NUMERATORS`` by
+    ``_prefactors``: 2^l where theta1(0) normalizes V and i^{2l} where
+    theta is the V numerator."""
+    _, _, two, i = _prefactors(kind, normalized, 0, l)
+    return ConstantsLedger(i=i, two=two)
 
 
 def bridge_to_index_character(kind: OperatorKind, normalized: bool,
                               k: int, l: int, series: QSeries) -> QSeries:
     """Map the localization function to the Chern character of the index
-    bundle: undo the prefactor q^{q8_shift/8} c(q)^{c_power} of k TX and l V
-    lines (``_prefactors``, from ``_NUMERATORS``; none when theta'(0) sits
-    on TX) and apply the constants of ``constants_ledger``."""
+    bundle.  ``_prefactors`` derives both steps from ``_NUMERATORS`` for k
+    TX and l V lines: undo q^{q8_shift/8} c(q)^{c_power} (nothing when
+    theta'(0) sits on TX) and multiply by 2^two i^i, the constants of
+    ``constants_ledger``."""
     out = series
+    q8_shift, c_power, two, i = _prefactors(kind, normalized, k, l)
     if _numerators(kind, normalized)[0] is not _THETA_PRIME_0:
-        q8_shift, c_power = _prefactors(kind, normalized, k, l)
         out = out.shift_q8(-q8_shift)
         if c_power:
             cpow = series_product(QSeries({0: Fraction(1)}, out.n8), Fraction(1), 8,
                                   (-1,) * abs(c_power))
             out = series_mul(out, cpow if c_power < 0 else series_invert(cpow))
-    ledger = constants_ledger(kind, normalized, l)
-    scale = Fraction(2) ** ledger.two * (-1) ** (ledger.i // 2)
+    scale = Fraction(2) ** two * (-1) ** (i // 2)
     return out if scale == 1 else out.scale(scale)
 
 

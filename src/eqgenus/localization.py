@@ -132,14 +132,12 @@ class ValidationReport:
     anomaly: Fraction | None
     anomaly_tx: Fraction | None
     witten_h_applicable: bool
-    notes: list[str]
 
 
 def validate(data: ActionData) -> ValidationReport:
     """Rank bookkeeping, weight sanity, and the anomaly consistency checks."""
     errors: list[str] = []
     warnings: list[str] = []
-    notes: list[str] = []
     k = data.fiber_half_dim
 
     if not data.components:
@@ -226,20 +224,10 @@ def validate(data: ActionData) -> ValidationReport:
             if data.declared_anomaly is not None and anomaly != data.declared_anomaly:
                 errors.append("declared anomaly %d != computed %s"
                               % (data.declared_anomaly, anomaly))
-    anomaly_tx = None
-    if per_comp_tx and len(set(per_comp_tx)) == 1:
-        anomaly_tx = per_comp_tx[0]
-    elif per_comp_tx:
-        h_ok = False
-        notes.append("sum m^2 d(m) differs across components; the loop-space "
-                     "vanishing hypothesis cannot hold")
-    if anomaly_tx is not None:
-        notes.append("sign conventions: the computed nonnegative integer fits "
-                     "p1(TX)_{S^1} = +n u^2 with n = %s; the mirror convention "
-                     "p1(TX)_{S^1} = -n u^2 appears with n negated" % anomaly_tx)
-
+    # the loop-space hypothesis needs one sum m^2 d(m) on every component
+    anomaly_tx = per_comp_tx[0] if len(set(per_comp_tx)) == 1 else None
     return ValidationReport(not errors, errors, warnings, anomaly, anomaly_tx,
-                            h_ok and anomaly_tx is not None, notes)
+                            h_ok and anomaly_tx is not None)
 
 
 def validated(data: ActionData) -> ValidationReport:

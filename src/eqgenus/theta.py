@@ -216,26 +216,31 @@ def product_keys(first: int, lead: float, aq: float, eps: float) -> range:
     return range(first, first + 8 * count, 8)
 
 
+# Each kind's S and T images (Chandrasekharan, Elliptic Functions, ch. V):
+# (S image, power s of i), with theta_kind(t/tau, -1/tau) =
+# i^s sqrt(tau/i) e^{pi i t^2/tau} theta_image(t, tau), and (T image,
+# eighths e), with theta_kind(t, tau + 1) = e^{pi i e/4} theta_image(t, tau).
+# T's image map is an involution.
+_MODULAR_IMAGES = {
+    ThetaKind.Theta: ((ThetaKind.Theta, -1), (ThetaKind.Theta, 1)),
+    ThetaKind.Theta1: ((ThetaKind.Theta2, 0), (ThetaKind.Theta1, 1)),
+    ThetaKind.Theta2: ((ThetaKind.Theta1, 0), (ThetaKind.Theta3, 0)),
+    ThetaKind.Theta3: ((ThetaKind.Theta3, 0), (ThetaKind.Theta2, 0)),
+}
+
+
 def _t_shift(kind: ThetaKind, n: int) -> tuple[ThetaKind, complex]:
     """theta_kind(t, tau) = factor * theta_kind'(t, tau - n)."""
-    if kind in (ThetaKind.Theta, ThetaKind.Theta1):
-        return kind, cmath.exp(1j * math.pi * (n % 8) / 4)
-    if n % 2:
-        kind = ThetaKind.Theta3 if kind is ThetaKind.Theta2 else ThetaKind.Theta2
-    return kind, 1 + 0j
+    image, eighths = _MODULAR_IMAGES[kind][1]
+    return (image if n % 2 else kind), cmath.exp(1j * math.pi * (eighths * n % 8) / 4)
 
 
 def _s_step(kind: ThetaKind, t1: complex, tau1: complex) -> tuple[ThetaKind, complex]:
     """theta_kind(t0, tau0) = factor * theta_kind'(t1, tau1) for
     (t0, tau0) = (t1/tau1, -1/tau1); principal branch of sqrt(tau/i)."""
+    image, ipow = _MODULAR_IMAGES[kind][0]
     root = cmath.sqrt(tau1 / 1j) * cmath.exp(1j * math.pi * t1 * t1 / tau1)
-    table = {
-        ThetaKind.Theta: (ThetaKind.Theta, root / 1j),
-        ThetaKind.Theta1: (ThetaKind.Theta2, root),
-        ThetaKind.Theta2: (ThetaKind.Theta1, root),
-        ThetaKind.Theta3: (ThetaKind.Theta3, root),
-    }
-    return table[kind]
+    return image, root * 1j ** ipow
 
 
 def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> complex:
@@ -355,43 +360,21 @@ def check_quasi_periodicity(kind: ThetaKind, l: int, a: int, b: int,
     return CheckReport(name, len(pts), worst, eps)
 
 
-_S_IMAGE = {
-    ThetaKind.Theta: (ThetaKind.Theta, -1),   # extra 1/i
-    ThetaKind.Theta1: (ThetaKind.Theta2, 0),
-    ThetaKind.Theta2: (ThetaKind.Theta1, 0),
-    ThetaKind.Theta3: (ThetaKind.Theta3, 0),
-}
-
-_T_IMAGE = {
-    ThetaKind.Theta: (ThetaKind.Theta, True),
-    ThetaKind.Theta1: (ThetaKind.Theta1, True),
-    ThetaKind.Theta2: (ThetaKind.Theta3, False),
-    ThetaKind.Theta3: (ThetaKind.Theta2, False),
-}
-
-
 def check_modular_ST(kind: ThetaKind, generator: str, samples=10, eps: float = 1e-9) -> CheckReport:
     """Check the S or T transformation law of one theta kind."""
     pts = _default_samples(samples)
     worst = 0.0
     if generator.upper() == "T":
-        image, eighth = _T_IMAGE[kind]
+        image, factor = _t_shift(kind, 1)
         for _, t, tau in pts:
-            lhs = theta_numeric(kind, t, tau + 1)
-            rhs = theta_numeric(image, t, tau)
-            if eighth:
-                rhs *= cmath.exp(1j * math.pi / 4)
-            worst = max(worst, _norm_diff(lhs, rhs))
+            worst = max(worst, _norm_diff(theta_numeric(kind, t, tau + 1),
+                                          factor * theta_numeric(image, t, tau)))
         name = "%s(t, tau+1)" % kind.value
     elif generator.upper() == "S":
-        image, ipow = _S_IMAGE[kind]
         for _, t, tau in pts:
-            lhs = theta_numeric(kind, t / tau, -1 / tau)
-            rhs = cmath.sqrt(tau / 1j) * cmath.exp(1j * math.pi * t * t / tau) \
-                * theta_numeric(image, t, tau)
-            if ipow:
-                rhs /= 1j
-            worst = max(worst, _norm_diff(lhs, rhs))
+            image, factor = _s_step(kind, t, tau)
+            worst = max(worst, _norm_diff(theta_numeric(kind, t / tau, -1 / tau),
+                                          factor * theta_numeric(image, t, tau)))
         name = "%s(t/tau, -1/tau)" % kind.value
     else:
         raise ValueError("generator must be 'S' or 'T'")

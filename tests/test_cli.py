@@ -505,3 +505,33 @@ def test_fibered_component_dataset(capsys, tmp_path):
     coeffs = json.loads(out)["coefficients"]["1"]
     # signature of the sphere: the q^0 pushforward vanishes
     assert coeffs.get("0/8", "0") == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("jacobi", "--input", "catalog:s2-family-base", "--operator", "dv-theta-q"),
+    ("zeros", "--input", "catalog:s2-family-base", "--operator", "dv-theta-q",
+     "--tau", "0.5+1.2i"),
+], ids=["jacobi", "zeros"])
+def test_raw_flag_is_rejected(capsys, argv):
+    # both commands check the dim-normalized family only
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + ["--raw"])
+    assert exc.value.code == 2
+    assert "--raw" in capsys.readouterr().err
+
+
+def test_validation_warning_goes_to_stderr(capsys, tmp_path):
+    # a fixed line whose table integrates y to -1 under sign +1: the top
+    # tangent root pairs against the declared orientation
+    doc = {"format": 1, "fiber_half_dim": 1,
+           "components": [{"name": "all", "k_alpha": 1, "sign": 1,
+                           "tangent_roots": ["y"], "normals": [],
+                           "integration_table": {"y": "-1"}}]}
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "expand", "--input", str(path),
+                         "--operator", "ds-theta-prime", "--order", "8", "--format", "json")
+    assert code == 0
+    json.loads(out)
+    warnings = [line for line in err.splitlines() if line.startswith("warning: ")]
+    assert len(warnings) == 1 and "orientation" in warnings[0]

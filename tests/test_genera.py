@@ -21,13 +21,14 @@ from eqgenus.genera import (
     a_hat,
     chern_character,
     complexified,
+    constants_ledger,
     numeric_integrand,
     oracle_expand_vs_closed,
     theta_quotient_integrand,
     witten_element_ch,
 )
 from eqgenus.localization import ActionData, FixedComponent, equivariant_character
-from eqgenus.theta import ThetaKind, theta_formal
+from eqgenus.theta import ConstantsLedger, ThetaKind, theta_formal
 
 
 @dataclass
@@ -229,8 +230,8 @@ def test_oracle_half_integer_weights():
 
 
 def _drop_theta1_half_power(numerators):
-    on_line, on_tangent, _, c_power, q8_power = numerators[ThetaKind.Theta1]
-    return on_line, on_tangent, 0, c_power, q8_power
+    toks, _, c_power, q8_power = numerators[ThetaKind.Theta1]
+    return toks, 0, c_power, q8_power
 
 
 # engine-table mutations and the families they break.  The sphere's
@@ -328,6 +329,20 @@ def test_recipe_is_the_papers_theta_quotient(kind, normalized):
     assert got.first_mismatch(expect, up_to=24) is None
 
 
+def test_constants_ledger_of_every_supported_variant():
+    # 2^l only for the normalized delta-v-theta-prime (theta1(0) = 2 c q^{1/8}
+    # per V line) and i^{2l} only where theta is the V numerator
+    for kind, normalized in RECIPES:
+        if kind is OperatorKind.DeltaVThetaPrime and normalized:
+            expect = ConstantsLedger(two=3)
+        elif kind is OperatorKind.DVStarDifference:
+            expect = ConstantsLedger(i=6)
+        else:
+            expect = ConstantsLedger()
+        assert constants_ledger(kind, normalized, 3) == expect, (kind, normalized)
+    assert len(RECIPES) == 13
+
+
 @pytest.mark.parametrize("c_power,q8_power", [(0, 0), (1, 1)],
                          ids=["theta2-c-power-0", "theta2-q8-power-1"])
 def test_theta_quotient_flags_a_broken_prefactor_power(monkeypatch, c_power, q8_power):
@@ -335,9 +350,9 @@ def test_theta_quotient_flags_a_broken_prefactor_power(monkeypatch, c_power, q8_
     # it reads from _NUMERATORS, so both oracles are blind to a wrong power
     # there; the product of theta_formal series is not
     from eqgenus import genera
-    on_line, on_tangent, stray, _, _ = genera._NUMERATORS[ThetaKind.Theta2]
+    toks, stray, _, _ = genera._NUMERATORS[ThetaKind.Theta2]
     monkeypatch.setitem(genera._NUMERATORS, ThetaKind.Theta2,
-                        (on_line, on_tangent, stray, c_power, q8_power))
+                        (toks, stray, c_power, q8_power))
     for kind in (OperatorKind.DThetaQ, OperatorKind.DVThetaQ):
         expect = papers_theta_quotient(kind, False, QUOTIENT_POINT)
         got = as_wrat(scalar_series(theta_quotient_integrand(kind, QUOTIENT_POINT, 24)))
@@ -390,7 +405,8 @@ def test_numeric_off_grid_stray_rejected():
 
 def fiber_and_base() -> Comp:
     """A weight-0 tangent root on a fiber generator, which runs the sigma
-    and cosh tokens, with a base generator and V data."""
+    unit and the numerators' tangent factors, with a base generator and V
+    data."""
     gens = (("x", 2), ("b", 2))
     x = GradedElement.generator(gens, 4, "x")
     b = GradedElement.generator(gens, 4, "b")
