@@ -72,6 +72,67 @@ def _quo(a, b) -> int | Fraction:
     return _exact(Fraction(a, b))
 
 
+# -- the sparse rules of both dict carriers (WLaurentPoly, QSeries): each
+# maps exponent -> nonzero coefficient, and a q-series passes its
+# truncation as ``top`` (keys above it are unknown and never stored)
+
+
+def _sparse_add(a: dict, b: dict, top: int | None = None) -> dict:
+    """a + b, keeping the keys <= top (all of them when top is None)."""
+    c = dict(a) if top is None else {e: v for e, v in a.items() if e <= top}
+    for e, v in b.items():
+        if top is not None and e > top:
+            continue
+        if e in c:
+            s = c[e] + v
+            if s:
+                c[e] = s
+            else:
+                del c[e]
+        else:
+            c[e] = v
+    return c
+
+
+def _sparse_mul(a: dict, b: dict, top: int | None = None) -> dict:
+    """The convolution a * b, keeping the keys <= top: each row is filtered
+    once, since a test per term slows the untruncated polynomial product."""
+    c = {}
+    get = c.get
+    row = b.items()
+    for e1, v1 in a.items():
+        if top is not None:
+            row = [(e2, v2) for e2, v2 in b.items() if e1 + e2 <= top]
+        for e2, v2 in row:
+            e = e1 + e2
+            p = v1 * v2
+            s = get(e)
+            if s is None:
+                if p:
+                    c[e] = p
+            else:
+                s = s + p
+                if s:
+                    c[e] = s
+                else:
+                    del c[e]
+    return c
+
+
+def _power(x, n: int, one):
+    """x ** n for n >= 0 by square-and-multiply, from the unit ``one``."""
+    if n < 0:
+        raise ValueError("negative power %d of a %s" % (n, type(x).__name__))
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 class WLaurentPoly:
     """Laurent polynomial in w with exact rational coefficients.
 
@@ -91,6 +152,13 @@ class WLaurentPoly:
                 if v:
                     c[int(e)] = v
         self.c = c
+
+    @staticmethod
+    def _raw(c: dict) -> "WLaurentPoly":
+        """The polynomial over c, a normalized dict it takes over."""
+        out = object.__new__(WLaurentPoly)
+        out.c = c
+        return out
 
     # -- constructors
 
@@ -159,21 +227,12 @@ class WLaurentPoly:
             other = WLaurentPoly.const(other)
         if not isinstance(other, WLaurentPoly):
             return NotImplemented
-        c = dict(self.c)
-        for e, v in other.c.items():
-            s = c.get(e, 0) + v
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        out = WLaurentPoly()
-        out.c = c
-        return out
+        return WLaurentPoly._raw(_sparse_add(self.c, other.c))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, WLaurentPoly) else WLaurentPoly.const(-Fraction(other)))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -184,32 +243,12 @@ class WLaurentPoly:
             return WLaurentPoly({e: v * f for e, v in self.c.items()})
         if not isinstance(other, WLaurentPoly):
             return NotImplemented
-        c: dict[int, int | Fraction] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                s = c.get(e, 0) + v1 * v2
-                if s:
-                    c[e] = s
-                else:
-                    c.pop(e, None)
-        out = WLaurentPoly()
-        out.c = c
-        return out
+        return WLaurentPoly._raw(_sparse_mul(self.c, other.c))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "WLaurentPoly":
-        if n < 0:
-            raise ValueError("negative power of a WLaurentPoly; use WLaurentRational")
-        out = WLaurentPoly.one()
-        b = self
-        while n:
-            if n & 1:
-                out = out * b
-            b = b * b
-            n >>= 1
-        return out
+        return _power(self, n, WLaurentPoly.one())
 
     def shift(self, k: int) -> "WLaurentPoly":
         """Multiply by w^k."""
@@ -263,20 +302,12 @@ def _dense_int(p: WLaurentPoly) -> list[int]:
         out[e - lo] = int(v * den)
     return out
 
-def _content(a: list[int]) -> int:
-    g = 0
-    for x in a:
-        g = int_gcd(g, abs(x))
-        if g == 1:
-            break
-    return g or 1
-
 def _primitive(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a = a[:-1]
     if not a:
         return a
-    g = _content(a)
+    g = int_gcd(*a)
     return [x // g for x in a]
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -481,16 +512,7 @@ class WLaurentRational:
         return self * o.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = WLaurentRational.one()
-        b = self
-        while n:
-            if n & 1:
-                out = out * b
-            b = b * b
-            n >>= 1
-        return out
+        return _power(self.inverse() if n < 0 else self, abs(n), WLaurentRational.one())
 
     def inverse(self) -> "WLaurentRational":
         if not self.num:
@@ -660,12 +682,7 @@ class GradedElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, GradedElement):
-            if not isinstance(other, _SCALARS):
-                return NotImplemented
-            other = GradedElement.scalar(self.gens, self.cap, other)
-        self._check(other)
-        return self._like([(x - y if y else x) if x else -y for x, y in zip(self.c, other.c)])
+        return self + -other if isinstance(other, (GradedElement,) + _SCALARS) else NotImplemented
 
     def __mul__(self, other):
         a = self.c
@@ -689,14 +706,7 @@ class GradedElement:
         return self.__mul__(other)
 
     def __pow__(self, n: int):
-        out = self.one_like()
-        b = self
-        while n:
-            if n & 1:
-                out = out * b
-            b = b * b
-            n >>= 1
-        return out
+        return _power(self, n, self.one_like())
 
     def map_coefficients(self, f: Callable) -> "GradedElement":
         return self._like([f(v) if v else 0 for v in self.c])
@@ -824,7 +834,9 @@ class QSeries:
 
     ``n8`` is the truncation order: coefficients with key > n8 are unknown.
     Arithmetic propagates the tightest sound truncation, which coincides
-    with min(a.n8, b.n8) whenever the lowest exponents are >= 0.
+    with min(a.n8, b.n8) whenever the lowest exponents are >= 0.  An empty
+    series may start anywhere above its n8; the product reads its lowest
+    exponent as min(0, n8 + 1).
     """
 
     __slots__ = ("c", "n8")
@@ -843,12 +855,20 @@ class QSeries:
         self.c = c
 
     @staticmethod
+    def _raw(c: dict, n8: int) -> "QSeries":
+        """The series over c, a dict with no zero and no key above n8 that
+        it takes over."""
+        out = object.__new__(QSeries)
+        out.c, out.n8 = c, n8
+        return out
+
+    @staticmethod
     def zero(n8: int) -> "QSeries":
         return QSeries({}, n8)
 
     @staticmethod
-    def one(n8: int, one_coeff=Fraction(1)) -> "QSeries":
-        return QSeries({0: one_coeff}, n8)
+    def one(n8: int) -> "QSeries":
+        return QSeries({0: Fraction(1)}, n8)
 
     def __bool__(self):
         return bool(self.c)
@@ -860,7 +880,7 @@ class QSeries:
         return min(self.c)
 
     def _low0(self) -> int:
-        return min(self.c) if self.c else 0
+        return min(self.c) if self.c else min(0, self.n8 + 1)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -881,29 +901,13 @@ class QSeries:
         return None
 
     def __neg__(self):
-        out = QSeries({}, self.n8)
-        out.c = {e: -v for e, v in self.c.items()}
-        return out
+        return QSeries._raw({e: -v for e, v in self.c.items()}, self.n8)
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
         n8 = min(self.n8, other.n8)
-        c = {e: v for e, v in self.c.items() if e <= n8}
-        for e, v in other.c.items():
-            if e > n8:
-                continue
-            if e in c:
-                s = c[e] + v
-                if s == 0:
-                    del c[e]
-                else:
-                    c[e] = s
-            else:
-                c[e] = v
-        out = QSeries({}, n8)
-        out.c = c
-        return out
+        return QSeries._raw(_sparse_add(self.c, other.c, n8), n8)
 
     def __sub__(self, other):
         return self + (-other)
@@ -915,33 +919,18 @@ class QSeries:
 
     def scale(self, v) -> "QSeries":
         """Multiply every coefficient by a fixed ring element."""
-        out = QSeries({}, self.n8)
-        out.c = {}
-        for e, cv in self.c.items():
-            p = cv * v
-            if p != 0:
-                out.c[e] = p
-        return out
+        return self.map_coefficients(lambda cv: cv * v)
 
     def shift_q8(self, k: int) -> "QSeries":
         """Multiply by q^{k/8}."""
-        out = QSeries({}, self.n8 + k)
-        out.c = {e + k: v for e, v in self.c.items()}
-        return out
+        return QSeries._raw({e + k: v for e, v in self.c.items()}, self.n8 + k)
 
     def truncate(self, n8: int) -> "QSeries":
         n8 = min(n8, self.n8)
         return QSeries({e: v for e, v in self.c.items() if e <= n8}, n8)
 
     def map_coefficients(self, f: Callable) -> "QSeries":
-        c = {}
-        for e, v in self.c.items():
-            w = f(v)
-            if w != 0:
-                c[e] = w
-        out = QSeries({}, self.n8)
-        out.c = c
-        return out
+        return QSeries._raw({e: w for e, v in self.c.items() if (w := f(v)) != 0}, self.n8)
 
     def coefficient(self, n8key: int):
         if n8key > self.n8:
@@ -966,26 +955,8 @@ class QSeries:
 
 def series_mul(a: QSeries, b: QSeries) -> QSeries:
     """Exact Cauchy product, truncated where coefficients stay determined."""
-    la, lb = a._low0(), b._low0()
-    n8 = min(a.n8 + lb, b.n8 + la)
-    c: dict[int, object] = {}
-    for e1, v1 in a.c.items():
-        for e2, v2 in b.c.items():
-            e = e1 + e2
-            if e > n8:
-                continue
-            p = v1 * v2
-            if e in c:
-                s = c[e] + p
-                if s == 0:
-                    del c[e]
-                else:
-                    c[e] = s
-            elif p != 0:
-                c[e] = p
-    out = QSeries({}, n8)
-    out.c = c
-    return out
+    n8 = min(a.n8 + b._low0(), b.n8 + a._low0())
+    return QSeries._raw(_sparse_mul(a.c, b.c, n8), n8)
 
 
 def series_invert(a: QSeries) -> QSeries:
@@ -1014,7 +985,6 @@ def series_invert(a: QSeries) -> QSeries:
                 acc = t if acc is None else acc + t
         if acc is not None and acc != 0:
             binv[n] = -(a0i * acc) if isinstance(a0i, (int, Fraction)) else -(acc * a0i)
-    out = QSeries({}, a.n8 - 2 * la)
-    out.c = {e - la: v for e, v in binv.items() if v != 0 and e - la <= a.n8 - 2 * la}
-    return out
+    n8 = a.n8 - 2 * la
+    return QSeries._raw({e - la: v for e, v in binv.items() if v != 0 and e - la <= n8}, n8)
 

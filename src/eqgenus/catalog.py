@@ -31,10 +31,6 @@ class CatalogEntry:
     variants: dict[str, ActionData] = field(default_factory=dict)
 
 
-def _zero_root(gens, cap):
-    return GradedElement.zero(gens, cap)
-
-
 def _isolated(name, normals, vbundles=(), base_gens=(), base_cap=0, sign=1):
     """Isolated fixed point; normals/vbundles are (weight, rank, roots) with
     roots given as GradedElements or omitted for zero."""
@@ -46,7 +42,7 @@ def _isolated(name, normals, vbundles=(), base_gens=(), base_cap=0, sign=1):
         for item in spec:
             if len(item) == 2:
                 m, r = item
-                roots = tuple(_zero_root(gens, cap) for _ in range(r))
+                roots = tuple(GradedElement.zero(gens, cap) for _ in range(r))
             else:
                 m, r, roots = item
             out.append(RootBundle(Fraction(m), r, tuple(roots)))
@@ -61,7 +57,7 @@ def _s2_rotation(with_v_tangent_copies: int = 0, base_shift: bool = False,
     base_gens = (("b", 2),) if base_shift else ()
     base_cap = 4 if base_shift else 0
     gens, cap = base_gens, base_cap
-    root_p = [GradedElement.generator(gens, cap, "b")] if base_shift else [_zero_root(gens, cap)]
+    root_p = [GradedElement.generator(gens, cap, "b")] if base_shift else [GradedElement.zero(gens, cap)]
     comps = []
     for nm, m in (("p+", 1), ("p-", -1)):
         normals = [(m, 1, tuple(root_p))]

@@ -216,14 +216,17 @@ def cmd_jacobi(args) -> int:
         "group": spec.group.value, "samples": rep.samples,
         "max_modular_discrepancy": rep.max_modular_discrepancy,
         "max_lattice_discrepancy": rep.max_lattice_discrepancy,
-        "tolerance": args.tol, "passed": rep.passed,
+        "tolerance": args.tol, "identically_zero": rep.identically_zero,
+        "passed": rep.passed,
     }
     lines = ["operator: %s, degree %d (monomial %s)" % (kind.value, args.degree, F.monomial),
              "anomaly n = %d: expected index %s, weight %d over %s"
              % (n, Fraction(n, 2), spec.weight, spec.group.value),
              "max discrepancy: modular %.3e, lattice %.3e at %d samples"
-             % (rep.max_modular_discrepancy, rep.max_lattice_discrepancy, rep.samples),
-             "PASS" if rep.passed else "FAIL"]
+             % (rep.max_modular_discrepancy, rep.max_lattice_discrepancy, rep.samples)]
+    if rep.identically_zero:
+        lines.append("IdenticallyZero (sampled max |F| below the zero floor)")
+    lines.append("PASS" if rep.passed else "FAIL")
     _emit(report, args.format, lines)
     return 0 if rep.passed else 1
 

@@ -86,10 +86,6 @@ def parse_rational(s, path: str) -> Fraction:
     raise DatasetFormatError(path, "expected a rational like '3/2', got %r" % (s,))
 
 
-def format_rational(v: Fraction) -> str:
-    return str(v)
-
-
 _TERM_RE = re.compile(r"^(?:(?P<coef>-?\d+(?:/\d+)?)\s*\*\s*)?(?P<name>[A-Za-z_][A-Za-z_0-9]*)$")
 
 
@@ -339,16 +335,16 @@ def dataset_to_json(data: ActionData) -> dict:
             "k_alpha": c.k_alpha,
             "sign": c.sign,
             "tangent_roots": [format_root(r) for r in (c.tangent.roots if c.tangent else ())],
-            "normals": [{"weight": format_rational(b.weight), "rank": b.rank,
+            "normals": [{"weight": str(b.weight), "rank": b.rank,
                          "roots": [format_root(r) for r in b.roots]} for b in c.normals],
-            "integration_table": {format_monomial(kk, fiber_names): format_rational(v)
+            "integration_table": {format_monomial(kk, fiber_names): str(v)
                                   for kk, v in sorted(c.table.entries.items())},
         }
         if fiber_names:
             fg = {n: d for n, d in c.gens}
             item["fiber_generators"] = [{"name": n, "degree": fg[n]} for n in fiber_names]
         if c.vbundles:
-            item["v"] = [{"weight": format_rational(b.weight), "rank": b.rank,
+            item["v"] = [{"weight": str(b.weight), "rank": b.rank,
                           "roots": [format_root(r) for r in b.roots]} for b in c.vbundles]
         comps.append(item)
     out["components"] = comps

@@ -395,10 +395,11 @@ def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
     output coefficient is multiplied by adj(L) and reduced once over
     s^{J+1}.
     """
-    # work high enough that the shifted result reaches n8
+    # work high enough that the shifted result reaches n8, and never below
+    # q^0, where the unit series U would be empty
     num, den, lin, q8_shift = _interpret(
         kind, component, normalized,
-        lambda q8_shift, _lines: _SeriesBackend(component, n8 - q8_shift))
+        lambda q8_shift, _lines: _SeriesBackend(component, max(n8 - q8_shift, 0)))
     out = series_mul(num, series_invert(den)).shift_q8(q8_shift).truncate(n8)
     s, J = _poly(lin.scalar_part()), component.cap // 2
     neg_n = -(lin - s)
@@ -576,7 +577,7 @@ def bridge_to_index_character(kind: OperatorKind, normalized: bool,
     if _numerators(kind, normalized)[0] is not _THETA_PRIME_0:
         out = out.shift_q8(-q8_shift)
         if c_power:
-            cpow = series_product(QSeries({0: Fraction(1)}, out.n8), Fraction(1), 8,
+            cpow = series_product(QSeries({0: Fraction(1)}, max(out.n8, 0)), Fraction(1), 8,
                                   (-1,) * abs(c_power))
             out = series_mul(out, cpow if c_power < 0 else series_invert(cpow))
     scale = Fraction(2) ** two * (-1) ** (i // 2)

@@ -88,6 +88,10 @@ GROUP_GENERATORS: dict[ModularGroup, tuple[ModularMatrix, ...]] = {
 
 LATTICE_SCALE = 2  # the elliptic law's lattice is (2Z)^2 for all forms arising here
 
+# a function whose samples all stay below this is taken to be identically
+# zero: its values are rounding noise, which the laws' factors amplify
+ZERO_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class JacobiFormSpec:
@@ -144,6 +148,7 @@ class JacobiReport:
     max_modular_discrepancy: float
     max_lattice_discrepancy: float
     eps: float
+    identically_zero: bool
 
     @property
     def max_discrepancy(self) -> float:
@@ -151,7 +156,8 @@ class JacobiReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_discrepancy < self.eps
+        """Both laws hold to eps; the zero function satisfies every law."""
+        return self.identically_zero or self.max_discrepancy < self.eps
 
 
 def _jacobi_samples(samples, seed=271828):
@@ -171,7 +177,9 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None,
     """Sampled check of both defining transformation laws.
 
     Generators must belong to spec.group; the lattice vectors are the
-    basis of (LATTICE_SCALE Z)^2.
+    basis of (LATTICE_SCALE Z)^2.  When |F| stays below ZERO_FLOOR at every
+    sample, F is reported identically zero and passes; its discrepancies
+    are still reported.
     """
     if generators is None:
         generators = GROUP_GENERATORS[spec.group]
@@ -190,15 +198,17 @@ def check_jacobi(F, spec: JacobiFormSpec, generators=None,
 
     # F(t, tau) is the right-hand side of every law at the sample: one
     # evaluation serves all generators and lattice vectors
-    mods, lats = [], []
+    mods, lats, peak = [], [], 0.0
     for t, tau in pts:
         base = F(t, tau)
+        peak = max(peak, abs(base))
         mods += [diff(slash_action(F, g, spec)(t, tau), base, t, tau) for g in generators]
         lats += [diff(F(t + lam * tau + mu, tau),
                       cmath.exp(-2j * math.pi * m * (lam * lam * tau + 2 * lam * t)) * base,
                       t, tau)
                  for lam, mu in ((LATTICE_SCALE, 0), (0, LATTICE_SCALE))]
-    return JacobiReport(spec, len(pts), max(mods, default=0.0), max(lats), eps)
+    return JacobiReport(spec, len(pts), max(mods, default=0.0), max(lats), eps,
+                        peak < ZERO_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +275,7 @@ def count_zeros(F, tau: complex, cell: tuple[complex, complex, complex]) -> Zero
             scale = max(scale, abs(val))
             if abs(z.imag - origin.imag) <= max(0.35, abs(v2) / 8):
                 band_max = max(band_max, abs(val))
-    if band_max < 1e-10:
+    if band_max < ZERO_FLOOR:
         return ZeroCountResult(None, True, 0)
     zero_floor = 1e-12 * scale
     shift = 0.0137 + 0.0089j

@@ -66,9 +66,11 @@ def unit_product(acc, keys, coeffs, factor):
     """acc times the product of factor(k, c) = (1 + c q^{k/8}) over every
     key k and every c in coeffs.
 
-    Every theta and integrand product of this form is built here.  The
-    caller's ``keys`` set the truncation: the range of the series order
-    for exact series, ``product_keys`` for numeric values.
+    It serves the exact q-series products (``series_product``) and the
+    numeric integrand's jet products; ``_theta_direct`` multiplies its
+    scalar theta factors in its own loop.  The caller's ``keys`` set the
+    truncation: the range of the series order for exact series,
+    ``product_keys`` for numeric values.
     """
     for k in keys:
         for c in coeffs:

@@ -138,6 +138,18 @@ def test_wrational_field_axioms():
         assert a * (b + c) == a * b + a * c
         if a:
             assert a * a.inverse() == WLaurentRational.one()
+        # the shared power routine: x ** n is the n-fold product on every
+        # carrier, and a negative power of a rational function inverts it
+        g = GradedElement(GENS, 4, {(0, 0): a, (1, 0): b, (1, 1): c})
+        for x, one in ((a.num, WLaurentPoly.one()), (a, WLaurentRational.one()),
+                       (g, g.one_like())):
+            prod = one
+            for n in range(6):
+                assert x ** n == prod, (x, n)
+                prod = prod * x
+        if a:
+            for n in range(1, 6):
+                assert a ** -n == a.inverse() ** n
 
 
 def test_wrational_canonical_reduction():
@@ -451,6 +463,54 @@ def test_fiber_integrate_linear():
 
 
 # -- truncation bookkeeping ----------------------------------------------------
+
+def _rand_truncated(rng) -> QSeries:
+    """A series with lowest key in [-6, 3]; a quarter are empty, some with a
+    truncation below q^0."""
+    low = rng.randrange(-6, 4)
+    if rng.random() < 0.25:
+        return QSeries({}, low)
+    return QSeries({k: rng.randrange(-3, 4) for k in range(low, low + rng.randrange(8))},
+                   low + rng.randrange(8))
+
+
+def _completion(rng, a: QSeries) -> dict:
+    """One series that a stands for: a's coefficients and random ones on
+    the 20 keys above its truncation, as a finite polynomial."""
+    out = dict(a.c)
+    out.update({k: rng.randrange(-5, 6) for k in range(a.n8 + 1, a.n8 + 21)})
+    return out
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return out
+
+
+def _agrees(s: QSeries, exact: dict) -> bool:
+    """s claims no coefficient that differs from the exact series."""
+    return all(s.c.get(k, 0) == exact.get(k, 0) for k in range(-40, s.n8 + 1))
+
+
+def test_truncation_is_sound_under_random_completions():
+    # every coefficient a result claims must be the same for every series
+    # its operands stand for; an empty operand may start anywhere above its
+    # truncation, also above a truncation below q^0
+    rng = random.Random(53)
+    for _ in range(1000):
+        a, b = _rand_truncated(rng), _rand_truncated(rng)
+        ca, cb = _completion(rng, a), _completion(rng, b)
+        assert _agrees(series_mul(a, b), _poly_mul(ca, cb)), (a, b)
+        assert _agrees(a + b, {k: ca.get(k, 0) + cb.get(k, 0) for k in set(ca) | set(cb)})
+        assert _agrees(a.shift_q8(3), {k + 3: v for k, v in ca.items()})
+        if a and a.c[a.low]:
+            inv = series_invert(a)
+            # A * inv = 1 up to inv.n8 + low(A) iff inv is A's inverse up to inv.n8
+            assert _agrees(QSeries({0: 1}, inv.n8 + a.low), _poly_mul(ca, inv.c))
+
 
 def test_truncation_propagates_min():
     a = q_int({0: 1, 1: 1}, 16)

@@ -420,6 +420,39 @@ def test_jacobi_cli(capsys):
     assert payload["passed"] and payload["index"] == "1/2" and payload["weight"] == 1
 
 
+@pytest.mark.parametrize("entry", ["s4-rotation", "s2xs2-birotation"])
+def test_jacobi_passes_the_zero_function(capsys, entry):
+    # witten-h vanishes on these entries: F is rounding noise, which the
+    # lattice law's factor lifts above the tolerance, so |F| decides
+    argv = ["jacobi", "--input", "catalog:" + entry, "--operator", "witten-h"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["identically_zero"] and payload["passed"]
+    assert payload["max_lattice_discrepancy"] > 0 and payload["max_modular_discrepancy"] > 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "IdenticallyZero" in out and out.splitlines()[-1] == "PASS"
+
+
+def test_jacobi_nonzero_function_is_not_called_zero(capsys):
+    # sampled |F| reaches 2 here, far above the zero floor
+    code, out, _ = run(capsys, "jacobi", "--input", "catalog:s2-family-base",
+                       "--operator", "dv-star-difference", "--degree", "0", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] and not payload["identically_zero"]
+    assert max(payload["max_lattice_discrepancy"], payload["max_modular_discrepancy"]) < 1e-14
+
+
+@pytest.mark.parametrize("operator", ["dv-star-difference", "delta-v-theta-prime"])
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_expand_below_the_q_shift(capsys, operator, order):
+    # both families carry q^{1/8} over one TX and two V lines: at order 0
+    # nothing is known yet, and the report has the shape of order 1
+    code, out, _ = run(capsys, "expand", "--input", "catalog:s2-v-double-tangent",
+                       "--operator", operator, "--order", order, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coefficients"] == {"1": {"0/8": "0"}}
+
+
 def test_zeros_cli(capsys):
     code, out, _ = run(capsys, "zeros", "--input", "catalog:s2-v-double-tangent",
                        "--operator", "dv-theta-q", "--tau", "0.5+1.2i")

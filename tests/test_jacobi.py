@@ -140,7 +140,7 @@ def test_check_jacobi_zero_function_passes():
     spec = designated_spec(OperatorKind.WittenH, 1, 1, 0, 0)
     F = degree_component_function(data, OperatorKind.WittenH, 0, eps=1e-12)
     rep = check_jacobi(F, spec, samples=4, eps=1e-8)
-    assert rep.passed
+    assert rep.passed and rep.identically_zero
 
 
 def test_check_jacobi_rigid_catalog_degree0():

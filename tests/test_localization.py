@@ -99,6 +99,20 @@ def test_s2_witten_h_vanishes():
     assert not res.series.c
 
 
+@pytest.mark.parametrize("copies", [2, 3])
+@pytest.mark.parametrize("kind", [OperatorKind.DVStarDifference, OperatorKind.DeltaVThetaPrime])
+def test_orders_below_the_q_shift(kind, copies):
+    # V = copies * TX on S^2: the quotient carries q^{(copies - 1)/8}, so
+    # the orders below claim no coefficient, and their index character is
+    # defined
+    data = ActionData(1, (isolated("p+", (1,), ((1, copies),)),
+                          isolated("p-", (-1,), ((-1, copies),))), v_half_rank=copies)
+    for n8 in range(copies - 1):
+        res = equivariant_character(data, kind, n8)
+        assert res.series.n8 == n8 and not res.series.c
+        assert not res.index_character().c
+
+
 def test_single_point_passthrough():
     from eqgenus.genera import theta_quotient_integrand
     data = ActionData(1, (isolated("p", (1,)),))
