@@ -155,7 +155,11 @@ class WLaurentPoly:
 
     @staticmethod
     def _raw(c: dict) -> "WLaurentPoly":
-        """The polynomial over c, a normalized dict it takes over."""
+        """The polynomial over c, a dict of nonzero values that it takes over
+        and whose integral Fractions it stores as ints."""
+        for e, v in c.items():
+            if type(v) is Fraction and v.denominator == 1:
+                c[e] = v.numerator
         out = object.__new__(WLaurentPoly)
         out.c = c
         return out

@@ -37,11 +37,11 @@ Two independent realizations of each integrand are provided:
   is a unit series: its q^0 coefficient has scalar part 1.  So 1/U, the
   numerator and every product run over Laurent polynomials in w, with
   no gcd.  So does L^{-1} = adj(L) / s^{J+1}, s the scalar part of L and
-  J = cap // 2, and the rational-function field enters once: each
-  output coefficient is multiplied by adj(L) and reduced over s^{J+1},
-  one reduction per coefficient on every component, families included.
-  Canonical forms of reduced quotients are unique, so the result equals
-  the term-by-term reduced computation exactly.
+  J = cap // 2: ``integrand_over_polys`` returns the series times adj(L)
+  over s^{J+1}, unreduced; ``localization`` reduces once per coefficient
+  of the component sum and ``theta_quotient_integrand`` once per
+  coefficient of one component.  Canonical forms of reduced quotients
+  are unique, so every path gives the term-by-term reduced result exactly.
 
 * the exterior/symmetric-power expansion, assembled term by term in q.
   One table (``_EXPANSIONS``) gives each family's Lambda factor and spinor
@@ -379,21 +379,18 @@ class _SeriesBackend:
         return series_product(QSeries({0: one}, self.n8), one, first, coeffs)
 
 
-def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
-                             normalized: bool = False) -> QSeries:
-    """The bracketed localization integrand for one fixed component.
-
-    Returns a q-series of graded elements whose nonzero coefficients are
-    all ``WLaurentRational``, exact on the requested grid.  The removable
-    singularity of the tangent factor is resolved by dividing out theta's
-    explicit order-1 unit; all powers of 2 pi and i cancel by
-    construction.
+def integrand_over_polys(kind: OperatorKind, component, n8: int,
+                         normalized: bool = False) -> tuple[QSeries, WLaurentPoly]:
+    """The bracketed localization integrand for one fixed component, as
+    (series, den): Laurent-polynomial coefficients over den = s^{J+1}, exact
+    on the requested grid.  The removable singularity of the tangent factor
+    is resolved by dividing out theta's explicit order-1 unit; all powers
+    of 2 pi and i cancel by construction.
 
     Everything runs over Laurent polynomials.  With s the scalar part of
     L and n = L - s (nilpotent, n^{J+1} = 0 for J = cap // 2),
     L^{-1} = adj(L) / s^{J+1} where adj(L) = sum_j (-n)^j s^{J-j}; each
-    output coefficient is multiplied by adj(L) and reduced once over
-    s^{J+1}.
+    output coefficient is multiplied by adj(L), and none is reduced.
     """
     # work high enough that the shifted result reaches n8, and never below
     # q^0, where the unit series U would be empty
@@ -407,9 +404,25 @@ def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
     for _ in range(J):
         term = term * neg_n
         adj = adj * s + term
-    den_s = s ** (J + 1)
-    return out.map_coefficients(lambda g: (g * adj).map_coefficients(
-        lambda v: WLaurentRational(_poly(v), den_s)))
+    return out.map_coefficients(lambda g: g * adj), s ** (J + 1)
+
+
+def component_denominator(component) -> WLaurentPoly:
+    """The den of ``integrand_over_polys`` from the weights alone: s is the
+    product of 1 - w^{-2m} over the normal lines."""
+    s = WLaurentPoly.one()
+    for tw, _ in _iter_lines(component.normals):
+        s = s * (1 - WLaurentPoly.w(-tw))
+    return s ** (component.cap // 2 + 1)
+
+
+def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
+                             normalized: bool = False) -> QSeries:
+    """``integrand_over_polys`` with each coefficient reduced over den: a
+    q-series whose nonzero coefficients are all ``WLaurentRational``."""
+    series, den = integrand_over_polys(kind, component, n8, normalized)
+    return series.map_coefficients(lambda g: g.map_coefficients(
+        lambda v: WLaurentRational(_poly(v), den)))
 
 
 def _poly(v) -> WLaurentPoly:

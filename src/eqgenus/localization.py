@@ -5,7 +5,8 @@ components: rotation weights and Chern roots of the normal summands, the
 tangent data of each component, fiber integration tables, and optional
 twist-bundle (V) data.  ``equivariant_character`` sums the pushed-forward
 theta-quotient integrands over the components and returns the resulting
-equivariant index character as an exact q-series of base classes;
+equivariant index character as an exact q-series of base classes, summed
+over the dataset's common denominator and reduced once per coefficient;
 verdict helpers classify rigidity, pole cancellation and vanishing.
 """
 from __future__ import annotations
@@ -15,26 +16,14 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
-from .algebra import (
-    DegreeOutOfRange,
-    GradedElement,
-    IntegrationTable,
-    QSeries,
-    WLaurentRational,
-    _layout,
-    fiber_integrate,
-    format_monomial,
-)
-from .genera import (
-    OperatorKind,
-    RootBundle,
-    bridge_to_index_character,
-    constants_ledger,
-    numeric_integrand,
-    theta_quotient_integrand,
-)
+from .algebra import (AlgebraError, DegreeOutOfRange, GradedElement, IntegrationTable, QSeries,
+                      WLaurentPoly, WLaurentRational, _layout, fiber_integrate, format_monomial,
+                      wpoly_divexact, wpoly_gcd)
+from .genera import (OperatorKind, RootBundle, bridge_to_index_character, component_denominator,
+                     constants_ledger, integrand_over_polys, numeric_integrand,
+                     theta_quotient_integrand)
 from .theta import ConstantsLedger, NonconvergentDomain
 
 
@@ -107,6 +96,13 @@ class ActionData:
     def report(self) -> ValidationReport:
         """The validation report, computed on first use."""
         return validate(self)
+
+    @cached_property
+    def denominator(self) -> WLaurentPoly:
+        """D, the lcm of the components' integrand denominators, computed on
+        first use; the weights alone fix it, so every kind shares it."""
+        return reduce(lambda a, b: wpoly_divexact(a * b, wpoly_gcd(a, b)),
+                      map(component_denominator, self.components))
 
 
 # ---------------------------------------------------------------------------
@@ -312,26 +308,38 @@ def component_contribution(data: ActionData, comp: FixedComponent,
     series of graded elements over the shared base generators."""
     integ = theta_quotient_integrand(kind, comp, n8, normalized)
     pushed = integ.map_coefficients(lambda g: fiber_integrate(g, comp.table))
-    if comp.sign < 0:
-        pushed = -pushed
-    return pushed
+    return -pushed if comp.sign < 0 else pushed
 
 
 def equivariant_character(data: ActionData, kind: OperatorKind, n8: int,
                           normalized: bool = False) -> GenusResult:
-    """Sum of pushed-forward integrands over the fixed components."""
+    """Sum of pushed-forward integrands over the fixed components, each
+    times its cofactor D / den over Laurent polynomials; each summed
+    coefficient is then reduced once over D."""
     validated(data)
     if kind.needs_v and any(not c.vbundles for c in data.components):
         raise ValidationError("%s requires V data on every component" % kind.value)
-    total: QSeries | None = None
+    D = data.denominator
+    parts = []
     for comp in data.components:
-        pushed = component_contribution(data, comp, kind, n8, normalized)
-        total = pushed if total is None else total + pushed
-    assert total is not None
+        series, den = integrand_over_polys(kind, comp, n8, normalized)
+        cofactor = wpoly_divexact(D, den) * comp.sign
+        parts.append(series.map_coefficients(lambda g: fiber_integrate(g, comp.table) * cofactor))
+    total = sum(parts[1:], parts[0]).map_coefficients(
+        lambda g: g.map_coefficients(lambda v: _over(v, D)))
     l = data.components[0].v_rank() if kind.needs_v else 0
     return GenusResult(total, kind, normalized, total.n8, data.base_gens, data.base_cap,
                        data.fiber_half_dim, l, constants_ledger(kind, normalized, l),
                        data.digest())
+
+
+def _over(num: WLaurentPoly, D: WLaurentPoly) -> WLaurentRational:
+    """num / D in canonical form, with no gcd where D divides num."""
+    try:
+        quotient = wpoly_divexact(num, D)
+    except AlgebraError:
+        return WLaurentRational(num, D)
+    return WLaurentRational(quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +388,13 @@ def pole_cancellation_check(component_series: list[QSeries]) -> PoleReport:
     kinds the summed coefficients must reduce to denominator 1."""
     if not component_series:
         raise ValueError("no component series given")
-    total = component_series[0]
-    for s in component_series[1:]:
-        total = total + s
+    total = sum(component_series[1:], component_series[0])
     per_q: dict[int, tuple[int, int]] = {}
-    keys = set()
-    for s in component_series:
-        keys.update(s.c)
-    keys.update(total.c)
-    for key in sorted(keys):
-        if key > total.n8:
-            continue
-        before = max((_den_degree_of(s.c.get(key, 0)) for s in component_series), default=0)
-        after = _den_degree_of(total.c.get(key, 0))
-        per_q[key] = (before, after)
-    cancelled = all(after == 0 for _, after in per_q.values())
-    return PoleReport(per_q, cancelled, total)
+    for key in sorted(set(total.c).union(*(s.c for s in component_series))):
+        if key <= total.n8:
+            per_q[key] = (max(_den_degree_of(s.c.get(key, 0)) for s in component_series),
+                          _den_degree_of(total.c.get(key, 0)))
+    return PoleReport(per_q, all(after == 0 for _, after in per_q.values()), total)
 
 
 def degree_component(result: GenusResult, p2: int) -> dict[str, QSeries]:

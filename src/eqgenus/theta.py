@@ -48,6 +48,10 @@ class ThetaKind(Enum):
     Theta2 = "theta2"
     Theta3 = "theta3"
 
+    # members are singletons; hashing by identity keeps theta_numeric's table
+    # lookups in C (Enum.__hash__ is a Python-level call)
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class ConstantsLedger:
@@ -229,6 +233,8 @@ _MODULAR_IMAGES = {
     ThetaKind.Theta2: ((ThetaKind.Theta1, 0), (ThetaKind.Theta3, 0)),
     ThetaKind.Theta3: ((ThetaKind.Theta3, 0), (ThetaKind.Theta2, 0)),
 }
+# theta_kind(t + 1, tau) = sign theta_kind(t, tau): theta, theta1 antiperiodic
+_PERIOD_SIGN = {ThetaKind.Theta: -1, ThetaKind.Theta1: -1, ThetaKind.Theta2: 1, ThetaKind.Theta3: 1}
 
 
 def _t_shift(kind: ThetaKind, n: int) -> tuple[ThetaKind, complex]:
@@ -272,15 +278,17 @@ def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
 
     Below Im tau = 0.3, T-translations and the S-inversion, whose
     prefactors are exact, move the argument until the product truncation
-    is short.  The truncation takes eps / 2 and leaves the rest to
-    rounding, which near a zero grows as |t| / dist(t, zero) ulps.
+    is short; first and after each S-step, t moves by the integer nearest
+    Re t.  The truncation takes eps / 2 and leaves the rest to rounding,
+    which near a zero grows as |t| / dist(t, zero) ulps.
     """
-    t = t0 = complex(t)
+    t0 = complex(t)
     tau = tau0 = complex(tau)
     if tau.imag <= 0:
         raise NonconvergentDomain("Im tau must be positive, got %g" % tau.imag)
-    factor = 1 + 0j
     try:
+        n = round(t0.real)  # t - n is exact in floating point
+        t, factor = t0 - n, _PERIOD_SIGN[kind] ** (n % 2) + 0j
         for _ in range(200):
             if tau.imag >= 0.3:
                 break
@@ -293,12 +301,13 @@ def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
             tau1 = -1 / tau
             t1 = t * tau1
             kind, f = _s_step(kind, t1, tau1)
-            factor *= f
-            t, tau = t1, tau1
+            n = round(t1.real)
+            factor *= f * _PERIOD_SIGN[kind] ** (n % 2)
+            t, tau = t1 - n, tau1
         else:
             raise NonconvergentDomain("modular reduction did not terminate")
         value = factor * _theta_direct(kind, t, tau, eps / 2)
-    except ArithmeticError as e:
+    except (ArithmeticError, ValueError) as e:  # round() of an infinite or NaN Re t
         raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0)) from e
     if not cmath.isfinite(value):
         raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0))

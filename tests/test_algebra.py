@@ -213,6 +213,16 @@ def test_wpoly_int_and_fraction_coefficients_agree():
     assert type(WLaurentPoly.const(Fraction(6, 3)).constant()) is int
 
 
+def test_wpoly_products_and_sums_keep_integral_values_int():
+    half = WLaurentPoly.const(Fraction(1, 2))
+    for p in (half * WLaurentPoly.const(2), half + half):
+        assert p.c == {0: 1} and type(p.c[0]) is int
+    # only the integral values of a product or sum turn int
+    p = WLaurentPoly({0: half.c[0], 1: 1}) * WLaurentPoly({0: 2, 1: Fraction(1, 3)})
+    assert p.c == {0: 1, 1: Fraction(13, 6), 2: Fraction(1, 3)} and type(p.c[0]) is int
+    assert type((p + WLaurentPoly.w(1, Fraction(5, 6))).c[1]) is int
+
+
 def test_integer_inputs_never_yield_float():
     rng = random.Random(41)
     for _ in range(60):

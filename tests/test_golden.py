@@ -3,8 +3,9 @@
 Every catalog entry is expanded with every operator that applies to it
 (the V-twisted families only where the entry carries V data, and those
 both raw and dim-normalized) at orders 16 and 32, every entry runs
-``rigidity --operator all`` at order 24, and every theta kind is expanded
-formally at m = 1 and m = 2 at order 16.  The canonical form
+``rigidity --operator all`` at order 24, every theta kind is expanded
+formally at m = 1 and m = 2 at order 16, and s2-family-base is expanded
+with dv-theta-q at order 48.  The canonical form
 of each ``--format json`` report is hashed and compared against
 ``golden_digests.json``, which holds the digests of the reference
 implementation.  A change that alters any
@@ -57,8 +58,13 @@ def _theta_cases():
             for kind in ThetaKind for m in (1, 2)]
 
 
+# the deepest exact output of the benchmark (its expand-deep workload)
+BENCHMARK_CASE = ("expand-s2-family-base-dv-theta-q-order48",
+                  ["expand", "--input", "catalog:s2-family-base", "--operator", "dv-theta-q",
+                   "--order", "48", "--format", "json"])
+
 CASES = dict(_expand_cases(ORDER) + _expand_cases(DEEP_ORDER, "-order32")
-             + _rigidity_cases() + _theta_cases())
+             + _rigidity_cases() + _theta_cases() + [BENCHMARK_CASE])
 
 
 def report_digest(argv, capsys) -> str:
@@ -76,7 +82,7 @@ def recorded_digests() -> dict[str, str]:
 
 
 def test_case_list_is_complete():
-    assert len(CASES) == 94
+    assert len(CASES) == 95
     assert sorted(recorded_digests()) == sorted(CASES)
 
 

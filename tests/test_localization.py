@@ -8,7 +8,7 @@ import pytest
 
 from eqgenus.algebra import DegreeOutOfRange, GradedElement, IntegrationTable, WLaurentRational
 from eqgenus.genera import OperatorKind, RootBundle
-from eqgenus.catalog import builtin
+from eqgenus.catalog import builtin, names
 from eqgenus.localization import (
     ActionData,
     FixedComponent,
@@ -119,6 +119,59 @@ def test_single_point_passthrough():
     res = equivariant_character(data, OperatorKind.DThetaQ, 16)
     direct = theta_quotient_integrand(OperatorKind.DThetaQ, data.components[0], 16)
     assert res.series == direct.map_coefficients(lambda g: g)
+
+
+def _cp3(seed):
+    """A weighted CP^3 with 4 distinct projective weights in [-3, 3] spanning
+    4: one isolated point per weight, normal weights the differences."""
+    rng = random.Random(seed)
+    lo = rng.randint(-3, -1)
+    weights = [lo, lo + 4] + rng.sample(range(lo + 1, lo + 4), 2)
+    rng.shuffle(weights)
+    return ActionData(3, tuple(isolated("e%d" % i, [b - a for b in weights if b != a])
+                               for i, a in enumerate(weights)), name="cp3-%d" % seed)
+
+
+def _summed_contributions(data, kind, n8, normalized=False):
+    """The pole check over the per-component reduced series."""
+    return pole_cancellation_check([component_contribution(data, c, kind, n8, normalized)
+                                    for c in data.components])
+
+
+@pytest.mark.parametrize("name", names())
+def test_character_equals_sum_of_reduced_contributions(name):
+    # the sum over the common denominator, reduced once, equals the sum of
+    # the per-component reduced series, for every kind that applies
+    data = builtin(name).data
+    has_v = all(c.vbundles for c in data.components)
+    for kind in OperatorKind:
+        if kind.needs_v and not has_v:
+            continue
+        for normalized in (False, True) if kind.supports_normalized else (False,):
+            rep = _summed_contributions(data, kind, 16, normalized)
+            assert equivariant_character(data, kind, 16, normalized).series == rep.summed
+            if (name, kind) == ("s2-family-base", OperatorKind.DVThetaQ):
+                assert not rep.cancelled  # the sum keeps a pole
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_character_equals_sum_of_reduced_contributions_cp3(seed):
+    data = _cp3(seed)
+    for kind in OperatorKind:
+        if kind.needs_v:
+            continue
+        rep = _summed_contributions(data, kind, 24)
+        assert equivariant_character(data, kind, 24).series == rep.summed
+        if kind is OperatorKind.DThetaQ:
+            # the components carry poles and the sum vanishes
+            assert any(before for before, _ in rep.per_q.values()) and not rep.summed
+
+
+def test_cp3_d_theta_q_vanishes_at_order_48():
+    data = _cp3(48)
+    assert validate(data).ok
+    res = equivariant_character(data, OperatorKind.DThetaQ, 48)
+    assert res.n8 == 48 and not res.series.c
 
 
 def test_rigidity_s2_and_witness():

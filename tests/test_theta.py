@@ -285,6 +285,35 @@ def test_theta_numeric_within_relative_eps(monkeypatch):
     assert sum(swaps) >= 2 * 2 * 300
 
 
+def test_theta_numeric_within_relative_eps_at_large_re_t():
+    # Re t up to 1e12: the float t is exactly t_red + n with n = round(Re t),
+    # and theta_kind(t) = (+-1)^n theta_kind(t_red), antiperiodic for theta
+    # and theta1; 30-digit mpmath is evaluated at t_red
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(71)
+    with mpmath.workdps(30):
+        for _ in range(40):
+            t = complex(10 ** rng.uniform(0, 12) * rng.choice((1, -1)), rng.uniform(-0.3, 0.3))
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.4))
+            n = round(t.real)
+            for kind in KINDS:
+                sign = -1 if n % 2 and kind in (ThetaKind.Theta, ThetaKind.Theta1) else 1
+                ref = sign * _mpmath_theta(mpmath, kind, t - n, tau)
+                rel = abs(theta_numeric(kind, t, tau, 1e-12) - ref) / abs(ref)
+                assert rel <= 1e-12, (kind, t, tau, rel)
+        # the two points measured before the reduction, at tau = 0.2 + i
+        for t in (1e6 + 0.3, 1e12 + 0.3):
+            ref = _mpmath_theta(mpmath, ThetaKind.Theta2, mpmath.mpf(t) - round(t), 0.2 + 1j)
+            assert abs(theta_numeric(ThetaKind.Theta2, t, 0.2 + 1j) - ref) <= 1e-12 * abs(ref)
+        # Re t near 4 at Im tau near 0.05 raised NonconvergentDomain before
+        t, tau = 4.1249 + 0.0646j, 0.4899 + 0.0534j
+        for kind in KINDS:
+            ref = _mpmath_theta(mpmath, kind, t, tau)
+            assert abs(theta_numeric(kind, t, tau) - ref) <= 1e-12 * abs(ref)
+    # 1e300 is an even integer, a zero of theta
+    assert theta_numeric(ThetaKind.Theta, 1e300, 0.2 + 1j) == 0
+
+
 def test_periodicity_t_plus_one():
     rng = random.Random(37)
     for _ in range(10):
