@@ -5,7 +5,10 @@ Every catalog entry is expanded with every operator that applies to it
 both raw and dim-normalized) at orders 16 and 32, every entry runs
 ``rigidity --operator all`` at order 24, every theta kind is expanded
 formally at m = 1 and m = 2 at order 16, and s2-family-base is expanded
-with dv-theta-q at order 48.  The canonical form
+with dv-theta-q at order 48.  Four more ``rigidity --operator all`` cases
+cover the per-kind working orders of one command: dim-normalized at
+order 24 on the two V entries, and order 1 on s2-v-double-tangent and
+cp3-weighted, below some kinds' q-shift.  The canonical form
 of each ``--format json`` report is hashed and compared against
 ``golden_digests.json``, which holds the digests of the reference
 implementation.  A change that alters any
@@ -51,6 +54,22 @@ def _rigidity_cases():
             for name in names()]
 
 
+# rigidity --operator all where the requested kinds work to different
+# orders: dim-normalized (every V kind, one shared denominator) and order 1,
+# below the q-shift of some kinds, whose working order clamps at 0
+CROSS_KIND_CASES = [
+    ("rigidity-%s-normalized" % name,
+     ["rigidity", "--input", "catalog:" + name, "--operator", "all", "--normalized",
+      "--order", RIGIDITY_ORDER, "--format", "json"])
+    for name in ("s2-family-base", "s2-v-double-tangent")
+] + [
+    ("rigidity-%s-order1" % name,
+     ["rigidity", "--input", "catalog:" + name, "--operator", "all",
+      "--order", "1", "--format", "json"])
+    for name in ("s2-v-double-tangent", "cp3-weighted")
+]
+
+
 def _theta_cases():
     return [("theta-%s-m%d" % (kind.value, m),
              ["theta", "--kind", kind.value, "--formal", "--m", str(m),
@@ -64,7 +83,7 @@ BENCHMARK_CASE = ("expand-s2-family-base-dv-theta-q-order48",
                    "--order", "48", "--format", "json"])
 
 CASES = dict(_expand_cases(ORDER) + _expand_cases(DEEP_ORDER, "-order32")
-             + _rigidity_cases() + _theta_cases() + [BENCHMARK_CASE])
+             + _rigidity_cases() + CROSS_KIND_CASES + _theta_cases() + [BENCHMARK_CASE])
 
 
 def report_digest(argv, capsys) -> str:
@@ -82,7 +101,7 @@ def recorded_digests() -> dict[str, str]:
 
 
 def test_case_list_is_complete():
-    assert len(CASES) == 95
+    assert len(CASES) == 99
     assert sorted(recorded_digests()) == sorted(CASES)
 
 
