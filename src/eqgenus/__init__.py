@@ -40,6 +40,7 @@ from .localization import (
     anomaly_index,
     degree_component,
     equivariant_character,
+    equivariant_characters,
     evaluate_numeric,
     pole_cancellation_check,
     rigidity_check,

@@ -36,6 +36,7 @@ from .localization import (
     anomaly_index,
     degree_component_function,
     equivariant_character,
+    equivariant_characters,
     rigidity_check,
 )
 from .theta import (
@@ -170,8 +171,7 @@ def cmd_rigidity(args) -> int:
     lines = ["dataset: %s" % (data.name or args.input)]
     if rep.anomaly is not None:
         lines.append("anomaly n = %s" % rep.anomaly)
-    for kind in kinds:
-        res = equivariant_character(data, kind, args.order, args.normalized)
+    for kind, res in equivariant_characters(data, kinds, args.order, args.normalized).items():
         v = rigidity_check(res)
         if v.rigid:
             nonzero = {("q^{%s}" % _q_name(k), m): str(c)

@@ -86,30 +86,40 @@ def parse_rational(s, path: str) -> Fraction:
     raise DatasetFormatError(path, "expected a rational like '3/2', got %r" % (s,))
 
 
-_TERM_RE = re.compile(r"^(?:(?P<coef>-?\d+(?:/\d+)?)\s*\*\s*)?(?P<name>[A-Za-z_][A-Za-z_0-9]*)$")
+# one term of a root expression, with the sign or operator before it: the
+# first term may start with "-", every later one starts with "+" or "-";
+# a coefficient may carry its own sign ("b + -1*y", as ``format_root``
+# writes it)
+_TERM_RE = re.compile(r"(?P<op>^-?|[+-])(?:(?:(?P<coef>-?\d+(?:/\d+)?)\*)?"
+                      r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<zero>0))")
 
 
 def parse_root_expr(expr, gens, cap, path: str) -> GradedElement:
-    """A linear combination of generator names: '2*y + b', '-x', '0'."""
+    """A linear combination of generator names: '2*y + b', '-x', '0'.
+    Anything else, a doubled or dangling sign or a zero denominator among
+    them, is a DatasetFormatError at ``path``."""
     if not isinstance(expr, str):
         raise DatasetFormatError(path, "root expression must be a string")
-    s = expr.replace("-", "+-").replace(" ", "")
+    s = expr.replace(" ", "")
     out = GradedElement.zero(gens, cap)
     names = [n for n, _ in gens]
-    for term in filter(None, s.split("+")):
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:]
-        if term in ("0", ""):
-            continue
-        m = _TERM_RE.match(term)
+    pos = 0
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
         if not m:
-            raise DatasetFormatError(path, "cannot parse root term %r" % term)
+            raise DatasetFormatError(path, "cannot parse root expression %r" % expr)
+        pos = m.end()
+        if m.group("zero"):
+            continue
         name = m.group("name")
         if name not in names:
             raise DatasetFormatError(path, "unknown generator %r (have %s)" % (name, names))
-        coef = Fraction(m.group("coef") or 1)
-        if neg:
+        try:
+            coef = Fraction(m.group("coef") or 1)
+        except (ValueError, ZeroDivisionError):
+            raise DatasetFormatError(path, "bad coefficient %r in root expression %r"
+                                     % (m.group("coef"), expr))
+        if m.group("op") == "-":
             coef = -coef
         out = out + GradedElement.generator(gens, cap, name) * coef
     return out

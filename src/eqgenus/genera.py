@@ -31,17 +31,25 @@ Two independent realizations of each integrand are provided:
   certifies a relative error).
 
   The theta denominator is a property of the fixed component, not of
-  the family.  It factors as L * U.  L is the q-free product of the
-  factors (1 - w^{-2m} e^{-x}) over the normal lines; U (the sigma
-  units and the pair products, times the family's c(q) and null values)
-  is a unit series: its q^0 coefficient has scalar part 1.  So 1/U, the
-  numerator and every product run over Laurent polynomials in w, with
-  no gcd.  So does L^{-1} = adj(L) / s^{J+1}, s the scalar part of L and
-  J = cap // 2: ``integrand_over_polys`` returns the series times adj(L)
+  the family, so the interpreter builds it in its own piece
+  (``_denominator``), apart from each family's numerator and scalar
+  series (``_numerator``).  It factors as L * U.  L is the q-free
+  product of the factors (1 - w^{-2m} e^{-x}) over the normal lines; U
+  (the sigma units and the pair products) is a unit series: its q^0
+  coefficient has scalar part 1.  So 1/U, the numerator and every
+  product run over Laurent polynomials in w, with no gcd.  So does
+  L^{-1} = adj(L) / s^{J+1}, s the scalar part of L and J = cap // 2.
+  On the exact path ``shared_denominator`` builds U, 1/U (to the deepest
+  order any requested family needs), L, adj(L) and s^{J+1} once per
+  component per command, and every family reuses them; each family
+  inverts only its scalar series, the power of c(q) and the null
+  values.  ``integrand_over_polys`` returns the series times adj(L)
   over s^{J+1}, unreduced; ``localization`` reduces once per coefficient
   of the component sum and ``theta_quotient_integrand`` once per
   coefficient of one component.  Canonical forms of reduced quotients
-  are unique, so every path gives the term-by-term reduced result exactly.
+  are unique, so every path gives the term-by-term reduced result
+  exactly.  The numeric path builds U times the scalar series, as one
+  denominator, for each family.
 
 * the exterior/symmetric-power expansion, assembled term by term in q.
   One table (``_EXPANSIONS``) gives each family's Lambda factor and spinor
@@ -270,21 +278,9 @@ def _prefactors(kind: OperatorKind, normalized: bool, n_tx: int,
             2 * n_v if v_num is ThetaKind.Theta else 0)
 
 
-def _interpret(kind: OperatorKind, component, normalized: bool, backend):
-    """Build the theta quotient of (kind, normalized) over one fixed component.
-
-    ``backend(q8_shift, lines)`` builds the coefficient backend once the
-    shape of the component is known; each root enters its coefficient
-    ring once (``root``).  Returns (num, den, lin, q8_shift): the
-    integrand is num / (den * lin) times q^{q8_shift/8}.
-
-    On a weighted line theta = c(q) q^{1/8} E^{1/2} (1 - E^{-1}) pairs, and
-    on the tangent y / theta(y) = 1 / (c(q) q^{1/8} sigma(y) pairs), so a
-    tangent line's stray is the numerator's alone.  ``lin`` = L is an
-    unlifted coefficient and ``den`` = U times the scalar denominators;
-    num takes the strays' half-character and 1/2 per theta1(0).
-    """
-    tx_num, v_num, null_num = _numerators(kind, normalized)
+def _tx_lines(component) -> tuple[list, list]:
+    """The (tw, root) lines of the component's tangent and normal parts,
+    after the checks of fixedness."""
     tangent = component.tangent
     if tangent is not None and tangent.rank and tangent.weight != 0:
         raise ValueError("tangent part must have weight 0")
@@ -292,22 +288,32 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
         if nb.weight == 0:
             raise ZeroWeightNormalBundle(
                 "normal summand with weight 0 in component %r" % getattr(component, "name", "?"))
+    return _iter_lines([tangent] if tangent is not None else []), _iter_lines(component.normals)
+
+
+def _lines(kind: OperatorKind, component) -> tuple[list, list, list]:
+    """The tangent, normal and V lines that ``kind`` reads (V only where
+    its numerator sits on V)."""
     if kind.needs_v and not component.vbundles:
         raise ValueError("%s requires V-bundle data" % kind.value)
+    return (*_tx_lines(component), _iter_lines(component.vbundles) if kind.needs_v else [])
 
-    tx_toks, tx_stray = _NUMERATORS[tx_num][:2]
-    v_toks, v_stray = _NUMERATORS[v_num][:2]
-    den_stray = _NUMERATORS[ThetaKind.Theta][1]
-    null_toks = _NUMERATORS[null_num][0]
-    parts = (_iter_lines([tangent] if tangent is not None else []),
-             _iter_lines(component.normals),
-             _iter_lines(component.vbundles) if kind.needs_v else [])
-    n_tx, n_v = len(parts[0]) + len(parts[1]), len(parts[2])
-    q8_shift, c_power, halves, _ = _prefactors(kind, normalized, n_tx, n_v)
-    be = backend(q8_shift, n_tx + n_v)
-    t_lines, n_lines, v_lines = ([(tw, be.root(x)) for tw, x in lines] for lines in parts)
 
-    # the shared denominator
+def _q8_shift(kind: OperatorKind, normalized: bool, lines) -> int:
+    """The q^{1/8} power the quotient of (kind, normalized) carries over lines."""
+    t_lines, n_lines, v_lines = lines
+    return _prefactors(kind, normalized, len(t_lines) + len(n_lines), len(v_lines))[0]
+
+
+def _denominator(be, t_lines, n_lines):
+    """(U, L) over the TX lines of one fixed component, in the backend's
+    rings: theta over every TX line is L * U times powers of c(q) q^{1/8}.
+
+    On a weighted line theta = c(q) q^{1/8} E^{1/2} (1 - E^{-1}) pairs, and
+    on the tangent y / theta(y) = 1 / (c(q) q^{1/8} sigma(y) pairs).  L, the
+    product of 1 - E^{-1} over the normal lines, is an unlifted coefficient;
+    U, the sigma units and the pair products, is a unit series.  Neither
+    depends on the family."""
     den = be.lift(be.one)
     lin = be.one
     for tw, x in t_lines:
@@ -315,14 +321,37 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     for tw, x in n_lines:
         lin = lin * _lin_minus(be, tw, x)
         den = den * _token(be, ThetaKind.Theta, tw, x)
+    return den, lin
+
+
+def _numerator(kind: OperatorKind, normalized: bool, component, be, lines):
+    """The family's part of the theta quotient of (kind, normalized) over one
+    fixed component, as (num, scalar_den), with ``lines`` (from ``_lines``)
+    already in the backend's coefficient ring: the integrand is
+    num / (scalar_den * U * L) times q^{q8_shift/8}.
+
+    The tangent lines' strays are the numerator's alone, since theta's
+    tangent denominator is the sigma unit.  num takes the strays'
+    half-character and 1/2 per theta1(0); scalar_den, the product of
+    c(q)^{-c_power} and the null values (None when there is neither), stays
+    in the scalar ring.
+    """
+    tx_num, v_num, null_num = _numerators(kind, normalized)
+    t_lines, n_lines, v_lines = lines
+    _, c_power, halves, _ = _prefactors(kind, normalized, len(t_lines) + len(n_lines),
+                                        len(v_lines))
+    tx_toks, tx_stray = _NUMERATORS[tx_num][:2]
+    v_toks, v_stray = _NUMERATORS[v_num][:2]
+    den_stray = _NUMERATORS[ThetaKind.Theta][1]
+    null_toks = _NUMERATORS[null_num][0]
 
     num = be.lift(be.one)
     stray_w = Fraction(0)
     stray_cls = GradedElement.zero(component.gens, component.cap)
-    for lines, toks, stray in ((t_lines, tx_toks, tx_stray),
-                               (n_lines, tx_toks, tx_stray - den_stray),
-                               (v_lines, v_toks, v_stray)):
-        for tw, x in lines:
+    for part, toks, stray in ((t_lines, tx_toks, tx_stray),
+                              (n_lines, tx_toks, tx_stray - den_stray),
+                              (v_lines, v_toks, v_stray)):
+        for tw, x in part:
             for tok in toks:
                 num = num * _token(be, tok, tw, x)
             if stray:
@@ -335,7 +364,7 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
         num = num * be.lift(mult)
 
     # c(q)^|c_power| and the null values' pair products stay in the scalar
-    # ring and are lifted once
+    # ring
     scalar_den = None
     if c_power:
         cq = be.product(be.scalar_one, 8, (-1,) * abs(c_power))
@@ -346,11 +375,9 @@ def _interpret(kind: OperatorKind, component, normalized: bool, backend):
     for tok in null_toks:
         if isinstance(tok, ThetaKind):
             first, sign = PAIR_GRID[tok]
-            null = be.product(be.scalar_one, first, (sign, sign) * n_v)
+            null = be.product(be.scalar_one, first, (sign, sign) * len(v_lines))
             scalar_den = null if scalar_den is None else scalar_den * null
-    if scalar_den is not None:
-        den = den * be.lift_scalar(scalar_den)
-    return num, den, lin, q8_shift
+    return num, scalar_den
 
 
 class _SeriesBackend:
@@ -379,32 +406,70 @@ class _SeriesBackend:
         return series_product(QSeries({0: one}, self.n8), one, first, coeffs)
 
 
-def integrand_over_polys(kind: OperatorKind, component, n8: int,
-                         normalized: bool = False) -> tuple[QSeries, WLaurentPoly]:
-    """The bracketed localization integrand for one fixed component, as
-    (series, den): Laurent-polynomial coefficients over den = s^{J+1}, exact
-    on the requested grid.  The removable singularity of the tangent factor
-    is resolved by dividing out theta's explicit order-1 unit; all powers
-    of 2 pi and i cancel by construction.
+@dataclass(frozen=True)
+class SharedDenominator:
+    """The family-independent part of one fixed component's exact
+    integrands: 1/U to the order ``inv_u.n8``, adj(L) and den = s^{J+1}.  One
+    serves every family whose working order is at most ``inv_u.n8``."""
 
-    Everything runs over Laurent polynomials.  With s the scalar part of
-    L and n = L - s (nilpotent, n^{J+1} = 0 for J = cap // 2),
-    L^{-1} = adj(L) / s^{J+1} where adj(L) = sum_j (-n)^j s^{J-j}; each
-    output coefficient is multiplied by adj(L), and none is reduced.
+    inv_u: QSeries
+    adj: GradedElement
+    den: WLaurentPoly
+
+
+def shared_denominator(component, kinds, n8: int, normalized: bool = False) -> SharedDenominator:
+    """Build U and L over one fixed component and invert U once, at the
+    deepest working order max(n8 - q8_shift, 0) that any of ``kinds``
+    needs for a result to n8.
+
+    With s the scalar part of L and n = L - s (nilpotent, n^{J+1} = 0 for
+    J = cap // 2), L^{-1} = adj(L) / s^{J+1} where
+    adj(L) = sum_j (-n)^j s^{J-j}.
     """
-    # work high enough that the shifted result reaches n8, and never below
-    # q^0, where the unit series U would be empty
-    num, den, lin, q8_shift = _interpret(
-        kind, component, normalized,
-        lambda q8_shift, _lines: _SeriesBackend(component, max(n8 - q8_shift, 0)))
-    out = series_mul(num, series_invert(den)).shift_q8(q8_shift).truncate(n8)
+    depth = max(n8 - _q8_shift(kind, normalized, _lines(kind, component)) for kind in kinds)
+    u, lin = _denominator(_SeriesBackend(component, max(depth, 0)), *_tx_lines(component))
     s, J = _poly(lin.scalar_part()), component.cap // 2
     neg_n = -(lin - s)
     adj = term = lin.one_like()
     for _ in range(J):
         term = term * neg_n
         adj = adj * s + term
-    return out.map_coefficients(lambda g: g * adj), s ** (J + 1)
+    return SharedDenominator(series_invert(u), adj, s ** (J + 1))
+
+
+def integrand_over_polys(kind: OperatorKind, component, n8: int, normalized: bool = False,
+                         shared: SharedDenominator | None = None
+                         ) -> tuple[QSeries, WLaurentPoly]:
+    """The bracketed localization integrand for one fixed component, as
+    (series, den): Laurent-polynomial coefficients over den = s^{J+1}, exact
+    on the requested grid.  The removable singularity of the tangent factor
+    is resolved by dividing out theta's explicit order-1 unit; all powers
+    of 2 pi and i cancel by construction.
+
+    Everything runs over Laurent polynomials.  The denominator, its inverse
+    1/U and the adjugate adj(L) come from ``shared`` (``shared_denominator``
+    over every family a command runs, so they are built once per component
+    per command), or are built here for ``kind`` alone.  The family builds
+    its numerator and scalar series at its own working order, takes the
+    products with the scalar series' inverse and 1/U, and multiplies each
+    output coefficient by adj(L); none is reduced.
+    """
+    if shared is None:
+        shared = shared_denominator(component, (kind,), n8, normalized)
+    lines = _lines(kind, component)
+    q8_shift = _q8_shift(kind, normalized, lines)
+    # work high enough that the shifted result reaches n8, and never below
+    # q^0, where the unit series U would be empty
+    order = max(n8 - q8_shift, 0)
+    if order > shared.inv_u.n8:
+        raise ValueError("shared denominator inverted to q^{%d/8}, below the working "
+                         "order %d/8 of %s" % (shared.inv_u.n8, order, kind.value))
+    num, scalar_den = _numerator(kind, normalized, component,
+                                 _SeriesBackend(component, order), lines)
+    if scalar_den is not None:
+        num = series_mul(num, series_invert(scalar_den))
+    out = series_mul(num, shared.inv_u).shift_q8(q8_shift).truncate(n8)
+    return out.map_coefficients(lambda g: g * shared.adj), shared.den
 
 
 def component_denominator(component) -> WLaurentPoly:
@@ -695,10 +760,15 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
     formal path.  Raises NonconvergentDomain where the value or its
     bound is not finite."""
     try:
-        num, den, lin, q8_shift = _interpret(
-            kind, component, normalized,
-            lambda _q8_shift, lines: _JetBackend(component, t, tau, eps, lines))
+        lines = _lines(kind, component)
+        be = _JetBackend(component, t, tau, eps, sum(map(len, lines)))
+        lines = tuple([(tw, be.root(x)) for tw, x in part] for part in lines)
+        den, lin = _denominator(be, *lines[:2])
+        num, scalar_den = _numerator(kind, normalized, component, be, lines)
+        if scalar_den is not None:
+            den = den * be.lift_scalar(scalar_den)
         out = num * graded_invert(den * lin)
+        q8_shift = _q8_shift(kind, normalized, lines)
         if q8_shift:
             out = out * cmath.exp(2j * math.pi * tau * q8_shift / 8)
     except ArithmeticError as e:

@@ -3,11 +3,15 @@
 An ``ActionData`` describes a fiberwise circle action through its fixed
 components: rotation weights and Chern roots of the normal summands, the
 tangent data of each component, fiber integration tables, and optional
-twist-bundle (V) data.  ``equivariant_character`` sums the pushed-forward
-theta-quotient integrands over the components and returns the resulting
-equivariant index character as an exact q-series of base classes, summed
-over the dataset's common denominator and reduced once per coefficient;
-verdict helpers classify rigidity, pole cancellation and vanishing.
+twist-bundle (V) data.  ``equivariant_characters`` sums the pushed-forward
+theta-quotient integrands of one or more operator kinds over the
+components and returns each resulting equivariant index character as an
+exact q-series of base classes, summed over the dataset's common
+denominator and reduced once per coefficient; each component's theta
+denominator, its inverse and the normal-line adjugate are built once per
+command and shared by every kind.  ``equivariant_character`` is its
+one-kind case.  Verdict helpers classify rigidity, pole cancellation and
+vanishing.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from .algebra import (AlgebraError, DegreeOutOfRange, GradedElement, Integration
                       wpoly_divexact, wpoly_gcd)
 from .genera import (OperatorKind, RootBundle, bridge_to_index_character, component_denominator,
                      constants_ledger, integrand_over_polys, numeric_integrand,
-                     theta_quotient_integrand)
+                     shared_denominator, theta_quotient_integrand)
 from .theta import ConstantsLedger, NonconvergentDomain
 
 
@@ -311,26 +315,42 @@ def component_contribution(data: ActionData, comp: FixedComponent,
     return -pushed if comp.sign < 0 else pushed
 
 
+def equivariant_characters(data: ActionData, kinds, n8: int,
+                           normalized: bool = False) -> dict[OperatorKind, GenusResult]:
+    """The character of each of ``kinds``: the sum of its pushed-forward
+    integrands over the fixed components, each times its cofactor D / den
+    over Laurent polynomials; each summed coefficient is then reduced once
+    over D.  The components are the outer loop: each component's
+    denominator part (``genera.shared_denominator``) is built once, for
+    every kind, and only one is alive at a time."""
+    validated(data)
+    kinds = tuple(dict.fromkeys(kinds))
+    for kind in kinds:
+        if kind.needs_v and any(not c.vbundles for c in data.components):
+            raise ValidationError("%s requires V data on every component" % kind.value)
+    D = data.denominator
+    totals: dict[OperatorKind, QSeries] = {}
+    for comp in data.components:
+        shared = shared_denominator(comp, kinds, n8, normalized)
+        cofactor = wpoly_divexact(D, shared.den) * comp.sign
+        for kind in kinds:
+            series, _ = integrand_over_polys(kind, comp, n8, normalized, shared)
+            part = series.map_coefficients(lambda g: fiber_integrate(g, comp.table) * cofactor)
+            totals[kind] = totals[kind] + part if kind in totals else part
+    out = {}
+    for kind, total in totals.items():
+        total = total.map_coefficients(lambda g: g.map_coefficients(lambda v: _over(v, D)))
+        l = data.components[0].v_rank() if kind.needs_v else 0
+        out[kind] = GenusResult(total, kind, normalized, total.n8, data.base_gens,
+                                data.base_cap, data.fiber_half_dim, l,
+                                constants_ledger(kind, normalized, l), data.digest())
+    return out
+
+
 def equivariant_character(data: ActionData, kind: OperatorKind, n8: int,
                           normalized: bool = False) -> GenusResult:
-    """Sum of pushed-forward integrands over the fixed components, each
-    times its cofactor D / den over Laurent polynomials; each summed
-    coefficient is then reduced once over D."""
-    validated(data)
-    if kind.needs_v and any(not c.vbundles for c in data.components):
-        raise ValidationError("%s requires V data on every component" % kind.value)
-    D = data.denominator
-    parts = []
-    for comp in data.components:
-        series, den = integrand_over_polys(kind, comp, n8, normalized)
-        cofactor = wpoly_divexact(D, den) * comp.sign
-        parts.append(series.map_coefficients(lambda g: fiber_integrate(g, comp.table) * cofactor))
-    total = sum(parts[1:], parts[0]).map_coefficients(
-        lambda g: g.map_coefficients(lambda v: _over(v, D)))
-    l = data.components[0].v_rank() if kind.needs_v else 0
-    return GenusResult(total, kind, normalized, total.n8, data.base_gens, data.base_cap,
-                       data.fiber_half_dim, l, constants_ledger(kind, normalized, l),
-                       data.digest())
+    """The character of one kind: ``equivariant_characters`` over (kind,)."""
+    return equivariant_characters(data, (kind,), n8, normalized)[kind]
 
 
 def _over(num: WLaurentPoly, D: WLaurentPoly) -> WLaurentRational:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import eqgenus
+from eqgenus.algebra import GradedElement
 from eqgenus.cli import main
 from eqgenus.dataset import dataset_to_json, parse_dataset
 from eqgenus.catalog import builtin, names
@@ -361,6 +362,21 @@ def test_rigidity_normalized_all(capsys):
     assert "dim-normalized" in err and "V data" in err
 
 
+@pytest.mark.parametrize("expr", ["1/0*b", "--b", "- -b", "b--b", "-", "b +", "2"],
+                         ids=["zero-denominator", "double-minus", "spaced-double-minus",
+                              "inner-double-minus", "lone-minus", "dangling-plus", "constant"])
+def test_malformed_root_expression_exit_2_with_path(capsys, tmp_path, expr):
+    payload = dataset_to_json(builtin("s2-family-base").data)
+    payload["components"][0]["normals"][0]["roots"][0] = expr
+    path = tmp_path / "bad-root.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "expand", "--input", str(path), "--operator", "dv-theta-q",
+                         "--order", "8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: $.components[0].normals[0].roots[0]: ")
+
+
 def _field_paths(node, path=()):
     """Every key or index path of a JSON value, containers included."""
     out = [path] if path else []
@@ -489,6 +505,33 @@ def test_each_command_validates_its_dataset_once(monkeypatch, capsys, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", names())
+def test_rigidity_all_builds_and_inverts_each_theta_denominator_once(monkeypatch, capsys,
+                                                                      name):
+    # U, theta over the TX lines, is the one series of graded elements that
+    # the exact path inverts (each family's scalar series is a Fraction
+    # series); one command builds and inverts it once per fixed component,
+    # for every kind
+    from eqgenus import genera
+    built, inverted = [], []
+    denominator, series_invert = genera._denominator, genera.series_invert
+
+    def counting_invert(a):
+        if any(isinstance(v, GradedElement) for v in a.c.values()):
+            inverted.append(a)
+        return series_invert(a)
+
+    monkeypatch.setattr(genera, "_denominator",
+                        lambda be, *lines: built.append(be) or denominator(be, *lines))
+    monkeypatch.setattr(genera, "series_invert", counting_invert)
+    code, out, _ = run(capsys, "rigidity", "--input", "catalog:" + name, "--order", "24",
+                       "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["verdicts"]) >= 3
+    n_components = len(builtin(name).data.components)
+    assert len(built) == len(inverted) == n_components
 
 
 def test_theta_cli_cross_path(capsys):

@@ -18,6 +18,7 @@ from eqgenus.localization import (
     component_contribution,
     degree_component,
     equivariant_character,
+    equivariant_characters,
     evaluate_numeric,
     pole_cancellation_check,
     rigidity_check,
@@ -152,6 +153,23 @@ def test_character_equals_sum_of_reduced_contributions(name):
             assert equivariant_character(data, kind, 16, normalized).series == rep.summed
             if (name, kind) == ("s2-family-base", OperatorKind.DVThetaQ):
                 assert not rep.cancelled  # the sum keeps a pole
+
+
+@pytest.mark.parametrize("name", names())
+def test_characters_of_several_kinds_equal_each_kind_alone(name):
+    # one denominator part per component, inverted to the deepest working
+    # order of all the kinds, gives each kind the result it gets alone; at
+    # n8 = 0 and 1 some kinds' working order clamps at 0
+    data = builtin(name).data
+    has_v = all(c.vbundles for c in data.components)
+    for normalized in (False, True):
+        kinds = tuple(k for k in OperatorKind if (has_v or not k.needs_v)
+                      and (k.supports_normalized or not normalized))
+        for n8 in (0, 1, 7, 24):
+            together = equivariant_characters(data, kinds, n8, normalized)
+            assert tuple(together) == kinds
+            for kind in kinds:
+                assert together[kind] == equivariant_character(data, kind, n8, normalized)
 
 
 @pytest.mark.parametrize("seed", range(5))
