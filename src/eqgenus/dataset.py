@@ -32,10 +32,10 @@ MAX_RING_MONOMIALS = 1000
 # the size of every graded product and the order cap // 2 of the
 # normal-line adjugate.  At every bound at once (32 isolated points, each
 # with normals and V of rank 16 at weight +-16, every root the base class
-# b, base_degree_cap 8) `rigidity --operator all --order 16` takes 277 s
-# on a 2-core VM (at cap 0, 2, 4 and 6: 9, 22, 74 and 144 s); cap 8 leaves
-# room for a fixed surface in a family over a base of cap 4.  At rank 64,
-# two isolated points at weight +-1 took 15 s.
+# b, base_degree_cap 8) `rigidity --operator all --order 16` takes 76 s
+# on a 2-core VM (17 s at cap 4); cap 8 leaves room for a fixed surface in
+# a family over a base of cap 4.  At rank 64, two isolated points at
+# weight +-1 took 15 s.
 MAX_RANK = 16
 MAX_WEIGHT = 16
 MAX_COMPONENTS = 32

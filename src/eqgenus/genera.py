@@ -31,25 +31,23 @@ Two independent realizations of each integrand are provided:
   certifies a relative error).
 
   The theta denominator is a property of the fixed component, not of
-  the family, so the interpreter builds it in its own piece
-  (``_denominator``), apart from each family's numerator and scalar
-  series (``_numerator``).  It factors as L * U.  L is the q-free
-  product of the factors (1 - w^{-2m} e^{-x}) over the normal lines; U
-  (the sigma units and the pair products) is a unit series: its q^0
-  coefficient has scalar part 1.  So 1/U, the numerator and every
-  product run over Laurent polynomials in w, with no gcd.  So does
-  L^{-1} = adj(L) / s^{J+1}, s the scalar part of L and J = cap // 2.
-  On the exact path ``shared_denominator`` builds U, 1/U (to the deepest
-  order any requested family needs), L, adj(L) and s^{J+1} once per
-  component per command, and every family reuses them; each family
-  inverts only its scalar series, the power of c(q) and the null
-  values.  ``integrand_over_polys`` returns the series times adj(L)
-  over s^{J+1}, unreduced; ``localization`` reduces once per coefficient
-  of the component sum and ``theta_quotient_integrand`` once per
-  coefficient of one component.  Canonical forms of reduced quotients
-  are unique, so every path gives the term-by-term reduced result
-  exactly.  The numeric path builds U times the scalar series, as one
-  denominator, for each family.
+  the family: ``_denominator`` builds it, ``_numerator`` each family's
+  numerator and scalar series (the power of c(q) and the null values).
+  It factors as L * U.  L is the q-free product of the factors
+  (1 - w^{-2m} e^{-x}) over the normal lines; U (the sigma units and
+  the pair products) is a unit series: its q^0 coefficient has scalar
+  part 1.  So 1/U, the numerator and every product run over Laurent
+  polynomials in w, with no gcd.  So does L^{-1} = adj(L) / s^{J+1}, s
+  the scalar part of L and J = cap // 2.  On the exact path
+  ``shared_denominator`` builds U, 1/U (to the deepest order any
+  requested family needs), L, adj(L) and s^{J+1} once per component per
+  command, for every family.  ``integrand_over_polys`` returns the
+  series times adj(L) over s^{J+1}, unreduced; ``localization`` reduces
+  once per coefficient of the component sum and
+  ``theta_quotient_integrand`` once per coefficient of one component.
+  Canonical forms of reduced quotients are unique, so every path gives
+  the term-by-term reduced result exactly.  The numeric path divides by
+  U times the scalar series for each family.
 
 * the exterior/symmetric-power expansion, assembled term by term in q.
   One table (``_EXPANSIONS``) gives each family's Lambda factor and spinor
@@ -278,9 +276,10 @@ def _prefactors(kind: OperatorKind, normalized: bool, n_tx: int,
             2 * n_v if v_num is ThetaKind.Theta else 0)
 
 
-def _tx_lines(component) -> tuple[list, list]:
-    """The (tw, root) lines of the component's tangent and normal parts,
-    after the checks of fixedness."""
+def _lines(kind: OperatorKind, component) -> tuple[list, list, list]:
+    """The (tw, root) lines of the component's tangent, normal and V parts
+    that ``kind`` reads (V only where its numerator sits on V), after the
+    checks of fixedness."""
     tangent = component.tangent
     if tangent is not None and tangent.rank and tangent.weight != 0:
         raise ValueError("tangent part must have weight 0")
@@ -288,15 +287,11 @@ def _tx_lines(component) -> tuple[list, list]:
         if nb.weight == 0:
             raise ZeroWeightNormalBundle(
                 "normal summand with weight 0 in component %r" % getattr(component, "name", "?"))
-    return _iter_lines([tangent] if tangent is not None else []), _iter_lines(component.normals)
-
-
-def _lines(kind: OperatorKind, component) -> tuple[list, list, list]:
-    """The tangent, normal and V lines that ``kind`` reads (V only where
-    its numerator sits on V)."""
     if kind.needs_v and not component.vbundles:
         raise ValueError("%s requires V-bundle data" % kind.value)
-    return (*_tx_lines(component), _iter_lines(component.vbundles) if kind.needs_v else [])
+    return (_iter_lines([tangent] if tangent is not None else []),
+            _iter_lines(component.normals),
+            _iter_lines(component.vbundles) if kind.needs_v else [])
 
 
 def _q8_shift(kind: OperatorKind, normalized: bool, lines) -> int:
@@ -327,14 +322,13 @@ def _denominator(be, t_lines, n_lines):
 def _numerator(kind: OperatorKind, normalized: bool, component, be, lines):
     """The family's part of the theta quotient of (kind, normalized) over one
     fixed component, as (num, scalar_den), with ``lines`` (from ``_lines``)
-    already in the backend's coefficient ring: the integrand is
+    in the backend's coefficient ring: the integrand is
     num / (scalar_den * U * L) times q^{q8_shift/8}.
 
-    The tangent lines' strays are the numerator's alone, since theta's
-    tangent denominator is the sigma unit.  num takes the strays'
-    half-character and 1/2 per theta1(0); scalar_den, the product of
-    c(q)^{-c_power} and the null values (None when there is neither), stays
-    in the scalar ring.
+    A tangent line's stray is the numerator's alone, since theta's tangent
+    denominator is the sigma unit.  num takes the strays' half-character
+    and 1/2 per theta1(0); scalar_den (None when trivial) is the product of
+    c(q)^{-c_power} and the null values, in the scalar ring.
     """
     tx_num, v_num, null_num = _numerators(kind, normalized)
     t_lines, n_lines, v_lines = lines
@@ -426,8 +420,9 @@ def shared_denominator(component, kinds, n8: int, normalized: bool = False) -> S
     J = cap // 2), L^{-1} = adj(L) / s^{J+1} where
     adj(L) = sum_j (-n)^j s^{J-j}.
     """
-    depth = max(n8 - _q8_shift(kind, normalized, _lines(kind, component)) for kind in kinds)
-    u, lin = _denominator(_SeriesBackend(component, max(depth, 0)), *_tx_lines(component))
+    lines = [_lines(kind, component) for kind in kinds]
+    depth = max(n8 - _q8_shift(kind, normalized, ls) for kind, ls in zip(kinds, lines))
+    u, lin = _denominator(_SeriesBackend(component, max(depth, 0)), *lines[0][:2])
     s, J = _poly(lin.scalar_part()), component.cap // 2
     neg_n = -(lin - s)
     adj = term = lin.one_like()
@@ -446,13 +441,12 @@ def integrand_over_polys(kind: OperatorKind, component, n8: int, normalized: boo
     is resolved by dividing out theta's explicit order-1 unit; all powers
     of 2 pi and i cancel by construction.
 
-    Everything runs over Laurent polynomials.  The denominator, its inverse
-    1/U and the adjugate adj(L) come from ``shared`` (``shared_denominator``
-    over every family a command runs, so they are built once per component
-    per command), or are built here for ``kind`` alone.  The family builds
-    its numerator and scalar series at its own working order, takes the
-    products with the scalar series' inverse and 1/U, and multiplies each
-    output coefficient by adj(L); none is reduced.
+    Everything runs over Laurent polynomials.  1/U, adj(L) and den come
+    from ``shared`` (``shared_denominator`` over every family of a command,
+    built once per component per command), or are built here for ``kind``
+    alone.  The family builds its numerator and scalar series at its own
+    working order and multiplies them by 1/U; each output coefficient is
+    multiplied by adj(L), and none is reduced.
     """
     if shared is None:
         shared = shared_denominator(component, (kind,), n8, normalized)
