@@ -8,7 +8,8 @@ formally at m = 1 and m = 2 at order 16, and s2-family-base is expanded
 with dv-theta-q at order 48.  Four more ``rigidity --operator all`` cases
 cover the per-kind working orders of one command: dim-normalized at
 order 24 on the two V entries, and order 1 on s2-v-double-tangent and
-cp3-weighted, below some kinds' q-shift.  The canonical form
+cp3-weighted, where the kinds' working orders reach down to 0.  The
+canonical form
 of each ``--format json`` report is hashed and compared against
 ``golden_digests.json``, which holds the digests of the reference
 implementation.  A change that alters any
@@ -56,7 +57,8 @@ def _rigidity_cases():
 
 # rigidity --operator all where the requested kinds work to different
 # orders: dim-normalized (every V kind, one shared denominator) and order 1,
-# below the q-shift of some kinds, whose working order clamps at 0
+# where the working orders max(n8 - q8_shift, 0) run from 0 to 2 on
+# s2-v-double-tangent and are 1 and 4 on cp3-weighted
 CROSS_KIND_CASES = [
     ("rigidity-%s-normalized" % name,
      ["rigidity", "--input", "catalog:" + name, "--operator", "all", "--normalized",

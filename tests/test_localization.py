@@ -159,7 +159,8 @@ def test_character_equals_sum_of_reduced_contributions(name):
 def test_characters_of_several_kinds_equal_each_kind_alone(name):
     # one denominator part per component, inverted to the deepest working
     # order of all the kinds, gives each kind the result it gets alone; at
-    # n8 = 0 and 1 some kinds' working order clamps at 0
+    # n8 = 0 the working order of every kind with a positive q-shift
+    # clamps at 0
     data = builtin(name).data
     has_v = all(c.vbundles for c in data.components)
     for normalized in (False, True):
