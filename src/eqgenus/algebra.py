@@ -891,11 +891,11 @@ class QSeries:
             return NotImplemented
         return self.n8 == other.n8 and self.c == other.c
 
-    def first_mismatch(self, other: "QSeries", up_to: int | None = None) -> tuple | None:
-        """(key, mine, theirs) at the lowest key up to both truncations (and
-        up_to) where the coefficients differ, a missing one read as 0; None
-        when the series agree there."""
-        n = min(self.n8, other.n8, self.n8 if up_to is None else up_to)
+    def first_mismatch(self, other: "QSeries") -> tuple | None:
+        """(key, mine, theirs) at the lowest key up to both truncations where
+        the coefficients differ, a missing one read as 0; None when the
+        series agree there."""
+        n = min(self.n8, other.n8)
         for k in sorted(set(self.c) | set(other.c)):
             if k > n:
                 break

@@ -7,6 +7,7 @@ No environment variable is consulted.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -82,9 +83,12 @@ def _operator(name: str) -> OperatorKind:
 
 def _parse_complex(s: str) -> complex:
     try:
-        return complex(s.replace("i", "j").replace(" ", ""))
+        z = complex(s.replace("i", "j").replace(" ", ""))
     except ValueError:
         raise ValidationError("cannot parse complex number %r (use e.g. 0.5+1.2i)" % s)
+    if not cmath.isfinite(z):
+        raise ValidationError("complex number %r is not finite" % s)
+    return z
 
 
 def _check_order(order: int):
@@ -237,8 +241,8 @@ def cmd_zeros(args) -> int:
     tau = _parse_complex(args.tau)
     if tau.imag <= 0:
         raise ValidationError("tau must lie in the upper half plane")
-    F = degree_component_function(data, kind, 0, normalized=True, eps=1e-12)
     origin = _parse_complex(args.origin) if args.origin else 0.171 + 0.113j
+    F = degree_component_function(data, kind, 0, normalized=True, eps=1e-12)
     res = count_zeros(F, tau, (origin, LATTICE_SCALE, LATTICE_SCALE * tau))
     try:
         n = anomaly_index(data)

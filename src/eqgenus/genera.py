@@ -38,16 +38,17 @@ Two independent realizations of each integrand are provided:
   the pair products) is a unit series: its q^0 coefficient has scalar
   part 1.  So 1/U, the numerator and every product run over Laurent
   polynomials in w, with no gcd.  So does L^{-1} = adj(L) / s^{J+1}, s
-  the scalar part of L and J = cap // 2.  On the exact path
-  ``shared_denominator`` builds U, 1/U (to the deepest order any
-  requested family needs), L, adj(L) and s^{J+1} once per component per
-  command, for every family.  ``integrand_over_polys`` returns the
-  series times adj(L) over s^{J+1}, unreduced; ``localization`` reduces
-  once per coefficient of the component sum and
-  ``theta_quotient_integrand`` once per coefficient of one component.
-  Canonical forms of reduced quotients are unique, so every path gives
-  the term-by-term reduced result exactly.  The numeric path divides by
-  U times the scalar series for each family.
+  the scalar part of L (``_normal_scalar``) and J = cap // 2.  On the
+  exact path ``component_integrands`` is one fixed component's whole
+  share of a command: it reads the component's lines, builds U, 1/U (to
+  the deepest order any requested family needs), L and adj(L) once, and
+  yields each family's series times adj(L) over den = s^{J+1},
+  unreduced.  ``localization`` reduces once per coefficient of the
+  component sum and ``theta_quotient_integrand``, its one-family case,
+  once per coefficient of one component.  Canonical forms of reduced
+  quotients are unique, so every path gives the term-by-term reduced
+  result exactly.  The numeric path divides by U times the scalar series
+  for each family.
 
 * the exterior/symmetric-power expansion, assembled term by term in q.
   One table (``_EXPANSIONS``) gives each family's Lambda factor and spinor
@@ -74,6 +75,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -276,10 +278,10 @@ def _prefactors(kind: OperatorKind, normalized: bool, n_tx: int,
             2 * n_v if v_num is ThetaKind.Theta else 0)
 
 
-def _lines(kind: OperatorKind, component) -> tuple[list, list, list]:
-    """The (tw, root) lines of the component's tangent, normal and V parts
-    that ``kind`` reads (V only where its numerator sits on V), after the
-    checks of fixedness."""
+def _lines(component) -> tuple[list, list, list]:
+    """The (tw, root) lines of the component's tangent, normal and V parts,
+    after the checks of fixedness.  A family with no V numerator reads none
+    of the V lines: its V tokens, stray and null values are empty."""
     tangent = component.tangent
     if tangent is not None and tangent.rank and tangent.weight != 0:
         raise ValueError("tangent part must have weight 0")
@@ -287,11 +289,8 @@ def _lines(kind: OperatorKind, component) -> tuple[list, list, list]:
         if nb.weight == 0:
             raise ZeroWeightNormalBundle(
                 "normal summand with weight 0 in component %r" % getattr(component, "name", "?"))
-    if kind.needs_v and not component.vbundles:
-        raise ValueError("%s requires V-bundle data" % kind.value)
     return (_iter_lines([tangent] if tangent is not None else []),
-            _iter_lines(component.normals),
-            _iter_lines(component.vbundles) if kind.needs_v else [])
+            _iter_lines(component.normals), _iter_lines(component.vbundles))
 
 
 def _q8_shift(kind: OperatorKind, normalized: bool, lines) -> int:
@@ -330,6 +329,8 @@ def _numerator(kind: OperatorKind, normalized: bool, component, be, lines):
     and 1/2 per theta1(0); scalar_den (None when trivial) is the product of
     c(q)^{-c_power} and the null values, in the scalar ring.
     """
+    if kind.needs_v and not component.vbundles:
+        raise ValueError("%s requires V-bundle data" % kind.value)
     tx_num, v_num, null_num = _numerators(kind, normalized)
     t_lines, n_lines, v_lines = lines
     _, c_power, halves, _ = _prefactors(kind, normalized, len(t_lines) + len(n_lines),
@@ -387,9 +388,6 @@ class _SeriesBackend:
         self.n8 = n8
         self.one = _one(component.gens, component.cap)
 
-    def root(self, x: GradedElement) -> GradedElement:
-        return x
-
     def lift(self, g: GradedElement) -> QSeries:
         return QSeries({0: g}, self.n8)
 
@@ -400,86 +398,70 @@ class _SeriesBackend:
         return series_product(QSeries({0: one}, self.n8), one, first, coeffs)
 
 
-@dataclass(frozen=True)
-class SharedDenominator:
-    """The family-independent part of one fixed component's exact
-    integrands: 1/U to the order ``inv_u.n8``, adj(L) and den = s^{J+1}.  One
-    serves every family whose working order is at most ``inv_u.n8``."""
-
-    inv_u: QSeries
-    adj: GradedElement
-    den: WLaurentPoly
+def _normal_scalar(component) -> WLaurentPoly:
+    """s, the scalar part of L: the product of 1 - w^{-2m} over the normal
+    lines."""
+    s = WLaurentPoly.one()
+    for tw, _ in _iter_lines(component.normals):
+        s = s * (1 - WLaurentPoly.w(-tw))
+    return s
 
 
-def shared_denominator(component, kinds, n8: int, normalized: bool = False) -> SharedDenominator:
-    """Build U and L over one fixed component and invert U once, at the
-    deepest working order max(n8 - q8_shift, 0) that any of ``kinds``
-    needs for a result to n8.
+def component_integrands(component, kinds, n8: int, normalized: bool = False
+                         ) -> tuple[WLaurentPoly, Iterator[tuple[OperatorKind, QSeries]]]:
+    """The bracketed localization integrand of each of ``kinds`` on one fixed
+    component, as (den, iterator of (kind, series)): Laurent-polynomial
+    coefficients over den = s^{J+1}, exact on the requested grid and not
+    reduced.  The removable singularity of the tangent factor is resolved
+    by dividing out theta's explicit order-1 unit; all powers of 2 pi and i
+    cancel by construction.
 
-    With s the scalar part of L and n = L - s (nilpotent, n^{J+1} = 0 for
-    J = cap // 2), L^{-1} = adj(L) / s^{J+1} where
-    adj(L) = sum_j (-n)^j s^{J-j}.
+    The component's lines, U and L are built once and U is inverted once,
+    at the deepest working order max(n8 - q8_shift, 0) that any of
+    ``kinds`` needs for a result to n8.  With n = L - s (nilpotent,
+    n^{J+1} = 0 for J = cap // 2), L^{-1} = adj(L) / s^{J+1} where
+    adj(L) = sum_j (-n)^j s^{J-j}.  Each family then builds its numerator
+    and scalar series at its own working order, one family at a time, and
+    multiplies them by 1/U and each output coefficient by adj(L).
     """
-    lines = [_lines(kind, component) for kind in kinds]
-    depth = max(n8 - _q8_shift(kind, normalized, ls) for kind, ls in zip(kinds, lines))
-    u, lin = _denominator(_SeriesBackend(component, max(depth, 0)), *lines[0][:2])
-    s, J = _poly(lin.scalar_part()), component.cap // 2
+    lines = _lines(component)
+    # work high enough that each shifted result reaches n8, and never below
+    # q^0, where the unit series U would be empty
+    shifts = {kind: _q8_shift(kind, normalized, lines) for kind in kinds}
+    u, lin = _denominator(_SeriesBackend(component, max(n8 - min(shifts.values()), 0)),
+                          *lines[:2])
+    s, J = _normal_scalar(component), component.cap // 2
     neg_n = -(lin - s)
     adj = term = lin.one_like()
     for _ in range(J):
         term = term * neg_n
         adj = adj * s + term
-    return SharedDenominator(series_invert(u), adj, s ** (J + 1))
+    inv_u = series_invert(u)
 
+    def integrands():
+        for kind, shift in shifts.items():
+            num, scalar_den = _numerator(kind, normalized, component,
+                                         _SeriesBackend(component, max(n8 - shift, 0)), lines)
+            if scalar_den is not None:
+                num = series_mul(num, series_invert(scalar_den))
+            out = series_mul(num, inv_u).shift_q8(shift).truncate(n8)
+            yield kind, out.map_coefficients(lambda g: g * adj)
 
-def integrand_over_polys(kind: OperatorKind, component, n8: int, normalized: bool = False,
-                         shared: SharedDenominator | None = None
-                         ) -> tuple[QSeries, WLaurentPoly]:
-    """The bracketed localization integrand for one fixed component, as
-    (series, den): Laurent-polynomial coefficients over den = s^{J+1}, exact
-    on the requested grid.  The removable singularity of the tangent factor
-    is resolved by dividing out theta's explicit order-1 unit; all powers
-    of 2 pi and i cancel by construction.
-
-    Everything runs over Laurent polynomials.  1/U, adj(L) and den come
-    from ``shared`` (``shared_denominator`` over every family of a command,
-    built once per component per command), or are built here for ``kind``
-    alone.  The family builds its numerator and scalar series at its own
-    working order and multiplies them by 1/U; each output coefficient is
-    multiplied by adj(L), and none is reduced.
-    """
-    if shared is None:
-        shared = shared_denominator(component, (kind,), n8, normalized)
-    lines = _lines(kind, component)
-    q8_shift = _q8_shift(kind, normalized, lines)
-    # work high enough that the shifted result reaches n8, and never below
-    # q^0, where the unit series U would be empty
-    order = max(n8 - q8_shift, 0)
-    if order > shared.inv_u.n8:
-        raise ValueError("shared denominator inverted to q^{%d/8}, below the working "
-                         "order %d/8 of %s" % (shared.inv_u.n8, order, kind.value))
-    num, scalar_den = _numerator(kind, normalized, component,
-                                 _SeriesBackend(component, order), lines)
-    if scalar_den is not None:
-        num = series_mul(num, series_invert(scalar_den))
-    out = series_mul(num, shared.inv_u).shift_q8(q8_shift).truncate(n8)
-    return out.map_coefficients(lambda g: g * shared.adj), shared.den
+    return s ** (J + 1), integrands()
 
 
 def component_denominator(component) -> WLaurentPoly:
-    """The den of ``integrand_over_polys`` from the weights alone: s is the
-    product of 1 - w^{-2m} over the normal lines."""
-    s = WLaurentPoly.one()
-    for tw, _ in _iter_lines(component.normals):
-        s = s * (1 - WLaurentPoly.w(-tw))
-    return s ** (component.cap // 2 + 1)
+    """The den of ``component_integrands`` from the weights alone."""
+    return _normal_scalar(component) ** (component.cap // 2 + 1)
 
 
 def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
                              normalized: bool = False) -> QSeries:
-    """``integrand_over_polys`` with each coefficient reduced over den: a
-    q-series whose nonzero coefficients are all ``WLaurentRational``."""
-    series, den = integrand_over_polys(kind, component, n8, normalized)
+    """``component_integrands`` of ``kind`` alone, with each coefficient
+    reduced over den: a q-series whose nonzero coefficients are all
+    ``WLaurentRational``."""
+    den, integrands = component_integrands(component, (kind,), n8, normalized)
+    [(_, series)] = integrands
     return series.map_coefficients(lambda g: g.map_coefficients(
         lambda v: WLaurentRational(_poly(v), den)))
 
@@ -754,7 +736,9 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
     formal path.  Raises NonconvergentDomain where the value or its
     bound is not finite."""
     try:
-        lines = _lines(kind, component)
+        t_lines, n_lines, v_lines = _lines(component)
+        # the budget counts only the lines the family reads
+        lines = (t_lines, n_lines, v_lines if kind.needs_v else [])
         be = _JetBackend(component, t, tau, eps, sum(map(len, lines)))
         lines = tuple([(tw, be.root(x)) for tw, x in part] for part in lines)
         den, lin = _denominator(be, *lines[:2])

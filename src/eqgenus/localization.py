@@ -7,11 +7,12 @@ twist-bundle (V) data.  ``equivariant_characters`` sums the pushed-forward
 theta-quotient integrands of one or more operator kinds over the
 components and returns each resulting equivariant index character as an
 exact q-series of base classes, summed over the dataset's common
-denominator and reduced once per coefficient; each component's theta
-denominator, its inverse and the normal-line adjugate are built once per
-command and shared by every kind.  ``equivariant_character`` is its
-one-kind case.  Verdict helpers classify rigidity, pole cancellation and
-vanishing.
+denominator and reduced once per coefficient.  Each component's
+integrands for every kind come from one call of
+``genera.component_integrands``, which builds the component's theta
+denominator, its inverse and the normal-line adjugate once.
+``equivariant_character`` is the one-kind case.  Verdict helpers
+classify rigidity, pole cancellation and vanishing.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from .algebra import (AlgebraError, DegreeOutOfRange, GradedElement, Integration
                       WLaurentPoly, WLaurentRational, _layout, fiber_integrate, format_monomial,
                       wpoly_divexact, wpoly_gcd)
 from .genera import (OperatorKind, RootBundle, bridge_to_index_character, component_denominator,
-                     constants_ledger, integrand_over_polys, numeric_integrand,
-                     shared_denominator, theta_quotient_integrand)
+                     component_integrands, constants_ledger, numeric_integrand,
+                     theta_quotient_integrand)
 from .theta import ConstantsLedger, NonconvergentDomain
 
 
@@ -321,8 +322,9 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
     integrands over the fixed components, each times its cofactor D / den
     over Laurent polynomials; each summed coefficient is then reduced once
     over D.  The components are the outer loop: each component's
-    denominator part (``genera.shared_denominator``) is built once, for
-    every kind, and only one is alive at a time."""
+    integrands (``genera.component_integrands``) share one theta
+    denominator, built once for every kind, and only one is alive at a
+    time."""
     validated(data)
     kinds = tuple(dict.fromkeys(kinds))
     for kind in kinds:
@@ -331,10 +333,9 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
     D = data.denominator
     totals: dict[OperatorKind, QSeries] = {}
     for comp in data.components:
-        shared = shared_denominator(comp, kinds, n8, normalized)
-        cofactor = wpoly_divexact(D, shared.den) * comp.sign
-        for kind in kinds:
-            series, _ = integrand_over_polys(kind, comp, n8, normalized, shared)
+        den, integrands = component_integrands(comp, kinds, n8, normalized)
+        cofactor = wpoly_divexact(D, den) * comp.sign
+        for kind, series in integrands:
             part = series.map_coefficients(lambda g: fiber_integrate(g, comp.table) * cofactor)
             totals[kind] = totals[kind] + part if kind in totals else part
     out = {}

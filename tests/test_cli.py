@@ -312,11 +312,20 @@ _S2 = ("--input", "catalog:s2-rotation")
      "validation error: --samples "),
     (["jacobi", *_S2, "--operator", "witten-h", "--tol", "2"], 3, "validation error: --tol "),
     (["theta", "--kind", "theta", "--eps", "inf"], 3, "validation error: --eps "),
+    (["theta", "--kind", "theta", "--tau", "nan+1i"], 3, "validation error: complex number "),
+    (["theta", "--kind", "theta", "--t", "1e999"], 3, "validation error: complex number "),
+    (["zeros", *_S2, "--operator", "witten-h", "--tau", "nan+1i"], 3,
+     "validation error: complex number "),
+    (["zeros", *_S2, "--operator", "witten-h", "--tau", "1+1e999i"], 3,
+     "validation error: complex number "),
+    (["zeros", *_S2, "--operator", "witten-h", "--tau", "1i", "--origin", "nan"], 3,
+     "validation error: complex number "),
 ], ids=["expand-order-minus-8", "expand-order-minus-1", "expand-order-257",
         "rigidity-order-minus-1", "rigidity-order-512", "rigidity-order-1e5",
         "theta-order-minus-1", "theta-order-257", "theta-m-exponent", "theta-m-1-over-0",
         "jacobi-samples-0", "jacobi-samples-minus-3", "jacobi-samples-1025", "jacobi-tol-2",
-        "theta-eps-inf"])
+        "theta-eps-inf", "theta-tau-nan", "theta-t-1e999", "zeros-tau-nan",
+        "zeros-tau-1e999i", "zeros-origin-nan"])
 def test_cli_numbers_that_set_the_work_are_bounded(argv, code, prefix):
     proc = _cli_process(*argv)
     assert proc.returncode == code
@@ -512,26 +521,27 @@ def test_rigidity_all_builds_and_inverts_each_theta_denominator_once(monkeypatch
                                                                       name):
     # U, theta over the TX lines, is the one series of graded elements that
     # the exact path inverts (each family's scalar series is a Fraction
-    # series); one command builds and inverts it once per fixed component,
-    # for every kind
+    # series); one command reads each fixed component's lines, and builds
+    # and inverts U, once for every kind
     from eqgenus import genera
-    built, inverted = [], []
-    denominator, series_invert = genera._denominator, genera.series_invert
+    read, built, inverted = [], [], []
+    lines, denominator, series_invert = genera._lines, genera._denominator, genera.series_invert
 
     def counting_invert(a):
         if any(isinstance(v, GradedElement) for v in a.c.values()):
             inverted.append(a)
         return series_invert(a)
 
+    monkeypatch.setattr(genera, "_lines", lambda comp: read.append(comp) or lines(comp))
     monkeypatch.setattr(genera, "_denominator",
-                        lambda be, *lines: built.append(be) or denominator(be, *lines))
+                        lambda be, *parts: built.append(be) or denominator(be, *parts))
     monkeypatch.setattr(genera, "series_invert", counting_invert)
     code, out, _ = run(capsys, "rigidity", "--input", "catalog:" + name, "--order", "24",
                        "--format", "json")
     assert code == 0
     assert len(json.loads(out)["verdicts"]) >= 3
     n_components = len(builtin(name).data.components)
-    assert len(built) == len(inverted) == n_components
+    assert len(read) == len(built) == len(inverted) == n_components
 
 
 def test_theta_cli_cross_path(capsys):
