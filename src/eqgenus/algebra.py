@@ -716,7 +716,10 @@ class GradedElement:
         return self._like([f(v) if v else 0 for v in self.c])
 
     def subs_w_inverse(self) -> "GradedElement":
-        return self.map_coefficients(lambda v: v.subs_w_inverse() if isinstance(v, WLaurentRational) else v)
+        """w -> w^{-1} on every w-dependent coefficient; rational constants
+        stay."""
+        return self.map_coefficients(
+            lambda v: v.subs_w_inverse() if isinstance(v, (WLaurentPoly, WLaurentRational)) else v)
 
     def __str__(self) -> str:
         names = [n for n, _ in self.gens]

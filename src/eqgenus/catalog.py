@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from .algebra import GradedElement, IntegrationTable, WLaurentPoly, WLaurentRational
 from .genera import OperatorKind, OracleReport, RootBundle, _fold_strays, _twisted_element
-from .localization import ActionData, FixedComponent, equivariant_character
+from .localization import ActionData, FixedComponent, ValidationError, equivariant_character
 
 
-class UnknownEntry(Exception):
-    pass
+class UnknownEntry(ValidationError):
+    """No built-in dataset has the requested name."""
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,8 @@ from .algebra import (
     OffGridExponent,
     QSeries,
 )
-from .catalog import UnknownEntry, builtin, names as catalog_names
 from .dataset import DatasetFormatError, dataset_to_json, load_dataset, parse_rational
 from .genera import NON_V_KINDS, V_KINDS, OperatorKind, ZeroWeightNormalBundle
-from .jacobi import (
-    LATTICE_SCALE,
-    BoundaryZero,
-    NonFiniteSample,
-    check_jacobi,
-    count_zeros,
-    designated_spec,
-)
 from .localization import (
     InconsistentAnomaly,
     NearPole,
@@ -55,16 +46,19 @@ MAX_ORDER = 256
 MAX_SAMPLES = 1024
 
 _PARSE_ERRORS = (DatasetFormatError, OSError)
-_VALIDATION_ERRORS = (ValidationError, InconsistentAnomaly, UnknownEntry,
-                      DegreeOutOfRange, ZeroWeightNormalBundle, ValueError)
+# catalog.UnknownEntry is a ValidationError, and jacobi's BoundaryZero and
+# NonFiniteSample are NonconvergentDomain errors: commands import those
+# modules only when they run them
+_VALIDATION_ERRORS = (ValidationError, InconsistentAnomaly, DegreeOutOfRange,
+                      ZeroWeightNormalBundle, ValueError)
 _COMPUTE_ERRORS = (NonInvertibleLeadingCoefficient, OffGridExponent, NearPole,
-                   NonconvergentDomain, BoundaryZero, NonFiniteSample,
-                   AlgebraError, ZeroDivisionError)
+                   NonconvergentDomain, AlgebraError, ZeroDivisionError)
 
 
 def _load_input(source: str):
     """The dataset of --input; its validation warnings go to stderr."""
     if source.startswith("catalog:"):
+        from .catalog import builtin
         data = builtin(source.split(":", 1)[1]).data
     else:
         data = load_dataset(source)
@@ -200,6 +194,7 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
+    from .jacobi import check_jacobi, designated_spec
     _check_samples(args.samples)
     _check_unit_interval("--tol", args.tol)
     data = _load_input(args.input)
@@ -236,6 +231,7 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_zeros(args) -> int:
+    from .jacobi import LATTICE_SCALE, count_zeros
     data = _load_input(args.input)
     kind = _operator(args.operator)
     tau = _parse_complex(args.tau)
@@ -294,6 +290,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .catalog import builtin, names as catalog_names
     if args.action == "list":
         report = {"format": 1, "command": "catalog", "entries": {}}
         lines = []

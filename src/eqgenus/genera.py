@@ -43,9 +43,13 @@ Two independent realizations of each integrand are provided:
   share of a command: it reads the component's lines, builds U, 1/U (to
   the deepest order any requested family needs), L and adj(L) once, and
   yields each family's series times adj(L) over den = s^{J+1},
-  unreduced.  ``localization`` reduces once per coefficient of the
-  component sum and ``theta_quotient_integrand``, its one-family case,
-  once per coefficient of one component.  Canonical forms of reduced
+  unreduced.  Every factor is a function of the lines' E and of w-powers
+  that change sign with the weights, so negating every normal and V
+  weight maps the series and den, unreduced, by w -> w^{-1};
+  ``localization`` builds one member of each such conjugate pair.  It
+  reduces once per coefficient of the component sum and
+  ``theta_quotient_integrand``, the one-family case, once per
+  coefficient of one component.  Canonical forms of reduced
   quotients are unique, so every path gives the term-by-term reduced
   result exactly.  The numeric path divides by U times the scalar series
   for each family.

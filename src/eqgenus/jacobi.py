@@ -16,15 +16,15 @@ from enum import Enum
 from fractions import Fraction
 
 from .genera import _FAMILIES, _THETA_PRIME_0, OperatorKind
-from .theta import ThetaKind, _norm_diff
+from .theta import NonconvergentDomain, ThetaKind, _norm_diff
 
 
-class BoundaryZero(Exception):
+class BoundaryZero(NonconvergentDomain):
     """A zero sits on (or too near) the integration contour."""
 
 
-class NonFiniteSample(Exception):
-    pass
+class NonFiniteSample(NonconvergentDomain):
+    """A sampled value of the checked function is not finite."""
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,13 @@ exact q-series of base classes, summed over the dataset's common
 denominator and reduced once per coefficient.  Each component's
 integrands for every kind come from one call of
 ``genera.component_integrands``, which builds the component's theta
-denominator, its inverse and the normal-line adjugate once.
-``equivariant_character`` is the one-kind case.  Verdict helpers
-classify rigidity, pole cancellation and vanishing.
+denominator, its inverse and the normal-line adjugate once.  The
+integrand depends on the data only through E = w^{2m} e^x per line, so
+a component whose data is another's with every normal and V weight
+negated (its conjugate) has that one's integrand with w -> w^{-1}: each
+conjugate pair is built once.  ``equivariant_character`` is the
+one-kind case.  Verdict helpers classify rigidity, pole cancellation and
+vanishing.
 """
 from __future__ import annotations
 
@@ -316,6 +320,44 @@ def component_contribution(data: ActionData, comp: FixedComponent,
     return -pushed if comp.sign < 0 else pushed
 
 
+def _same_bundles(a, b) -> bool:
+    """Whether the bundle lists a and b are equal as multisets."""
+    rest = list(b)
+    for x in a:
+        j = next((j for j, y in enumerate(rest) if x == y), None)
+        if j is None:
+            return False
+        del rest[j]
+    return not rest
+
+
+def _conjugate(c: FixedComponent, d: FixedComponent) -> bool:
+    """Whether d is c with every normal and V weight negated, orientation
+    signs free: then d's integrand is c's with w -> w^{-1} and d's den is
+    c's with w -> w^{-1}."""
+    def negated(bundles):
+        return [RootBundle(-b.weight, b.rank, b.roots) for b in bundles]
+
+    return (c.k_alpha == d.k_alpha and c.gens == d.gens and c.cap == d.cap
+            and c.tangent == d.tangent
+            and (c.table.fiber_gens, c.table.k_alpha, c.table.entries)
+            == (d.table.fiber_gens, d.table.k_alpha, d.table.entries)
+            and _same_bundles(negated(c.normals), d.normals)
+            and _same_bundles(negated(c.vbundles), d.vbundles))
+
+
+def _conjugate_pairs(components) -> list[tuple[FixedComponent, FixedComponent | None]]:
+    """Each component in order with its conjugate, the first later one not
+    yet paired, or None; a paired conjugate is not listed again."""
+    rest = list(components)
+    pairs = []
+    while rest:
+        comp = rest.pop(0)
+        j = next((j for j, d in enumerate(rest) if _conjugate(comp, d)), None)
+        pairs.append((comp, None if j is None else rest.pop(j)))
+    return pairs
+
+
 def equivariant_characters(data: ActionData, kinds, n8: int,
                            normalized: bool = False) -> dict[OperatorKind, GenusResult]:
     """The character of each of ``kinds``: the sum of its pushed-forward
@@ -323,8 +365,10 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
     over Laurent polynomials; each summed coefficient is then reduced once
     over D.  The components are the outer loop: each component's
     integrands (``genera.component_integrands``) share one theta
-    denominator, built once for every kind, and only one is alive at a
-    time."""
+    denominator, built once for every kind, and only one component's are
+    alive at a time.  A conjugate (``_conjugate``) adds the pushed series
+    of its partner with w -> w^{-1}, times its own cofactor D / den(w^{-1})
+    and sign, and is never built."""
     validated(data)
     kinds = tuple(dict.fromkeys(kinds))
     for kind in kinds:
@@ -332,11 +376,16 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
             raise ValidationError("%s requires V data on every component" % kind.value)
     D = data.denominator
     totals: dict[OperatorKind, QSeries] = {}
-    for comp in data.components:
+    for comp, conj in _conjugate_pairs(data.components):
         den, integrands = component_integrands(comp, kinds, n8, normalized)
         cofactor = wpoly_divexact(D, den) * comp.sign
+        if conj is not None:
+            conj_cofactor = wpoly_divexact(D, den.subs_w_inverse()) * conj.sign
         for kind, series in integrands:
-            part = series.map_coefficients(lambda g: fiber_integrate(g, comp.table) * cofactor)
+            pushed = series.map_coefficients(lambda g: fiber_integrate(g, comp.table))
+            part = pushed.map_coefficients(lambda g: g * cofactor)
+            if conj is not None:
+                part = part + pushed.map_coefficients(lambda g: g.subs_w_inverse() * conj_cofactor)
             totals[kind] = totals[kind] + part if kind in totals else part
     out = {}
     for kind, total in totals.items():

@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -274,7 +275,8 @@ def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> comp
 def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
     """theta_kind(t, tau) within relative error eps, for tau in the upper
     half plane; NonconvergentDomain where the value or its bound is not
-    finite.
+    finite, or where the value is not a normal double (bar theta's exact
+    zeros at integer t).
 
     Below Im tau = 0.3, T-translations and the S-inversion, whose
     prefactors are exact, move the argument until the product truncation
@@ -311,6 +313,11 @@ def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
         raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0)) from e
     if not cmath.isfinite(value):
         raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0))
+    # below the normal doubles a value keeps no relative precision, and an
+    # underflow reads as 0; theta's one exact zero on the reduced grid is t = 0
+    if abs(value) < sys.float_info.min and not (kind is ThetaKind.Theta and t == 0):
+        raise NonconvergentDomain("theta underflows the normal doubles at t=%s tau=%s"
+                                  % (t0, tau0))
     return value
 
 

@@ -356,6 +356,20 @@ def test_graded_invert():
     assert u * graded_invert(u) == one
 
 
+def test_graded_subs_w_inverse_flips_every_w_coefficient():
+    # Laurent-polynomial coefficients (those of the unreduced integrands)
+    # flip as rational-function ones do; rational constants stay
+    x = GradedElement.generator(GENS, 4, "x")
+    one = GradedElement.scalar(GENS, 4, 1)
+    poly = WLaurentPoly({3: 2, -1: Fraction(1, 2)})
+    g = one * Fraction(5, 3) + x * poly + x * x * WLaurentRational(poly, WLaurentPoly({0: 1, 2: -1}))
+    flipped = g.subs_w_inverse()
+    assert flipped == (one * Fraction(5, 3) + x * WLaurentPoly({-3: 2, 1: Fraction(1, 2)})
+                       + x * x * WLaurentRational(poly.subs_w_inverse(),
+                                                  WLaurentPoly({0: 1, -2: -1})))
+    assert flipped.subs_w_inverse() == g
+
+
 # -- the dense layout, against a sparse sympy reference ------------------------
 
 DENSE_GENS = (("a", 2), ("b", 2), ("c", 4))

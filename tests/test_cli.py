@@ -320,17 +320,75 @@ _S2 = ("--input", "catalog:s2-rotation")
      "validation error: complex number "),
     (["zeros", *_S2, "--operator", "witten-h", "--tau", "1i", "--origin", "nan"], 3,
      "validation error: complex number "),
+    # the true values, 1.48e-324 and 1.30e-341, are below the normal doubles
+    (["theta", "--kind", "theta", "--t", "0.3", "--tau", "950i"], 4,
+     "computation error: theta underflows "),
+    (["theta", "--kind", "theta", "--t", "0.3", "--tau", "1000i"], 4,
+     "computation error: theta underflows "),
 ], ids=["expand-order-minus-8", "expand-order-minus-1", "expand-order-257",
         "rigidity-order-minus-1", "rigidity-order-512", "rigidity-order-1e5",
         "theta-order-minus-1", "theta-order-257", "theta-m-exponent", "theta-m-1-over-0",
         "jacobi-samples-0", "jacobi-samples-minus-3", "jacobi-samples-1025", "jacobi-tol-2",
         "theta-eps-inf", "theta-tau-nan", "theta-t-1e999", "zeros-tau-nan",
-        "zeros-tau-1e999i", "zeros-origin-nan"])
+        "zeros-tau-1e999i", "zeros-origin-nan", "theta-tau-950i", "theta-tau-1000i"])
 def test_cli_numbers_that_set_the_work_are_bounded(argv, code, prefix):
     proc = _cli_process(*argv)
     assert proc.returncode == code
     assert proc.stdout == ""
     assert proc.stderr.startswith(prefix)
+
+
+def test_theta_small_normal_value_prints(capsys):
+    # 800i is still above the underflow: the value agrees with 30-digit mpmath
+    code, out, _ = run(capsys, "theta", "--kind", "theta", "--t", "0.3", "--tau", "800i")
+    assert code == 0
+    assert out == "theta((0.3+0j), 800j) = (2.156338176639579e-273+0j) (within relative 1e-12)\n"
+
+
+def test_exact_commands_on_a_file_import_neither_jacobi_nor_catalog(tmp_path):
+    path = tmp_path / "s2.json"
+    path.write_text(json.dumps(dataset_to_json(builtin("s2-rotation").data)))
+    script = ("import sys; from eqgenus.cli import main\n"
+              "for argv in (['expand', '--operator', 'd-theta-q'], ['rigidity']):\n"
+              "    assert main([*argv, '--input', sys.argv[1], '--order', '8']) == 0\n"
+              "print(sorted(m for m in sys.modules if m in ('eqgenus.jacobi', 'eqgenus.catalog')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eqgenus.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("rigidity", "--input", "catalog:no-such-entry"),
+    ("catalog", "emit", "no-such-entry"),
+], ids=["rigidity", "catalog-emit"])
+def test_unknown_catalog_entry_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("validation error: unknown catalog entry 'no-such-entry'")
+
+
+@pytest.mark.parametrize("command, function, error", [
+    ("zeros", "count_zeros", "BoundaryZero"),
+    ("zeros", "count_zeros", "NonFiniteSample"),
+    ("jacobi", "check_jacobi", "BoundaryZero"),
+    ("jacobi", "check_jacobi", "NonFiniteSample"),
+])
+def test_jacobi_errors_exit_4(monkeypatch, capsys, command, function, error):
+    from eqgenus import jacobi
+
+    def fail(*args, **kwargs):
+        raise getattr(jacobi, error)("injected")
+
+    monkeypatch.setattr(jacobi, function, fail)
+    extra = ("--tau", "0.5+1.2i") if command == "zeros" else ("--samples", "2")
+    code, out, err = run(capsys, command, "--input", "catalog:s2-v-double-tangent",
+                         "--operator", "dv-theta-q", *extra)
+    assert code == 4
+    assert out == ""
+    assert err == "computation error: injected\n"
 
 
 def _set_sign_3(d):
@@ -516,13 +574,25 @@ def test_each_command_validates_its_dataset_once(monkeypatch, capsys, argv):
     assert len(calls) == 1
 
 
+# the first member of each conjugate class of fixed components: the others
+# are the same data with every normal and V weight negated
+_CONJUGATE_CLASSES = {
+    "cp3-weighted": ["e0", "e1"],
+    "s2-family-base": ["p+"],
+    "s2-rotation": ["p+"],
+    "s2-v-double-tangent": ["p+"],
+    "s2xs2-birotation": ["p+1+1", "p+1-1"],
+    "s4-rotation": ["pN", "pS"],
+}
+
+
 @pytest.mark.parametrize("name", names())
 def test_rigidity_all_builds_and_inverts_each_theta_denominator_once(monkeypatch, capsys,
                                                                       name):
     # U, theta over the TX lines, is the one series of graded elements that
     # the exact path inverts (each family's scalar series is a Fraction
-    # series); one command reads each fixed component's lines, and builds
-    # and inverts U, once for every kind
+    # series); one command reads the lines of one fixed component per
+    # conjugate class, and builds and inverts its U, once for every kind
     from eqgenus import genera
     read, built, inverted = [], [], []
     lines, denominator, series_invert = genera._lines, genera._denominator, genera.series_invert
@@ -540,8 +610,8 @@ def test_rigidity_all_builds_and_inverts_each_theta_denominator_once(monkeypatch
                        "--format", "json")
     assert code == 0
     assert len(json.loads(out)["verdicts"]) >= 3
-    n_components = len(builtin(name).data.components)
-    assert len(read) == len(built) == len(inverted) == n_components
+    assert [c.name for c in read] == _CONJUGATE_CLASSES[name]
+    assert len(built) == len(inverted) == len(read)
 
 
 def test_theta_cli_cross_path(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from eqgenus.algebra import DegreeOutOfRange, GradedElement, IntegrationTable, WLaurentRational
-from eqgenus.genera import OperatorKind, RootBundle
+from eqgenus.genera import OperatorKind, RootBundle, component_integrands
 from eqgenus.catalog import builtin, names
 from eqgenus.localization import (
     ActionData,
@@ -21,6 +21,8 @@ from eqgenus.localization import (
     equivariant_characters,
     evaluate_numeric,
     pole_cancellation_check,
+    _conjugate,
+    _conjugate_pairs,
     rigidity_check,
     validate,
 )
@@ -303,6 +305,104 @@ def test_weight_negation_involution():
         rb = equivariant_character(neg, kind, 12, normalized=True).series
         flipped = ra.map_coefficients(lambda g: g.subs_w_inverse())
         assert flipped == rb
+
+
+# -- conjugate pairs ---------------------------------------------------------------
+
+# each catalog pair (first, conjugate): the conjugate's data is the first's
+# with every normal and V weight negated
+_CATALOG_PAIRS = {
+    "cp3-weighted": [("e0", "e3"), ("e1", "e2")],
+    "s2-family-base": [("p+", "p-")],
+    "s2-rotation": [("p+", "p-")],
+    "s2-v-double-tangent": [("p+", "p-")],
+    "s2xs2-birotation": [("p+1+1", "p-1-1"), ("p+1-1", "p-1+1")],
+    "s4-rotation": [],
+}
+
+
+def _variants(data):
+    """Every applicable (kind, normalized) of a dataset."""
+    has_v = all(c.vbundles for c in data.components)
+    return [(kind, normalized) for kind in OperatorKind if has_v or not kind.needs_v
+            for normalized in ((False, True) if kind.supports_normalized else (False,))]
+
+
+@pytest.mark.parametrize("name", names())
+def test_conjugate_pairs_of_the_catalog(name):
+    data = builtin(name).data
+    pairs = [(c.name, d.name) for c, d in _conjugate_pairs(data.components) if d is not None]
+    assert pairs == _CATALOG_PAIRS[name]
+    paired = {n for pair in pairs for n in pair}
+    unpaired = [c.name for c, d in _conjugate_pairs(data.components) if d is None]
+    assert sorted(unpaired) == sorted(c.name for c in data.components if c.name not in paired)
+
+
+def _assert_conjugate_integrands(data, pairs):
+    """Built directly, each conjugate's unreduced series is its first's with
+    w -> w^{-1}, coefficient by coefficient, and so is its den."""
+    comps = {c.name: c for c in data.components}
+    for first, conj in pairs:
+        for kind, normalized in _variants(data):
+            den, [(_, series)] = component_integrands(comps[first], (kind,), 24, normalized)
+            den_c, [(_, series_c)] = component_integrands(comps[conj], (kind,), 24, normalized)
+            assert den_c == den.subs_w_inverse()
+            flipped = series.map_coefficients(lambda g: g.subs_w_inverse())
+            assert series_c.c and series_c == flipped, (first, kind, normalized)
+
+
+@pytest.mark.parametrize("name", [n for n in names() if _CATALOG_PAIRS[n]])
+def test_conjugate_integrand_is_the_first_with_w_inverted(name):
+    _assert_conjugate_integrands(builtin(name).data, _CATALOG_PAIRS[name])
+
+
+def test_s4_poles_are_not_conjugate():
+    # pS negates both weights but also one line's root class
+    n, s = builtin("s4-rotation").data.components
+    assert not _conjugate(n, s) and not _conjugate(s, n)
+
+
+def _fibered_pair(conj_root=1, conj_table=1, conj_sign=-1):
+    """A fixed projective line with one normal line of weight 1 and root
+    y + b, and its conjugate (weight -1), V = TX on both; the conjugate's
+    normal root is conj_root (y + b), its table entry conj_table and its
+    sign conj_sign."""
+    gens = (("y", 2), ("b", 2))
+    y, b = (GradedElement.generator(gens, 4, g) for g, _ in gens)
+    tangent = RootBundle(Fraction(0), 1, (y * 2,))
+
+    def comp(name, weight, root, entry, sign):
+        normal = RootBundle(Fraction(weight), 1, (root,))
+        return FixedComponent(name, 1, tangent, (normal,), (tangent, normal),
+                              IntegrationTable(("y",), 1, {(1,): Fraction(entry)}),
+                              sign, gens, 4)
+
+    return ActionData(2, (comp("a", 1, y + b, 1, 1),
+                          comp("a*", -1, (y + b) * conj_root, conj_table, conj_sign)),
+                      base_gens=(("b", 2),), base_cap=2, name="fibered-pair")
+
+
+def test_conjugate_needs_equal_roots_and_tables():
+    a, conj = _fibered_pair().components
+    assert _conjugate(a, conj)
+    for changed in (_fibered_pair(conj_root=2), _fibered_pair(conj_table=2)):
+        a, other = changed.components
+        assert not _conjugate(a, other)
+        assert _conjugate_pairs(changed.components) == [(a, None), (other, None)]
+
+
+def test_conjugate_pair_with_different_signs_sums_like_its_contributions():
+    # the conjugate enters with its own sign, here the opposite of the first's
+    data = _fibered_pair()
+    assert validate(data).ok
+    _assert_conjugate_integrands(data, [("a", "a*")])
+    assert [(c.name, d.name) for c, d in _conjugate_pairs(data.components)] == [("a", "a*")]
+    for kind, normalized in _variants(data):
+        rep = _summed_contributions(data, kind, 16, normalized)
+        res = equivariant_character(data, kind, 16, normalized).series
+        assert res == rep.summed, (kind, normalized)
+        # the conjugate's share is nonzero, so its sign is seen
+        assert component_contribution(data, data.components[1], kind, 16, normalized)
 
 
 # -- numeric path ------------------------------------------------------------------

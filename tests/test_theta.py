@@ -170,6 +170,17 @@ def test_theta_vanishes_at_origin():
         assert abs(theta_numeric(ThetaKind.Theta, 0, tau)) < 1e-12
 
 
+def test_theta_numeric_underflow_raises():
+    # below the normal doubles a value keeps no relative precision: theta1(0)
+    # and theta(0.3) at 950i are about 1e-324; theta's exact zero stays 0
+    for kind, t in ((ThetaKind.Theta, 0.3), (ThetaKind.Theta1, 0), (ThetaKind.Theta, 0.3 + 1j)):
+        with pytest.raises(NonconvergentDomain):
+            theta_numeric(kind, t, 950j)
+    assert theta_numeric(ThetaKind.Theta, 0, 950j) == 0
+    assert theta_numeric(ThetaKind.Theta, 4, 1000j) == 0
+    assert theta_numeric(ThetaKind.Theta3, 0.3, 1000j) == 1
+
+
 def test_invalid_domain():
     with pytest.raises(NonconvergentDomain):
         theta_numeric(ThetaKind.Theta1, 0.1, 0.5 - 1j)
