@@ -236,6 +236,8 @@ _MODULAR_IMAGES = {
 }
 # theta_kind(t + 1, tau) = sign theta_kind(t, tau): theta, theta1 antiperiodic
 _PERIOD_SIGN = {ThetaKind.Theta: -1, ThetaKind.Theta1: -1, ThetaKind.Theta2: 1, ThetaKind.Theta3: 1}
+# the smallest positive normal double
+_MIN_NORMAL = sys.float_info.min
 
 
 def _t_shift(kind: ThetaKind, n: int) -> tuple[ThetaKind, complex]:
@@ -315,7 +317,7 @@ def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
         raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0))
     # below the normal doubles a value keeps no relative precision, and an
     # underflow reads as 0; theta's one exact zero on the reduced grid is t = 0
-    if abs(value) < sys.float_info.min and not (kind is ThetaKind.Theta and t == 0):
+    if abs(value) < _MIN_NORMAL and not (kind is ThetaKind.Theta and t == 0):
         raise NonconvergentDomain("theta underflows the normal doubles at t=%s tau=%s"
                                   % (t0, tau0))
     return value
