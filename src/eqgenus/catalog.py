@@ -9,7 +9,7 @@ localization at all.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import GradedElement, IntegrationTable, WLaurentPoly, WLaurentRational
@@ -21,14 +21,13 @@ class UnknownEntry(ValidationError):
     """No built-in dataset has the requested name."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    data: ActionData
-    doc: str
-    expected: dict[str, str]
-    provenance: str
-    variants: dict[str, ActionData] = field(default_factory=dict)
+class CatalogEntry(namedtuple("CatalogEntry", "name data doc expected provenance variants")):
+    __slots__ = ()
+
+    def __new__(cls, name: str, data: ActionData, doc: str, expected: dict[str, str],
+                provenance: str, variants: dict[str, ActionData] | None = None):
+        return super().__new__(cls, name, data, doc, expected, provenance,
+                               {} if variants is None else variants)
 
 
 def _isolated(name, normals, vbundles=(), base_gens=(), base_cap=0, sign=1):

@@ -31,12 +31,14 @@ MAX_RING_MONOMIALS = 1000
 # 2 k_alpha + base_degree_cap of every ring (MAX_DEGREE_CAP), which sets
 # the size of every graded product and the order cap // 2 of the
 # normal-line adjugate.  At every bound at once (32 isolated points, each
-# with normals and V of rank 16 at weight 16, every root the base class b,
-# base_degree_cap 8) `rigidity --operator all --order 16` takes 69 s on a
-# 2-core VM (16 s at cap 4); with the weight -16 on every odd point, each
-# point and its conjugate are built once, 37 s (9 s at cap 4).  Cap 8
-# leaves room for a fixed surface in a family over a base of cap 4.  At
-# rank 64, two isolated points at weight +-1 took 15 s.
+# with normals and V of rank 16 at weight 16, base_degree_cap 8, each
+# point's 16 roots a different mix of b, 2b and 3b)
+# `rigidity --operator all --order 16` takes 74 s on a 2-core VM (17 s at
+# cap 4).  Equal and conjugate points are built once per class: with
+# every root b it takes 10 s, and with the weight -16 on every odd point
+# as well 7 s (2 s at cap 4).  Cap 8 leaves room for a fixed surface in a
+# family over a base of cap 4.  At rank 64, two isolated points at weight
+# +-1 took 15 s.
 MAX_RANK = 16
 MAX_WEIGHT = 16
 MAX_COMPONENTS = 32

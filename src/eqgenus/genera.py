@@ -46,7 +46,8 @@ Two independent realizations of each integrand are provided:
   unreduced.  Every factor is a function of the lines' E and of w-powers
   that change sign with the weights, so negating every normal and V
   weight maps the series and den, unreduced, by w -> w^{-1};
-  ``localization`` builds one member of each such conjugate pair.  It
+  ``localization`` builds one member of each class of equal and
+  conjugate components.  It
   reduces once per coefficient of the component sum and
   ``theta_quotient_integrand``, the one-family case, once per
   coefficient of one component.  Canonical forms of reduced
@@ -79,8 +80,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
@@ -126,20 +127,18 @@ class OperatorKind(Enum):
         return _FAMILIES[self][0] in (None, _THETA_PRIME_0)
 
 
-@dataclass(frozen=True)
-class RootBundle:
+class RootBundle(namedtuple("RootBundle", "weight rank roots")):
     """An equivariant complex summand: rotation weight, rank, Chern roots."""
 
-    weight: Fraction
-    rank: int
-    roots: tuple[GradedElement, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        if len(self.roots) != self.rank:
-            raise ValueError("rank %d but %d roots" % (self.rank, len(self.roots)))
-        if 2 * self.weight != int(2 * self.weight):
+    def __new__(cls, weight, rank: int, roots: tuple[GradedElement, ...]):
+        weight = Fraction(weight)
+        if len(roots) != rank:
+            raise ValueError("rank %d but %d roots" % (rank, len(roots)))
+        if 2 * weight != int(2 * weight):
             raise ValueError("weights must be integers or half-integers")
+        return super().__new__(cls, weight, rank, roots)
 
     @property
     def tw(self) -> int:
@@ -642,16 +641,11 @@ def bridge_to_index_character(kind: OperatorKind, normalized: bool,
     return out if scale == 1 else out.scale(scale)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(namedtuple("OracleReport",
+                              "kind normalized equal first_mismatch engine oracle")):
     """One oracle's verdict: the engine's series against the oracle's."""
 
-    kind: OperatorKind
-    normalized: bool
-    equal: bool
-    first_mismatch: tuple | None
-    engine: QSeries
-    oracle: QSeries
+    __slots__ = ()
 
 
 def oracle_expand_vs_closed(kind: OperatorKind, component, n8_small: int,

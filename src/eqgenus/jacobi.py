@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -27,16 +27,13 @@ class NonFiniteSample(NonconvergentDomain):
     """A sampled value of the checked function is not finite."""
 
 
-@dataclass(frozen=True)
-class ModularMatrix:
-    a: int
-    b: int
-    c: int
-    d: int
+class ModularMatrix(namedtuple("ModularMatrix", "a b c d")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
             raise ValueError("determinant must be 1")
+        return super().__new__(cls, a, b, c, d)
 
     def __mul__(self, o: "ModularMatrix") -> "ModularMatrix":
         return ModularMatrix(self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
@@ -93,16 +90,13 @@ LATTICE_SCALE = 2  # the elliptic law's lattice is (2Z)^2 for all forms arising 
 ZERO_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class JacobiFormSpec:
+class JacobiFormSpec(namedtuple("JacobiFormSpec", "index weight group")):
     """Index, weight and modular subgroup of a Jacobi form."""
 
-    index: Fraction
-    weight: int
-    group: ModularGroup = ModularGroup.SL2Z
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", Fraction(self.index))
+    def __new__(cls, index, weight: int, group: ModularGroup = ModularGroup.SL2Z):
+        return super().__new__(cls, Fraction(index), weight, group)
 
 
 # the modular group of each theta numerator of a family
@@ -141,14 +135,9 @@ def slash_action(F, g: ModularMatrix, spec: JacobiFormSpec):
     return slashed
 
 
-@dataclass(frozen=True)
-class JacobiReport:
-    spec: JacobiFormSpec
-    samples: int
-    max_modular_discrepancy: float
-    max_lattice_discrepancy: float
-    eps: float
-    identically_zero: bool
+class JacobiReport(namedtuple("JacobiReport", "spec samples max_modular_discrepancy "
+                                              "max_lattice_discrepancy eps identically_zero")):
+    __slots__ = ()
 
     @property
     def max_discrepancy(self) -> float:
@@ -214,11 +203,7 @@ def check_jacobi(F, spec: JacobiFormSpec, samples=16, eps: float = 1e-8) -> Jaco
 PANELS = 32
 
 
-@dataclass(frozen=True)
-class ZeroCountResult:
-    count: float | None
-    identically_zero: bool
-    perturbations: int
+ZeroCountResult = namedtuple("ZeroCountResult", "count identically_zero perturbations")
 
 
 def _edge_winding(F, tau, a: complex, b: complex, zero_floor: float) -> float:
@@ -297,12 +282,8 @@ class IndexClassification(Enum):
     PositiveIndexJacobiForm = "PositiveIndexJacobiForm"
 
 
-@dataclass(frozen=True)
-class IndexVerdict:
-    classification: IndexClassification
-    series_is_zero: bool
-    contradiction: bool
-    rigidity: object | None = None
+IndexVerdict = namedtuple("IndexVerdict", "classification series_is_zero contradiction rigidity",
+                          defaults=(None,))
 
 
 def rigidity_verdict_from_index(n: int, result) -> IndexVerdict:

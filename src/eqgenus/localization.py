@@ -12,9 +12,10 @@ integrands for every kind come from one call of
 ``genera.component_integrands``, which builds the component's theta
 denominator, its inverse and the normal-line adjugate once.  The
 integrand depends on the data only through E = w^{2m} e^x per line, so
-a component whose data is another's with every normal and V weight
-negated (its conjugate) has that one's integrand with w -> w^{-1}: each
-conjugate pair is built once.  ``equivariant_character`` is the
+a component with another's data has that one's integrand, and one whose
+data is another's with every normal and V weight negated (its conjugate)
+has it with w -> w^{-1}: each class of equal and conjugate components is
+built once.  ``equivariant_character`` is the
 one-kind case.  Verdict helpers classify rigidity, pole cancellation and
 vanishing.
 """
@@ -23,17 +24,17 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .algebra import (AlgebraError, DegreeOutOfRange, GradedElement, IntegrationTable, QSeries,
+from .algebra import (AlgebraError, DegreeOutOfRange, GradedElement, QSeries,
                       WLaurentPoly, WLaurentRational, _layout, fiber_integrate, format_monomial,
                       wpoly_divexact, wpoly_gcd)
 from .genera import (OperatorKind, RootBundle, bridge_to_index_character, component_denominator,
                      component_integrands, constants_ledger, numeric_integrand,
                      theta_quotient_integrand)
-from .theta import ConstantsLedger, NonconvergentDomain
+from .theta import NonconvergentDomain
 
 
 class ValidationError(Exception):
@@ -48,25 +49,19 @@ class NearPole(Exception):
     """Numeric evaluation requested too close to a character pole."""
 
 
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(namedtuple("FixedComponent", "name k_alpha tangent normals vbundles "
+                                                  "table sign gens cap")):
     """One connected component of the fixed submanifold.
 
-    ``gens`` lists the component's fiber generators followed by the shared
-    base generators; ``cap`` = 2*k_alpha + base degree cap.  Isolated
-    points are the degenerate case k_alpha = 0 with empty tangent data and
-    an empty integration table.
+    ``tangent`` is a RootBundle or None, ``normals`` and ``vbundles`` are
+    tuples of RootBundles and ``table`` is an IntegrationTable.  ``gens``
+    lists the component's fiber generators followed by the shared base
+    generators; ``cap`` = 2*k_alpha + base degree cap.  Isolated points are
+    the degenerate case k_alpha = 0 with empty tangent data and an empty
+    integration table.
     """
 
-    name: str
-    k_alpha: int
-    tangent: RootBundle | None
-    normals: tuple[RootBundle, ...]
-    vbundles: tuple[RootBundle, ...]
-    table: IntegrationTable
-    sign: int
-    gens: tuple[tuple[str, int], ...]
-    cap: int
+    __slots__ = ()
 
     def bridge_rank(self) -> int:
         """k = k_alpha + sum of normal ranks; must equal the global k."""
@@ -76,17 +71,12 @@ class FixedComponent:
         return sum(b.rank for b in self.vbundles)
 
 
-@dataclass(frozen=True)
-class ActionData:
-    """Fixed-point description of a fiberwise circle action."""
-
-    fiber_half_dim: int
-    components: tuple[FixedComponent, ...]
-    base_gens: tuple[tuple[str, int], ...] = ()
-    base_cap: int = 0
-    v_half_rank: int | None = None
-    declared_anomaly: int | None = None
-    name: str = ""
+class ActionData(namedtuple("ActionData", "fiber_half_dim components base_gens base_cap "
+                                          "v_half_rank declared_anomaly name",
+                            defaults=((), 0, None, None, ""))):
+    """Fixed-point description of a fiberwise circle action.  It has no
+    ``__slots__``: ``report`` and ``denominator`` are cached in the
+    instance dict."""
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -129,14 +119,8 @@ def _root_sum(bundles, weighted: bool, square: bool, gens, cap) -> GradedElement
     return out
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    errors: list[str]
-    warnings: list[str]
-    anomaly: Fraction | None
-    anomaly_tx: Fraction | None
-    witten_h_applicable: bool
+ValidationReport = namedtuple("ValidationReport", "ok errors warnings anomaly anomaly_tx "
+                                                  "witten_h_applicable")
 
 
 def validate(data: ActionData) -> ValidationReport:
@@ -269,20 +253,11 @@ def anomaly_index(data: ActionData) -> int:
 # the engine
 
 
-@dataclass(frozen=True)
-class GenusResult:
+class GenusResult(namedtuple("GenusResult", "series kind normalized n8 base_gens base_cap "
+                                            "bridge_k v_rank ledger provenance")):
     """Localized equivariant character: q-series of base-graded classes."""
 
-    series: QSeries
-    kind: OperatorKind
-    normalized: bool
-    n8: int
-    base_gens: tuple[tuple[str, int], ...]
-    base_cap: int
-    bridge_k: int
-    v_rank: int
-    ledger: ConstantsLedger
-    provenance: str
+    __slots__ = ()
 
     def monomials(self) -> list[tuple[int, ...]]:
         out = set()
@@ -331,31 +306,39 @@ def _same_bundles(a, b) -> bool:
     return not rest
 
 
-def _conjugate(c: FixedComponent, d: FixedComponent) -> bool:
-    """Whether d is c with every normal and V weight negated, orientation
-    signs free: then d's integrand is c's with w -> w^{-1} and d's den is
-    c's with w -> w^{-1}."""
-    def negated(bundles):
-        return [RootBundle(-b.weight, b.rank, b.roots) for b in bundles]
+def _same_data(c: FixedComponent, d: FixedComponent, negated: bool) -> bool:
+    """Whether d has c's data, with every normal and V weight negated when
+    ``negated`` (then d is c's conjugate); names and orientation signs are
+    free and bundles compare as multisets.  An equal d has c's integrand
+    and den; a conjugate has them with w -> w^{-1}."""
+    def flip(bundles):
+        return [RootBundle(-b.weight, b.rank, b.roots) for b in bundles] if negated else bundles
 
     return (c.k_alpha == d.k_alpha and c.gens == d.gens and c.cap == d.cap
             and c.tangent == d.tangent
             and (c.table.fiber_gens, c.table.k_alpha, c.table.entries)
             == (d.table.fiber_gens, d.table.k_alpha, d.table.entries)
-            and _same_bundles(negated(c.normals), d.normals)
-            and _same_bundles(negated(c.vbundles), d.vbundles))
+            and _same_bundles(flip(c.normals), d.normals)
+            and _same_bundles(flip(c.vbundles), d.vbundles))
 
 
-def _conjugate_pairs(components) -> list[tuple[FixedComponent, FixedComponent | None]]:
-    """Each component in order with its conjugate, the first later one not
-    yet paired, or None; a paired conjugate is not listed again."""
-    rest = list(components)
-    pairs = []
-    while rest:
-        comp = rest.pop(0)
-        j = next((j for j, d in enumerate(rest) if _conjugate(comp, d)), None)
-        pairs.append((comp, None if j is None else rest.pop(j)))
-    return pairs
+def _component_classes(components) -> list[tuple[FixedComponent, int, int]]:
+    """The components grouped by data, in order of each class's first
+    member, its representative: (representative, summed sign of the
+    members equal to it, summed sign of its conjugates).  Equality is
+    checked first, so a self-conjugate component joins one class once."""
+    classes = []
+    for comp in components:
+        for i, (rep, sign, conj_sign) in enumerate(classes):
+            if _same_data(rep, comp, False):
+                classes[i] = (rep, sign + comp.sign, conj_sign)
+                break
+            if _same_data(rep, comp, True):
+                classes[i] = (rep, sign, conj_sign + comp.sign)
+                break
+        else:
+            classes.append((comp, comp.sign, 0))
+    return classes
 
 
 def equivariant_characters(data: ActionData, kinds, n8: int,
@@ -363,30 +346,33 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
     """The character of each of ``kinds``: the sum of its pushed-forward
     integrands over the fixed components, each times its cofactor D / den
     over Laurent polynomials; each summed coefficient is then reduced once
-    over D.  The components are the outer loop: each component's
-    integrands (``genera.component_integrands``) share one theta
-    denominator, built once for every kind, and only one component's are
-    alive at a time.  A conjugate (``_conjugate``) adds the pushed series
-    of its partner with w -> w^{-1}, times its own cofactor D / den(w^{-1})
-    and sign, and is never built."""
+    over D.  The component classes (``_component_classes``) are the outer
+    loop: each representative's integrands (``genera.component_integrands``)
+    share one theta denominator, built once for every kind, and only one
+    representative's are alive at a time.  The class adds the pushed series
+    times its cofactor and summed sign, plus the same with w -> w^{-1}
+    times D / den(w^{-1}) and the conjugates' summed sign; a class whose
+    two sums are 0 is not built."""
     validated(data)
     kinds = tuple(dict.fromkeys(kinds))
     for kind in kinds:
         if kind.needs_v and any(not c.vbundles for c in data.components):
             raise ValidationError("%s requires V data on every component" % kind.value)
     D = data.denominator
-    totals: dict[OperatorKind, QSeries] = {}
-    for comp, conj in _conjugate_pairs(data.components):
+    totals = {kind: QSeries.zero(n8) for kind in kinds}
+    for comp, sign, conj_sign in _component_classes(data.components):
+        if not (sign or conj_sign):
+            continue
         den, integrands = component_integrands(comp, kinds, n8, normalized)
-        cofactor = wpoly_divexact(D, den) * comp.sign
-        if conj is not None:
-            conj_cofactor = wpoly_divexact(D, den.subs_w_inverse()) * conj.sign
+        cofactor = wpoly_divexact(D, den) * sign
+        if conj_sign:
+            conj_cofactor = wpoly_divexact(D, den.subs_w_inverse()) * conj_sign
         for kind, series in integrands:
             pushed = series.map_coefficients(lambda g: fiber_integrate(g, comp.table))
             part = pushed.map_coefficients(lambda g: g * cofactor)
-            if conj is not None:
+            if conj_sign:
                 part = part + pushed.map_coefficients(lambda g: g.subs_w_inverse() * conj_cofactor)
-            totals[kind] = totals[kind] + part if kind in totals else part
+            totals[kind] = totals[kind] + part
     out = {}
     for kind, total in totals.items():
         total = total.map_coefficients(lambda g: g.map_coefficients(lambda v: _over(v, D)))
@@ -416,11 +402,7 @@ def _over(num: WLaurentPoly, D: WLaurentPoly) -> WLaurentRational:
 # verdicts
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
-    rigid: bool
-    constants: dict[tuple[int, str], Fraction] | None
-    witness: tuple | None
+RigidityVerdict = namedtuple("RigidityVerdict", "rigid constants witness")
 
 
 def rigidity_check(result: GenusResult) -> RigidityVerdict:
@@ -436,11 +418,8 @@ def rigidity_check(result: GenusResult) -> RigidityVerdict:
     return RigidityVerdict(True, constants, None)
 
 
-@dataclass(frozen=True)
-class PoleReport:
-    per_q: dict[int, tuple[int, int]]  # key -> (max denominator degree before, after)
-    cancelled: bool
-    summed: QSeries
+# per_q maps each q-key to (max denominator degree before the sum, after)
+PoleReport = namedtuple("PoleReport", "per_q cancelled summed")
 
 
 def _den_degree_of(coeff) -> int:

@@ -26,7 +26,7 @@ import cmath
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -54,13 +54,10 @@ class ThetaKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class ConstantsLedger:
+class ConstantsLedger(namedtuple("ConstantsLedger", "two_pi i two", defaults=(0, 0, 0))):
     """Extracted constants: powers of 2*pi, i and 2 kept out of rational data."""
 
-    two_pi: int = 0
-    i: int = 0
-    two: int = 0
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +125,12 @@ def _subst_char(poly: WLaurentPoly, m: Fraction, k: int) -> WLaurentRational:
     return WLaurentRational(out)
 
 
-@dataclass(frozen=True)
-class ThetaSeries:
-    """A formal theta expansion: i^{i_power} times a rational q-w series."""
+class ThetaSeries(namedtuple("ThetaSeries", "kind m series i_power vanishing_order")):
+    """A formal theta expansion: i^{i_power} times a rational q-w series;
+    ``vanishing_order`` is the order of the zero at v = 0 carried by the
+    series."""
 
-    kind: ThetaKind
-    m: Fraction
-    series: QSeries
-    i_power: int
-    vanishing_order: int  # order of the zero at v = 0 carried by the series
+    __slots__ = ()
 
 
 def theta_formal(kind: ThetaKind, m, n8: int) -> ThetaSeries:
@@ -155,8 +149,7 @@ def theta_formal(kind: ThetaKind, m, n8: int) -> ThetaSeries:
     return ThetaSeries(kind, m, series, i_pow, vanishing)
 
 
-@dataclass(frozen=True)
-class ThetaTaylorStack:
+class ThetaTaylorStack(namedtuple("ThetaTaylorStack", "kind m entries ledger vanishes_at_zero")):
     """Normalized derivative stack D_v^k theta_kind(v, tau) at v = m t.
 
     Entry k has rational coefficients; the true k-th derivative in v is
@@ -164,11 +157,7 @@ class ThetaTaylorStack:
     c(q) prefactors are exactly representable and live inside the series.
     """
 
-    kind: ThetaKind
-    m: Fraction
-    entries: tuple[QSeries, ...]
-    ledger: ConstantsLedger
-    vanishes_at_zero: bool
+    __slots__ = ()
 
 
 def theta_taylor(kind: ThetaKind, m, k_max: int, n8: int) -> ThetaTaylorStack:
@@ -327,8 +316,7 @@ def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
 # Transformation-law checkers
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "identity samples max_discrepancy eps")):
     """Outcome of a sampled identity check.
 
     ``max_discrepancy`` is scale-normalized: |lhs - rhs| / (1 + max(|lhs|, |rhs|)),
@@ -336,10 +324,7 @@ class CheckReport:
     double precision.
     """
 
-    identity: str
-    samples: int
-    max_discrepancy: float
-    eps: float
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

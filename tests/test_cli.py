@@ -359,6 +359,18 @@ def test_exact_commands_on_a_file_import_neither_jacobi_nor_catalog(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # the record classes are namedtuples: importing dataclasses, which pulls
+    # in inspect, ast, dis and tokenize, costs every command start-up time
+    script = ("import sys; import eqgenus.cli, eqgenus.jacobi, eqgenus.catalog\n"
+              "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eqgenus.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     ("rigidity", "--input", "catalog:no-such-entry"),
     ("catalog", "emit", "no-such-entry"),
@@ -579,11 +591,11 @@ def test_rigidity_all_builds_and_inverts_each_theta_denominator_once(monkeypatch
                                                                       name):
     # U, theta over the TX lines, is the one series of graded elements that
     # the exact path inverts (each family's scalar series is a Fraction
-    # series); one command reads the lines of the first fixed component of
-    # each conjugate pair (test_localization pins the pairs) and of each
-    # unpaired one, and builds and inverts its U, once for every kind
+    # series); one command reads the lines of each component class's
+    # representative (test_localization pins the classes), and builds and
+    # inverts its U, once for every kind
     from eqgenus import genera
-    from eqgenus.localization import _conjugate_pairs
+    from eqgenus.localization import _component_classes
     read, built, inverted = [], [], []
     lines, denominator, series_invert = genera._lines, genera._denominator, genera.series_invert
 
@@ -601,7 +613,7 @@ def test_rigidity_all_builds_and_inverts_each_theta_denominator_once(monkeypatch
     assert code == 0
     assert len(json.loads(out)["verdicts"]) >= 3
     components = builtin(name).data.components
-    firsts = [c.name for c, _ in _conjugate_pairs(components)]
+    firsts = [c.name for c, _, _ in _component_classes(components)]
     assert len(firsts) < len(components) or name == "s4-rotation"
     assert [c.name for c in read] == firsts
     assert len(built) == len(inverted) == len(read)

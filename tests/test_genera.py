@@ -83,10 +83,18 @@ def test_ds_normal_factor_q0():
 
 
 def test_zero_weight_normal_rejected():
+    zero = GradedElement.zero((), 0)
     comp = point(1)
-    bad = Comp((), 0, None, comp.normals + (RootBundle(0, 1, (GradedElement.zero((), 0),)),))
+    bad = Comp((), 0, None, comp.normals + (RootBundle(0, 1, (zero,)),))
     with pytest.raises(ZeroWeightNormalBundle):
         theta_quotient_integrand(OperatorKind.DThetaQ, bad, 8)
+    # a bundle itself rejects a rank that is not its number of roots and a
+    # weight off the half-integers, and stores its weight as a Fraction
+    with pytest.raises(ValueError, match="rank 2 but 1 roots"):
+        RootBundle(1, 2, (zero,))
+    with pytest.raises(ValueError, match="half-integers"):
+        RootBundle(Fraction(1, 3), 1, (zero,))
+    assert type(RootBundle(2, 1, (zero,)).weight) is Fraction
 
 
 def test_parity_involution():

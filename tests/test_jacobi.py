@@ -103,7 +103,8 @@ def test_slash_identity():
 
 def test_slash_cocycle():
     rng = random.Random(103)
-    spec = JacobiFormSpec(Fraction(1), 2)
+    spec = JacobiFormSpec(1, 2)
+    assert type(spec.index) is Fraction
     F = lambda t, tau: cmath.exp(2j * math.pi * (t + 0.3 * t * t)) / (tau - 0.1j)
     pool = [S, T, T.inverse()]
     for _ in range(20):

@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,8 +20,8 @@ from eqgenus.localization import (
     equivariant_characters,
     evaluate_numeric,
     pole_cancellation_check,
-    _conjugate,
-    _conjugate_pairs,
+    _component_classes,
+    _same_data,
     rigidity_check,
     validate,
 )
@@ -45,8 +44,10 @@ def s2(v=()):
 # -- validation -----------------------------------------------------------------
 
 def test_validate_s2():
-    rep = validate(builtin("s2-rotation").data)
+    data = builtin("s2-rotation").data
+    rep = validate(data)
     assert rep.ok
+    assert data.report is data.report and data.report == rep
     assert rep.anomaly_tx == 1
     assert rep.witten_h_applicable
 
@@ -288,7 +289,7 @@ def test_linearity_disjoint_union():
     # moves the character by twice that component's contribution
     cp3 = builtin("cp3-weighted").data
     first = cp3.components[0]
-    flipped = ActionData(3, (replace(first, sign=-1),) + cp3.components[1:], name="flipped")
+    flipped = ActionData(3, (first._replace(sign=-1),) + cp3.components[1:], name="flipped")
     r = equivariant_character(cp3, OperatorKind.DThetaMinusQ, 12).series
     rf = equivariant_character(flipped, OperatorKind.DThetaMinusQ, 12).series
     part = component_contribution(cp3, first, OperatorKind.DThetaMinusQ, 12)
@@ -320,6 +321,19 @@ _CATALOG_PAIRS = {
     "s4-rotation": [],
 }
 
+# each catalog class (representative, summed sign of its equal members,
+# summed sign of its conjugates): s2xs2's p-1+1 is p+1-1 with its two lines
+# listed in the other order, so it is equal as well as conjugate, and
+# equality wins
+_CATALOG_CLASSES = {
+    "cp3-weighted": [("e0", 1, 1), ("e1", 1, 1)],
+    "s2-family-base": [("p+", 1, 1)],
+    "s2-rotation": [("p+", 1, 1)],
+    "s2-v-double-tangent": [("p+", 1, 1)],
+    "s2xs2-birotation": [("p+1+1", 1, 1), ("p+1-1", 2, 0)],
+    "s4-rotation": [("pN", 1, 0), ("pS", 1, 0)],
+}
+
 
 def _variants(data):
     """Every applicable (kind, normalized) of a dataset."""
@@ -331,11 +345,11 @@ def _variants(data):
 @pytest.mark.parametrize("name", names())
 def test_conjugate_pairs_of_the_catalog(name):
     data = builtin(name).data
-    pairs = [(c.name, d.name) for c, d in _conjugate_pairs(data.components) if d is not None]
-    assert pairs == _CATALOG_PAIRS[name]
-    paired = {n for pair in pairs for n in pair}
-    unpaired = [c.name for c, d in _conjugate_pairs(data.components) if d is None]
-    assert sorted(unpaired) == sorted(c.name for c in data.components if c.name not in paired)
+    comps = {c.name: c for c in data.components}
+    for first, conj in _CATALOG_PAIRS[name]:
+        assert _same_data(comps[first], comps[conj], True)
+    classes = [(c.name, s, cs) for c, s, cs in _component_classes(data.components)]
+    assert classes == _CATALOG_CLASSES[name]
 
 
 def _assert_conjugate_integrands(data, pairs):
@@ -359,7 +373,7 @@ def test_conjugate_integrand_is_the_first_with_w_inverted(name):
 def test_s4_poles_are_not_conjugate():
     # pS negates both weights but also one line's root class
     n, s = builtin("s4-rotation").data.components
-    assert not _conjugate(n, s) and not _conjugate(s, n)
+    assert not _same_data(n, s, True) and not _same_data(s, n, True)
 
 
 def _fibered_pair(conj_root=1, conj_table=1, conj_sign=-1):
@@ -384,11 +398,11 @@ def _fibered_pair(conj_root=1, conj_table=1, conj_sign=-1):
 
 def test_conjugate_needs_equal_roots_and_tables():
     a, conj = _fibered_pair().components
-    assert _conjugate(a, conj)
+    assert _same_data(a, conj, True)
     for changed in (_fibered_pair(conj_root=2), _fibered_pair(conj_table=2)):
         a, other = changed.components
-        assert not _conjugate(a, other)
-        assert _conjugate_pairs(changed.components) == [(a, None), (other, None)]
+        assert not _same_data(a, other, True)
+        assert _component_classes(changed.components) == [(a, 1, 0), (other, -1, 0)]
 
 
 def test_conjugate_pair_with_different_signs_sums_like_its_contributions():
@@ -396,13 +410,37 @@ def test_conjugate_pair_with_different_signs_sums_like_its_contributions():
     data = _fibered_pair()
     assert validate(data).ok
     _assert_conjugate_integrands(data, [("a", "a*")])
-    assert [(c.name, d.name) for c, d in _conjugate_pairs(data.components)] == [("a", "a*")]
+    assert [(c.name, s, cs) for c, s, cs in _component_classes(data.components)] == [("a", 1, -1)]
     for kind, normalized in _variants(data):
         rep = _summed_contributions(data, kind, 16, normalized)
         res = equivariant_character(data, kind, 16, normalized).series
         assert res == rep.summed, (kind, normalized)
         # the conjugate's share is nonzero, so its sign is seen
         assert component_contribution(data, data.components[1], kind, 16, normalized)
+
+
+def test_equal_components_are_built_once_and_sum_like_their_contributions(monkeypatch):
+    # e0 three times with signs (+1, +1, -1); e1 twice with (+1, -1), so its
+    # class builds only for its conjugate e2; a point x with a copy of
+    # opposite sign, whose class sums to 0 and is not built
+    from eqgenus import genera
+    e0, e1, e2, e3 = builtin("cp3-weighted").data.components
+    x = isolated("x", (-1, 2, 3))
+    data = ActionData(3, (e0, e1, e0._replace(name="e0'"), e2, x, e3,
+                          e0._replace(name="e0''", sign=-1), x._replace(name="x'", sign=-1),
+                          e1._replace(name="e1'", sign=-1)),
+                      name="cp3-repeated")
+    classes = [(c.name, s, cs) for c, s, cs in _component_classes(data.components)]
+    assert classes == [("e0", 1, 1), ("e1", 0, 1), ("x", 0, 0)]
+    for kind, normalized in _variants(data):
+        rep = _summed_contributions(data, kind, 16, normalized)
+        assert equivariant_character(data, kind, 16, normalized).series == rep.summed
+    built = []
+    denominator = genera._denominator
+    monkeypatch.setattr(genera, "_denominator",
+                        lambda be, *parts: built.append(be) or denominator(be, *parts))
+    equivariant_characters(data, [kind for kind, _ in _variants(data)], 16)
+    assert len(built) == 2
 
 
 # -- numeric path ------------------------------------------------------------------
