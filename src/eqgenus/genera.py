@@ -20,15 +20,21 @@ Two independent realizations of each integrand are provided:
   normalized so 2 pi i is absorbed into the degree-2 generators, every
   constant of 2 pi and i cancels identically and the coefficients are
   honest rational functions of w.  One interpreter builds it over one
-  carrier, ``GradedElement``, through two backends that differ only in
-  their coefficient ring: the exact q-series backend serves this
-  function and the numeric backend serves ``numeric_integrand``, the
-  same product at a point (t, tau), on complex jets.  The backends
-  supply the w-power (a Laurent monomial or the complex number w^{2m}),
-  the scalar field of the constants 1/k! (Fraction or float), the lift
-  into the product ring (q-series or the jet itself) and the keys of
-  the q-products (the series order, or ``theta.product_keys``, which
-  certifies a relative error).
+  carrier, ``GradedElement``, through two backends that differ in their
+  coefficient ring and in how they form a line's theta pair product:
+  the exact q-series backend serves this function and the numeric
+  backend serves ``numeric_integrand``, the same product at a point
+  (t, tau), on complex jets.  The backends supply the w-power (a
+  Laurent monomial or the complex number w^{2m}), the scalar field of
+  the constants 1/k! (Fraction or float), the lift into the product
+  ring (q-series or the jet itself), the scalar q-products (the c(q)
+  powers and the null values) and the pair products.  The exact backend
+  multiplies a pair product's factors up to the series order.  The
+  numeric one builds prod (1 + c_k e^x)(1 + c'_k e^{-x}) from complex
+  scalars, as prod (1 + c_k) times the exp of a short log-Taylor series
+  in the root x, and multiplies a factor with |1 + c| < 1/2 in as a jet;
+  its keys come from ``theta.product_keys``, which certifies a relative
+  error, for the lead (|w^{tw}| + |w^{-tw}|) sum_{j <= J} ||x||_1^j / j!.
 
   The theta denominator is a property of the fixed component, not of
   the family: ``_denominator`` builds it, ``_numerator`` each family's
@@ -84,6 +90,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .algebra import (
@@ -210,8 +217,8 @@ V_KINDS = tuple(k for k in OperatorKind if k.needs_v)
 def _iter_lines(bundles) -> list[tuple[int, GradedElement]]:
     out = []
     for b in bundles:
-        for r in b.roots:
-            out.append((b.tw, r))
+        tw = b.tw
+        out.extend((tw, r) for r in b.roots)
     return out
 
 
@@ -238,9 +245,7 @@ def _token(be, tok, tw: int, x: GradedElement):
     """One per-line numerator factor in the backend's product ring; x is
     the line's root in the backend's coefficient ring."""
     if isinstance(tok, ThetaKind):
-        first, sign = PAIR_GRID[tok]
-        return be.product(be.one, first, (_line(tw, x, be, be.field) * sign,
-                                          _line(-tw, -x, be, be.field) * sign))
+        return be.pair_product(*PAIR_GRID[tok], tw, x)
     if tok == "lin+":
         return be.lift(be.one + _line(-tw, -x, be, be.field))
     if tok == "lin-":
@@ -399,6 +404,12 @@ class _SeriesBackend:
 
     def product(self, one, first: int, coeffs) -> QSeries:
         return series_product(QSeries({0: one}, self.n8), one, first, coeffs)
+
+    def pair_product(self, first: int, sign: int, tw: int, x: GradedElement) -> QSeries:
+        """prod (1 + sign E q^{k/8})(1 + sign E^{-1} q^{k/8}) over the keys
+        k = first, first + 8, ..., E = w^{tw} e^x."""
+        return self.product(self.one, first, (_line(tw, x, self, self.field) * sign,
+                                              _line(-tw, -x, self, self.field) * sign))
 
 
 def _normal_scalar(component) -> WLaurentPoly:
@@ -681,17 +692,39 @@ def oracle_expand_vs_closed(kind: OperatorKind, component, n8_small: int,
 # the numeric backend of the interpreter
 
 
+@lru_cache(maxsize=None)
+def _log_derivatives(J: int) -> tuple[tuple[int, ...], ...]:
+    """P_1, ..., P_J as coefficient lists over u^0, u^1, ...: P_j(u) is the
+    j-th derivative of log(1 + c e^y) at y = 0, in u = c / (1 + c).  Since
+    d/dy log(1 + c e^y) = u(y) and du/dy = u (1 - u), P_1 = u and
+    P_{j+1} = u (1 - u) P_j'."""
+    polys = [(0, 1)]
+    while len(polys) < J:
+        p = polys[-1]
+        nxt = [0] * (len(p) + 1)
+        for m in range(1, len(p)):
+            nxt[m] += m * p[m]
+            nxt[m + 1] -= m * p[m]
+        polys.append(tuple(nxt))
+    return tuple(polys[:J])
+
+
 class _JetBackend:
     """Numeric coefficients: jets at (t, tau), graded elements with complex
     coefficients (with no generators a jet product is one complex
     multiply); the constants are floats and scalar products are complex
     numbers.
 
-    Each q-product keeps the keys of ``theta.product_keys`` for a lead of
-    the sum of its coefficients' l1 jet norms (l1 is submultiplicative on
-    jets), within a relative budget of eps / (8 (lines + 1)).  The
-    interpreter makes at most 2 (lines + 1) products, so their left-out
-    factors move the integrand by an l1-relative amount below eps.
+    A theta pair product over a line is built from complex scalars
+    (``pair_product``): one loop over its keys and a short log-Taylor
+    series in the line's root, not a jet multiply per key.  ``product``
+    serves the scalar products alone (the c(q) powers and the null
+    values).  Each q-product keeps the keys of ``theta.product_keys`` for
+    a bound on the l1 jet norms of its factors' deviations from 1 at the
+    first key (l1 is submultiplicative on jets), within a relative budget
+    of eps / (8 (lines + 1)).  The interpreter makes at most 2 (lines + 1)
+    products, so their left-out factors move the integrand by an
+    l1-relative amount below eps.
     """
 
     field = float
@@ -720,10 +753,61 @@ class _JetBackend:
         return self.qh ** (k // 4)
 
     def product(self, one, first: int, coeffs):
-        lead = sum(sum(map(abs, c.c)) if isinstance(c, GradedElement) else abs(c)
-                   for c in coeffs)
-        return unit_product(one, product_keys(first, lead, abs(self.qh) ** 2, self.budget), coeffs,
+        """prod (1 + c q^{k/8}) over the keys k and the complex scalars c."""
+        dev = sum(map(abs, coeffs)) * abs(self.qpow(first))
+        return unit_product(one, product_keys(first, dev, abs(self.qh) ** 2, self.budget), coeffs,
                             lambda k, c: one + c * self.qpow(k))
+
+    def pair_product(self, first: int, sign: int, tw: int, x: GradedElement) -> GradedElement:
+        """prod (1 + c_k e^x)(1 + c'_k e^{-x}) over the keys k, with
+        c_k = sign w^{tw} q^{k/8} and c'_k = sign w^{-tw} q^{k/8}: the pair
+        product over the line E = w^{tw} e^x.
+
+        A factor 1 + c e^{+-x} is (1 + c) exp(sum_j P_j(u) (+-x)^j / j!),
+        u = c / (1 + c) and P_j from ``_log_derivatives``; the sum is exact
+        at J = cap // 2, since x^{J+1} = 0.  So the product is a complex
+        scalar times the exp of one series in x, whose coefficients come
+        from the power sums of the u; the exp's own coefficients are
+        scalars too, so one ``graded_series`` builds it.  A factor with
+        |1 + c| < 1/2 is a jet multiply instead: near a zero of 1 + c the
+        polynomials in u lose the precision that the direct product keeps,
+        and everywhere else |u| <= 3.  The keys are certified for the lead
+        (|w^{tw}| + |w^{-tw}|) sum_{j <= J} ||x||_1^j / j!, which bounds
+        the l1 norms of both coefficient jets w^{+-tw} e^{+-x}.
+        """
+        J = x.cap // 2 if x else 0
+        cp, cm = sign * self.w(tw), sign * self.w(-tw)
+        norm = sum(map(abs, x.c))
+        lead = (abs(cp) + abs(cm)) * sum(norm ** j / factorial(j) for j in range(J + 1))
+        q, qk = self.qh * self.qh, self.qpow(first)
+        scalar, direct = 1 + 0j, []
+        # sums[side][m]: the sum of u^m over the factors in e^x (side 0), e^{-x} (side 1)
+        sums = ([0j] * (J + 1), [0j] * (J + 1))
+        for _ in product_keys(first, lead * abs(qk), abs(q), self.budget):
+            for c, side in ((cp * qk, 0), (cm * qk, 1)):
+                d = 1 + c
+                if J and abs(d) < 0.5:
+                    direct.append(self.one + graded_exp(-x if side else x, float) * c)
+                    continue
+                scalar *= d
+                u = p = c / d
+                s = sums[side]
+                for m in range(1, J + 1):
+                    s[m] += p
+                    p *= u
+            qk *= q
+        # the log series sum_j a_j x^j and its exp sum_n b_n x^n, by
+        # n b_n = sum_{j <= n} j a_j b_{n-j}
+        plus, minus = sums
+        a = [0j] + [sum(v * (plus[m] + (-1) ** j * minus[m]) for m, v in enumerate(poly) if v)
+                    / factorial(j) for j, poly in enumerate(_log_derivatives(J), 1)]
+        b = [1 + 0j]
+        for n in range(1, J + 1):
+            b.append(sum(j * a[j] * b[n - j] for j in range(1, n + 1)) / n)
+        out = graded_series(x, b[1:]) * scalar
+        for f in direct:
+            out = out * f
+        return out
 
 
 def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,

@@ -22,7 +22,6 @@ vanishing.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -79,6 +78,10 @@ class ActionData(namedtuple("ActionData", "fiber_half_dim components base_gens b
     instance dict."""
 
     def digest(self) -> str:
+        # imported here: only expand and rigidity take a digest, and loading
+        # hashlib costs every command's start-up
+        import hashlib
+
         h = hashlib.sha256()
         h.update(repr((self.fiber_half_dim, self.base_gens, self.base_cap,
                        self.v_half_rank, self.declared_anomaly)).encode())

@@ -69,8 +69,9 @@ def unit_product(acc, keys, coeffs, factor):
     key k and every c in coeffs.
 
     It serves the exact q-series products (``series_product``) and the
-    numeric integrand's jet products; ``_theta_direct`` multiplies its
-    scalar theta factors in its own loop.  The caller's ``keys`` set the
+    numeric integrand's scalar products (the c(q) powers and the null
+    values); the numeric theta pair products over a line's root and
+    ``_theta_direct`` run their own loops.  The caller's ``keys`` set the
     truncation: the range of the series order for exact series,
     ``product_keys`` for numeric values.
     """
@@ -189,24 +190,25 @@ def evaluate_formal(series: QSeries, t: complex, tau: complex) -> complex:
 # Numeric evaluation
 
 
-def product_keys(first: int, lead: float, aq: float, eps: float) -> range:
+def product_keys(first: int, dev: float, aq: float, eps: float) -> range:
     """The keys first, first + 8, ... to keep of a product prod (1 + d)
-    whose factors at key k deviate from 1 by at most lead |q|^{k/8} in
-    total, aq = |q| < 1.
+    whose factors at key first + 8 i deviate from 1 by at most dev |q|^i
+    in total, aq = |q| < 1.
 
-    From the first left-out key K the deviations sum to at most
-    S = lead |q|^{K/8} / (1 - |q|), and |prod (1 + d_j) - 1| <= exp(S) - 1
+    From the first left-out step I the deviations sum to at most
+    S = dev |q|^I / (1 - |q|), and |prod (1 + d_j) - 1| <= exp(S) - 1
     in any submultiplicative norm (|.| on numbers, l1 on jets); so the
-    keys below the least K with S <= log1p(eps) are kept.
+    keys below the least I with S <= log1p(eps) are kept.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    tail = math.log1p(eps) * (1 - aq)  # the largest lead |q|^{K/8} allowed
-    if not (0 <= aq < 1 and math.isfinite(lead)):
-        raise NonconvergentDomain("no certified truncation at |q|=%g, lead %g" % (aq, lead))
-    if lead * aq ** (first / 8) <= tail:  # also where lead or q is 0
+    tail = math.log1p(eps) * (1 - aq)  # the largest dev |q|^I allowed
+    if not (0 <= aq < 1 and math.isfinite(dev)):
+        raise NonconvergentDomain("no certified truncation at |q|=%g, deviation %g" % (aq, dev))
+    if dev <= tail:  # also where dev is 0
         return range(first, first, 8)
-    count = math.ceil(math.log(tail / lead) / math.log(aq) - first / 8)
+    # where q underflows to 0 only the first key deviates
+    count = math.ceil(math.log(tail / dev) / math.log(aq)) if aq else 1
     if count > 100000:
         raise NonconvergentDomain("product needs %d factors at |q|=%g" % (count, aq))
     return range(first, first + 8 * count, 8)
@@ -245,21 +247,28 @@ def _s_step(kind: ThetaKind, t1: complex, tau1: complex) -> tuple[ThetaKind, com
 
 def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> complex:
     """Product evaluation within relative eps, valid for Im tau bounded
-    away from 0."""
+    away from 0.
+
+    Each coefficient is formed as one exponential of its whole argument,
+    so no power of q, z = e^{2 pi i t} or s = e^{pi i t} overflows on its
+    own where the factors are finite (at t = 300i, tau = 1000i, z^{-1}
+    alone is e^{600 pi})."""
+    first, sgn = PAIR_GRID[kind]
     qh = cmath.exp(1j * math.pi * tau)  # q^{1/2} pinned by tau, not by a branch cut
     q = qh * qh
-    z = cmath.exp(2j * math.pi * t)
-    zi = cmath.exp(-2j * math.pi * t)
-    s = cmath.exp(1j * math.pi * t)
-    first, sgn = PAIR_GRID[kind]
-    # theta and theta1 carry q^{1/8} (s + sgn s^{-1}), theta with a factor -i
-    prod = 1 + 0j if first == 4 else \
-        cmath.exp(2j * math.pi * tau / 8) * (s + sgn / s) * (1 if sgn > 0 else -1j)
+    # q^{first/8} z^{+-1}, the pair's coefficients at the first key
+    a, b = 0.25j * math.pi * first * tau, 2j * math.pi * t
+    qz, qzi = cmath.exp(a + b), cmath.exp(a - b)
+    prod = 1 + 0j
+    if first == 8:
+        # theta and theta1 carry q^{1/8} (s + sgn s^{-1}), theta with a factor
+        # -i; q^{1/8} = e^{a/8} and s = e^{pi i t} = e^{b/2}
+        prod = (cmath.exp(a / 8 + b / 2) + sgn * cmath.exp(a / 8 - b / 2)) * (1 if sgn > 0 else -1j)
     # the factors at key k: 1 - q^{(k + 8 - first)/8} and 1 + sgn q^{k/8} z^{+-1}
-    qn, qz = q, (qh if first == 4 else q)
-    for _ in product_keys(first, 1 + abs(z) + abs(zi), abs(q), eps):
-        prod *= (1 - qn) * (1 + sgn * qz * z) * (1 + sgn * qz * zi)
-        qn, qz = qn * q, qz * q
+    qn = q
+    for _ in product_keys(first, abs(q) + abs(qz) + abs(qzi), abs(q), eps):
+        prod *= (1 - qn) * (1 + sgn * qz) * (1 + sgn * qzi)
+        qn, qz, qzi = qn * q, qz * q, qzi * q
     return prod
 
 

@@ -361,9 +361,10 @@ def test_exact_commands_on_a_file_import_neither_jacobi_nor_catalog(tmp_path):
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     # the record classes are namedtuples: importing dataclasses, which pulls
-    # in inspect, ast, dis and tokenize, costs every command start-up time
+    # in inspect, ast, dis and tokenize, costs every command start-up time;
+    # so does hashlib, which only a dataset digest needs
     script = ("import sys; import eqgenus.cli, eqgenus.jacobi, eqgenus.catalog\n"
-              "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+              "print(sorted(m for m in ('dataclasses', 'inspect', 'hashlib') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eqgenus.__file__)))
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)

@@ -1,9 +1,12 @@
+import cmath
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
+from eqgenus import genera
 from eqgenus.algebra import (
     GradedElement,
     IntegrationTable,
@@ -18,6 +21,8 @@ from eqgenus.genera import (
     OperatorKind,
     RootBundle,
     ZeroWeightNormalBundle,
+    _JetBackend,
+    _line,
     a_hat,
     chern_character,
     complexified,
@@ -28,7 +33,7 @@ from eqgenus.genera import (
     witten_element_ch,
 )
 from eqgenus.localization import ActionData, FixedComponent, equivariant_character
-from eqgenus.theta import ConstantsLedger, ThetaKind, theta_formal
+from eqgenus.theta import PAIR_GRID, ConstantsLedger, ThetaKind, theta_formal, unit_product
 
 
 @dataclass
@@ -485,6 +490,64 @@ def test_numeric_integrand_never_mixes_fraction_and_complex(monkeypatch):
         jet = numeric_integrand(kind, comp, 0.37, 0.15 + 1.6j, 1e-12, normalized)
         assert len(jet.terms) > 1
         assert not mixed, (kind, normalized, sorted(set(mixed)))
+
+
+def test_numeric_pair_product_matches_the_jet_product(monkeypatch):
+    # the scalar loop and log-Taylor series against the direct product of the
+    # two _line jets over the same keys, at seeded points 1e-7 to 1e-3 from a
+    # zero of one factor 1 + c_k e^{+-x}, and at the lattice shift t + 2 tau,
+    # where some |c_k| >> 1; cap 4 (J = 2) and cap 8 (J = 4)
+    cap8 = (("x", 2), ("b", 2))
+    x8, b8 = (GradedElement.generator(cap8, 8, n) for n in ("x", "b"))
+    comps = [(fiber_and_base(), None), (Comp(cap8, 8, None, ()), (x8 + b8, x8 * 2 - b8 * 3))]
+    kept = []
+    product_keys = genera.product_keys
+
+    def spy(*args):
+        kept.append(product_keys(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(genera, "product_keys", spy)
+    rng = random.Random(73)
+    for comp, roots in comps:
+        if roots is None:
+            roots = [x for b in (comp.tangent,) + comp.normals + comp.vbundles for x in b.roots]
+        for _ in range(130):
+            kind = rng.choice(list(ThetaKind))
+            first, sign = PAIR_GRID[kind]
+            tw, side = rng.choice((1, -1, 2, -3)), rng.choice((1, -1))
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.4))
+            k = first + 8 * rng.choice((0, 1))
+            # 1 + sign w^{side tw} q^{k/8} = 0 where side tw t + k tau / 4 is
+            # 1 (sign 1) or 0 (sign -1) modulo 2
+            zero = ((1 if sign > 0 else 0) + 2 * rng.randint(-1, 1) - k * tau / 4) / (side * tw)
+            near = zero + cmath.rect(10 ** rng.uniform(-7, -3), rng.uniform(0, 2 * math.pi))
+            for t in (near, near + 2 * tau):
+                be = _JetBackend(comp, t, tau, 1e-12, 4)
+                x = be.root(rng.choice(roots))
+                got = be.pair_product(first, sign, tw, x)
+                ref = unit_product(be.one, kept[-1], (_line(tw, x, be, float) * sign,
+                                                      _line(-tw, -x, be, float) * sign),
+                                   lambda key, c: be.one + c * be.qpow(key))
+                err = sum(abs(a - b) for a, b in zip(got.c, ref.c)) / sum(map(abs, ref.c))
+                assert err <= 1e-13, (kind, tw, x, t, tau, err)
+
+
+def test_numeric_scalar_products_take_only_scalars(monkeypatch):
+    # the theta pair products over the lines run in pair_product, so the
+    # backend's product serves the c(q) powers and the null values alone
+    seen = []
+    product = _JetBackend.product
+
+    def spy(self, one, first, coeffs):
+        seen.append((one,) + tuple(coeffs))
+        return product(self, one, first, coeffs)
+
+    monkeypatch.setattr(_JetBackend, "product", spy)
+    for kind, normalized in RECIPES:
+        numeric_integrand(kind, fiber_and_base(), 0.37, 0.15 + 1.6j, 1e-12, normalized)
+    assert seen
+    assert all(isinstance(v, (int, float, complex)) for args in seen for v in args)
 
 
 def test_exact_coefficients_are_rational_functions():

@@ -181,6 +181,17 @@ def test_theta_numeric_underflow_raises():
     assert theta_numeric(ThetaKind.Theta3, 0.3, 1000j) == 1
 
 
+def test_theta_numeric_at_small_im_tau_where_the_value_is_normal():
+    # after the S-step t = 300i at tau = 1000i (0.001i), where z^{-1} alone is
+    # e^{600 pi}; the references are 200-digit mpmath, and theta3's are also
+    # sqrt(1000) e^{-90 pi} and sqrt(500) e^{-45 pi} by the S-transform
+    for kind, tau, ref in ((ThetaKind.Theta3, 0.001j, 5.083094154391578e-122),
+                           (ThetaKind.Theta3, 0.002j, 8.964974927172124e-61),
+                           (ThetaKind.Theta3, 0.004j, 3.165935355762819e-30),
+                           (ThetaKind.Theta, 0.001j, 8.412902317300903e-54)):
+        assert abs(theta_numeric(kind, 0.3, tau) - ref) <= 1e-12 * ref, (kind, tau)
+
+
 def test_invalid_domain():
     with pytest.raises(NonconvergentDomain):
         theta_numeric(ThetaKind.Theta1, 0.1, 0.5 - 1j)
