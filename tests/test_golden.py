@@ -5,7 +5,9 @@ Every catalog entry is expanded with every operator that applies to it
 both raw and dim-normalized) at orders 16 and 32, every entry runs
 ``rigidity --operator all`` at order 24, every theta kind is expanded
 formally at m = 1 and m = 2 at order 16, and s2-family-base is expanded
-with dv-theta-q at order 48.  Four more ``rigidity --operator all`` cases
+with dv-theta-q at order 48 and 128, and with ``rigidity --operator all``
+at order 96, raw and dim-normalized: the exact integers grow with the
+order.  Four more ``rigidity --operator all`` cases
 cover the per-kind working orders of one command: dim-normalized at
 order 24 on the two V entries, and order 1 on s2-v-double-tangent and
 cp3-weighted, where the kinds' working orders reach down to 0.  The
@@ -84,8 +86,22 @@ BENCHMARK_CASE = ("expand-s2-family-base-dv-theta-q-order48",
                   ["expand", "--input", "catalog:s2-family-base", "--operator", "dv-theta-q",
                    "--order", "48", "--format", "json"])
 
+# s2-family-base, the one family dataset, above the benchmark's orders
+HIGH_ORDER_CASES = [
+    ("rigidity-s2-family-base-order96",
+     ["rigidity", "--input", "catalog:s2-family-base", "--operator", "all",
+      "--order", "96", "--format", "json"]),
+    ("rigidity-s2-family-base-normalized-order96",
+     ["rigidity", "--input", "catalog:s2-family-base", "--operator", "all", "--normalized",
+      "--order", "96", "--format", "json"]),
+    ("expand-s2-family-base-dv-theta-q-order128",
+     ["expand", "--input", "catalog:s2-family-base", "--operator", "dv-theta-q",
+      "--order", "128", "--format", "json"]),
+]
+
 CASES = dict(_expand_cases(ORDER) + _expand_cases(DEEP_ORDER, "-order32")
-             + _rigidity_cases() + CROSS_KIND_CASES + _theta_cases() + [BENCHMARK_CASE])
+             + _rigidity_cases() + CROSS_KIND_CASES + _theta_cases() + [BENCHMARK_CASE]
+             + HIGH_ORDER_CASES)
 
 
 def report_digest(argv, capsys) -> str:
@@ -103,7 +119,7 @@ def recorded_digests() -> dict[str, str]:
 
 
 def test_case_list_is_complete():
-    assert len(CASES) == 99
+    assert len(CASES) == 102
     assert sorted(recorded_digests()) == sorted(CASES)
 
 
