@@ -4,8 +4,10 @@ Everything downstream is built over four carriers:
 
 * ``WLaurentPoly``   -- Laurent polynomials in w = z^{1/2} over the rationals,
   where z = e^{2 pi i t} is the circle character.  Integral coefficients
-  are kept as ``int``, so isolated-point kernels run on Python ints, not
-  ``Fraction``.
+  are kept as ``int``, and every exact kernel runs on ints: the
+  integrands are built on scaled roots (``GradedElement.map_by_degree``)
+  with their 1/k! divided out exactly (``divided_series``), and a
+  ``Fraction`` appears only in the final reduction.
 * ``WLaurentRational`` -- reduced quotients of such polynomials, the
   coefficient field for equivariant characters.
 * ``GradedElement``  -- nilpotent polynomials in even-degree generators
@@ -224,7 +226,7 @@ class WLaurentPoly:
         return hash(frozenset(self.c.items()))
 
     def __neg__(self) -> "WLaurentPoly":
-        return WLaurentPoly({e: -v for e, v in self.c.items()})
+        return WLaurentPoly._raw({e: -v for e, v in self.c.items()})
 
     def __add__(self, other) -> "WLaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -243,8 +245,7 @@ class WLaurentPoly:
 
     def __mul__(self, other) -> "WLaurentPoly":
         if isinstance(other, (int, Fraction)):
-            f = _exact(other)
-            return WLaurentPoly({e: v * f for e, v in self.c.items()})
+            return WLaurentPoly._raw({e: v * other for e, v in self.c.items()} if other else {})
         if not isinstance(other, WLaurentPoly):
             return NotImplemented
         return WLaurentPoly._raw(_sparse_mul(self.c, other.c))
@@ -256,11 +257,11 @@ class WLaurentPoly:
 
     def shift(self, k: int) -> "WLaurentPoly":
         """Multiply by w^k."""
-        return WLaurentPoly({e + k: v for e, v in self.c.items()})
+        return WLaurentPoly._raw({e + k: v for e, v in self.c.items()})
 
     def subs_w_inverse(self) -> "WLaurentPoly":
         """The substitution w -> w^{-1} (t -> -t on characters)."""
-        return WLaurentPoly({-e: v for e, v in self.c.items()})
+        return WLaurentPoly._raw({-e: v for e, v in self.c.items()})
 
     def evaluate(self, w: complex) -> complex:
         return sum(complex(v) * w ** e for e, v in self.c.items()) if self.c else 0j
@@ -385,13 +386,15 @@ class WLaurentRational:
 
     Canonical form: den is a primitive integer polynomial with lowest
     exponent 0 and positive leading coefficient, and gcd(num, den) is a
-    unit.  num may carry negative w-exponents.  Equality of canonical
-    forms is literal equality.
+    unit.  num may carry negative w-exponents, and may be given as a
+    rational constant.  Equality of canonical forms is literal equality.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: WLaurentPoly, den: WLaurentPoly | None = None, *, _reduced=False):
+        if not isinstance(num, WLaurentPoly):
+            num = WLaurentPoly.const(num)
         if den is None:
             den = WLaurentPoly.one()
         if not den:
@@ -449,10 +452,8 @@ class WLaurentRational:
     def _coerce(x) -> "WLaurentRational | None":
         if isinstance(x, WLaurentRational):
             return x
-        if isinstance(x, WLaurentPoly):
+        if isinstance(x, (WLaurentPoly, int, Fraction)):
             return WLaurentRational(x)
-        if isinstance(x, (int, Fraction)):
-            return WLaurentRational.const(x)
         return None
 
     # -- predicates
@@ -715,6 +716,10 @@ class GradedElement:
     def map_coefficients(self, f: Callable) -> "GradedElement":
         return self._like([f(v) if v else 0 for v in self.c])
 
+    def map_by_degree(self, f: Callable) -> "GradedElement":
+        """Each nonzero coefficient v of a monomial of degree 2d as f(v, d)."""
+        return self._like([f(v, d >> 1) if v else 0 for v, d in zip(self.c, self.lay.degrees)])
+
     def subs_w_inverse(self) -> "GradedElement":
         """w -> w^{-1} on every w-dependent coefficient; rational constants
         stay."""
@@ -749,14 +754,33 @@ def graded_series(a: GradedElement, coeffs: Iterable) -> GradedElement:
     return out
 
 
+def divided_series(a: GradedElement, divisors: Iterable[int]) -> GradedElement:
+    """1 + sum over k >= 1 of a^k / (d_1 ... d_k) for a nilpotent a over the
+    ints, stopping once a^k vanishes: each term is the last one times a,
+    divided exactly by d_k.  A remainder raises AlgebraError, never a floor."""
+    out = p = a.one_like()
+    for d in divisors:
+        p = p * a
+        if any(v % d for v in p.c):
+            raise AlgebraError("a term is not divisible by %d: the scale leaves the integers" % d)
+        p = p._like([v // d for v in p.c])
+        if not p:
+            break
+        out = out + p
+    return out
+
+
 def graded_exp(a: GradedElement, field=Fraction) -> GradedElement:
     """exp of a nilpotent element: finite sum of a^k / k!, with the
-    constants 1/k! built in ``field``: Fraction for exact coefficients,
-    float for complex ones (a complex times a Fraction runs in Python,
-    about 50 times slower than a complex times a float)."""
+    constants 1/k! in ``field``: int for integral coefficients, each a^k
+    divided exactly (``divided_series``); Fraction for rational ones; float
+    for complex ones (a complex times a Fraction runs in Python, about 50
+    times slower than a complex times a float)."""
     if a.scalar_part() != 0:
         raise NonNilpotentInput("graded_exp needs a vanishing degree-0 term")
-    return graded_series(a, (field(1) / factorial(k) for k in range(1, a.cap // 2 + 1)))
+    ks = range(1, a.cap // 2 + 1)
+    return (divided_series(a, ks) if field is int
+            else graded_series(a, (field(1) / factorial(k) for k in ks)))
 
 
 def graded_invert(a: GradedElement) -> GradedElement:
@@ -822,7 +846,8 @@ def fiber_integrate(a: GradedElement, table: IntegrationTable) -> GradedElement:
 
 
 def ring_inverse(c):
-    """Inverse of a coefficient in whichever ring it lives in."""
+    """Inverse of a coefficient in whichever ring it lives in; the units of
+    Z stay ints, so a unit series inverts over the ints."""
     if isinstance(c, WLaurentRational):
         return c.inverse()
     if isinstance(c, GradedElement):
@@ -830,7 +855,7 @@ def ring_inverse(c):
     if isinstance(c, (int, Fraction)):
         if c == 0:
             raise NonInvertibleLeadingCoefficient("zero coefficient")
-        return Fraction(1) / Fraction(c)
+        return int(c) if c in (1, -1) else 1 / Fraction(c)
     if isinstance(c, complex):
         return 1 / c
     raise TypeError("no inverse rule for %r" % type(c))
@@ -875,7 +900,7 @@ class QSeries:
 
     @staticmethod
     def one(n8: int) -> "QSeries":
-        return QSeries({0: Fraction(1)}, n8)
+        return QSeries({0: 1}, n8)
 
     def __bool__(self):
         return bool(self.c)

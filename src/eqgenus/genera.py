@@ -6,12 +6,10 @@ over the lines of V (theta, theta1, theta2 or theta3), divided by theta
 over every line of TX.  The dim-normalized variants put theta'(0) on TX
 and divide each V factor by its value at 0 (theta'(0) for theta).  One
 table (``_NUMERATORS``) gives each numerator's one list of per-line
-factors and its powers of E^{1/2}, c(q) and q^{1/8}.  The list serves
-every line of TX: on a weight-0 tangent line the factors and the E^{1/2}
-power give theta's tangent factor, and the stray is the numerator's
-alone, since theta's tangent denominator is the sigma unit.  Everything
-else is derived from the two tables: the q^{1/8} and c(q) prefactors of
-the index-character bridge and its ledger of powers of 2 and i too.
+factors, which serves every line of TX, and its powers of E^{1/2}, c(q)
+and q^{1/8}.  Everything else is derived from the two tables: the
+q^{1/8} and c(q) prefactors of the index-character bridge and its ledger
+of powers of 2 and i too.
 
 Two independent realizations of each integrand are provided:
 
@@ -21,52 +19,24 @@ Two independent realizations of each integrand are provided:
   constant of 2 pi and i cancels identically and the coefficients are
   honest rational functions of w.  One interpreter builds it over one
   carrier, ``GradedElement``, through two backends that differ in their
-  coefficient ring and in how they form a line's theta pair product:
-  the exact q-series backend serves this function and the numeric
-  backend serves ``numeric_integrand``, the same product at a point
-  (t, tau), on complex jets.  The backends supply the w-power (a
-  Laurent monomial or the complex number w^{2m}), the scalar field of
-  the constants 1/k! (Fraction or float), the lift into the product
-  ring (q-series or the jet itself), the scalar q-products (the c(q)
-  powers and the null values) and the pair products.  The exact backend
-  multiplies a pair product's factors up to the series order.  The
-  numeric one builds prod (1 + c_k e^x)(1 + c'_k e^{-x}) from complex
-  scalars, as prod (1 + c_k) times the exp of a short log-Taylor series
-  in the root x, and multiplies a factor with |1 + c| < 1/2 in as a jet;
-  its keys come from ``theta.product_keys``, which certifies a relative
-  error, for the lead (|w^{tw}| + |w^{-tw}|) sum_{j <= J} ||x||_1^j / j!.
-
-  The theta denominator is a property of the fixed component, not of
-  the family: ``_denominator`` builds it, ``_numerator`` each family's
-  numerator and scalar series (the power of c(q) and the null values).
-  It factors as L * U.  L is the q-free product of the factors
-  (1 - w^{-2m} e^{-x}) over the normal lines; U (the sigma units and
-  the pair products) is a unit series: its q^0 coefficient has scalar
-  part 1.  So 1/U, the numerator and every product run over Laurent
-  polynomials in w, with no gcd.  So does L^{-1} = adj(L) / s^{J+1}, s
-  the scalar part of L (``_normal_scalar``) and J = cap // 2.  On the
-  exact path ``component_integrands`` is one fixed component's whole
-  share of a command: it reads the component's lines, builds U, 1/U (to
-  the deepest order any requested family needs), L and adj(L) once, and
-  yields each family's series times adj(L) over den = s^{J+1},
-  unreduced.  Every factor is a function of the lines' E and of w-powers
-  that change sign with the weights, so negating every normal and V
-  weight maps the series and den, unreduced, by w -> w^{-1};
-  ``localization`` builds one member of each class of equal and
-  conjugate components.  It
-  reduces once per coefficient of the component sum and
-  ``theta_quotient_integrand``, the one-family case, once per
-  coefficient of one component.  Canonical forms of reduced
+  coefficient ring and in how they form a line's theta pair product.
+  The exact one (``_SeriesBackend``) runs over the ints, on roots scaled
+  by ``root_scale``; the numeric one (``_JetBackend``) serves
+  ``numeric_integrand``, the same product at a point (t, tau), on
+  complex jets.  The theta denominator is a property of the fixed
+  component, not of the family (``_denominator``): L, the q-free
+  product of 1 - w^{-2m} e^{-x} over the normal lines, times the unit
+  series U of the sigma units and the pair products.  On the exact path
+  ``component_integrands`` is one fixed component's whole share of a
+  command, unreduced over den = s^{J+1}; ``localization`` reduces once
+  per coefficient of the component sum and ``theta_quotient_integrand``
+  once per coefficient of one component.  Canonical forms of reduced
   quotients are unique, so every path gives the term-by-term reduced
-  result exactly.  The numeric path divides by U times the scalar series
-  for each family.
+  result exactly.
 
-* the exterior/symmetric-power expansion, assembled term by term in q.
-  One table (``_EXPANSIONS``) gives each family's Lambda factor and spinor
-  twist; it reads no table of the theta quotients.  ``witten_element_ch``
-  builds the element, and ``_twisted_element`` multiplies in the twist's
-  unit and leaves its half-character to the caller, which folds all of
-  its strays at once.
+* the exterior/symmetric-power expansion, assembled term by term in q
+  from its own table (``_EXPANSIONS``) by ``witten_element_ch`` and
+  ``_twisted_element``.
 
 ``oracle_expand_vs_closed`` checks the two paths against each other
 exactly (times A-hat, on the index-character side of
@@ -91,7 +61,7 @@ from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm, prod
 
 from .algebra import (
     GradedElement,
@@ -99,6 +69,8 @@ from .algebra import (
     QSeries,
     WLaurentPoly,
     WLaurentRational,
+    _exact,
+    divided_series,
     graded_exp,
     graded_invert,
     graded_series,
@@ -169,9 +141,11 @@ def _line(tw: int, x: GradedElement, carrier=WLaurentRational, field=Fraction) -
 
 
 def _sigma(y: GradedElement, field=Fraction) -> GradedElement:
-    """sinh(y/2)/(y/2) truncated: the unit dividing theta's order-1 zero."""
-    return graded_series(y * y, (field(1) / (4 ** j * factorial(2 * j + 1))
-                                 for j in range(1, y.cap // 4 + 1)))
+    """sinh(y/2)/(y/2) = sum_j y^{2j} / (4^j (2j + 1)!) truncated, the unit
+    dividing theta's order-1 zero; ``field`` as in ``graded_exp``."""
+    js = range(1, y.cap // 4 + 1)
+    return (divided_series(y * y, (8 * j * (2 * j + 1) for j in js)) if field is int
+            else graded_series(y * y, (field(1) / (4 ** j * factorial(2 * j + 1)) for j in js)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +189,7 @@ V_KINDS = tuple(k for k in OperatorKind if k.needs_v)
 
 
 def _iter_lines(bundles) -> list[tuple[int, GradedElement]]:
-    out = []
-    for b in bundles:
-        tw = b.tw
-        out.extend((tw, r) for r in b.roots)
-    return out
+    return [(b.tw, r) for b in bundles for r in b.roots]
 
 
 def _half_character(stray_w: Fraction, stray_cls: GradedElement, w, field) -> GradedElement:
@@ -230,7 +200,9 @@ def _half_character(stray_w: Fraction, stray_cls: GradedElement, w, field) -> Gr
         raise OffGridExponent(
             "total half-character w^%s is off the integer grid; "
             "the weight data is not spin-consistent" % stray_w)
-    mult = graded_exp(stray_cls * (field(1) / 2), field)
+    # over the ints exp(s / 2) = sum_k s^k / (2^k k!)
+    mult = (divided_series(stray_cls, range(2, stray_cls.cap + 1, 2)) if field is int
+            else graded_exp(stray_cls * (field(1) / 2), field))
     return mult * w(int(stray_w)) if stray_w else mult
 
 
@@ -301,12 +273,6 @@ def _lines(component) -> tuple[list, list, list]:
             _iter_lines(component.normals), _iter_lines(component.vbundles))
 
 
-def _q8_shift(kind: OperatorKind, normalized: bool, lines) -> int:
-    """The q^{1/8} power the quotient of (kind, normalized) carries over lines."""
-    t_lines, n_lines, v_lines = lines
-    return _prefactors(kind, normalized, len(t_lines) + len(n_lines), len(v_lines))[0]
-
-
 def _denominator(be, t_lines, n_lines):
     """(U, L) over the TX lines of one fixed component, in the backend's
     rings: theta over every TX line is L * U times powers of c(q) q^{1/8}.
@@ -333,16 +299,16 @@ def _numerator(kind: OperatorKind, normalized: bool, component, be, lines):
     num / (scalar_den * U * L) times q^{q8_shift/8}.
 
     A tangent line's stray is the numerator's alone, since theta's tangent
-    denominator is the sigma unit.  num takes the strays' half-character
-    and 1/2 per theta1(0); scalar_den (None when trivial) is the product of
-    c(q)^{-c_power} and the null values, in the scalar ring.
+    denominator is the sigma unit.  num takes the strays' half-character,
+    and leaves the 1/2 per theta1(0) (the ledger's 2^two) to the caller;
+    scalar_den (None when trivial) is the product of c(q)^{-c_power} and
+    the null values, in the scalar ring.
     """
     if kind.needs_v and not component.vbundles:
         raise ValueError("%s requires V-bundle data" % kind.value)
     tx_num, v_num, null_num = _numerators(kind, normalized)
     t_lines, n_lines, v_lines = lines
-    _, c_power, halves, _ = _prefactors(kind, normalized, len(t_lines) + len(n_lines),
-                                        len(v_lines))
+    c_power = _prefactors(kind, normalized, len(t_lines) + len(n_lines), len(v_lines))[1]
     tx_toks, tx_stray = _NUMERATORS[tx_num][:2]
     v_toks, v_stray = _NUMERATORS[v_num][:2]
     den_stray = _NUMERATORS[ThetaKind.Theta][1]
@@ -360,11 +326,8 @@ def _numerator(kind: OperatorKind, normalized: bool, component, be, lines):
             if stray:
                 stray_w += Fraction(stray * tw, 2)
                 stray_cls = stray_cls + x * stray
-    if stray_w or stray_cls or halves:
-        mult = _half_character(stray_w, stray_cls, be.w, be.field)
-        if halves:
-            mult = mult * (be.field(1) / 2 ** halves)
-        num = num * be.lift(mult)
+    if stray_w or stray_cls:
+        num = num * be.lift(_half_character(stray_w, stray_cls, be.w, be.field))
 
     # c(q)^|c_power| and the null values' pair products stay in the scalar
     # ring
@@ -372,7 +335,7 @@ def _numerator(kind: OperatorKind, normalized: bool, component, be, lines):
     if c_power:
         cq = be.product(be.scalar_one, 8, (-1,) * abs(c_power))
         if c_power > 0:
-            num = num * be.lift_scalar(cq)
+            num = num * cq
         else:
             scalar_den = cq
     for tok in null_toks:
@@ -385,11 +348,11 @@ def _numerator(kind: OperatorKind, normalized: bool, component, be, lines):
 
 class _SeriesBackend:
     """Exact coefficients: q-series truncated at n8 over graded elements
-    with Laurent-polynomial coefficients; the constants are Fractions and
-    scalar products are Fraction series."""
+    with Laurent-polynomial coefficients, all over the ints on scaled roots
+    (``component_integrands``)."""
 
-    field = Fraction
-    scalar_one = Fraction(1)
+    field = int
+    scalar_one = 1
     w = staticmethod(WLaurentPoly.w)
 
     def __init__(self, component, n8: int):
@@ -398,9 +361,6 @@ class _SeriesBackend:
 
     def lift(self, g: GradedElement) -> QSeries:
         return QSeries({0: g}, self.n8)
-
-    def lift_scalar(self, s: QSeries) -> QSeries:
-        return s.scale(self.one)
 
     def product(self, one, first: int, coeffs) -> QSeries:
         return series_product(QSeries({0: one}, self.n8), one, first, coeffs)
@@ -415,20 +375,35 @@ class _SeriesBackend:
 def _normal_scalar(component) -> WLaurentPoly:
     """s, the scalar part of L: the product of 1 - w^{-2m} over the normal
     lines."""
-    s = WLaurentPoly.one()
-    for tw, _ in _iter_lines(component.normals):
-        s = s * (1 - WLaurentPoly.w(-tw))
-    return s
+    return prod((1 - WLaurentPoly.w(-tw) for tw, _ in _iter_lines(component.normals)),
+                start=WLaurentPoly.one())
 
 
-def component_integrands(component, kinds, n8: int, normalized: bool = False
+def root_scale(components) -> int:
+    """N = 2 J! (J the largest cap // 2) times the lcm of the roots'
+    denominators clears exp's 1/k!, k <= J, and the strays' 1/2 on scaled
+    roots; a tangent line needs (J + 1)! for sigma's 1/(4^j (2j + 1)!)."""
+    roots = [x for c in components for b in (c.tangent, *c.normals, *c.vbundles) if b
+             for x in b.roots]
+    tangent = any(c.tangent and c.tangent.rank for c in components)
+    return (2 * factorial(max(c.cap for c in components) // 2 + tangent)
+            * lcm(*(v.denominator for x in roots for v in x.c if v)))
+
+
+def component_integrands(component, kinds, n8: int, normalized: bool = False,
+                         scale: int | None = None
                          ) -> tuple[WLaurentPoly, Iterator[tuple[OperatorKind, QSeries]]]:
     """The bracketed localization integrand of each of ``kinds`` on one fixed
-    component, as (den, iterator of (kind, series)): Laurent-polynomial
-    coefficients over den = s^{J+1}, exact on the requested grid and not
-    reduced.  The removable singularity of the tangent factor is resolved
-    by dividing out theta's explicit order-1 unit; all powers of 2 pi and i
-    cancel by construction.
+    component, as (den, iterator of (kind, series)), exact on the requested
+    grid and not reduced: series / (2^two den), den = s^{J+1} and 2^two
+    the ledger's (``constants_ledger``), once the degree-2d part of series
+    is divided by N^d.  The build runs over the ints, on the roots mapped
+    by g -> N^d g for each generator g of degree 2d, N = ``scale``
+    (``root_scale`` of the component by default), which multiplies the
+    degree-2d part of any power series in the roots by N^d; an N too small
+    to divide out a constant exactly raises AlgebraError.  The removable
+    singularity of the tangent factor is resolved by dividing out theta's
+    explicit order-1 unit; all powers of 2 pi and i cancel by construction.
 
     The component's lines, U and L are built once and U is inverted once,
     at the deepest working order max(n8 - q8_shift, 0) that any of
@@ -438,10 +413,14 @@ def component_integrands(component, kinds, n8: int, normalized: bool = False
     and scalar series at its own working order, one family at a time, and
     multiplies them by 1/U and each output coefficient by adj(L).
     """
-    lines = _lines(component)
+    N = scale or root_scale((component,))
+    # roots times N^d; a fraction left over fails in divided_series
+    lines = tuple([(tw, x.map_by_degree(lambda v, d: _exact(v * N ** d)))
+                   for tw, x in part] for part in _lines(component))
     # work high enough that each shifted result reaches n8, and never below
     # q^0, where the unit series U would be empty
-    shifts = {kind: _q8_shift(kind, normalized, lines) for kind in kinds}
+    n_tx, n_v = len(lines[0]) + len(lines[1]), len(lines[2])
+    shifts = {kind: _prefactors(kind, normalized, n_tx, n_v)[0] for kind in kinds}
     u, lin = _denominator(_SeriesBackend(component, max(n8 - min(shifts.values()), 0)),
                           *lines[:2])
     s, J = _normal_scalar(component), component.cap // 2
@@ -471,18 +450,15 @@ def component_denominator(component) -> WLaurentPoly:
 
 def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
                              normalized: bool = False) -> QSeries:
-    """``component_integrands`` of ``kind`` alone, with each coefficient
-    reduced over den: a q-series whose nonzero coefficients are all
-    ``WLaurentRational``."""
-    den, integrands = component_integrands(component, (kind,), n8, normalized)
-    [(_, series)] = integrands
-    return series.map_coefficients(lambda g: g.map_coefficients(
-        lambda v: WLaurentRational(_poly(v), den)))
-
-
-def _poly(v) -> WLaurentPoly:
-    """An exact coefficient as a Laurent polynomial."""
-    return v if isinstance(v, WLaurentPoly) else WLaurentPoly.const(v)
+    """``component_integrands`` of ``kind`` alone, with each coefficient of
+    degree 2d reduced over 2^two N^d den: a q-series whose nonzero
+    coefficients are all ``WLaurentRational``."""
+    N = root_scale((component,))
+    den, [(_, series)] = component_integrands(component, (kind,), n8, normalized, N)
+    l = sum(b.rank for b in component.vbundles)
+    den = den * 2 ** constants_ledger(kind, normalized, l).two
+    return series.map_coefficients(lambda g: g.map_by_degree(
+        lambda v, d: WLaurentRational(v, den * N ** d)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +564,8 @@ def witten_element_ch(kind: OperatorKind, tx, vbundles, n8: int, normalized: boo
 def complexified(bundles) -> list[RootBundle]:
     """Each complex summand together with its conjugate (weight and roots
     negated): the lines of the underlying real bundle tensored with C."""
-    out = []
-    for b in bundles:
-        out.append(b)
-        out.append(RootBundle(-b.weight, b.rank, tuple(-r for r in b.roots)))
-    return out
+    return [c for b in bundles
+            for c in (b, RootBundle(-b.weight, b.rank, tuple(-r for r in b.roots)))]
 
 
 def _stray_unit(bundles, unit_of, gens, cap):
@@ -645,8 +618,7 @@ def bridge_to_index_character(kind: OperatorKind, normalized: bool,
     if _numerators(kind, normalized)[0] is not _THETA_PRIME_0:
         out = out.shift_q8(-q8_shift)
         if c_power:
-            cpow = series_product(QSeries({0: Fraction(1)}, max(out.n8, 0)), Fraction(1), 8,
-                                  (-1,) * abs(c_power))
+            cpow = series_product(QSeries.one(max(out.n8, 0)), 1, 8, (-1,) * abs(c_power))
             out = series_mul(out, cpow if c_power < 0 else series_invert(cpow))
     scale = Fraction(2) ** two * (-1) ** (i // 2)
     return out if scale == 1 else out.scale(scale)
@@ -715,16 +687,14 @@ class _JetBackend:
     multiply); the constants are floats and scalar products are complex
     numbers.
 
-    A theta pair product over a line is built from complex scalars
-    (``pair_product``): one loop over its keys and a short log-Taylor
-    series in the line's root, not a jet multiply per key.  ``product``
-    serves the scalar products alone (the c(q) powers and the null
-    values).  Each q-product keeps the keys of ``theta.product_keys`` for
-    a bound on the l1 jet norms of its factors' deviations from 1 at the
-    first key (l1 is submultiplicative on jets), within a relative budget
-    of eps / (8 (lines + 1)).  The interpreter makes at most 2 (lines + 1)
-    products, so their left-out factors move the integrand by an
-    l1-relative amount below eps.
+    ``pair_product`` builds a theta pair product over a line from complex
+    scalars and ``product`` the scalar products (the c(q) powers and the
+    null values).  Each q-product keeps the keys of ``theta.product_keys``
+    for a bound on the l1 jet norms of its factors' deviations from 1 at
+    the first key (l1 is submultiplicative on jets), within a relative
+    budget of eps / (8 (lines + 1)).  The interpreter makes at most
+    2 (lines + 1) products, so their left-out factors move the integrand
+    by an l1-relative amount below eps.
     """
 
     field = float
@@ -745,8 +715,6 @@ class _JetBackend:
 
     def lift(self, g):
         return g
-
-    lift_scalar = lift
 
     def qpow(self, k: int) -> complex:
         """q^{k/8} for a key on the half-integer grid (k divisible by 4)."""
@@ -826,9 +794,12 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
         den, lin = _denominator(be, *lines[:2])
         num, scalar_den = _numerator(kind, normalized, component, be, lines)
         if scalar_den is not None:
-            den = den * be.lift_scalar(scalar_den)
+            den = den * scalar_den
         out = num * graded_invert(den * lin)
-        q8_shift = _q8_shift(kind, normalized, lines)
+        q8_shift, _, halves, _ = _prefactors(kind, normalized, len(t_lines) + len(n_lines),
+                                             len(lines[2]))
+        if halves:
+            out = out * (1.0 / 2 ** halves)
         if q8_shift:
             out = out * cmath.exp(2j * math.pi * tau * q8_shift / 8)
     except ArithmeticError as e:

@@ -5,19 +5,12 @@ components: rotation weights and Chern roots of the normal summands, the
 tangent data of each component, fiber integration tables, and optional
 twist-bundle (V) data.  ``equivariant_characters`` sums the pushed-forward
 theta-quotient integrands of one or more operator kinds over the
-components and returns each resulting equivariant index character as an
-exact q-series of base classes, summed over the dataset's common
-denominator and reduced once per coefficient.  Each component's
-integrands for every kind come from one call of
-``genera.component_integrands``, which builds the component's theta
-denominator, its inverse and the normal-line adjugate once.  The
-integrand depends on the data only through E = w^{2m} e^x per line, so
-a component with another's data has that one's integrand, and one whose
-data is another's with every normal and V weight negated (its conjugate)
-has it with w -> w^{-1}: each class of equal and conjugate components is
-built once.  ``equivariant_character`` is the
-one-kind case.  Verdict helpers classify rigidity, pole cancellation and
-vanishing.
+components, one ``genera.component_integrands`` call per class of equal
+and conjugate components, and returns each resulting equivariant index
+character as an exact q-series of base classes, summed over the
+dataset's common denominator and reduced once per coefficient.
+``equivariant_character`` is the one-kind case.  Verdict helpers
+classify rigidity, pole cancellation and vanishing.
 """
 from __future__ import annotations
 
@@ -31,7 +24,7 @@ from .algebra import (AlgebraError, DegreeOutOfRange, GradedElement, QSeries,
                       WLaurentPoly, WLaurentRational, _layout, fiber_integrate, format_monomial,
                       wpoly_divexact, wpoly_gcd)
 from .genera import (OperatorKind, RootBundle, bridge_to_index_character, component_denominator,
-                     component_integrands, constants_ledger, numeric_integrand,
+                     component_integrands, constants_ledger, numeric_integrand, root_scale,
                      theta_quotient_integrand)
 from .theta import NonconvergentDomain
 
@@ -312,8 +305,9 @@ def _same_bundles(a, b) -> bool:
 def _same_data(c: FixedComponent, d: FixedComponent, negated: bool) -> bool:
     """Whether d has c's data, with every normal and V weight negated when
     ``negated`` (then d is c's conjugate); names and orientation signs are
-    free and bundles compare as multisets.  An equal d has c's integrand
-    and den; a conjugate has them with w -> w^{-1}."""
+    free and bundles compare as multisets.  The integrand depends on the
+    data only through E = w^{2m} e^x per line, so an equal d has c's
+    integrand and den, and a conjugate has them with w -> w^{-1}."""
     def flip(bundles):
         return [RootBundle(-b.weight, b.rank, b.roots) for b in bundles] if negated else bundles
 
@@ -348,28 +342,35 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
                            normalized: bool = False) -> dict[OperatorKind, GenusResult]:
     """The character of each of ``kinds``: the sum of its pushed-forward
     integrands over the fixed components, each times its cofactor D / den
-    over Laurent polynomials; each summed coefficient is then reduced once
-    over D.  The component classes (``_component_classes``) are the outer
-    loop: each representative's integrands (``genera.component_integrands``)
-    share one theta denominator, built once for every kind, and only one
-    representative's are alive at a time.  The class adds the pushed series
-    times its cofactor and summed sign, plus the same with w -> w^{-1}
-    times D / den(w^{-1}) and the conjugates' summed sign; a class whose
-    two sums are 0 is not built."""
+    over Z[w^{+-1}]; each summed coefficient of base degree 2e is then
+    reduced once over 2^two N^(K+e) D.  The integrands leave out the
+    ledger's 2^two and run on roots scaled by one N for the dataset
+    (``genera.root_scale``): a pushed coefficient carries N^(k_alpha + e),
+    lifted by N^(K - k_alpha), K the largest k_alpha.  The component classes
+    (``_component_classes``) are the outer loop: each representative's
+    integrands (``genera.component_integrands``) share one theta
+    denominator, built once for every kind, and only one representative's
+    are alive at a time.  The class adds the pushed series times its
+    cofactor and summed sign, plus the same with w -> w^{-1} times
+    D / den(w^{-1}) and the conjugates' summed sign; a class whose two sums
+    are 0 is not built."""
     validated(data)
     kinds = tuple(dict.fromkeys(kinds))
     for kind in kinds:
         if kind.needs_v and any(not c.vbundles for c in data.components):
             raise ValidationError("%s requires V data on every component" % kind.value)
     D = data.denominator
+    N = root_scale(data.components)
+    K = max(c.k_alpha for c in data.components)
     totals = {kind: QSeries.zero(n8) for kind in kinds}
     for comp, sign, conj_sign in _component_classes(data.components):
         if not (sign or conj_sign):
             continue
-        den, integrands = component_integrands(comp, kinds, n8, normalized)
-        cofactor = wpoly_divexact(D, den) * sign
+        den, integrands = component_integrands(comp, kinds, n8, normalized, N)
+        lift = N ** (K - comp.k_alpha)
+        cofactor = wpoly_divexact(D, den) * (sign * lift)
         if conj_sign:
-            conj_cofactor = wpoly_divexact(D, den.subs_w_inverse()) * conj_sign
+            conj_cofactor = wpoly_divexact(D, den.subs_w_inverse()) * (conj_sign * lift)
         for kind, series in integrands:
             pushed = series.map_coefficients(lambda g: fiber_integrate(g, comp.table))
             part = pushed.map_coefficients(lambda g: g * cofactor)
@@ -377,12 +378,14 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
                 part = part + pushed.map_coefficients(lambda g: g.subs_w_inverse() * conj_cofactor)
             totals[kind] = totals[kind] + part
     out = {}
+    provenance = data.digest()
     for kind, total in totals.items():
-        total = total.map_coefficients(lambda g: g.map_coefficients(lambda v: _over(v, D)))
         l = data.components[0].v_rank() if kind.needs_v else 0
+        ledger = constants_ledger(kind, normalized, l)
+        total = total.map_coefficients(lambda g: g.map_by_degree(
+            lambda v, e: _over(v, D, 2 ** ledger.two * N ** (K + e))))
         out[kind] = GenusResult(total, kind, normalized, total.n8, data.base_gens,
-                                data.base_cap, data.fiber_half_dim, l,
-                                constants_ledger(kind, normalized, l), data.digest())
+                                data.base_cap, data.fiber_half_dim, l, ledger, provenance)
     return out
 
 
@@ -392,13 +395,13 @@ def equivariant_character(data: ActionData, kind: OperatorKind, n8: int,
     return equivariant_characters(data, (kind,), n8, normalized)[kind]
 
 
-def _over(num: WLaurentPoly, D: WLaurentPoly) -> WLaurentRational:
-    """num / D in canonical form, with no gcd where D divides num."""
+def _over(num: WLaurentPoly, D: WLaurentPoly, scale: int) -> WLaurentRational:
+    """num / (scale D) in canonical form, with no gcd where D divides num."""
     try:
         quotient = wpoly_divexact(num, D)
     except AlgebraError:
-        return WLaurentRational(num, D)
-    return WLaurentRational(quotient)
+        return WLaurentRational(num, D * scale)
+    return WLaurentRational(quotient, WLaurentPoly.const(scale))
 
 
 # ---------------------------------------------------------------------------
