@@ -390,18 +390,17 @@ def root_scale(components) -> int:
             * lcm(*(v.denominator for x in roots for v in x.c if v)))
 
 
-def component_integrands(component, kinds, n8: int, normalized: bool = False,
-                         scale: int | None = None
+def component_integrands(component, kinds, n8: int, normalized: bool, N: int
                          ) -> tuple[WLaurentPoly, Iterator[tuple[OperatorKind, QSeries]]]:
     """The bracketed localization integrand of each of ``kinds`` on one fixed
     component, as (den, iterator of (kind, series)), exact on the requested
     grid and not reduced: series / (2^two den), den = s^{J+1} and 2^two
     the ledger's (``constants_ledger``), once the degree-2d part of series
     is divided by N^d.  The build runs over the ints, on the roots mapped
-    by g -> N^d g for each generator g of degree 2d, N = ``scale``
-    (``root_scale`` of the component by default), which multiplies the
-    degree-2d part of any power series in the roots by N^d; an N too small
-    to divide out a constant exactly raises AlgebraError.  The removable
+    by g -> N^d g for each generator g of degree 2d (N from ``root_scale``),
+    which multiplies the degree-2d part of any power series in the roots
+    by N^d; an N too small to divide out a constant exactly raises
+    AlgebraError.  The removable
     singularity of the tangent factor is resolved by dividing out theta's
     explicit order-1 unit; all powers of 2 pi and i cancel by construction.
 
@@ -413,7 +412,6 @@ def component_integrands(component, kinds, n8: int, normalized: bool = False,
     and scalar series at its own working order, one family at a time, and
     multiplies them by 1/U and each output coefficient by adj(L).
     """
-    N = scale or root_scale((component,))
     # roots times N^d; a fraction left over fails in divided_series
     lines = tuple([(tw, x.map_by_degree(lambda v, d: _exact(v * N ** d)))
                    for tw, x in part] for part in _lines(component))
@@ -564,8 +562,11 @@ def witten_element_ch(kind: OperatorKind, tx, vbundles, n8: int, normalized: boo
 def complexified(bundles) -> list[RootBundle]:
     """Each complex summand together with its conjugate (weight and roots
     negated): the lines of the underlying real bundle tensored with C."""
-    return [c for b in bundles
-            for c in (b, RootBundle(-b.weight, b.rank, tuple(-r for r in b.roots)))]
+    out = []
+    for b in bundles:
+        out.append(b)
+        out.append(RootBundle(-b.weight, b.rank, tuple(-r for r in b.roots)))
+    return out
 
 
 def _stray_unit(bundles, unit_of, gens, cap):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eqgenus.algebra import DegreeOutOfRange, GradedElement, IntegrationTable, WLaurentRational
-from eqgenus.genera import OperatorKind, RootBundle, component_integrands
+from eqgenus.genera import OperatorKind, RootBundle, component_integrands, root_scale
 from eqgenus.catalog import builtin, names
 from eqgenus.localization import (
     ActionData,
@@ -358,8 +358,9 @@ def _assert_conjugate_integrands(data, pairs):
     comps = {c.name: c for c in data.components}
     for first, conj in pairs:
         for kind, normalized in _variants(data):
-            den, [(_, series)] = component_integrands(comps[first], (kind,), 24, normalized)
-            den_c, [(_, series_c)] = component_integrands(comps[conj], (kind,), 24, normalized)
+            N = root_scale(data.components)
+            den, [(_, series)] = component_integrands(comps[first], (kind,), 24, normalized, N)
+            den_c, [(_, series_c)] = component_integrands(comps[conj], (kind,), 24, normalized, N)
             assert den_c == den.subs_w_inverse()
             flipped = series.map_coefficients(lambda g: g.subs_w_inverse())
             assert series_c.c and series_c == flipped, (first, kind, normalized)
