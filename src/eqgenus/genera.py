@@ -189,7 +189,7 @@ V_KINDS = tuple(k for k in OperatorKind if k.needs_v)
 
 
 def _iter_lines(bundles) -> list[tuple[int, GradedElement]]:
-    return [(b.tw, r) for b in bundles for r in b.roots]
+    return [(tw, r) for b in bundles for tw in (b.tw,) for r in b.roots]
 
 
 def _half_character(stray_w: Fraction, stray_cls: GradedElement, w, field) -> GradedElement:
