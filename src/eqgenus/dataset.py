@@ -33,7 +33,7 @@ MAX_RING_MONOMIALS = 1000
 # normal-line adjugate.  At every bound at once (32 isolated points, each
 # with normals and V of rank 16 at weight 16, base_degree_cap 8, each
 # point's 16 roots a different mix of b, 2b and 3b)
-# `rigidity --operator all --order 16` takes 74 s on a 2-core VM (17 s at
+# `rigidity --operator all --order 16` takes 29 s on a 2-core VM (10 s at
 # cap 4).  Equal and conjugate points are built once per class: with
 # every root b it takes 10 s, and with the weight -16 on every odd point
 # as well 7 s (2 s at cap 4).  Cap 8 leaves room for a fixed surface in a

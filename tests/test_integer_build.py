@@ -24,7 +24,7 @@ from eqgenus.genera import (OperatorKind, RootBundle, component_integrands,
 from eqgenus.localization import (ActionData, FixedComponent, component_contribution,
                                   equivariant_character)
 
-V_NORMALIZED = [k for k in OperatorKind if k.supports_normalized]
+NORMALIZED_KINDS = [k for k in OperatorKind if k.supports_normalized]
 
 
 def _gens(fiber, cap):
@@ -65,7 +65,7 @@ def line_and_point():
 
 
 def _kinds(normalized):
-    return V_NORMALIZED if normalized else list(OperatorKind)
+    return NORMALIZED_KINDS if normalized else list(OperatorKind)
 
 
 def _unscaled(component, kind, n8, normalized, N):
@@ -91,7 +91,8 @@ def test_oracle_agrees_on_the_integer_build(component, normalized):
 def test_a_larger_scale_gives_the_same_integrand(component):
     comp = component()
     N = root_scale((comp,))
-    for kind, normalized in [(k, False) for k in OperatorKind] + [(k, True) for k in V_NORMALIZED]:
+    for kind, normalized in ([(k, False) for k in OperatorKind]
+                             + [(k, True) for k in NORMALIZED_KINDS]):
         want = theta_quotient_integrand(kind, comp, 8, normalized)
         assert want.c and _unscaled(comp, kind, 8, normalized, 3 * N) == want, (kind, normalized)
 
