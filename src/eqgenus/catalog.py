@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import GradedElement, IntegrationTable, WLaurentPoly, WLaurentRational
-from .genera import OperatorKind, OracleReport, RootBundle, _fold_strays, _twisted_element
+from .genera import OperatorKind, RootBundle
 from .localization import ActionData, FixedComponent, ValidationError, equivariant_character
 
 
@@ -191,10 +191,11 @@ def _apply_borel_weil(poly: WLaurentPoly) -> WLaurentPoly:
     return out
 
 
-def oracle_check_s2(kind: OperatorKind, n8_small: int,
-                    normalized: bool = False) -> OracleReport:
+def oracle_check_s2(kind: OperatorKind, n8_small: int, normalized: bool = False):
     """Compare the localization engine on the rotation sphere against the
-    Borel-Weil expansion of the element into tangent-character powers."""
+    Borel-Weil expansion of the element into tangent-character powers, as
+    a ``reference.OracleReport``."""
+    from .reference import OracleReport, _fold_strays, _twisted_element
     if n8_small > 16:
         raise ValueError("the expansion oracle is run at n8 <= 16")
     data = _s2_rotation(with_v_tangent_copies=1) if kind.needs_v else _s2_rotation()

@@ -26,17 +26,11 @@ from .localization import (
     NearPole,
     ValidationError,
     anomaly_index,
-    degree_component_function,
     equivariant_character,
     equivariant_characters,
     rigidity_check,
 )
-from .theta import (
-    NonconvergentDomain,
-    ThetaKind,
-    theta_formal,
-    theta_numeric,
-)
+from .theta import NonconvergentDomain, ThetaKind, theta_numeric
 
 EXIT_PARSE, EXIT_VALIDATION, EXIT_COMPUTE = 2, 3, 4
 
@@ -195,6 +189,7 @@ def cmd_rigidity(args) -> int:
 
 def cmd_jacobi(args) -> int:
     from .jacobi import check_jacobi, designated_spec
+    from .numeric import degree_component_function
     _check_samples(args.samples)
     _check_unit_interval("--tol", args.tol)
     data = _load_input(args.input)
@@ -232,6 +227,7 @@ def cmd_jacobi(args) -> int:
 
 def cmd_zeros(args) -> int:
     from .jacobi import LATTICE_SCALE, count_zeros
+    from .numeric import degree_component_function
     data = _load_input(args.input)
     kind = _operator(args.operator)
     tau = _parse_complex(args.tau)
@@ -265,6 +261,7 @@ def cmd_zeros(args) -> int:
 def cmd_theta(args) -> int:
     kind = ThetaKind(args.kind)
     if args.formal:
+        from .reference import theta_formal
         _check_order(args.order)
         ts = theta_formal(kind, parse_rational(args.m, "--m"), args.order)
         report = {"format": 1, "command": "theta", "kind": kind.value,

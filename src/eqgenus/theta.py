@@ -1,24 +1,24 @@
-"""The four classical Jacobi theta functions in two realizations.
-
-Formal: exact q-expansions on the (1/8)Z grid with coefficients that are
-Laurent polynomials in w = e^{pi i t}, produced from the infinite-product
-definitions
+"""The four classical Jacobi theta functions, evaluated numerically.
 
     theta (v) = c(q) q^{1/8} 2 sin(pi v) prod (1 - q^n e^{2pi i v})(1 - q^n e^{-2pi i v})
     theta1(v) = c(q) q^{1/8} 2 cos(pi v) prod (1 + q^n e^{2pi i v})(1 + q^n e^{-2pi i v})
     theta2(v) = c(q) prod (1 - q^{n-1/2} e^{2pi i v})(1 - q^{n-1/2} e^{-2pi i v})
     theta3(v) = c(q) prod (1 + q^{n-1/2} e^{2pi i v})(1 + q^{n-1/2} e^{-2pi i v})
 
-with c(q) = prod (1 - q^n).  The single non-rational constant (a power of
-i from the sine) is kept out of the coefficients in a ledger.
+with c(q) = prod (1 - q^n).  Each kind's pair grid (``PAIR_GRID``), the
+one product loop (``unit_product``) and the ledger of constants kept out
+of rational data (``ConstantsLedger``) also serve the integrands of
+``genera`` and ``numeric``; the exact q-expansions of the four kinds are
+independent checks and live in ``reference``.
 
 Numeric: evaluation on C x H within a relative error eps, after moving tau
 into the |q|-small regime with the S and T transformations; the product
 is cut where a geometric tail bound, solved in closed form
-(``product_keys``), certifies that the rest is negligible.
+(``product_keys``), certifies that the rest is negligible.  Sampled
+checkers test the S, T and quasi-periodicity laws.
 
-Derivatives are normalized as D_v = (2 pi i)^{-1} d/dv so that every
-derivative series stays rational.
+The module imports no other module of the package, so the law suite
+compiles nothing else.
 """
 from __future__ import annotations
 
@@ -28,15 +28,6 @@ import random
 import sys
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
-from functools import lru_cache
-
-from .algebra import (
-    OffGridExponent,
-    QSeries,
-    WLaurentPoly,
-    WLaurentRational,
-)
 
 
 class NonconvergentDomain(Exception):
@@ -61,14 +52,14 @@ class ConstantsLedger(namedtuple("ConstantsLedger", "two_pi i two", defaults=(0,
 
 
 # ---------------------------------------------------------------------------
-# Formal expansions
+# q-products
 
 
 def unit_product(acc, keys, coeffs, factor):
     """acc times the product of factor(k, c) = (1 + c q^{k/8}) over every
     key k and every c in coeffs.
 
-    It serves the exact q-series products (``series_product``) and the
+    It serves the exact q-series products (``genera.series_product``) and the
     numeric integrand's scalar products (the c(q) powers and the null
     values); the numeric theta pair products over a line's root and
     ``_theta_direct`` run their own loops.  The caller's ``keys`` set the
@@ -81,109 +72,10 @@ def unit_product(acc, keys, coeffs, factor):
     return acc
 
 
-def series_product(acc: QSeries, one, first: int, coeffs) -> QSeries:
-    """acc times prod (1 + c q^{k/8}) over k = first, first + 8, ... <= acc.n8;
-    ``one`` is the unit of the coefficient ring."""
-    n8 = acc.n8
-    return unit_product(acc, range(first, n8 + 1, 8), coeffs,
-                        lambda k, c: QSeries({0: one, k: c}, n8))
-
-
 # (first key, sign) of each kind's pairs prod (1 + sign q^{k/8} e^{+-2 pi i v}), k += 8
 PAIR_GRID = {ThetaKind.Theta: (8, -1), ThetaKind.Theta1: (8, 1),
              ThetaKind.Theta2: (4, -1), ThetaKind.Theta3: (4, 1)}
 
-
-@lru_cache(maxsize=None)
-def _char_series(kind: ThetaKind, n8: int) -> tuple[int, QSeries]:
-    """Expansion of theta_kind(v, tau) over the half-character s = e^{pi i v}.
-
-    Returns (i_power, series) where series has WLaurentPoly coefficients in
-    the symbol s and theta = i^{i_power} * series.  All four kinds carry the
-    c(q) factor; the sin/cos kinds carry q^{1/8} and the (s -+ s^{-1}) unit.
-    """
-    one = WLaurentPoly.one()
-    acc = series_product(QSeries({0: one}, n8), one, 8, (WLaurentPoly.const(-1),))
-    first, sgn = PAIR_GRID[kind]
-    acc = series_product(acc, one, first, (WLaurentPoly.w(2, sgn), WLaurentPoly.w(-2, sgn)))
-    if first == 4:
-        return 0, acc
-    unit = WLaurentPoly({1: Fraction(1), -1: Fraction(sgn)})
-    return (-1 if kind is ThetaKind.Theta else 0), acc.scale(unit).shift_q8(1).truncate(n8)
-
-
-def _subst_char(poly: WLaurentPoly, m: Fraction, k: int) -> WLaurentRational:
-    """Map s^j -> (j/2)^k * w^{j m}; exponents must land on the integer grid."""
-    out = WLaurentPoly.zero()
-    for j, v in poly.c.items():
-        e = j * m
-        if e.denominator != 1:
-            raise OffGridExponent(
-                "weight %s sends the character s^%d off the w-grid" % (m, j))
-        coeff = v * Fraction(j, 2) ** k if k else v
-        if coeff:
-            out = out + WLaurentPoly.w(int(e), coeff)
-    return WLaurentRational(out)
-
-
-class ThetaSeries(namedtuple("ThetaSeries", "kind m series i_power vanishing_order")):
-    """A formal theta expansion: i^{i_power} times a rational q-w series;
-    ``vanishing_order`` is the order of the zero at v = 0 carried by the
-    series."""
-
-    __slots__ = ()
-
-
-def theta_formal(kind: ThetaKind, m, n8: int) -> ThetaSeries:
-    """q-expansion of theta_kind(m t, tau) with e^{2 pi i t} -> w^2.
-
-    The rational prefactors (c(q), q^{1/8}, the constant 2 from sin/cos)
-    are folded into the series; the residual power of i is reported in
-    ``i_power`` since it is not representable in rational coefficients.
-    """
-    if n8 < 0:
-        raise ValueError("n8 must be >= 0")
-    m = Fraction(m)
-    i_pow, char = _char_series(kind, n8)
-    series = char.map_coefficients(lambda p: _subst_char(p, m, 0))
-    vanishing = 1 if (kind is ThetaKind.Theta and m == 0) else 0
-    return ThetaSeries(kind, m, series, i_pow, vanishing)
-
-
-class ThetaTaylorStack(namedtuple("ThetaTaylorStack", "kind m entries ledger vanishes_at_zero")):
-    """Normalized derivative stack D_v^k theta_kind(v, tau) at v = m t.
-
-    Entry k has rational coefficients; the true k-th derivative in v is
-    (2 pi i)^k times entry k times the ledger constant.  The q^{1/8} and
-    c(q) prefactors are exactly representable and live inside the series.
-    """
-
-    __slots__ = ()
-
-
-def theta_taylor(kind: ThetaKind, m, k_max: int, n8: int) -> ThetaTaylorStack:
-    """Stack of normalized v-derivatives of theta_kind at v = m t."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    m = Fraction(m)
-    i_pow, char = _char_series(kind, n8)
-    entries = tuple(
-        char.map_coefficients(lambda p, k=k: _subst_char(p, m, k))
-        for k in range(k_max + 1)
-    )
-    vanishes = kind is ThetaKind.Theta and m == 0
-    return ThetaTaylorStack(kind, m, entries, ConstantsLedger(i=i_pow), vanishes)
-
-
-def evaluate_formal(series: QSeries, t: complex, tau: complex) -> complex:
-    """Evaluate a scalar q-w series at w = e^{pi i t}, q = e^{2 pi i tau}."""
-    w = cmath.exp(1j * math.pi * t)
-    q8 = cmath.exp(2j * math.pi * tau / 8)
-    total = 0j
-    for e, v in series.c.items():
-        cv = v.evaluate(w) if isinstance(v, WLaurentRational) else complex(v)
-        total += cv * q8 ** e
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +167,25 @@ def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> comp
 def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
     """theta_kind(t, tau) within relative error eps, for tau in the upper
     half plane; NonconvergentDomain where the value or its bound is not
-    finite, or where the value is not a normal double (bar theta's exact
-    zeros at integer t).
+    finite, or where the value is not a normal double (bar the exact
+    zeros at real t: theta's at t in Z, theta1's at t in 1/2 + Z).
 
     Below Im tau = 0.3, T-translations and the S-inversion, whose
     prefactors are exact, move the argument until the product truncation
     is short; first and after each S-step, t moves by the integer nearest
     Re t.  The truncation takes eps / 2 and leaves the rest to rounding,
-    which near a zero grows as |t| / dist(t, zero) ulps.
+    which near a zero grows as |t| / dist(t, zero) ulps.  theta1's real
+    zeros are recognized on t itself, before the reduction, whose
+    rounding would leave a residue of about 1e-16 there.  The zeros of
+    theta2 and theta3, at t in tau/2 + Z and (1 + tau)/2 + Z, depend on
+    tau and are not recognized.
     """
     t0 = complex(t)
     tau = tau0 = complex(tau)
     if tau.imag <= 0:
         raise NonconvergentDomain("Im tau must be positive, got %g" % tau.imag)
+    if kind is ThetaKind.Theta1 and t0.imag == 0 and 2 * t0.real % 2 == 1 and cmath.isfinite(tau):
+        return 0j
     try:
         n = round(t0.real)  # t - n is exact in floating point
         t, factor = t0 - n, _PERIOD_SIGN[kind] ** (n % 2) + 0j

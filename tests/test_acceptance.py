@@ -15,20 +15,20 @@ from eqgenus.catalog import (
     oracle_check_s2,
 )
 from eqgenus.dataset import dataset_to_json, parse_dataset
-from eqgenus.genera import (
-    OperatorKind,
-    oracle_expand_vs_closed,
-)
+from eqgenus.genera import OperatorKind
 from eqgenus.jacobi import check_jacobi, count_zeros, designated_spec
 from eqgenus.localization import (
     ActionData,
     FixedComponent,
     anomaly_index,
-    component_contribution,
     equivariant_character,
-    pole_cancellation_check,
     rigidity_check,
     validate,
+)
+from eqgenus.reference import (
+    component_contribution,
+    oracle_expand_vs_closed,
+    pole_cancellation_check,
 )
 from eqgenus.theta import ThetaKind, theta_numeric
 
@@ -113,7 +113,7 @@ def test_criterion_02_nullwert_oracle():
         return {k: v for k, v in out.items() if v}
 
     ok = True
-    from eqgenus.theta import theta_formal
+    from eqgenus.reference import theta_formal
     for kind, sgn in ((ThetaKind.Theta2, -1), (ThetaKind.Theta3, 1)):
         oracle = {0: 1}
         n = 1
@@ -182,12 +182,12 @@ def test_criterion_06_anomaly_and_jacobi():
     worst = 0.0
     for kind in V_KINDS:
         spec = designated_spec(kind, n, k, l, 0)
-        from eqgenus.localization import degree_component_function
+        from eqgenus.numeric import degree_component_function
         F = degree_component_function(data, kind, 0, normalized=True, eps=1e-12)
         rep = check_jacobi(F, spec, samples=32, eps=1e-8)
         ok = ok and rep.passed
         worst = max(worst, rep.max_discrepancy)
-    from eqgenus.localization import degree_component_function
+    from eqgenus.numeric import degree_component_function
     F = degree_component_function(data, OperatorKind.DVThetaQ, 0,
                                   normalized=True, eps=1e-12)
     zr = count_zeros(F, 0.5 + 1.2j, (0.171 + 0.113j, 2, 2 * (0.5 + 1.2j)))
@@ -204,7 +204,7 @@ def test_criterion_07_family_weight_shift():
     k, l = data.fiber_half_dim, data.components[0].v_rank()
     ok = n == 0
     worst = 0.0
-    from eqgenus.localization import degree_component_function
+    from eqgenus.numeric import degree_component_function
     for kind in (OperatorKind.DVThetaQ, OperatorKind.DeltaVThetaPrime):
         spec = designated_spec(kind, n, k, l, 1)
         assert spec.weight == k + 1

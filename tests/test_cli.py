@@ -345,6 +345,25 @@ def test_theta_small_normal_value_prints(capsys):
     assert out == "theta((0.3+0j), 800j) = (2.156338176639579e-273+0j) (within relative 1e-12)\n"
 
 
+@pytest.mark.parametrize("t, tau", [("0.5", "1i"), ("1.5", "1i"), ("0.5", "0.2+0.01i"),
+                                    ("0.5", "0.01i")])
+def test_theta1_real_zeros_are_exact(capsys, t, tau):
+    # theta1 vanishes at t in 1/2 + Z for every tau; the modular reduction
+    # would leave a residue of about 1e-16 there, or underflow at small Im tau
+    code, out, _ = run(capsys, "theta", "--kind", "theta1", "--t", t, "--tau", tau,
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == {"re": 0.0, "im": 0.0}
+
+
+def test_theta1_next_to_a_real_zero_is_not_zero(capsys):
+    code, out, _ = run(capsys, "theta", "--kind", "theta1", "--t", "0.5000000001",
+                       "--tau", "1i", "--format", "json")
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert abs(complex(value["re"], value["im"])) > 1e-10
+
+
 def test_exact_commands_on_a_file_import_neither_jacobi_nor_catalog(tmp_path):
     path = tmp_path / "s2.json"
     path.write_text(json.dumps(dataset_to_json(builtin("s2-rotation").data)))
@@ -357,6 +376,40 @@ def test_exact_commands_on_a_file_import_neither_jacobi_nor_catalog(tmp_path):
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _loaded_modules(tmp_path, script, *flags):
+    """The eqgenus modules, and fractions, that a fresh interpreter has
+    loaded at each ``mark()`` of ``script``; sys.argv[1] is a dataset file."""
+    path = tmp_path / "s2v.json"
+    path.write_text(json.dumps(dataset_to_json(builtin("s2-v-double-tangent").data)))
+    prelude = ("import sys\n"
+               "def mark():\n"
+               "    print('loaded:', *sorted(m for m in sys.modules\n"
+               "                             if m.split('.')[0] in ('eqgenus', 'fractions')))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eqgenus.__file__)))
+    proc = subprocess.run([sys.executable, *flags, "-c", prelude + script, str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return [set(line.split()[1:]) for line in proc.stdout.splitlines()
+            if line.startswith("loaded:")]
+
+
+def test_each_command_loads_only_the_stack_it_runs(tmp_path):
+    # the numeric stack and the reference checks stay off the exact
+    # commands' import path, and the law suite needs theta alone
+    [theta] = _loaded_modules(tmp_path, "import eqgenus.theta\nmark()", "-S")
+    assert theta == {"eqgenus", "eqgenus.theta"}
+    script = ("from eqgenus.cli import main\nmark()\n"
+              "assert main(['rigidity', '--input', sys.argv[1], '--order', '8']) == 0\n"
+              "assert main(['expand', '--input', sys.argv[1], '--order', '8',\n"
+              "             '--operator', 'dv-theta-q']) == 0\nmark()\n"
+              "assert main(['jacobi', '--input', sys.argv[1], '--samples', '2',\n"
+              "             '--operator', 'dv-theta-q']) == 0\nmark()")
+    imported, exact, jacobi = _loaded_modules(tmp_path, script)
+    assert imported == exact == {"fractions", "eqgenus"} | {
+        "eqgenus." + m for m in ("algebra", "theta", "genera", "localization", "dataset", "cli")}
+    assert jacobi == exact | {"eqgenus.jacobi", "eqgenus.numeric"}
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
@@ -625,7 +678,8 @@ def test_theta_cli_cross_path(capsys):
                        "--tau", "1.0i", "--eps", "1e-12", "--format", "json")
     assert code == 0
     val = json.loads(out)["value"]
-    from eqgenus.theta import ThetaKind, theta_formal, evaluate_formal
+    from eqgenus.reference import evaluate_formal, theta_formal
+    from eqgenus.theta import ThetaKind
     ts = theta_formal(ThetaKind.Theta3, 1, 96)
     ref = evaluate_formal(ts.series, 0.3, 1.0j)
     assert abs(complex(val["re"], val["im"]) - ref) < 1e-9

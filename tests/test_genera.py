@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqgenus import genera
+from eqgenus import genera, numeric
 from eqgenus.algebra import (
     GradedElement,
     IntegrationTable,
@@ -21,19 +21,21 @@ from eqgenus.genera import (
     OperatorKind,
     RootBundle,
     ZeroWeightNormalBundle,
-    _JetBackend,
     _line,
+    constants_ledger,
+    theta_quotient_integrand,
+)
+from eqgenus.localization import ActionData, FixedComponent, equivariant_character
+from eqgenus.numeric import _JetBackend, numeric_integrand
+from eqgenus.reference import (
     a_hat,
     chern_character,
     complexified,
-    constants_ledger,
-    numeric_integrand,
     oracle_expand_vs_closed,
-    theta_quotient_integrand,
+    theta_formal,
     witten_element_ch,
 )
-from eqgenus.localization import ActionData, FixedComponent, equivariant_character
-from eqgenus.theta import PAIR_GRID, ConstantsLedger, ThetaKind, theta_formal, unit_product
+from eqgenus.theta import PAIR_GRID, ConstantsLedger, ThetaKind, unit_product
 
 
 @dataclass
@@ -306,7 +308,7 @@ def papers_theta_quotient(kind, normalized, comp, n8=40):
     """prod_TX num_TX(m) prod_V theta_v(n) / prod_TX theta(m) over a point
     component, from ``theta_formal``; normalized: theta'(0) on TX and each
     V factor over its value at 0."""
-    from eqgenus.theta import theta_taylor
+    from eqgenus.reference import theta_taylor
     d0 = theta_taylor(ThetaKind.Theta, 0, 1, n8).entries[1]
 
     def S(num, m):
@@ -374,7 +376,7 @@ def test_theta_quotient_flags_a_broken_prefactor_power(monkeypatch, c_power, q8_
 
 @pytest.mark.parametrize("kind,normalized", RECIPES, ids=map(recipe_id, RECIPES))
 def test_numeric_matches_formal_point(kind, normalized):
-    from eqgenus.theta import evaluate_formal
+    from eqgenus.reference import evaluate_formal
     comp = point(1, 2, v=((1, 2),))
     t, tau = 0.287, 0.1 + 1.05j
     ser = as_wrat(scalar_series(theta_quotient_integrand(kind, comp, 80, normalized)))
@@ -385,7 +387,7 @@ def test_numeric_matches_formal_point(kind, normalized):
 
 @pytest.mark.parametrize("kind,normalized", RECIPES, ids=map(recipe_id, RECIPES))
 def test_numeric_matches_formal_graded(kind, normalized):
-    from eqgenus.theta import evaluate_formal
+    from eqgenus.reference import evaluate_formal
     gens = (("b", 2),)
     b = GradedElement.generator(gens, 2, "b")
     comp = Comp(gens, 2, None, (RootBundle(1, 1, (b,)),), (RootBundle(1, 1, (b,)),))
@@ -430,7 +432,7 @@ def fiber_and_base() -> Comp:
 
 def test_numeric_matches_formal_fiber_and_base():
     # every monomial of the jet must match the formal integrand
-    from eqgenus.theta import evaluate_formal
+    from eqgenus.reference import evaluate_formal
     comp = fiber_and_base()
     t, tau = 0.37, 0.15 + 1.6j
     for kind, normalized in RECIPES:
@@ -450,7 +452,7 @@ def test_numeric_integrand_within_l1_relative_eps():
     # the exact integrand at n8 = 48, evaluated monomial by monomial, is the
     # reference: with Im tau >= 1.1 its last q-step (keys 41..48) moves it
     # by less than eps / 100 in l1, and the left-out tail is |q| times smaller
-    from eqgenus.theta import evaluate_formal
+    from eqgenus.reference import evaluate_formal
     comp = fiber_and_base()
     rng = random.Random(61)
     points = [(complex(rng.uniform(0.05, 0.95), rng.uniform(-0.2, 0.2)),
@@ -501,13 +503,13 @@ def test_numeric_pair_product_matches_the_jet_product(monkeypatch):
     x8, b8 = (GradedElement.generator(cap8, 8, n) for n in ("x", "b"))
     comps = [(fiber_and_base(), None), (Comp(cap8, 8, None, ()), (x8 + b8, x8 * 2 - b8 * 3))]
     kept = []
-    product_keys = genera.product_keys
+    product_keys = numeric.product_keys
 
     def spy(*args):
         kept.append(product_keys(*args))
         return kept[-1]
 
-    monkeypatch.setattr(genera, "product_keys", spy)
+    monkeypatch.setattr(numeric, "product_keys", spy)
     rng = random.Random(73)
     for comp, roots in comps:
         if roots is None:

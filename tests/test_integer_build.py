@@ -19,10 +19,9 @@ import pytest
 
 from eqgenus.algebra import AlgebraError, GradedElement, IntegrationTable, WLaurentRational
 from eqgenus.genera import (OperatorKind, RootBundle, component_integrands,
-                            constants_ledger, oracle_expand_vs_closed, root_scale,
-                            theta_quotient_integrand)
-from eqgenus.localization import (ActionData, FixedComponent, component_contribution,
-                                  equivariant_character)
+                            constants_ledger, root_scale, theta_quotient_integrand)
+from eqgenus.localization import ActionData, FixedComponent, equivariant_character
+from eqgenus.reference import component_contribution, oracle_expand_vs_closed
 
 NORMALIZED_KINDS = [k for k in OperatorKind if k.supports_normalized]
 

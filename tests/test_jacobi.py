@@ -23,7 +23,8 @@ from eqgenus.jacobi import (
     slash_action,
     subgroup_member,
 )
-from eqgenus.localization import anomaly_index, degree_component_function, equivariant_character
+from eqgenus.localization import anomaly_index, equivariant_character
+from eqgenus.numeric import degree_component_function
 from eqgenus.theta import ThetaKind, theta_numeric
 
 

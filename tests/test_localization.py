@@ -14,17 +14,15 @@ from eqgenus.localization import (
     NearPole,
     ValidationError,
     anomaly_index,
-    component_contribution,
-    degree_component,
     equivariant_character,
     equivariant_characters,
-    evaluate_numeric,
-    pole_cancellation_check,
     _component_classes,
     _same_data,
     rigidity_check,
     validate,
 )
+from eqgenus.numeric import evaluate_numeric
+from eqgenus.reference import component_contribution, degree_component, pole_cancellation_check
 
 
 def isolated(name, weights, v=(), sign=1, base_gens=(), base_cap=0, roots=None):
@@ -230,7 +228,7 @@ def test_pole_cancellation_cp3_half_power():
     before, after = rep.per_q[key]
     assert before > 0 and after == 0
     # numeric sampling on |w| = 1 agrees with the reduced constant
-    from eqgenus.localization import evaluate_numeric
+    from eqgenus.numeric import evaluate_numeric
     for j in range(8):
         t = 0.11 + j / 9.31
         vals = evaluate_numeric(data, OperatorKind.DThetaQ, t, 1.3j, 1e-11)
@@ -461,7 +459,7 @@ def test_evaluate_numeric_rigid_constancy():
 
 
 def test_rigid_constants_match_numeric_spot_values():
-    from eqgenus.theta import evaluate_formal
+    from eqgenus.reference import evaluate_formal
     data = ActionData(1, (isolated("p+", (1,), v=((1, 1),)),
                           isolated("p-", (-1,), v=((-1, 1),))),
                       v_half_rank=1, name="s2-vtx")
@@ -484,7 +482,7 @@ def test_evaluate_numeric_near_pole():
 
 
 def test_formal_vs_numeric_cross_validation():
-    from eqgenus.theta import evaluate_formal
+    from eqgenus.reference import evaluate_formal
     rng = random.Random(61)
     datasets = [s2(), s2(v=((1, 2),)), builtin("s2xs2-birotation").data,
                 ActionData(1, (isolated("p", (1,)),), name="one-pt")]
@@ -505,7 +503,7 @@ def test_formal_vs_numeric_cross_validation():
 
 def test_numeric_matches_formal_fibered_component():
     # whole-fiber fixed component (projective line, tangent root 2y)
-    from eqgenus.theta import evaluate_formal
+    from eqgenus.reference import evaluate_formal
     gens = (("y", 2),)
     y = GradedElement.generator(gens, 2, "y")
     table = IntegrationTable(("y",), 1, {(1,): Fraction(1)})

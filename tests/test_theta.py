@@ -7,16 +7,14 @@ import pytest
 
 from eqgenus import theta
 from eqgenus.algebra import OffGridExponent, QSeries, WLaurentRational
+from eqgenus.reference import evaluate_formal, theta_formal, theta_taylor
 from eqgenus.theta import (
     ConstantsLedger,
     NonconvergentDomain,
     ThetaKind,
     check_modular_ST,
     check_quasi_periodicity,
-    evaluate_formal,
-    theta_formal,
     theta_numeric,
-    theta_taylor,
 )
 
 KINDS = (ThetaKind.Theta, ThetaKind.Theta1, ThetaKind.Theta2, ThetaKind.Theta3)
