@@ -364,20 +364,6 @@ def test_theta1_next_to_a_real_zero_is_not_zero(capsys):
     assert abs(complex(value["re"], value["im"])) > 1e-10
 
 
-def test_exact_commands_on_a_file_import_neither_jacobi_nor_catalog(tmp_path):
-    path = tmp_path / "s2.json"
-    path.write_text(json.dumps(dataset_to_json(builtin("s2-rotation").data)))
-    script = ("import sys; from eqgenus.cli import main\n"
-              "for argv in (['expand', '--operator', 'd-theta-q'], ['rigidity']):\n"
-              "    assert main([*argv, '--input', sys.argv[1], '--order', '8']) == 0\n"
-              "print(sorted(m for m in sys.modules if m in ('eqgenus.jacobi', 'eqgenus.catalog')))")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eqgenus.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-
-
 def _loaded_modules(tmp_path, script, *flags):
     """The eqgenus modules, and fractions, that a fresh interpreter has
     loaded at each ``mark()`` of ``script``; sys.argv[1] is a dataset file."""
