@@ -38,7 +38,7 @@ from .algebra import (DegreeOutOfRange, GradedElement, OffGridExponent, QSeries,
 from .genera import (OperatorKind, RootBundle, _half_character, _iter_lines, _line, _one, _sigma,
                      bridge_to_index_character, series_product, theta_quotient_integrand)
 from .localization import ActionData, FixedComponent, GenusResult
-from .theta import ConstantsLedger, PAIR_GRID, ThetaKind
+from .theta import PAIR_GRID, ConstantsLedger, ThetaKind
 
 
 # ---------------------------------------------------------------------------
