@@ -372,9 +372,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _bind_dash_values(argv: list[str]) -> list[str]:
+    """argv with each value that starts with "-" bound to the option before
+    it, as --option=value: argparse takes plain decimals like -0.3 as
+    values, but -0.2+0.8i or -1e-3 as options.  Every option but "-h"
+    starts with "--", and one that takes no value fails on a bound value
+    with exit 2, as it does on the stray token."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if arg[:1] == "-" and arg[:2] != "--" and prev[:2] == "--" and "=" not in prev:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_dash_values(sys.argv[1:] if argv is None else list(argv)))
     if args.command == "catalog" and args.action == "emit" and not args.name:
         print("catalog emit requires a name", file=sys.stderr)
         return EXIT_VALIDATION

@@ -19,20 +19,21 @@ Two independent realizations of each integrand exist:
   constant of 2 pi and i cancels identically and the coefficients are
   honest rational functions of w.  One interpreter builds it over one
   carrier, ``GradedElement``, through two backends that differ in their
-  coefficient ring and in how they form a line's theta pair product.
-  The exact one (``_SeriesBackend``) runs over the ints, on roots scaled
-  by ``root_scale``; the numeric one (``numeric._JetBackend``) serves
+  coefficient ring and in how they form a line's theta pair product and
+  a scalar product's power (c(q)^m, the null values).  The exact one
+  (``_SeriesBackend``) runs over the ints, on roots scaled by
+  ``root_scale``; the numeric one (``numeric._JetBackend``) serves
   ``numeric.numeric_integrand``, the same product at a point (t, tau),
   on complex jets.  The theta denominator is a property of the fixed
   component, not of the family (``_denominator``): L, the q-free
   product of 1 - w^{-2m} e^{-x} over the normal lines, times the unit
   series U of the sigma units and the pair products.  On the exact path
   ``component_integrands`` is one fixed component's whole share of a
-  command, unreduced over den = s^{J+1}; ``localization`` reduces once
-  per coefficient of the component sum and ``theta_quotient_integrand``
-  once per coefficient of one component.  Canonical forms of reduced
-  quotients are unique, so every path gives the term-by-term reduced
-  result exactly.
+  command, unreduced over den (``component_denominator``); ``reduced``
+  puts a series over its denominator, once per coefficient of one
+  component (``theta_quotient_integrand``) or of ``localization``'s
+  component sum.  Canonical forms of reduced quotients are unique, so
+  every path gives the term-by-term reduced result exactly.
 
 * the exterior/symmetric-power expansion, assembled term by term in q
   from its own table in ``reference``, which the exact commands never
@@ -61,6 +62,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 
 from .algebra import (
+    AlgebraError,
     GradedElement,
     OffGridExponent,
     QSeries,
@@ -72,8 +74,9 @@ from .algebra import (
     graded_series,
     series_invert,
     series_mul,
+    wpoly_divexact,
 )
-from .theta import PAIR_GRID, ConstantsLedger, ThetaKind, unit_product
+from .theta import PAIR_GRID, ConstantsLedger, ThetaKind
 
 
 class ZeroWeightNormalBundle(Exception):
@@ -318,38 +321,38 @@ def _numerator(kind: OperatorKind, normalized: bool, component, be, lines):
     if stray_w or stray_cls:
         num = num * be.lift(_half_character(stray_w, stray_cls, be.w, be.field))
 
-    # c(q)^|c_power| and the null values' pair products stay in the scalar
-    # ring
+    # c(q)^|c_power| and the null values (each a pair product at E = 1 per
+    # V line) stay in the scalar ring
     scalar_den = None
     if c_power:
-        cq = be.product(be.scalar_one, 8, (-1,) * abs(c_power))
+        cq = be.product(8, -1, abs(c_power))
         if c_power > 0:
             num = num * cq
         else:
             scalar_den = cq
     for tok in null_toks:
         if isinstance(tok, ThetaKind):
-            first, sign = PAIR_GRID[tok]
-            null = be.product(be.scalar_one, first, (sign, sign) * len(v_lines))
+            null = be.product(*PAIR_GRID[tok], 2 * len(v_lines))
             scalar_den = null if scalar_den is None else scalar_den * null
     return num, scalar_den
 
 
 def series_product(acc: QSeries, one, first: int, coeffs) -> QSeries:
-    """acc times prod (1 + c q^{k/8}) over k = first, first + 8, ... <= acc.n8;
-    ``one`` is the unit of the coefficient ring."""
+    """acc times prod (1 + c q^{k/8}) over k = first, first + 8, ... <= acc.n8
+    and every c in coeffs; ``one`` is the unit of the coefficient ring."""
     n8 = acc.n8
-    return unit_product(acc, range(first, n8 + 1, 8), coeffs,
-                        lambda k, c: QSeries({0: one, k: c}, n8))
+    for k in range(first, n8 + 1, 8):
+        for c in coeffs:
+            acc = acc * QSeries({0: one, k: c}, n8)
+    return acc
 
 
 class _SeriesBackend:
     """Exact coefficients: q-series truncated at n8 over graded elements
     with Laurent-polynomial coefficients, all over the ints on scaled roots
-    (``component_integrands``)."""
+    (``component_integrands``); scalar products are series over the ints."""
 
     field = int
-    scalar_one = 1
     w = staticmethod(WLaurentPoly.w)
 
     def __init__(self, component, n8: int):
@@ -359,14 +362,16 @@ class _SeriesBackend:
     def lift(self, g: GradedElement) -> QSeries:
         return QSeries({0: g}, self.n8)
 
-    def product(self, one, first: int, coeffs) -> QSeries:
-        return series_product(QSeries({0: one}, self.n8), one, first, coeffs)
+    def product(self, first: int, c: int, m: int) -> QSeries:
+        """(prod (1 + c q^{k/8}))^m, as the product of m copies of each factor."""
+        return series_product(QSeries.one(self.n8), 1, first, (c,) * m)
 
     def pair_product(self, first: int, sign: int, tw: int, x: GradedElement) -> QSeries:
         """prod (1 + sign E q^{k/8})(1 + sign E^{-1} q^{k/8}) over the keys
         k = first, first + 8, ..., E = w^{tw} e^x."""
-        return self.product(self.one, first, (_line(tw, x, self, self.field) * sign,
-                                              _line(-tw, -x, self, self.field) * sign))
+        return series_product(QSeries({0: self.one}, self.n8), self.one, first,
+                              (_line(tw, x, self, self.field) * sign,
+                               _line(-tw, -x, self, self.field) * sign))
 
 
 def _normal_scalar(component) -> WLaurentPoly:
@@ -387,27 +392,28 @@ def root_scale(components) -> int:
             * lcm(*(v.denominator for x in roots for v in x.c if v)))
 
 
-def component_integrands(component, kinds, n8: int, normalized: bool, N: int
-                         ) -> tuple[WLaurentPoly, Iterator[tuple[OperatorKind, QSeries]]]:
+def component_integrands(component, kinds, n8: int, normalized: bool,
+                         N: int) -> Iterator[tuple[OperatorKind, QSeries]]:
     """The bracketed localization integrand of each of ``kinds`` on one fixed
-    component, as (den, iterator of (kind, series)), exact on the requested
-    grid and not reduced: series / (2^two den), den = s^{J+1} and 2^two
-    the ledger's (``constants_ledger``), once the degree-2d part of series
-    is divided by N^d.  The build runs over the ints, on the roots mapped
-    by g -> N^d g for each generator g of degree 2d (N from ``root_scale``),
-    which multiplies the degree-2d part of any power series in the roots
-    by N^d; an N too small to divide out a constant exactly raises
-    AlgebraError.  The removable
-    singularity of the tangent factor is resolved by dividing out theta's
-    explicit order-1 unit; all powers of 2 pi and i cancel by construction.
+    component, as (kind, series), exact on the requested grid and not
+    reduced: series / (2^two den), den from ``component_denominator`` and
+    2^two the ledger's (``constants_ledger``), once the degree-2d part of
+    series is divided by N^d (``reduced``).  The build runs over the ints,
+    on the roots mapped by g -> N^d g for each generator g of degree 2d (N
+    from ``root_scale``), which multiplies the degree-2d part of any power
+    series in the roots by N^d; an N too small to divide out a constant
+    exactly raises AlgebraError.  The removable singularity of the tangent
+    factor is resolved by dividing out theta's explicit order-1 unit; all
+    powers of 2 pi and i cancel by construction.
 
-    The component's lines, U and L are built once and U is inverted once,
-    at the deepest working order max(n8 - q8_shift, 0) that any of
-    ``kinds`` needs for a result to n8.  With n = L - s (nilpotent,
-    n^{J+1} = 0 for J = cap // 2), L^{-1} = adj(L) / s^{J+1} where
-    adj(L) = sum_j (-n)^j s^{J-j}.  Each family then builds its numerator
-    and scalar series at its own working order, one family at a time, and
-    multiplies them by 1/U and each output coefficient by adj(L).
+    The component's lines, U and L are built once, when the first series
+    is asked for, and U is inverted once, at the deepest working order
+    max(n8 - q8_shift, 0) that any of ``kinds`` needs for a result to n8.
+    With n = L - s (nilpotent, n^{J+1} = 0 for J = cap // 2),
+    L^{-1} = adj(L) / s^{J+1} where adj(L) = sum_j (-n)^j s^{J-j}.  Each
+    family then builds its numerator and scalar series at its own working
+    order, one family at a time, and multiplies them by 1/U and each
+    output coefficient by adj(L).
     """
     # roots times N^d; a fraction left over fails in divided_series
     lines = tuple([(tw, x.map_by_degree(lambda v, d: _exact(v * N ** d)))
@@ -425,35 +431,44 @@ def component_integrands(component, kinds, n8: int, normalized: bool, N: int
         term = term * neg_n
         adj = adj * s + term
     inv_u = series_invert(u)
-
-    def integrands():
-        for kind, shift in shifts.items():
-            num, scalar_den = _numerator(kind, normalized, component,
-                                         _SeriesBackend(component, max(n8 - shift, 0)), lines)
-            if scalar_den is not None:
-                num = series_mul(num, series_invert(scalar_den))
-            out = series_mul(num, inv_u).shift_q8(shift).truncate(n8)
-            yield kind, out.map_coefficients(lambda g: g * adj)
-
-    return s ** (J + 1), integrands()
+    for kind, shift in shifts.items():
+        num, scalar_den = _numerator(kind, normalized, component,
+                                     _SeriesBackend(component, max(n8 - shift, 0)), lines)
+        if scalar_den is not None:
+            num = series_mul(num, series_invert(scalar_den))
+        out = series_mul(num, inv_u).shift_q8(shift).truncate(n8)
+        yield kind, out.map_coefficients(lambda g: g * adj)
 
 
 def component_denominator(component) -> WLaurentPoly:
-    """The den of ``component_integrands`` from the weights alone."""
+    """den = s^{J+1} of ``component_integrands``, from the weights alone."""
     return _normal_scalar(component) ** (component.cap // 2 + 1)
+
+
+def reduced(series: QSeries, den: WLaurentPoly, scale: int, N: int, lift: int) -> QSeries:
+    """series with each coefficient v of base degree 2d over
+    scale N^(lift + d) den in canonical form: with no gcd where den divides
+    v.  An int v (a component with no normal lines) is a constant."""
+    def over(v, d):
+        v, c = WLaurentPoly.const(v) if isinstance(v, int) else v, scale * N ** (lift + d)
+        try:
+            return WLaurentRational(wpoly_divexact(v, den), WLaurentPoly.const(c))
+        except AlgebraError:
+            return WLaurentRational(v, den * c)
+
+    return series.map_coefficients(lambda g: g.map_by_degree(over))
 
 
 def theta_quotient_integrand(kind: OperatorKind, component, n8: int,
                              normalized: bool = False) -> QSeries:
-    """``component_integrands`` of ``kind`` alone, with each coefficient of
-    degree 2d reduced over 2^two N^d den: a q-series whose nonzero
-    coefficients are all ``WLaurentRational``."""
+    """``component_integrands`` of ``kind`` alone, ``reduced`` over
+    2^two N^d den: a q-series whose nonzero coefficients are all
+    ``WLaurentRational``."""
     N = root_scale((component,))
-    den, [(_, series)] = component_integrands(component, (kind,), n8, normalized, N)
+    [(_, series)] = component_integrands(component, (kind,), n8, normalized, N)
     l = sum(b.rank for b in component.vbundles)
-    den = den * 2 ** constants_ledger(kind, normalized, l).two
-    return series.map_coefficients(lambda g: g.map_by_degree(
-        lambda v, d: WLaurentRational(v, den * N ** d)))
+    return reduced(series, component_denominator(component),
+                   2 ** constants_ledger(kind, normalized, l).two, N, 0)
 
 
 # ---------------------------------------------------------------------------

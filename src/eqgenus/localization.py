@@ -6,9 +6,10 @@ tangent data of each component, fiber integration tables, and optional
 twist-bundle (V) data.  ``equivariant_characters`` sums the pushed-forward
 theta-quotient integrands of one or more operator kinds over the
 components, one ``genera.component_integrands`` call per class of equal
-and conjugate components, and returns each resulting equivariant index
-character as an exact q-series of base classes, summed over the
-dataset's common denominator and reduced once per coefficient.
+and conjugate components (one dict lookup by ``_class_key`` per
+component), and returns each resulting equivariant index character as an
+exact q-series of base classes, summed over the dataset's common
+denominator and reduced once per coefficient (``genera.reduced``).
 ``equivariant_character`` is the one-kind case, and ``rigidity_check``
 its rigidity verdict.  The characters at a numeric point (t, tau) are
 computed in ``numeric``; the per-component contributions and the
@@ -20,11 +21,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .algebra import (AlgebraError, DegreeOutOfRange, GradedElement, QSeries,
-                      WLaurentPoly, WLaurentRational, _layout, fiber_integrate, format_monomial,
-                      wpoly_divexact, wpoly_gcd)
-from .genera import (OperatorKind, RootBundle, bridge_to_index_character, component_denominator,
-                     component_integrands, constants_ledger, root_scale)
+from .algebra import (DegreeOutOfRange, GradedElement, QSeries, WLaurentRational, _layout,
+                      fiber_integrate, format_monomial, wpoly_divexact, wpoly_gcd)
+from .genera import (OperatorKind, bridge_to_index_character, component_denominator,
+                     component_integrands, constants_ledger, reduced, root_scale)
 
 
 class ValidationError(Exception):
@@ -65,8 +65,7 @@ class ActionData(namedtuple("ActionData", "fiber_half_dim components base_gens b
                                           "v_half_rank declared_anomaly name",
                             defaults=((), 0, None, None, ""))):
     """Fixed-point description of a fiberwise circle action.  It has no
-    ``__slots__``: ``report`` and ``denominator`` are cached in the
-    instance dict."""
+    ``__slots__``: ``report`` is cached in the instance dict."""
 
     def digest(self) -> str:
         # imported here: only expand and rigidity take a digest, and loading
@@ -89,13 +88,6 @@ class ActionData(namedtuple("ActionData", "fiber_half_dim components base_gens b
     def report(self) -> ValidationReport:
         """The validation report, computed on first use."""
         return validate(self)
-
-    @cached_property
-    def denominator(self) -> WLaurentPoly:
-        """D, the lcm of the components' integrand denominators, computed on
-        first use; the weights alone fix it, so every kind shares it."""
-        return reduce(lambda a, b: wpoly_divexact(a * b, wpoly_gcd(a, b)),
-                      map(component_denominator, self.components))
 
 
 # ---------------------------------------------------------------------------
@@ -280,87 +272,77 @@ class GenusResult(namedtuple("GenusResult", "series kind normalized n8 base_gens
                                          self.bridge_k, self.v_rank, self.series)
 
 
-def _same_bundles(a, b) -> bool:
-    """Whether the bundle lists a and b are equal as multisets."""
-    rest = list(b)
-    for x in a:
-        j = next((j for j, y in enumerate(rest) if x == y), None)
-        if j is None:
-            return False
-        del rest[j]
-    return not rest
+def _class_key(c: FixedComponent, negated: bool = False) -> tuple:
+    """c's data as a hashable key, every normal and V weight negated when
+    ``negated``: names and signs left out, bundles as sorted tuples of
+    (weight, rank, root coefficients), so they compare as multisets.  The
+    integrand depends on the data only through E = w^{2m} e^x per line, so
+    equal keys have equal integrands and dens, and a component whose
+    negated key is another's (its conjugate) has them with w -> w^{-1}."""
+    def bundles(bs, sign):
+        return tuple(sorted((sign * b.weight, b.rank, tuple(tuple(r.c) for r in b.roots))
+                            for b in bs))
 
-
-def _same_data(c: FixedComponent, d: FixedComponent, negated: bool) -> bool:
-    """Whether d has c's data, with every normal and V weight negated when
-    ``negated`` (then d is c's conjugate); names and orientation signs are
-    free and bundles compare as multisets.  The integrand depends on the
-    data only through E = w^{2m} e^x per line, so an equal d has c's
-    integrand and den, and a conjugate has them with w -> w^{-1}."""
-    def flip(bundles):
-        return [RootBundle(-b.weight, b.rank, b.roots) for b in bundles] if negated else bundles
-
-    return (c.k_alpha == d.k_alpha and c.gens == d.gens and c.cap == d.cap
-            and c.tangent == d.tangent
-            and (c.table.fiber_gens, c.table.k_alpha, c.table.entries)
-            == (d.table.fiber_gens, d.table.k_alpha, d.table.entries)
-            and _same_bundles(flip(c.normals), d.normals)
-            and _same_bundles(flip(c.vbundles), d.vbundles))
+    sign = -1 if negated else 1
+    return (c.k_alpha, c.gens, c.cap, bundles([c.tangent] if c.tangent else [], 1),
+            c.table.fiber_gens, c.table.k_alpha, tuple(sorted(c.table.entries.items())),
+            bundles(c.normals, sign), bundles(c.vbundles, sign))
 
 
 def _component_classes(components) -> list[tuple[FixedComponent, int, int]]:
-    """The components grouped by data, in order of each class's first
-    member, its representative: (representative, summed sign of the
-    members equal to it, summed sign of its conjugates).  Equality is
-    checked first, so a self-conjugate component joins one class once."""
-    classes = []
+    """The components grouped by ``_class_key``, in order of each class's
+    first member, its representative: (representative, summed sign of the
+    members equal to it, summed sign of its conjugates).  A component
+    joins the class of its key, else that of its negated key as a
+    conjugate, so a self-conjugate component joins one class once."""
+    classes = {}
     for comp in components:
-        for i, (rep, sign, conj_sign) in enumerate(classes):
-            if _same_data(rep, comp, False):
-                classes[i] = (rep, sign + comp.sign, conj_sign)
-                break
-            if _same_data(rep, comp, True):
-                classes[i] = (rep, sign, conj_sign + comp.sign)
-                break
+        key = _class_key(comp)
+        if key in classes:
+            classes[key][1] += comp.sign
+        elif (conj := _class_key(comp, True)) in classes:
+            classes[conj][2] += comp.sign
         else:
-            classes.append((comp, comp.sign, 0))
-    return classes
+            classes[key] = [comp, comp.sign, 0]
+    return [tuple(c) for c in classes.values()]
 
 
 def equivariant_characters(data: ActionData, kinds, n8: int,
                            normalized: bool = False) -> dict[OperatorKind, GenusResult]:
     """The character of each of ``kinds``: the sum of its pushed-forward
     integrands over the fixed components, each times its cofactor D / den
-    over Z[w^{+-1}]; each summed coefficient of base degree 2e is then
-    reduced once over 2^two N^(K+e) D.  The integrands leave out the
-    ledger's 2^two and run on roots scaled by one N for the dataset
-    (``genera.root_scale``): a pushed coefficient carries N^(k_alpha + e),
-    lifted by N^(K - k_alpha), K the largest k_alpha.  The component classes
-    (``_component_classes``) are the outer loop: each representative's
-    integrands (``genera.component_integrands``) share one theta
-    denominator, built once for every kind, and only one representative's
-    are alive at a time.  The class adds the pushed series times its
-    cofactor and summed sign, plus the same with w -> w^{-1} times
-    D / den(w^{-1}) and the conjugates' summed sign; a class whose two sums
-    are 0 is not built."""
+    over Z[w^{+-1}], D the lcm of the dens
+    (``genera.component_denominator``); each summed coefficient of base
+    degree 2e is then reduced once over 2^two N^(K+e) D (``genera.reduced``).
+    The integrands leave out the ledger's 2^two and run on roots scaled by
+    one N for the dataset (``genera.root_scale``): a pushed coefficient
+    carries N^(k_alpha + e), lifted by N^(K - k_alpha), K the largest
+    k_alpha.  The component classes (``_component_classes``) are the outer
+    loop: each representative's integrands (``genera.component_integrands``)
+    share one theta denominator, built once for every kind, and only one
+    representative's are alive at a time.  The class adds the pushed series
+    times its cofactor and summed sign, plus the same with w -> w^{-1}
+    times D / den(w^{-1}) and the conjugates' summed sign; a class whose
+    two sums are 0 is not built."""
     validated(data)
     kinds = tuple(dict.fromkeys(kinds))
     for kind in kinds:
         if kind.needs_v and any(not c.vbundles for c in data.components):
             raise ValidationError("%s requires V data on every component" % kind.value)
-    D = data.denominator
+    D = reduce(lambda a, b: wpoly_divexact(a * b, wpoly_gcd(a, b)),
+               map(component_denominator, data.components))
     N = root_scale(data.components)
     K = max(c.k_alpha for c in data.components)
     totals = {kind: QSeries.zero(n8) for kind in kinds}
     for comp, sign, conj_sign in _component_classes(data.components):
         if not (sign or conj_sign):
             continue
-        den, integrands = component_integrands(comp, kinds, n8, normalized, N)
+        den = component_denominator(comp)
         lift = N ** (K - comp.k_alpha)
         cofactor = wpoly_divexact(D, den) * (sign * lift)
         if conj_sign:
             conj_cofactor = wpoly_divexact(D, den.subs_w_inverse()) * (conj_sign * lift)
-        for kind, series in integrands:
+        for kind, series in component_integrands(comp, kinds, n8, normalized, N):
             pushed = series.map_coefficients(lambda g: fiber_integrate(g, comp.table))
             part = pushed.map_coefficients(lambda g: g * cofactor)
             if conj_sign:
@@ -371,8 +353,7 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
     for kind, total in totals.items():
         l = data.components[0].v_rank() if kind.needs_v else 0
         ledger = constants_ledger(kind, normalized, l)
-        total = total.map_coefficients(lambda g: g.map_by_degree(
-            lambda v, e: _over(v, D, 2 ** ledger.two * N ** (K + e))))
+        total = reduced(total, D, 2 ** ledger.two, N, K)
         out[kind] = GenusResult(total, kind, normalized, total.n8, data.base_gens,
                                 data.base_cap, data.fiber_half_dim, l, ledger, provenance)
     return out
@@ -382,15 +363,6 @@ def equivariant_character(data: ActionData, kind: OperatorKind, n8: int,
                           normalized: bool = False) -> GenusResult:
     """The character of one kind: ``equivariant_characters`` over (kind,)."""
     return equivariant_characters(data, (kind,), n8, normalized)[kind]
-
-
-def _over(num: WLaurentPoly, D: WLaurentPoly, scale: int) -> WLaurentRational:
-    """num / (scale D) in canonical form, with no gcd where D divides num."""
-    try:
-        quotient = wpoly_divexact(num, D)
-    except AlgebraError:
-        return WLaurentRational(num, D * scale)
-    return WLaurentRational(quotient, WLaurentPoly.const(scale))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ characters at a point (t, tau).
 
 ``numeric_integrand`` runs the one interpreter of ``genera`` through its
 second backend, ``_JetBackend``: jets at (t, tau), graded elements with
-complex coefficients, within an l1-relative error eps.
+complex coefficients, within an l1-relative error eps; a scalar
+q-product's power is one complex product raised to its multiplicity.
 ``evaluate_numeric`` pushes each component's jet forward and sums them,
 and ``degree_component_function`` turns one base monomial of the sum
 into the function F(t, tau) that the Jacobi-form and zero-count checks
@@ -15,13 +16,13 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .algebra import (DegreeOutOfRange, GradedElement, fiber_integrate, format_monomial,
                       graded_exp, graded_invert, graded_series)
 from .genera import OperatorKind, _denominator, _lines, _numerator, _one, _prefactors
 from .localization import ActionData, NearPole, _top_monomials, validated
-from .theta import NonconvergentDomain, product_keys, unit_product
+from .theta import NonconvergentDomain, product_keys
 
 
 @lru_cache(maxsize=None)
@@ -48,17 +49,16 @@ class _JetBackend:
     numbers.
 
     ``pair_product`` builds a theta pair product over a line from complex
-    scalars and ``product`` the scalar products (the c(q) powers and the
-    null values).  Each q-product keeps the keys of ``theta.product_keys``
-    for a bound on the l1 jet norms of its factors' deviations from 1 at
-    the first key (l1 is submultiplicative on jets), within a relative
-    budget of eps / (8 (lines + 1)).  The interpreter makes at most
-    2 (lines + 1) products, so their left-out factors move the integrand
-    by an l1-relative amount below eps.
+    scalars and ``product`` the scalar powers (c(q)^m and the null
+    values).  Each q-product keeps the keys of ``theta.product_keys`` for
+    a bound on the l1 jet norms of its factors' deviations from 1 at the
+    first key (l1 is submultiplicative on jets), within a relative budget
+    of eps / (8 (lines + 1)).  The interpreter makes at most 2 (lines + 1)
+    products, so their left-out factors move the integrand by an
+    l1-relative amount below eps.
     """
 
     field = float
-    scalar_one = 1 + 0j
 
     def __init__(self, component, t: complex, tau: complex, eps: float, lines: int):
         self.w1 = cmath.exp(1j * math.pi * t)
@@ -80,11 +80,12 @@ class _JetBackend:
         """q^{k/8} for a key on the half-integer grid (k divisible by 4)."""
         return self.qh ** (k // 4)
 
-    def product(self, one, first: int, coeffs):
-        """prod (1 + c q^{k/8}) over the keys k and the complex scalars c."""
-        dev = sum(map(abs, coeffs)) * abs(self.qpow(first))
-        return unit_product(one, product_keys(first, dev, abs(self.qh) ** 2, self.budget), coeffs,
-                            lambda k, c: one + c * self.qpow(k))
+    def product(self, first: int, c: complex, m: int) -> complex:
+        """(prod (1 + c q^{k/8}))^m: one product over the keys of m copies
+        of each factor, whose deviations sum to m |c| |q^{first/8}|."""
+        keys = product_keys(first, m * abs(c) * abs(self.qpow(first)), abs(self.qh) ** 2,
+                            self.budget)
+        return prod((1 + c * self.qpow(k) for k in keys), start=1 + 0j) ** m
 
     def pair_product(self, first: int, sign: int, tw: int, x: GradedElement) -> GradedElement:
         """prod (1 + c_k e^x)(1 + c'_k e^{-x}) over the keys k, with

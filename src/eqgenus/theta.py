@@ -6,10 +6,11 @@
     theta3(v) = c(q) prod (1 + q^{n-1/2} e^{2pi i v})(1 + q^{n-1/2} e^{-2pi i v})
 
 with c(q) = prod (1 - q^n).  Each kind's pair grid (``PAIR_GRID``), the
-one product loop (``unit_product``) and the ledger of constants kept out
-of rational data (``ConstantsLedger``) also serve the integrands of
-``genera`` and ``numeric``; the exact q-expansions of the four kinds are
-independent checks and live in ``reference``.
+truncation of a numeric product (``product_keys``) and the ledger of
+constants kept out of rational data (``ConstantsLedger``) also serve the
+integrands of ``genera`` and ``numeric``, whose backends form their own
+q-products; the exact q-expansions of the four kinds are independent
+checks and live in ``reference``.
 
 Numeric: evaluation on C x H within a relative error eps, after moving tau
 into the |q|-small regime with the S and T transformations; the product
@@ -51,31 +52,9 @@ class ConstantsLedger(namedtuple("ConstantsLedger", "two_pi i two", defaults=(0,
     __slots__ = ()
 
 
-# ---------------------------------------------------------------------------
-# q-products
-
-
-def unit_product(acc, keys, coeffs, factor):
-    """acc times the product of factor(k, c) = (1 + c q^{k/8}) over every
-    key k and every c in coeffs.
-
-    It serves the exact q-series products (``genera.series_product``) and the
-    numeric integrand's scalar products (the c(q) powers and the null
-    values); the numeric theta pair products over a line's root and
-    ``_theta_direct`` run their own loops.  The caller's ``keys`` set the
-    truncation: the range of the series order for exact series,
-    ``product_keys`` for numeric values.
-    """
-    for k in keys:
-        for c in coeffs:
-            acc = acc * factor(k, c)
-    return acc
-
-
 # (first key, sign) of each kind's pairs prod (1 + sign q^{k/8} e^{+-2 pi i v}), k += 8
 PAIR_GRID = {ThetaKind.Theta: (8, -1), ThetaKind.Theta1: (8, 1),
              ThetaKind.Theta2: (4, -1), ThetaKind.Theta3: (4, 1)}
-
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +100,9 @@ _MODULAR_IMAGES = {
 _PERIOD_SIGN = {ThetaKind.Theta: -1, ThetaKind.Theta1: -1, ThetaKind.Theta2: 1, ThetaKind.Theta3: 1}
 # the smallest positive normal double
 _MIN_NORMAL = sys.float_info.min
+# (n, parity) of the zeros recognized on t itself: t - s tau / 2 in
+# Z + parity / 2 for s = +-n
+_INPUT_ZEROS = {ThetaKind.Theta1: (0, 1), ThetaKind.Theta2: (1, 0), ThetaKind.Theta3: (1, 1)}
 
 
 def _t_shift(kind: ThetaKind, n: int) -> tuple[ThetaKind, complex]:
@@ -168,24 +150,29 @@ def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
     """theta_kind(t, tau) within relative error eps, for tau in the upper
     half plane; NonconvergentDomain where the value or its bound is not
     finite, or where the value is not a normal double (bar the exact
-    zeros at real t: theta's at t in Z, theta1's at t in 1/2 + Z).
+    zeros below).
 
     Below Im tau = 0.3, T-translations and the S-inversion, whose
     prefactors are exact, move the argument until the product truncation
     is short; first and after each S-step, t moves by the integer nearest
     Re t.  The truncation takes eps / 2 and leaves the rest to rounding,
-    which near a zero grows as |t| / dist(t, zero) ulps.  theta1's real
-    zeros are recognized on t itself, before the reduction, whose
-    rounding would leave a residue of about 1e-16 there.  The zeros of
-    theta2 and theta3, at t in tau/2 + Z and (1 + tau)/2 + Z, depend on
-    tau and are not recognized.
+    which near a zero grows as |t| / dist(t, zero) ulps.  So the zeros
+    nearest the real axis, theta1's at 1/2 + Z, theta2's at +-tau/2 + Z
+    and theta3's at 1/2 +- tau/2 + Z, are recognized on t itself, before
+    the reduction, whose rounding would leave a residue there; theta's at
+    Z land on the reduced t = 0.  Their other lattice translates wait for
+    t to be reduced modulo tau.
     """
     t0 = complex(t)
     tau = tau0 = complex(tau)
     if tau.imag <= 0:
         raise NonconvergentDomain("Im tau must be positive, got %g" % tau.imag)
-    if kind is ThetaKind.Theta1 and t0.imag == 0 and 2 * t0.real % 2 == 1 and cmath.isfinite(tau):
-        return 0j
+    zero = _INPUT_ZEROS.get(kind)
+    # Im t = s Im tau / 2 first: it fails at once off the zeros' lines
+    if zero and abs(t0.imag) == zero[0] * tau.imag / 2 and cmath.isfinite(tau):
+        s = zero[0] if t0.imag > 0 else -zero[0]
+        if 2 * (t0.real - s * tau.real / 2) % 2 == zero[1]:
+            return 0j
     try:
         n = round(t0.real)  # t - n is exact in floating point
         t, factor = t0 - n, _PERIOD_SIGN[kind] ** (n % 2) + 0j

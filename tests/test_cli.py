@@ -364,6 +364,53 @@ def test_theta1_next_to_a_real_zero_is_not_zero(capsys):
     assert abs(complex(value["re"], value["im"])) > 1e-10
 
 
+@pytest.mark.parametrize("kind, t, tau", [("theta3", "0.5+0.5i", "1i"), ("theta2", "0.5i", "1i"),
+                                          ("theta2", "0.005i", "0.01i"),
+                                          ("theta2", "2-0.5i", "1i"),
+                                          ("theta3", "-0.625-0.25i", "0.25+0.5i")])
+def test_theta2_theta3_zeros_next_to_the_real_axis_are_exact(capsys, kind, t, tau):
+    # theta2 vanishes at t in +-tau/2 + Z and theta3 at t in 1/2 +- tau/2 + Z;
+    # the reduction would leave -1.2e-16j at the first point, underflow at
+    # the second and give 9.59e-50 at the third
+    code, out, _ = run(capsys, "theta", "--kind", kind, "--t=" + t, "--tau", tau,
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == {"re": 0.0, "im": 0.0}
+
+
+@pytest.mark.parametrize("kind, t, tau", [("theta3", "0.5000000001+0.5i", "1i"),
+                                          ("theta2", "0.5000000001i", "1i")])
+def test_theta2_theta3_next_to_a_zero_are_not_zero(capsys, kind, t, tau):
+    code, out, _ = run(capsys, "theta", "--kind", kind, "--t", t, "--tau", tau,
+                       "--format", "json")
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert abs(complex(value["re"], value["im"])) > 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--kind", "theta", "--t", "0.3", "--tau", "-0.2+0.8i"],
+    ["zeros", "--input", "catalog:s2-family-base", "--operator", "dv-star-difference",
+     "--tau", "-0.3+1.2i"],
+    ["theta", "--kind", "theta", "--t", "-1e-3"],
+    ["theta", "--kind", "theta2", "--formal", "--m", "-1/2", "--order", "8"],
+], ids=["theta-tau", "zeros-tau", "theta-t", "theta-formal-m"])
+def test_a_value_starting_with_a_dash_is_read_as_a_value(capsys, argv):
+    # argparse takes only plain decimals like -0.3 as values; each of these
+    # exited 2 with "expected one argument", while the --flag=VALUE form ran
+    i = next(i for i, a in enumerate(argv) if a[:1] == "-" and a[:2] != "--")
+    joined = argv[:i - 1] + [argv[i - 1] + "=" + argv[i]] + argv[i + 1:]
+    want = run(capsys, *joined)
+    assert want[0] == 0 and want[1]
+    assert run(capsys, *argv) == want
+
+
+def test_a_negative_eps_is_out_of_range(capsys):
+    code, out, err = run(capsys, "theta", "--kind", "theta", "--eps", "-1e-3")
+    assert (code, out) == (3, "")
+    assert err.startswith("validation error: --eps ")
+
+
 def _loaded_modules(tmp_path, script, *flags):
     """The eqgenus modules, and fractions, that a fresh interpreter has
     loaded at each ``mark()`` of ``script``; sys.argv[1] is a dataset file."""

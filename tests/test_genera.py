@@ -33,9 +33,10 @@ from eqgenus.reference import (
     complexified,
     oracle_expand_vs_closed,
     theta_formal,
+    theta_taylor,
     witten_element_ch,
 )
-from eqgenus.theta import PAIR_GRID, ConstantsLedger, ThetaKind, unit_product
+from eqgenus.theta import PAIR_GRID, ConstantsLedger, ThetaKind
 
 
 @dataclass
@@ -528,9 +529,10 @@ def test_numeric_pair_product_matches_the_jet_product(monkeypatch):
                 be = _JetBackend(comp, t, tau, 1e-12, 4)
                 x = be.root(rng.choice(roots))
                 got = be.pair_product(first, sign, tw, x)
-                ref = unit_product(be.one, kept[-1], (_line(tw, x, be, float) * sign,
-                                                      _line(-tw, -x, be, float) * sign),
-                                   lambda key, c: be.one + c * be.qpow(key))
+                ref = be.one
+                for key in kept[-1]:
+                    for c in (_line(tw, x, be, float) * sign, _line(-tw, -x, be, float) * sign):
+                        ref = ref * (be.one + c * be.qpow(key))
                 err = sum(abs(a - b) for a, b in zip(got.c, ref.c)) / sum(map(abs, ref.c))
                 assert err <= 1e-13, (kind, tw, x, t, tau, err)
 
@@ -541,15 +543,52 @@ def test_numeric_scalar_products_take_only_scalars(monkeypatch):
     seen = []
     product = _JetBackend.product
 
-    def spy(self, one, first, coeffs):
-        seen.append((one,) + tuple(coeffs))
-        return product(self, one, first, coeffs)
+    def spy(self, first, c, m):
+        seen.append((c, m))
+        return product(self, first, c, m)
 
     monkeypatch.setattr(_JetBackend, "product", spy)
     for kind, normalized in RECIPES:
         numeric_integrand(kind, fiber_and_base(), 0.37, 0.15 + 1.6j, 1e-12, normalized)
     assert seen
     assert all(isinstance(v, (int, float, complex)) for args in seen for v in args)
+
+
+def test_exact_scalar_product_is_c_cubed():
+    # theta'(0) = c(q)^3 q^{1/8} from the formal expansion of theta; by
+    # Jacobi's identity c(q)^3 = 1 - 3q + 5q^3 - 7q^6 + ...
+    n8 = 64
+    got = genera._SeriesBackend(point(1), n8).product(8, -1, 3)
+    want = theta_taylor(ThetaKind.Theta, 0, 1, n8 + 1).entries[1].shift_q8(-1)
+    assert got.n8 == want.n8 == n8 and len(got.c) > 3
+    assert got.c == {k: v.constant() for k, v in want.c.items()}
+
+
+def test_numeric_scalar_product_is_the_product_of_the_copies(monkeypatch):
+    # (prod (1 + c q^{k/8}))^m against m copies of each factor multiplied
+    # one by one to convergence: within the product's budget, on the keys
+    # product_keys gives for the m copies
+    kept = []
+    product_keys = numeric.product_keys
+
+    def spy(*args):
+        kept.append(product_keys(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(numeric, "product_keys", spy)
+    for tau in (0.2 + 0.35j, -0.4 + 0.8j, 1.3j, 0.1 + 3j):
+        be = _JetBackend(point(1), 0.3, tau, 1e-6, 4)
+        for first, c in ((8, -1),) + tuple(PAIR_GRID.values()):
+            for m in (0, 1, 2, 6):
+                got = be.product(first, c, m)
+                dev = sum(abs(c) for _ in range(m)) * abs(be.qpow(first))
+                assert kept[-1] == product_keys(first, dev, abs(be.qh) ** 2, be.budget)
+                ref = 1 + 0j
+                for k in range(first, first + 8 * 400, 8):
+                    for _ in range(m):
+                        ref *= 1 + c * be.qpow(k)
+                assert abs(got - ref) <= (be.budget + 1e-14) * abs(got), (tau, first, c, m)
+                assert m or got == 1
 
 
 def test_exact_coefficients_are_rational_functions():

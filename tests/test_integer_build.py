@@ -18,7 +18,7 @@ from math import factorial
 import pytest
 
 from eqgenus.algebra import AlgebraError, GradedElement, IntegrationTable, WLaurentRational
-from eqgenus.genera import (OperatorKind, RootBundle, component_integrands,
+from eqgenus.genera import (OperatorKind, RootBundle, component_denominator, component_integrands,
                             constants_ledger, root_scale, theta_quotient_integrand)
 from eqgenus.localization import ActionData, FixedComponent, equivariant_character
 from eqgenus.reference import component_contribution, oracle_expand_vs_closed
@@ -70,9 +70,9 @@ def _kinds(normalized):
 def _unscaled(component, kind, n8, normalized, N):
     """``component_integrands`` at the scale N, reduced as
     ``theta_quotient_integrand`` reduces it."""
-    den, [(_, series)] = component_integrands(component, (kind,), n8, normalized, N)
+    [(_, series)] = component_integrands(component, (kind,), n8, normalized, N)
     l = sum(b.rank for b in component.vbundles)
-    den = den * 2 ** constants_ledger(kind, normalized, l).two
+    den = component_denominator(component) * 2 ** constants_ledger(kind, normalized, l).two
     return series.map_coefficients(lambda g: g.map_by_degree(
         lambda v, d: WLaurentRational(v, den * N ** d)))
 
@@ -107,11 +107,10 @@ def test_a_scale_too_small_raises():
     # 2 J! = 48 at cap 8 clears exp but not sigma's 1 / (4^2 5!) at y^4
     comp = fixed_line()
     with pytest.raises(AlgebraError):
-        list(component_integrands(comp, (OperatorKind.DThetaQ,), 8, False,
-                                  2 * factorial(4) * 2)[1])
+        list(component_integrands(comp, (OperatorKind.DThetaQ,), 8, False, 2 * factorial(4) * 2))
     # N = 1 leaves the roots' 1/2 and exp's 1/k!
     with pytest.raises(AlgebraError):
-        list(component_integrands(rational_point(), (OperatorKind.DThetaQ,), 8, False, 1)[1])
+        list(component_integrands(rational_point(), (OperatorKind.DThetaQ,), 8, False, 1))
 
 
 def _assert_sum_is_the_pushed_integrands(data, normalized):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from eqgenus.algebra import DegreeOutOfRange, GradedElement, IntegrationTable, WLaurentRational
-from eqgenus.genera import OperatorKind, RootBundle, component_integrands, root_scale
+from eqgenus.genera import (OperatorKind, RootBundle, component_denominator, component_integrands,
+                            root_scale)
 from eqgenus.catalog import builtin, names
 from eqgenus.localization import (
     ActionData,
@@ -16,8 +17,8 @@ from eqgenus.localization import (
     anomaly_index,
     equivariant_character,
     equivariant_characters,
+    _class_key,
     _component_classes,
-    _same_data,
     rigidity_check,
     validate,
 )
@@ -345,7 +346,7 @@ def test_conjugate_pairs_of_the_catalog(name):
     data = builtin(name).data
     comps = {c.name: c for c in data.components}
     for first, conj in _CATALOG_PAIRS[name]:
-        assert _same_data(comps[first], comps[conj], True)
+        assert _class_key(comps[first], True) == _class_key(comps[conj])
     classes = [(c.name, s, cs) for c, s, cs in _component_classes(data.components)]
     assert classes == _CATALOG_CLASSES[name]
 
@@ -357,8 +358,9 @@ def _assert_conjugate_integrands(data, pairs):
     for first, conj in pairs:
         for kind, normalized in _variants(data):
             N = root_scale(data.components)
-            den, [(_, series)] = component_integrands(comps[first], (kind,), 24, normalized, N)
-            den_c, [(_, series_c)] = component_integrands(comps[conj], (kind,), 24, normalized, N)
+            [(_, series)] = component_integrands(comps[first], (kind,), 24, normalized, N)
+            [(_, series_c)] = component_integrands(comps[conj], (kind,), 24, normalized, N)
+            den, den_c = component_denominator(comps[first]), component_denominator(comps[conj])
             assert den_c == den.subs_w_inverse()
             flipped = series.map_coefficients(lambda g: g.subs_w_inverse())
             assert series_c.c and series_c == flipped, (first, kind, normalized)
@@ -372,7 +374,7 @@ def test_conjugate_integrand_is_the_first_with_w_inverted(name):
 def test_s4_poles_are_not_conjugate():
     # pS negates both weights but also one line's root class
     n, s = builtin("s4-rotation").data.components
-    assert not _same_data(n, s, True) and not _same_data(s, n, True)
+    assert _class_key(n, True) != _class_key(s) and _class_key(s, True) != _class_key(n)
 
 
 def _fibered_pair(conj_root=1, conj_table=1, conj_sign=-1):
@@ -397,10 +399,10 @@ def _fibered_pair(conj_root=1, conj_table=1, conj_sign=-1):
 
 def test_conjugate_needs_equal_roots_and_tables():
     a, conj = _fibered_pair().components
-    assert _same_data(a, conj, True)
+    assert _class_key(a, True) == _class_key(conj)
     for changed in (_fibered_pair(conj_root=2), _fibered_pair(conj_table=2)):
         a, other = changed.components
-        assert not _same_data(a, other, True)
+        assert _class_key(a, True) != _class_key(other)
         assert _component_classes(changed.components) == [(a, 1, 0), (other, -1, 0)]
 
 
@@ -418,17 +420,21 @@ def test_conjugate_pair_with_different_signs_sums_like_its_contributions():
         assert component_contribution(data, data.components[1], kind, 16, normalized)
 
 
-def test_equal_components_are_built_once_and_sum_like_their_contributions(monkeypatch):
-    # e0 three times with signs (+1, +1, -1); e1 twice with (+1, -1), so its
-    # class builds only for its conjugate e2; a point x with a copy of
-    # opposite sign, whose class sums to 0 and is not built
-    from eqgenus import genera
+def _cp3_repeated():
+    """e0 three times with signs (+1, +1, -1); e1 twice with (+1, -1), so its
+    class builds only for its conjugate e2; a point x with a copy of
+    opposite sign, whose class sums to 0 and is not built."""
     e0, e1, e2, e3 = builtin("cp3-weighted").data.components
     x = isolated("x", (-1, 2, 3))
-    data = ActionData(3, (e0, e1, e0._replace(name="e0'"), e2, x, e3,
+    return ActionData(3, (e0, e1, e0._replace(name="e0'"), e2, x, e3,
                           e0._replace(name="e0''", sign=-1), x._replace(name="x'", sign=-1),
                           e1._replace(name="e1'", sign=-1)),
                       name="cp3-repeated")
+
+
+def test_equal_components_are_built_once_and_sum_like_their_contributions(monkeypatch):
+    from eqgenus import genera
+    data = _cp3_repeated()
     classes = [(c.name, s, cs) for c, s, cs in _component_classes(data.components)]
     assert classes == [("e0", 1, 1), ("e1", 0, 1), ("x", 0, 0)]
     for kind, normalized in _variants(data):
@@ -440,6 +446,29 @@ def test_equal_components_are_built_once_and_sum_like_their_contributions(monkey
                         lambda be, *parts: built.append(be) or denominator(be, *parts))
     equivariant_characters(data, [kind for kind, _ in _variants(data)], 16)
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("name", names() + ["cp3-repeated"])
+def test_component_order_leaves_every_character_unchanged(name):
+    # the order picks each class's representative, and so which member of a
+    # conjugate pair is built and which is its w -> w^{-1} image; reversing
+    # the order swaps the first member of every pair.  This cannot catch an
+    # error made the same way in every class, whatever its representative.
+    data = _cp3_repeated() if name == "cp3-repeated" else builtin(name).data
+    comps = list(data.components)
+    orders = [comps[::-1]]
+    rng = random.Random(len(comps))
+    for _ in range(2):
+        orders.append(rng.sample(comps, len(comps)))
+    for normalized in (False, True):
+        kinds = [kind for kind, norm in _variants(data) if norm == normalized]
+        want = equivariant_characters(data, kinds, 16, normalized)
+        for order in orders:
+            got = equivariant_characters(data._replace(components=tuple(order)), kinds, 16,
+                                         normalized)
+            for kind in kinds:
+                assert got[kind].series == want[kind].series, (kind, normalized,
+                                                               [c.name for c in order])
 
 
 # -- numeric path ------------------------------------------------------------------
