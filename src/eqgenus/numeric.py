@@ -8,13 +8,15 @@ q-product's power is one complex product raised to its multiplicity.
 ``evaluate_numeric`` pushes each component's jet forward and sums them,
 and ``degree_component_function`` turns one base monomial of the sum
 into the function F(t, tau) that the Jacobi-form and zero-count checks
-of ``jacobi`` sample.  Only the ``jacobi`` and ``zeros`` commands import
-this module.
+of ``jacobi`` sample; it reads each component's lines
+(``numeric_lines``), which do not depend on (t, tau), once.  Only the
+``jacobi`` and ``zeros`` commands import this module.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
@@ -52,10 +54,10 @@ class _JetBackend:
     scalars and ``product`` the scalar powers (c(q)^m and the null
     values).  Each q-product keeps the keys of ``theta.product_keys`` for
     a bound on the l1 jet norms of its factors' deviations from 1 at the
-    first key (l1 is submultiplicative on jets), within a relative budget
-    of eps / (8 (lines + 1)).  The interpreter makes at most 2 (lines + 1)
-    products, so their left-out factors move the integrand by an
-    l1-relative amount below eps.
+    first key (l1 is submultiplicative on jets) and log |q| = -2 pi Im tau,
+    within a relative budget of eps / (8 (lines + 1)).  The interpreter
+    makes at most 2 (lines + 1) products, so their left-out factors move
+    the integrand by an l1-relative amount below eps.
     """
 
     field = float
@@ -63,6 +65,7 @@ class _JetBackend:
     def __init__(self, component, t: complex, tau: complex, eps: float, lines: int):
         self.w1 = cmath.exp(1j * math.pi * t)
         self.qh = cmath.exp(1j * math.pi * tau)
+        self.log_q = -2 * math.pi * tau.imag  # log |q|, for product_keys
         self.budget = eps / (8.0 * (lines + 1))
         self.one = _one(component.gens, component.cap)
 
@@ -70,7 +73,8 @@ class _JetBackend:
         """w^{tw} at w = e^{pi i t}."""
         return self.w1 ** tw
 
-    def root(self, x: GradedElement) -> GradedElement:
+    @staticmethod
+    def root(x: GradedElement) -> GradedElement:
         return x.map_coefficients(complex)
 
     def lift(self, g):
@@ -83,8 +87,7 @@ class _JetBackend:
     def product(self, first: int, c: complex, m: int) -> complex:
         """(prod (1 + c q^{k/8}))^m: one product over the keys of m copies
         of each factor, whose deviations sum to m |c| |q^{first/8}|."""
-        keys = product_keys(first, m * abs(c) * abs(self.qpow(first)), abs(self.qh) ** 2,
-                            self.budget)
+        keys = product_keys(first, m * abs(c) * abs(self.qpow(first)), self.log_q, self.budget)
         return prod((1 + c * self.qpow(k) for k in keys), start=1 + 0j) ** m
 
     def pair_product(self, first: int, sign: int, tw: int, x: GradedElement) -> GradedElement:
@@ -112,7 +115,7 @@ class _JetBackend:
         scalar, direct = 1 + 0j, []
         # sums[side][m]: the sum of u^m over the factors in e^x (side 0), e^{-x} (side 1)
         sums = ([0j] * (J + 1), [0j] * (J + 1))
-        for _ in product_keys(first, lead * abs(qk), abs(q), self.budget):
+        for _ in product_keys(first, lead * abs(qk), self.log_q, self.budget):
             for c, side in ((cp * qk, 0), (cm * qk, 1)):
                 d = 1 + c
                 if J and abs(d) < 0.5:
@@ -139,25 +142,36 @@ class _JetBackend:
         return out
 
 
+def numeric_lines(kind: OperatorKind, component) -> tuple[list, list, list]:
+    """The (tw, root) lines of ``genera._lines`` that ``numeric_integrand``
+    reads, after its checks of fixedness, with complex roots
+    (``_JetBackend.root``): no V lines where the family reads none.  They
+    do not depend on (t, tau), so a caller that samples many points builds
+    them once."""
+    t_lines, n_lines, v_lines = _lines(component)
+    return tuple([(tw, _JetBackend.root(x)) for tw, x in part]
+                 for part in (t_lines, n_lines, v_lines if kind.needs_v else []))
+
+
 def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
-                      eps: float, normalized: bool = False) -> GradedElement:
+                      eps: float, normalized: bool = False, lines=None) -> GradedElement:
     """Evaluate the theta-quotient integrand at numeric (t, tau) as a jet:
     a graded element with complex coefficients over the component's
     generators, within l1-relative error eps.  Same interpreter as the
-    formal path.  Raises NonconvergentDomain where the value or its
-    bound is not finite."""
+    formal path, on the component's ``numeric_lines`` (built here unless
+    given).  Raises NonconvergentDomain where the value or its bound is
+    not finite."""
+    if lines is None:
+        lines = numeric_lines(kind, component)
     try:
-        t_lines, n_lines, v_lines = _lines(component)
         # the budget counts only the lines the family reads
-        lines = (t_lines, n_lines, v_lines if kind.needs_v else [])
         be = _JetBackend(component, t, tau, eps, sum(map(len, lines)))
-        lines = tuple([(tw, be.root(x)) for tw, x in part] for part in lines)
         den, lin = _denominator(be, *lines[:2])
         num, scalar_den = _numerator(kind, normalized, component, be, lines)
         if scalar_den is not None:
             den = den * scalar_den
         out = num * graded_invert(den * lin)
-        q8_shift, _, halves, _ = _prefactors(kind, normalized, len(t_lines) + len(n_lines),
+        q8_shift, _, halves, _ = _prefactors(kind, normalized, len(lines[0]) + len(lines[1]),
                                              len(lines[2]))
         if halves:
             out = out * (1.0 / 2 ** halves)
@@ -171,11 +185,13 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
 
 
 def evaluate_numeric(data: ActionData, kind: OperatorKind, t, tau,
-                     eps: float = 1e-10, normalized: bool = False) -> dict[str, complex]:
+                     eps: float = 1e-10, normalized: bool = False,
+                     lines=None) -> dict[str, complex]:
     """Direct numeric evaluation per base monomial, certified to eps: each
     component's integrand jet is within l1-relative eps, so its pushed jet
     is within eps times that jet's l1 norm times the largest integration
-    table entry.
+    table entry.  ``lines``, one ``numeric_lines`` per component, is built
+    here unless given.
 
     Raises NearPole when t sits within 1e-6 of a character pole of some
     component denominator, and NonconvergentDomain off the upper half
@@ -184,17 +200,20 @@ def evaluate_numeric(data: ActionData, kind: OperatorKind, t, tau,
     tau = complex(tau)
     if tau.imag <= 0:
         raise NonconvergentDomain("Im tau must be positive")
+    if lines is None:
+        lines = [numeric_lines(kind, comp) for comp in data.components]
     w = cmath.exp(1j * math.pi * t)
-    for comp in data.components:
-        for b in comp.normals:
-            # theta denominators vanish where the character w^{2m} returns to 1;
-            # |w^{2m} - 1| ~ pi |2m| |t - pole| near a pole, tolerance 1e-6 in t
-            if abs(w ** b.tw - 1) < math.pi * abs(b.tw) * 1e-6:
+    for _, n_lines, _ in lines:
+        for tw, _ in n_lines:
+            # theta denominators vanish where a normal line's character w^{2m}
+            # returns to 1; |w^{2m} - 1| ~ pi |2m| |t - pole| near a pole,
+            # tolerance 1e-6 in t
+            if abs(w ** tw - 1) < math.pi * abs(tw) * 1e-6:
                 raise NearPole("t=%s is within tolerance of a pole of weight %s"
-                               % (t, b.weight))
+                               % (t, Fraction(tw, 2)))
     totals: dict[tuple[int, ...], complex] = {}
-    for comp in data.components:
-        jet = numeric_integrand(kind, comp, t, tau, eps, normalized)
+    for comp, comp_lines in zip(data.components, lines):
+        jet = numeric_integrand(kind, comp, t, tau, eps, normalized, comp_lines)
         pushed = fiber_integrate(jet, comp.table)
         for exps, v in pushed.terms.items():
             val = complex(v) * comp.sign
@@ -221,8 +240,10 @@ def degree_component_function(data: ActionData, kind: OperatorKind, p2: int,
             raise DegreeOutOfRange("no base monomial of degree %d" % p2)
         monomial = format_monomial(cands[0], [n for n, _ in data.base_gens])
 
+    lines = [numeric_lines(kind, comp) for comp in data.components]
+
     def f(t: complex, tau: complex) -> complex:
-        vals = evaluate_numeric(data, kind, t, tau, eps, normalized)
+        vals = evaluate_numeric(data, kind, t, tau, eps, normalized, lines)
         return vals.get(monomial, 0j)
 
     f.monomial = monomial

@@ -13,10 +13,10 @@ q-products; the exact q-expansions of the four kinds are independent
 checks and live in ``reference``.
 
 Numeric: evaluation on C x H within a relative error eps, after moving tau
-into the |q|-small regime with the S and T transformations; the product
-is cut where a geometric tail bound, solved in closed form
-(``product_keys``), certifies that the rest is negligible.  Sampled
-checkers test the S, T and quasi-periodicity laws.
+into the strip Im tau >= 0.8, where |q| < 0.0066, with the S and T
+transformations; the product is cut where a geometric tail bound, solved
+in closed form (``product_keys``), certifies that the rest is
+negligible.  Sampled checkers test the S, T and quasi-periodicity laws.
 
 The module imports no other module of the package, so the law suite
 compiles nothing else.
@@ -29,6 +29,8 @@ import random
 import sys
 from collections import namedtuple
 from enum import Enum
+from cmath import exp
+from math import ceil, expm1, inf, log, log1p
 
 
 class NonconvergentDomain(Exception):
@@ -61,10 +63,10 @@ PAIR_GRID = {ThetaKind.Theta: (8, -1), ThetaKind.Theta1: (8, 1),
 # Numeric evaluation
 
 
-def product_keys(first: int, dev: float, aq: float, eps: float) -> range:
+def product_keys(first: int, dev: float, log_q: float, eps: float) -> range:
     """The keys first, first + 8, ... to keep of a product prod (1 + d)
     whose factors at key first + 8 i deviate from 1 by at most dev |q|^i
-    in total, aq = |q| < 1.
+    in total, log_q = log |q| = -2 pi Im tau < 0.
 
     From the first left-out step I the deviations sum to at most
     S = dev |q|^I / (1 - |q|), and |prod (1 + d_j) - 1| <= exp(S) - 1
@@ -73,15 +75,16 @@ def product_keys(first: int, dev: float, aq: float, eps: float) -> range:
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    tail = math.log1p(eps) * (1 - aq)  # the largest dev |q|^I allowed
-    if not (0 <= aq < 1 and math.isfinite(dev)):
-        raise NonconvergentDomain("no certified truncation at |q|=%g, deviation %g" % (aq, dev))
+    if not (log_q < 0 and dev < inf):  # dev is a sum of absolute values
+        raise NonconvergentDomain("no certified truncation at log|q|=%g, deviation %g"
+                                  % (log_q, dev))
+    tail = log1p(eps) * -expm1(log_q)  # the largest dev |q|^I allowed
     if dev <= tail:  # also where dev is 0
         return range(first, first, 8)
-    # where q underflows to 0 only the first key deviates
-    count = math.ceil(math.log(tail / dev) / math.log(aq)) if aq else 1
+    # at least the first key, also where log_q is -inf
+    count = ceil(log(tail / dev) / log_q) or 1
     if count > 100000:
-        raise NonconvergentDomain("product needs %d factors at |q|=%g" % (count, aq))
+        raise NonconvergentDomain("product needs %d factors at log|q|=%g" % (count, log_q))
     return range(first, first + 8 * count, 8)
 
 
@@ -96,8 +99,12 @@ _MODULAR_IMAGES = {
     ThetaKind.Theta2: ((ThetaKind.Theta1, 0), (ThetaKind.Theta3, 0)),
     ThetaKind.Theta3: ((ThetaKind.Theta3, 0), (ThetaKind.Theta2, 0)),
 }
-# theta_kind(t + 1, tau) = sign theta_kind(t, tau): theta, theta1 antiperiodic
-_PERIOD_SIGN = {ThetaKind.Theta: -1, ThetaKind.Theta1: -1, ThetaKind.Theta2: 1, ThetaKind.Theta3: 1}
+# pi i and -2 pi: q^{1/2} = e^{pi i tau} and log |q| = -2 pi Im tau
+_PI_I, _MINUS_TWO_PI = 1j * math.pi, -2 * math.pi
+# theta_kind(t + 1, tau) = -theta_kind(t, tau) for these kinds; the others are periodic
+_ANTIPERIODIC = frozenset((ThetaKind.Theta, ThetaKind.Theta1))
+# e^{pi i k/4}, the T-shift phases
+_EIGHTHS = tuple(exp(_PI_I * k / 4) for k in range(8))
 # the smallest positive normal double
 _MIN_NORMAL = sys.float_info.min
 # (n, parity) of the zeros recognized on t itself: t - s tau / 2 in
@@ -108,14 +115,14 @@ _INPUT_ZEROS = {ThetaKind.Theta1: (0, 1), ThetaKind.Theta2: (1, 0), ThetaKind.Th
 def _t_shift(kind: ThetaKind, n: int) -> tuple[ThetaKind, complex]:
     """theta_kind(t, tau) = factor * theta_kind'(t, tau - n)."""
     image, eighths = _MODULAR_IMAGES[kind][1]
-    return (image if n % 2 else kind), cmath.exp(1j * math.pi * (eighths * n % 8) / 4)
+    return (image if n % 2 else kind), _EIGHTHS[eighths * n % 8]
 
 
 def _s_step(kind: ThetaKind, t1: complex, tau1: complex) -> tuple[ThetaKind, complex]:
     """theta_kind(t0, tau0) = factor * theta_kind'(t1, tau1) for
     (t0, tau0) = (t1/tau1, -1/tau1); principal branch of sqrt(tau/i)."""
     image, ipow = _MODULAR_IMAGES[kind][0]
-    root = cmath.sqrt(tau1 / 1j) * cmath.exp(1j * math.pi * t1 * t1 / tau1)
+    root = cmath.sqrt(tau1 / 1j) * exp(_PI_I * t1 * t1 / tau1)
     return image, root * 1j ** ipow
 
 
@@ -128,21 +135,24 @@ def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> comp
     own where the factors are finite (at t = 300i, tau = 1000i, z^{-1}
     alone is e^{600 pi})."""
     first, sgn = PAIR_GRID[kind]
-    qh = cmath.exp(1j * math.pi * tau)  # q^{1/2} pinned by tau, not by a branch cut
+    qh = exp(_PI_I * tau)  # q^{1/2} pinned by tau, not by a branch cut
     q = qh * qh
-    # q^{first/8} z^{+-1}, the pair's coefficients at the first key
-    a, b = 0.25j * math.pi * first * tau, 2j * math.pi * t
-    qz, qzi = cmath.exp(a + b), cmath.exp(a - b)
+    # sign q^{first/8} z^{+-1}, the pair's coefficients at the first key (the
+    # sign multiplies exactly)
+    a, b = _PI_I / 4 * first * tau, 2 * _PI_I * t
+    qz, qzi = sgn * exp(a + b), sgn * exp(a - b)
     prod = 1 + 0j
     if first == 8:
         # theta and theta1 carry q^{1/8} (s + sgn s^{-1}), theta with a factor
         # -i; q^{1/8} = e^{a/8} and s = e^{pi i t} = e^{b/2}
-        prod = (cmath.exp(a / 8 + b / 2) + sgn * cmath.exp(a / 8 - b / 2)) * (1 if sgn > 0 else -1j)
-    # the factors at key k: 1 - q^{(k + 8 - first)/8} and 1 + sgn q^{k/8} z^{+-1}
+        prod = (exp(a / 8 + b / 2) + sgn * exp(a / 8 - b / 2)) * (1 if sgn > 0 else -1j)
+    # the factors at key k: 1 - q^{(k + 8 - first)/8} and 1 + sign q^{k/8} z^{+-1}
     qn = q
-    for _ in product_keys(first, abs(q) + abs(qz) + abs(qzi), abs(q), eps):
-        prod *= (1 - qn) * (1 + sgn * qz) * (1 + sgn * qzi)
-        qn, qz, qzi = qn * q, qz * q, qzi * q
+    for _ in product_keys(first, abs(q) + abs(qz) + abs(qzi), _MINUS_TWO_PI * tau.imag, eps):
+        prod *= (1 - qn) * (1 + qz) * (1 + qzi)
+        qn *= q
+        qz *= q
+        qzi *= q
     return prod
 
 
@@ -152,17 +162,22 @@ def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
     finite, or where the value is not a normal double (bar the exact
     zeros below).
 
-    Below Im tau = 0.3, T-translations and the S-inversion, whose
-    prefactors are exact, move the argument until the product truncation
-    is short; first and after each S-step, t moves by the integer nearest
-    Re t.  The truncation takes eps / 2 and leaves the rest to rounding,
-    which near a zero grows as |t| / dist(t, zero) ulps.  So the zeros
-    nearest the real axis, theta1's at 1/2 + Z, theta2's at +-tau/2 + Z
-    and theta3's at 1/2 +- tau/2 + Z, are recognized on t itself, before
-    the reduction, whose rounding would leave a residue there; theta's at
-    Z land on the reduced t = 0.  Their other lattice translates wait for
-    t to be reduced modulo tau.
+    Below Im tau = 0.8, T-translations and the S-inversion, whose
+    prefactors are exact, move the argument into the strip Im tau >= 0.8,
+    where |q| <= e^{-1.6 pi} < 0.0066 and the product truncation is short;
+    since 0.8 < sqrt(3)/2, a tau below the strip with |Re tau| <= 1/2 has
+    |tau| < 1, so each S-step raises Im tau, and from Im tau >= 0.05 three
+    S-steps reach the strip.  First and after each S-step, t moves by the
+    integer nearest Re t.  The truncation takes eps / 2 and leaves the
+    rest to rounding, which near a zero grows as |t| / dist(t, zero)
+    ulps.  So the zeros nearest the real axis, theta1's at 1/2 + Z,
+    theta2's at +-tau/2 + Z and theta3's at 1/2 +- tau/2 + Z, are
+    recognized on t itself, before the reduction, whose rounding would
+    leave a residue there; theta's at Z land on the reduced t = 0.  Their
+    other lattice translates wait for t to be reduced modulo tau.
     """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     t0 = complex(t)
     tau = tau0 = complex(tau)
     if tau.imag <= 0:
@@ -175,21 +190,23 @@ def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
             return 0j
     try:
         n = round(t0.real)  # t - n is exact in floating point
-        t, factor = t0 - n, _PERIOD_SIGN[kind] ** (n % 2) + 0j
+        t, factor = t0 - n, (-1 + 0j if n & 1 and kind in _ANTIPERIODIC else 1 + 0j)
         for _ in range(200):
-            if tau.imag >= 0.3:
+            if tau.imag >= 0.8:
                 break
             shift = round(tau.real)
             if shift:
                 kind, f = _t_shift(kind, shift)
                 factor *= f
                 tau -= shift
-                continue
+            # |Re tau| <= 1/2 and Im tau < 0.8 < sqrt(3)/2: |tau| < 1
             tau1 = -1 / tau
             t1 = t * tau1
             kind, f = _s_step(kind, t1, tau1)
             n = round(t1.real)
-            factor *= f * _PERIOD_SIGN[kind] ** (n % 2)
+            factor *= f
+            if n & 1 and kind in _ANTIPERIODIC:
+                factor = -factor
             t, tau = t1 - n, tau1
         else:
             raise NonconvergentDomain("modular reduction did not terminate")
@@ -229,6 +246,17 @@ def _norm_diff(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
 
 
+def _worst(pairs) -> float:
+    """The largest ``_norm_diff`` over (lhs, rhs) pairs, 0 for none, in one
+    loop with no call per pair."""
+    worst = 0.0
+    for lhs, rhs in pairs:
+        d = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+        if d > worst:
+            worst = d
+    return worst
+
+
 def _default_samples(samples, seed=1729):
     if isinstance(samples, int):
         rng = random.Random(seed)
@@ -249,32 +277,26 @@ def check_quasi_periodicity(kind: ThetaKind, l: int, a: int, b: int,
     if a % 2 or b % 2:
         raise ValueError("a and b must be even")
     pts = _default_samples(samples)
-    worst = 0.0
-    for x, t, tau in pts:
-        lhs = theta_numeric(kind, x + l * (t + a * tau + b), tau)
-        phase = cmath.exp(-1j * math.pi * (2 * l * a * x + 2 * l * l * a * t + l * l * a * a * tau))
-        rhs = phase * theta_numeric(kind, x + l * t, tau)
-        worst = max(worst, _norm_diff(lhs, rhs))
+    pairs = ((theta_numeric(kind, x + l * (t + a * tau + b), tau),
+              exp(-1j * math.pi * (2 * l * a * x + 2 * l * l * a * t + l * l * a * a * tau))
+              * theta_numeric(kind, x + l * t, tau)) for x, t, tau in pts)
     name = "%s(x + %d(t + %d tau + %d))" % (kind.value, l, a, b)
-    return CheckReport(name, len(pts), worst, eps)
+    return CheckReport(name, len(pts), _worst(pairs), eps)
 
 
 def check_modular_ST(kind: ThetaKind, generator: str, samples=10, eps: float = 1e-9) -> CheckReport:
     """Check the S or T transformation law of one theta kind."""
     pts = _default_samples(samples)
-    worst = 0.0
     if generator.upper() == "T":
         image, factor = _t_shift(kind, 1)
-        for _, t, tau in pts:
-            worst = max(worst, _norm_diff(theta_numeric(kind, t, tau + 1),
-                                          factor * theta_numeric(image, t, tau)))
+        pairs = ((theta_numeric(kind, t, tau + 1), factor * theta_numeric(image, t, tau))
+                 for _, t, tau in pts)
         name = "%s(t, tau+1)" % kind.value
     elif generator.upper() == "S":
-        for _, t, tau in pts:
-            image, factor = _s_step(kind, t, tau)
-            worst = max(worst, _norm_diff(theta_numeric(kind, t / tau, -1 / tau),
-                                          factor * theta_numeric(image, t, tau)))
+        # (image, factor) of each sample's S-step, bound in the generator
+        pairs = ((theta_numeric(kind, t / tau, -1 / tau), factor * theta_numeric(image, t, tau))
+                 for _, t, tau in pts for image, factor in (_s_step(kind, t, tau),))
         name = "%s(t/tau, -1/tau)" % kind.value
     else:
         raise ValueError("generator must be 'S' or 'T'")
-    return CheckReport(name, len(pts), worst, eps)
+    return CheckReport(name, len(pts), _worst(pairs), eps)

@@ -582,7 +582,7 @@ def test_numeric_scalar_product_is_the_product_of_the_copies(monkeypatch):
             for m in (0, 1, 2, 6):
                 got = be.product(first, c, m)
                 dev = sum(abs(c) for _ in range(m)) * abs(be.qpow(first))
-                assert kept[-1] == product_keys(first, dev, abs(be.qh) ** 2, be.budget)
+                assert kept[-1] == product_keys(first, dev, be.log_q, be.budget)
                 ref = 1 + 0j
                 for k in range(first, first + 8 * 400, 8):
                     for _ in range(m):

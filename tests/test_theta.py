@@ -237,7 +237,7 @@ def _mpmath_theta(mpmath, kind, t, tau):
 
 
 def test_theta_numeric_matches_mpmath():
-    # 0.05 <= Im tau <= 1.4: points below Im tau = 0.3 go through the S/T
+    # 0.05 <= Im tau <= 1.4: points below Im tau = 0.8 go through the S/T
     # reduction
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(53)
@@ -262,9 +262,10 @@ def test_theta_numeric_within_relative_eps(monkeypatch):
     # seeded points with Re t in [-0.5, 1.5], |Im t| <= 0.3 and
     # 0.05 <= Im tau <= 1.4, where |theta| reaches well above 1, and for
     # each kind a point 5e-4 to 1e-3 from one of its zeros (Im tau <= 0.6
-    # keeps the zeros at +-tau/2 near the strip); then points with Re tau
-    # within 0.2 of +-1 or +-3 and Im tau < 0.3, whose reduction starts
-    # with an odd T-shift, which swaps theta2 and theta3
+    # keeps the zeros at +-tau/2 near the real axis, and below the
+    # reduction's threshold Im tau = 0.8); then points with Re tau within
+    # 0.2 of +-1 or +-3 and Im tau < 0.3, whose reduction starts with an
+    # odd T-shift, which swaps theta2 and theta3
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(59)
     points = []
@@ -303,6 +304,74 @@ def test_theta_numeric_within_relative_eps(monkeypatch):
     assert large > 100
     # each theta2 and theta3 point of the last set swaps at its first step
     assert sum(swaps) >= 2 * 2 * 300
+
+
+def test_theta_numeric_rejects_a_nonpositive_eps():
+    for eps in (0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            theta_numeric(ThetaKind.Theta3, 0.3, 1j, eps)
+
+
+def test_theta_numeric_at_the_reduction_threshold(monkeypatch):
+    # seeded points with Im tau in [0.78, 0.82] and |Re tau| near 1/2, on
+    # either side of the threshold Im tau = 0.8, and points near |tau| = 1
+    # and near the corners e^{i pi/3} and e^{2 i pi/3}, against 30-digit
+    # mpmath; then the S-steps per call from Im tau >= 0.05, which reach
+    # the strip Im tau >= 0.8 in at most three
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(79)
+    taus = [complex(rng.choice((1, -1)) * rng.uniform(0.45, 0.5), rng.uniform(0.78, 0.82))
+            for _ in range(60)]
+    taus += [cmath.rect(rng.uniform(0.98, 1.02), rng.uniform(0.3, math.pi - 0.3))
+             for _ in range(60)]
+    taus += [corner + cmath.rect(rng.uniform(0, 0.02), rng.uniform(0, 2 * math.pi))
+             for corner in (cmath.exp(1j * math.pi / 3), cmath.exp(2j * math.pi / 3))
+             for _ in range(30)]
+    with mpmath.workdps(30):
+        for tau in taus:
+            t = complex(rng.uniform(-0.5, 1.5), rng.uniform(-0.3, 0.3))
+            for kind in KINDS:
+                ref = _mpmath_theta(mpmath, kind, t, tau)
+                rel = abs(theta_numeric(kind, t, tau, 1e-12) - ref) / abs(ref)
+                assert rel <= 1e-12, (kind, t, tau, rel)
+    steps = []
+    s_step = theta._s_step
+    monkeypatch.setattr(theta, "_s_step", lambda *a: steps.append(a) or s_step(*a))
+    worst = 0
+    for _ in range(400):
+        tau = complex(rng.uniform(-3, 3), rng.uniform(0.05, 1.4))
+        for kind in KINDS:
+            del steps[:]
+            theta_numeric(kind, complex(rng.uniform(0, 1), rng.uniform(-0.3, 0.3)), tau)
+            worst = max(worst, len(steps))
+            assert steps or tau.imag >= 0.8
+    assert worst <= 3
+
+
+def test_theta_numeric_keeps_few_product_keys(monkeypatch):
+    # a cost guard with no timing: over the law suite's domain (S, T and
+    # quasi-periodicity checks at Im tau in [0.05, 1.4]) the reduction into
+    # the strip Im tau >= 0.8 keeps about 3.7 product keys per evaluation,
+    # and one that stops at Im tau >= 0.3 keeps 5.7
+    kept = []
+    product_keys = theta.product_keys
+
+    def spy(*args):
+        keys = product_keys(*args)
+        kept.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(theta, "product_keys", spy)
+    rng = random.Random(83)
+    pts = [(complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1)),
+            complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05)),
+            complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.4))) for _ in range(300)]
+    for kind in KINDS:
+        assert check_modular_ST(kind, "S", pts).passed
+        assert check_modular_ST(kind, "T", pts).passed
+        assert check_quasi_periodicity(kind, 1, 2, 0, samples=pts).passed
+    assert len(kept) == 4 * 6 * len(pts)
+    assert sum(kept) / len(kept) <= 4.5
 
 
 def test_theta_numeric_within_relative_eps_at_large_re_t():
