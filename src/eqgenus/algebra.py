@@ -817,7 +817,10 @@ class IntegrationTable:
 
 def fiber_integrate(a: GradedElement, table: IntegrationTable) -> GradedElement:
     """Push forward along the fiber: apply the table to the fiber part of
-    each term, annihilating everything off the top fiber degree."""
+    each term, annihilating everything off the top fiber degree.  At an
+    isolated point (k_alpha = 0, no fiber generator) that is a as it is."""
+    if not table.k_alpha and not any(n in table.fiber_gens for n, _ in a.gens):
+        return a
     fiber_idx = []
     base_idx = []
     for i, (n, _) in enumerate(a.gens):

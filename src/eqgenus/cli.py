@@ -89,10 +89,11 @@ def _check_samples(samples: int):
         raise ValidationError("--samples %d outside [1, %d]" % (samples, MAX_SAMPLES))
 
 
-def _check_unit_interval(flag: str, x: float):
-    # a NaN fails both comparisons and is rejected too
-    if not 0 < x < 1:
-        raise ValidationError("%s %r outside the open interval (0, 1)" % (flag, x))
+def _check_tolerance(flag: str, x: float):
+    # a NaN fails both comparisons and is rejected too; below the
+    # double-precision epsilon a relative bound cannot be met
+    if not sys.float_info.epsilon <= x < 1:
+        raise ValidationError("%s %r outside [%r, 1)" % (flag, x, sys.float_info.epsilon))
 
 
 def _q_name(key: int) -> str:
@@ -191,7 +192,7 @@ def cmd_jacobi(args) -> int:
     from .jacobi import check_jacobi, designated_spec
     from .numeric import degree_component_function
     _check_samples(args.samples)
-    _check_unit_interval("--tol", args.tol)
+    _check_tolerance("--tol", args.tol)
     data = _load_input(args.input)
     kind = _operator(args.operator)
     if args.degree % 2 or args.degree < 0 or args.degree > data.base_cap:
@@ -274,7 +275,7 @@ def cmd_theta(args) -> int:
             lines.append("  identically zero (order-%d vanishing at v=0)" % ts.vanishing_order)
         _emit(report, args.format, lines)
         return 0
-    _check_unit_interval("--eps", args.eps)
+    _check_tolerance("--eps", args.eps)
     t = _parse_complex(args.t)
     tau = _parse_complex(args.tau)
     val = theta_numeric(kind, t, tau, args.eps)

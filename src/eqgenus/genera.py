@@ -20,9 +20,11 @@ Two independent realizations of each integrand exist:
   honest rational functions of w.  One interpreter builds it over one
   carrier, ``GradedElement``, through two backends that differ in their
   coefficient ring and in how they form a line's theta pair product and
-  a scalar product's power (c(q)^m, the null values).  The exact one
-  (``_SeriesBackend``) runs over the ints, on roots scaled by
-  ``root_scale``; the numeric one (``numeric._JetBackend``) serves
+  a scalar product's power (c(q)^m, the null values).  A family's part
+  that does not depend on the point is its ``_recipe``, and ``_token``
+  builds each distinct (token, weight, root) factor once per integrand.
+  The exact one (``_SeriesBackend``) runs over the ints, on roots scaled
+  by ``root_scale``; the numeric one (``numeric._JetBackend``) serves
   ``numeric.numeric_integrand``, the same product at a point (t, tau),
   on complex jets.  The theta denominator is a property of the fixed
   component, not of the family (``_denominator``): L, the q-free
@@ -59,6 +61,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import factorial, lcm, prod
 
 from .algebra import (
@@ -192,34 +195,30 @@ def _iter_lines(bundles) -> list[tuple[int, GradedElement]]:
 
 def _half_character(stray_w: Fraction, stray_cls: GradedElement, w, field) -> GradedElement:
     """w^{stray_w} e^{stray_cls/2}, the w-power built by ``w`` and the
-    constants of exp in ``field``.  The strays must recombine into an
-    integer w-power, which is the spin consistency of the data."""
+    constants of exp in ``field``; with ``field`` None, stray_cls is that
+    exp already.  The strays must recombine into an integer w-power, which
+    is the spin consistency of the data."""
     if stray_w.denominator != 1:
         raise OffGridExponent(
             "total half-character w^%s is off the integer grid; "
             "the weight data is not spin-consistent" % stray_w)
     # over the ints exp(s / 2) = sum_k s^k / (2^k k!)
-    mult = (divided_series(stray_cls, range(2, stray_cls.cap + 1, 2)) if field is int
+    mult = (stray_cls if field is None
+            else divided_series(stray_cls, range(2, stray_cls.cap + 1, 2)) if field is int
             else graded_exp(stray_cls * (field(1) / 2), field))
     return mult * w(int(stray_w)) if stray_w else mult
 
 
-
 def _token(be, tok, tw: int, x: GradedElement):
-    """One per-line numerator factor in the backend's product ring; x is
-    the line's root in the backend's coefficient ring."""
-    if isinstance(tok, ThetaKind):
-        return be.pair_product(*PAIR_GRID[tok], tw, x)
-    if tok == "lin+":
-        return be.lift(be.one + _line(-tw, -x, be, be.field))
-    if tok == "lin-":
-        return be.lift(_lin_minus(be, tw, x))
-    raise ValueError(tok)
-
-
-def _lin_minus(be, tw: int, x: GradedElement):
-    """The q-free factor 1 - E^{-1} of a line, unlifted."""
-    return be.one - _line(-tw, -x, be, be.field)
+    """One per-line numerator factor in the backend's product ring, built
+    once per backend for each (tok, tw, root value); x is the line's root
+    in the backend's coefficient ring.  "lin+-" is 1 +- E^{-1}."""
+    key = tok, tw, tuple(x.c)
+    f = be.tokens.get(key)
+    if f is None:
+        f = be.tokens[key] = (be.pair_product(*PAIR_GRID[tok], tw, x) if isinstance(tok, ThetaKind)
+                              else be.lift(be.lin(1 if tok == "lin+" else -1, tw, x)))
+    return f
 
 
 def _numerators(kind: OperatorKind, normalized: bool):
@@ -277,25 +276,24 @@ def _denominator(be, t_lines, n_lines):
     den = be.lift(be.one)
     lin = be.one
     for tw, x in t_lines:
-        den = den * be.lift(_sigma(x, be.field)) * _token(be, ThetaKind.Theta, tw, x)
+        den = den * be.lift(be.sigma(x)) * _token(be, ThetaKind.Theta, tw, x)
     for tw, x in n_lines:
-        lin = lin * _lin_minus(be, tw, x)
+        lin = lin * be.lin(-1, tw, x)
         den = den * _token(be, ThetaKind.Theta, tw, x)
     return den, lin
 
 
-def _numerator(kind: OperatorKind, normalized: bool, component, be, lines):
+def _recipe(kind: OperatorKind, normalized: bool, component, lines):
     """The family's part of the theta quotient of (kind, normalized) over one
-    fixed component, as (num, scalar_den), with ``lines`` (from ``_lines``)
-    in the backend's coefficient ring: the integrand is
-    num / (scalar_den * U * L) times q^{q8_shift/8}.
-
-    A tangent line's stray is the numerator's alone, since theta's tangent
-    denominator is the sigma unit.  num takes the strays' half-character,
-    and leaves the 1/2 per theta1(0) (the ledger's 2^two) to the caller;
-    scalar_den (None when trivial) is the product of c(q)^{-c_power} and
-    the null values, in the scalar ring.
-    """
+    fixed component that does not depend on the point, with ``lines`` (from
+    ``_lines``) in a backend's coefficient ring: (tokens, stray_w,
+    stray_cls, c_up, dens).  tokens are the (token, tw, root) factors
+    of num in product order; stray_w and stray_cls the strays' total
+    w-power and class.  A tangent line's stray is the numerator's alone,
+    since theta's tangent denominator is the sigma unit.  num takes c(q) to
+    the power c_up, and each (first, sign, m) of dens is a scalar product
+    of the denominator: c(q)^-c_power where c_power < 0, and the null
+    values (each a pair product at E = 1 per V line)."""
     if kind.needs_v and not component.vbundles:
         raise ValueError("%s requires V-bundle data" % kind.value)
     tx_num, v_num, null_num = _numerators(kind, normalized)
@@ -304,36 +302,40 @@ def _numerator(kind: OperatorKind, normalized: bool, component, be, lines):
     tx_toks, tx_stray = _NUMERATORS[tx_num][:2]
     v_toks, v_stray = _NUMERATORS[v_num][:2]
     den_stray = _NUMERATORS[ThetaKind.Theta][1]
-    null_toks = _NUMERATORS[null_num][0]
-
-    num = be.lift(be.one)
-    stray_w = Fraction(0)
+    tokens, stray_w = [], Fraction(0)
     stray_cls = GradedElement.zero(component.gens, component.cap)
     for part, toks, stray in ((t_lines, tx_toks, tx_stray),
                               (n_lines, tx_toks, tx_stray - den_stray),
                               (v_lines, v_toks, v_stray)):
         for tw, x in part:
-            for tok in toks:
-                num = num * _token(be, tok, tw, x)
+            tokens += ((tok, tw, x) for tok in toks)
             if stray:
                 stray_w += Fraction(stray * tw, 2)
                 stray_cls = stray_cls + x * stray
-    if stray_w or stray_cls:
-        num = num * be.lift(_half_character(stray_w, stray_cls, be.w, be.field))
+    dens = [(8, -1, -c_power)] if c_power < 0 else []
+    dens += [(*PAIR_GRID[tok], 2 * len(v_lines))
+             for tok in _NUMERATORS[null_num][0] if isinstance(tok, ThetaKind)]
+    return tokens, stray_w, stray_cls, max(c_power, 0), dens
 
-    # c(q)^|c_power| and the null values (each a pair product at E = 1 per
-    # V line) stay in the scalar ring
+
+def _numerator(be, recipe):
+    """(num, scalar_den) of a ``_recipe`` in the backend's rings: the
+    integrand is num / (scalar_den * U * L) times q^{q8_shift/8}.  num takes
+    the strays' half-character, and leaves the 1/2 per theta1(0) (the
+    ledger's 2^two) to the caller; scalar_den (None when trivial), the
+    product of the recipe's dens, stays in the scalar ring."""
+    tokens, stray_w, stray_cls, c_up, dens = recipe
+    num = be.lift(be.one)
+    for tok, tw, x in tokens:
+        num = num * _token(be, tok, tw, x)
+    if stray_w or stray_cls:
+        num = num * be.lift(be.half_character(stray_w, stray_cls))
+    if c_up:
+        num = num * be.product(8, -1, c_up)
     scalar_den = None
-    if c_power:
-        cq = be.product(8, -1, abs(c_power))
-        if c_power > 0:
-            num = num * cq
-        else:
-            scalar_den = cq
-    for tok in null_toks:
-        if isinstance(tok, ThetaKind):
-            null = be.product(*PAIR_GRID[tok], 2 * len(v_lines))
-            scalar_den = null if scalar_den is None else scalar_den * null
+    for first, sign, m in dens:
+        f = be.product(first, sign, m)
+        scalar_den = f if scalar_den is None else scalar_den * f
     return num, scalar_den
 
 
@@ -354,13 +356,21 @@ class _SeriesBackend:
 
     field = int
     w = staticmethod(WLaurentPoly.w)
+    sigma = staticmethod(partial(_sigma, field=int))
+    half_character = staticmethod(partial(_half_character, w=WLaurentPoly.w, field=int))
 
     def __init__(self, component, n8: int):
         self.n8 = n8
         self.one = _one(component.gens, component.cap)
+        self.tokens = {}
 
     def lift(self, g: GradedElement) -> QSeries:
         return QSeries({0: g}, self.n8)
+
+    def lin(self, sign: int, tw: int, x: GradedElement) -> GradedElement:
+        """1 + sign E^{-1}, E = w^{tw} e^x, unlifted."""
+        e = _line(-tw, -x, self, self.field)
+        return self.one + e if sign > 0 else self.one - e
 
     def product(self, first: int, c: int, m: int) -> QSeries:
         """(prod (1 + c q^{k/8}))^m, as the product of m copies of each factor."""
@@ -432,8 +442,8 @@ def component_integrands(component, kinds, n8: int, normalized: bool,
         adj = adj * s + term
     inv_u = series_invert(u)
     for kind, shift in shifts.items():
-        num, scalar_den = _numerator(kind, normalized, component,
-                                     _SeriesBackend(component, max(n8 - shift, 0)), lines)
+        num, scalar_den = _numerator(_SeriesBackend(component, max(n8 - shift, 0)),
+                                     _recipe(kind, normalized, component, lines))
         if scalar_den is not None:
             num = series_mul(num, series_invert(scalar_den))
         out = series_mul(num, inv_u).shift_q8(shift).truncate(n8)

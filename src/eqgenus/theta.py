@@ -176,8 +176,9 @@ def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
     leave a residue there; theta's at Z land on the reduced t = 0.  Their
     other lattice translates wait for t to be reduced modulo tau.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not eps >= sys.float_info.epsilon:
+        raise ValueError("eps must be positive and at least %r, the double-precision "
+                         "epsilon, got %r" % (sys.float_info.epsilon, eps))
     t0 = complex(t)
     tau = tau0 = complex(tau)
     if tau.imag <= 0:

@@ -312,6 +312,15 @@ _S2 = ("--input", "catalog:s2-rotation")
      "validation error: --samples "),
     (["jacobi", *_S2, "--operator", "witten-h", "--tol", "2"], 3, "validation error: --tol "),
     (["theta", "--kind", "theta", "--eps", "inf"], 3, "validation error: --eps "),
+    # below the double-precision epsilon: 5e-324 read as non-finite (exit 4),
+    # 1e-320 printed a value "within relative 1e-320", and jacobi's 5e-324
+    # named an eps the user never gave
+    (["theta", "--kind", "theta3", "--t", "0.3", "--tau", "1i", "--eps", "5e-324"], 3,
+     "validation error: --eps 5e-324 outside [2.220446049250313e-16, 1)"),
+    (["theta", "--kind", "theta3", "--t", "0.3", "--tau", "1i", "--eps", "1e-320"], 3,
+     "validation error: --eps 1e-320 outside [2.220446049250313e-16, 1)"),
+    (["jacobi", *_S2, "--operator", "witten-h", "--tol", "5e-324"], 3,
+     "validation error: --tol 5e-324 outside [2.220446049250313e-16, 1)"),
     (["theta", "--kind", "theta", "--tau", "nan+1i"], 3, "validation error: complex number "),
     (["theta", "--kind", "theta", "--t", "1e999"], 3, "validation error: complex number "),
     (["zeros", *_S2, "--operator", "witten-h", "--tau", "nan+1i"], 3,
@@ -329,7 +338,8 @@ _S2 = ("--input", "catalog:s2-rotation")
         "rigidity-order-minus-1", "rigidity-order-512", "rigidity-order-1e5",
         "theta-order-minus-1", "theta-order-257", "theta-m-exponent", "theta-m-1-over-0",
         "jacobi-samples-0", "jacobi-samples-minus-3", "jacobi-samples-1025", "jacobi-tol-2",
-        "theta-eps-inf", "theta-tau-nan", "theta-t-1e999", "zeros-tau-nan",
+        "theta-eps-inf", "theta-eps-5e-324", "theta-eps-1e-320", "jacobi-tol-5e-324",
+        "theta-tau-nan", "theta-t-1e999", "zeros-tau-nan",
         "zeros-tau-1e999i", "zeros-origin-nan", "theta-tau-950i", "theta-tau-1000i"])
 def test_cli_numbers_that_set_the_work_are_bounded(argv, code, prefix):
     proc = _cli_process(*argv)

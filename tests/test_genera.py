@@ -26,7 +26,7 @@ from eqgenus.genera import (
     theta_quotient_integrand,
 )
 from eqgenus.localization import ActionData, FixedComponent, equivariant_character
-from eqgenus.numeric import _JetBackend, numeric_integrand
+from eqgenus.numeric import NumericPlan, _JetBackend, numeric_integrand
 from eqgenus.reference import (
     a_hat,
     chern_character,
@@ -432,9 +432,12 @@ def fiber_and_base() -> Comp:
 
 
 def test_numeric_matches_formal_fiber_and_base():
+    _assert_numeric_matches_formal(fiber_and_base())
+
+
+def _assert_numeric_matches_formal(comp):
     # every monomial of the jet must match the formal integrand
     from eqgenus.reference import evaluate_formal
-    comp = fiber_and_base()
     t, tau = 0.37, 0.15 + 1.6j
     for kind, normalized in RECIPES:
         ser = theta_quotient_integrand(kind, comp, 24, normalized)
@@ -447,6 +450,68 @@ def test_numeric_matches_formal_fiber_and_base():
             ref = evaluate_formal(coeff, t, tau)
             got = jet.terms.get(m, 0j)
             assert abs(got - ref) / (1 + abs(ref)) < 1e-9, (kind, normalized, m)
+
+
+def repeated_lines() -> Comp:
+    """fiber_and_base with its normal line on x + b twice (a rank-2 bundle
+    of two equal roots, not one object) and a rank-2 V bundle of equal
+    roots: the interpreter builds each repeated factor once and multiplies
+    it in once per line."""
+    gens = (("x", 2), ("b", 2))
+    x = GradedElement.generator(gens, 4, "x")
+    b = GradedElement.generator(gens, 4, "b")
+    v = x * Fraction(1, 2) - b
+    return Comp(gens, 4, RootBundle(0, 1, (x,)),
+                (RootBundle(1, 2, (x + b, x + b)), RootBundle(-2, 1, (b,))),
+                (RootBundle(1, 2, (v, v)),))
+
+
+def test_oracle_repeated_lines_all_kinds():
+    comp = repeated_lines()
+    for kind in ALL_KINDS:
+        rep = oracle_expand_vs_closed(kind, comp, 16)
+        assert rep.equal, (kind, rep.first_mismatch)
+
+
+def test_numeric_matches_formal_repeated_lines():
+    _assert_numeric_matches_formal(repeated_lines())
+
+
+def test_numeric_function_does_its_point_independent_work_once(monkeypatch):
+    # once F is built, a sample runs only the point's work: no lines,
+    # recipe, prefactors, unit, exp or sigma jets; and one theta pair product
+    # per distinct line of each component (s2-v-double-tangent: a normal
+    # line and two equal V lines at each of its two points)
+    from eqgenus import catalog
+    from eqgenus.numeric import degree_component_function
+    data = catalog.builtin("s2-v-double-tangent").data
+    F = degree_component_function(data, OperatorKind.DVThetaQ, 0, normalized=True, eps=1e-12)
+    calls = []
+    for name in ("numeric_lines", "_recipe", "_prefactors", "_one", "graded_exp", "_sigma"):
+        original = getattr(numeric, name)
+
+        def spy(*args, name=name, original=original, **kw):
+            calls.append(name)
+            return original(*args, **kw)
+
+        for mod in (numeric, genera):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, spy)
+    pairs = []
+    pair_product = _JetBackend.pair_product
+
+    def pair_spy(self, *args):
+        pairs.append(args)
+        return pair_product(self, *args)
+
+    monkeypatch.setattr(_JetBackend, "pair_product", pair_spy)
+    rng = random.Random(23)
+    for _ in range(20):
+        before = len(pairs)
+        F(complex(rng.uniform(0.05, 0.95), rng.uniform(-0.2, 0.2)),
+          complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.5)))
+        assert len(pairs) - before == 4
+    assert calls == []
 
 
 def test_numeric_integrand_within_l1_relative_eps():
@@ -526,8 +591,8 @@ def test_numeric_pair_product_matches_the_jet_product(monkeypatch):
             zero = ((1 if sign > 0 else 0) + 2 * rng.randint(-1, 1) - k * tau / 4) / (side * tw)
             near = zero + cmath.rect(10 ** rng.uniform(-7, -3), rng.uniform(0, 2 * math.pi))
             for t in (near, near + 2 * tau):
-                be = _JetBackend(comp, t, tau, 1e-12, 4)
-                x = be.root(rng.choice(roots))
+                be = _JetBackend(NumericPlan(OperatorKind.DThetaQ, False, comp), t, tau, 1e-12)
+                x = numeric._Root(rng.choice(roots))
                 got = be.pair_product(first, sign, tw, x)
                 ref = be.one
                 for key in kept[-1]:
@@ -577,7 +642,7 @@ def test_numeric_scalar_product_is_the_product_of_the_copies(monkeypatch):
 
     monkeypatch.setattr(numeric, "product_keys", spy)
     for tau in (0.2 + 0.35j, -0.4 + 0.8j, 1.3j, 0.1 + 3j):
-        be = _JetBackend(point(1), 0.3, tau, 1e-6, 4)
+        be = _JetBackend(NumericPlan(OperatorKind.DThetaQ, False, point(1)), 0.3, tau, 1e-6)
         for first, c in ((8, -1),) + tuple(PAIR_GRID.values()):
             for m in (0, 1, 2, 6):
                 got = be.product(first, c, m)

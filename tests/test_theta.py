@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -310,6 +311,17 @@ def test_theta_numeric_rejects_a_nonpositive_eps():
     for eps in (0, -1e-3, math.nan):
         with pytest.raises(ValueError, match="eps must be positive"):
             theta_numeric(ThetaKind.Theta3, 0.3, 1j, eps)
+
+
+def test_theta_numeric_rejects_an_eps_below_double_precision():
+    # 5e-324 halved to 0 in product_keys and read as a non-finite value, and
+    # 1e-320 claimed a relative error that doubles cannot meet
+    floor = sys.float_info.epsilon
+    for eps in (5e-324, 1e-320, floor / 2):
+        with pytest.raises(ValueError, match="at least %r" % floor):
+            theta_numeric(ThetaKind.Theta3, 0.3, 1j, eps)
+    ref = theta_numeric(ThetaKind.Theta3, 0.3, 1j)
+    assert abs(theta_numeric(ThetaKind.Theta3, 0.3, 1j, floor) - ref) <= 1e-12 * abs(ref)
 
 
 def test_theta_numeric_at_the_reduction_threshold(monkeypatch):
