@@ -79,6 +79,13 @@ def _parse_complex(s: str) -> complex:
     return z
 
 
+def _parse_tau(s: str) -> complex:
+    tau = _parse_complex(s)
+    if tau.imag <= 0:
+        raise ValidationError("tau must lie in the upper half plane")
+    return tau
+
+
 def _check_order(order: int):
     if not 0 <= order <= MAX_ORDER:
         raise ValidationError("order %d outside [0, %d] eighth-steps" % (order, MAX_ORDER))
@@ -231,9 +238,7 @@ def cmd_zeros(args) -> int:
     from .numeric import degree_component_function
     data = _load_input(args.input)
     kind = _operator(args.operator)
-    tau = _parse_complex(args.tau)
-    if tau.imag <= 0:
-        raise ValidationError("tau must lie in the upper half plane")
+    tau = _parse_tau(args.tau)
     origin = _parse_complex(args.origin) if args.origin else 0.171 + 0.113j
     F = degree_component_function(data, kind, 0, normalized=True, eps=1e-12)
     res = count_zeros(F, tau, (origin, LATTICE_SCALE, LATTICE_SCALE * tau))
@@ -277,7 +282,7 @@ def cmd_theta(args) -> int:
         return 0
     _check_tolerance("--eps", args.eps)
     t = _parse_complex(args.t)
-    tau = _parse_complex(args.tau)
+    tau = _parse_tau(args.tau)
     val = theta_numeric(kind, t, tau, args.eps)
     report = {"format": 1, "command": "theta", "kind": kind.value,
               "t": str(t), "tau": str(tau), "eps": args.eps,

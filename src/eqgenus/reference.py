@@ -163,18 +163,6 @@ def a_hat(tangent: RootBundle, gens=None, cap=None) -> GradedElement:
     return out
 
 
-def chern_character(bundle: RootBundle, gens=None, cap=None) -> GradedElement:
-    """Equivariant Chern character: sum over roots of w^{2m} e^{x_j}."""
-    if bundle.roots:
-        gens, cap = bundle.roots[0].gens, bundle.roots[0].cap
-    if gens is None:
-        raise ValueError("empty bundle needs explicit gens/cap")
-    out = GradedElement.zero(gens, cap)
-    for x in bundle.roots:
-        out = out + _line(bundle.tw, x)
-    return out
-
-
 # Each family's expansion element: (Lambda factor, spinor twist).  The
 # Lambda factor (sign, grid, over) is the product over n >= 1 of
 # Lambda_{sign q^{n - grid/8}} over the lines of "TX" or "V"; grid 0 is the

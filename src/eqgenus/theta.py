@@ -16,7 +16,10 @@ Numeric: evaluation on C x H within a relative error eps, after moving tau
 into the strip Im tau >= 0.8, where |q| < 0.0066, with the S and T
 transformations; the product is cut where a geometric tail bound, solved
 in closed form (``product_keys``), certifies that the rest is
-negligible.  Sampled checkers test the S, T and quasi-periodicity laws.
+negligible.  Sampled checkers test the S, T and quasi-periodicity laws;
+the S and T images each permute the four kinds, so the S and T checkers
+share each kind's right-hand values theta_image(t, tau) at the same
+samples, computed once (``_image_values``).
 
 The module imports no other module of the package, so the law suite
 compiles nothing else.
@@ -285,18 +288,44 @@ def check_quasi_periodicity(kind: ThetaKind, l: int, a: int, b: int,
     return CheckReport(name, len(pts), _worst(pairs), eps)
 
 
+# kind -> (samples key, theta_numeric(kind, t, tau) at each sample): a
+# suite that checks the S and T laws of every kind at the same samples asks
+# for each kind's values twice.  The key holds the bits of every t and tau,
+# so a slot serves only the exact samples it was computed at; other samples
+# replace it.  At most one slot per kind is kept for the process.
+_IMAGE_VALUES: dict = {}
+
+
+def _image_values(kind: ThetaKind, pts) -> tuple:
+    """theta_numeric(kind, t, tau) at each sample (x, t, tau), taken from
+    kind's slot when the slot holds these samples, else computed into it."""
+    from array import array  # a shared library load that no command needs
+
+    key = array("d", [c for _, t, tau in pts
+                      for c in (t.real, t.imag, tau.real, tau.imag)]).tobytes()
+    slot = _IMAGE_VALUES.get(kind)
+    if slot is None or slot[0] != key:
+        slot = _IMAGE_VALUES[kind] = key, tuple(theta_numeric(kind, t, tau)
+                                                 for _, t, tau in pts)
+    return slot[1]
+
+
 def check_modular_ST(kind: ThetaKind, generator: str, samples=10, eps: float = 1e-9) -> CheckReport:
-    """Check the S or T transformation law of one theta kind."""
+    """Check the S or T transformation law of one theta kind; the values
+    theta_image(t, tau) of the right-hand side are shared with the other
+    law checks at the same samples (``_image_values``)."""
     pts = _default_samples(samples)
     if generator.upper() == "T":
         image, factor = _t_shift(kind, 1)
-        pairs = ((theta_numeric(kind, t, tau + 1), factor * theta_numeric(image, t, tau))
-                 for _, t, tau in pts)
+        pairs = ((theta_numeric(kind, t, tau + 1), factor * value)
+                 for (_, t, tau), value in zip(pts, _image_values(image, pts)))
         name = "%s(t, tau+1)" % kind.value
     elif generator.upper() == "S":
-        # (image, factor) of each sample's S-step, bound in the generator
-        pairs = ((theta_numeric(kind, t / tau, -1 / tau), factor * theta_numeric(image, t, tau))
-                 for _, t, tau in pts for image, factor in (_s_step(kind, t, tau),))
+        # the image is the same at every sample; the factor of each
+        # sample's S-step is bound in the generator
+        image = _MODULAR_IMAGES[kind][0][0]
+        pairs = ((theta_numeric(kind, t / tau, -1 / tau), _s_step(kind, t, tau)[1] * value)
+                 for (_, t, tau), value in zip(pts, _image_values(image, pts)))
         name = "%s(t/tau, -1/tau)" % kind.value
     else:
         raise ValueError("generator must be 'S' or 'T'")

@@ -323,6 +323,13 @@ _S2 = ("--input", "catalog:s2-rotation")
      "validation error: --tol 5e-324 outside [2.220446049250313e-16, 1)"),
     (["theta", "--kind", "theta", "--tau", "nan+1i"], 3, "validation error: complex number "),
     (["theta", "--kind", "theta", "--t", "1e999"], 3, "validation error: complex number "),
+    # off the upper half plane theta exited 4 where zeros exits 3
+    (["theta", "--kind", "theta", "--tau", "-1i"], 3,
+     "validation error: tau must lie in the upper half plane"),
+    (["theta", "--kind", "theta", "--tau", "0.5"], 3,
+     "validation error: tau must lie in the upper half plane"),
+    (["zeros", *_S2, "--operator", "witten-h", "--tau", "-1i"], 3,
+     "validation error: tau must lie in the upper half plane"),
     (["zeros", *_S2, "--operator", "witten-h", "--tau", "nan+1i"], 3,
      "validation error: complex number "),
     (["zeros", *_S2, "--operator", "witten-h", "--tau", "1+1e999i"], 3,
@@ -339,7 +346,8 @@ _S2 = ("--input", "catalog:s2-rotation")
         "theta-order-minus-1", "theta-order-257", "theta-m-exponent", "theta-m-1-over-0",
         "jacobi-samples-0", "jacobi-samples-minus-3", "jacobi-samples-1025", "jacobi-tol-2",
         "theta-eps-inf", "theta-eps-5e-324", "theta-eps-1e-320", "jacobi-tol-5e-324",
-        "theta-tau-nan", "theta-t-1e999", "zeros-tau-nan",
+        "theta-tau-nan", "theta-t-1e999", "theta-tau-minus-1i", "theta-tau-0.5",
+        "zeros-tau-minus-1i", "zeros-tau-nan",
         "zeros-tau-1e999i", "zeros-origin-nan", "theta-tau-950i", "theta-tau-1000i"])
 def test_cli_numbers_that_set_the_work_are_bounded(argv, code, prefix):
     proc = _cli_process(*argv)

@@ -29,7 +29,6 @@ from eqgenus.localization import ActionData, FixedComponent, equivariant_charact
 from eqgenus.numeric import NumericPlan, _JetBackend, numeric_integrand
 from eqgenus.reference import (
     a_hat,
-    chern_character,
     complexified,
     oracle_expand_vs_closed,
     theta_formal,
@@ -142,17 +141,6 @@ def test_a_hat_examples():
     z = GradedElement.generator(gens, 4, "z")
     both = a_hat(RootBundle(0, 2, (y, z)))
     assert both == a_hat(RootBundle(0, 1, (y,))) * a_hat(RootBundle(0, 1, (z,)))
-
-
-def test_chern_character_examples():
-    gens = ()
-    zero = GradedElement.zero(gens, 0)
-    assert chern_character(RootBundle(0, 1, (zero,)), gens, 0).scalar_part() == 1
-    ch = chern_character(RootBundle(1, 1, (zero,)), gens, 0)
-    assert ch.scalar_part() == WLaurentRational.w(2)
-    ch2 = chern_character(RootBundle(1, 1, (zero,)), gens, 0) + \
-        chern_character(RootBundle(-1, 1, (zero,)), gens, 0)
-    assert ch2.scalar_part() == WLaurentRational.w(2) + WLaurentRational.w(-2)
 
 
 def test_witten_element_examples():

@@ -364,7 +364,9 @@ def test_theta_numeric_keeps_few_product_keys(monkeypatch):
     # a cost guard with no timing: over the law suite's domain (S, T and
     # quasi-periodicity checks at Im tau in [0.05, 1.4]) the reduction into
     # the strip Im tau >= 0.8 keeps about 3.7 product keys per evaluation,
-    # and one that stops at Im tau >= 0.3 keeps 5.7
+    # and one that stops at Im tau >= 0.3 keeps 5.7; the S and T checks share
+    # their right-hand values, so each kind's five distinct evaluations per
+    # sample run once
     kept = []
     product_keys = theta.product_keys
 
@@ -374,6 +376,7 @@ def test_theta_numeric_keeps_few_product_keys(monkeypatch):
         return keys
 
     monkeypatch.setattr(theta, "product_keys", spy)
+    monkeypatch.setattr(theta, "_IMAGE_VALUES", {})
     rng = random.Random(83)
     pts = [(complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1)),
             complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05)),
@@ -382,7 +385,7 @@ def test_theta_numeric_keeps_few_product_keys(monkeypatch):
         assert check_modular_ST(kind, "S", pts).passed
         assert check_modular_ST(kind, "T", pts).passed
         assert check_quasi_periodicity(kind, 1, 2, 0, samples=pts).passed
-    assert len(kept) == 4 * 6 * len(pts)
+    assert len(kept) == 4 * 5 * len(pts)
     assert sum(kept) / len(kept) <= 4.5
 
 
@@ -452,3 +455,58 @@ def test_check_modular_all_eight():
         for g in ("S", "T"):
             r = check_modular_ST(kind, g, samples=8, eps=1e-9)
             assert r.passed, (kind, g, r.max_discrepancy)
+
+
+def _direct_law_reports(pts, eps):
+    """The 12 law reports with both sides of every law evaluated straight
+    from theta_numeric, in the suite's order (S, T, quasi-periodicity per
+    kind)."""
+    reports = []
+    for kind in KINDS:
+        s_pairs = []
+        for _, t, tau in pts:
+            image, factor = theta._s_step(kind, t, tau)
+            s_pairs.append((theta_numeric(kind, t / tau, -1 / tau),
+                            factor * theta_numeric(image, t, tau)))
+        image, factor = theta._t_shift(kind, 1)
+        t_pairs = [(theta_numeric(kind, t, tau + 1), factor * theta_numeric(image, t, tau))
+                   for _, t, tau in pts]
+        q_pairs = [(theta_numeric(kind, x + (t + 2 * tau), tau),
+                    cmath.exp(-1j * math.pi * (2 * 2 * x + 2 * 2 * t + 4 * tau))
+                    * theta_numeric(kind, x + t, tau)) for x, t, tau in pts]
+        reports += [theta.CheckReport("%s(t/tau, -1/tau)" % kind.value, len(pts),
+                                      theta._worst(s_pairs), eps),
+                    theta.CheckReport("%s(t, tau+1)" % kind.value, len(pts),
+                                      theta._worst(t_pairs), eps),
+                    theta.CheckReport("%s(x + 1(t + 2 tau + 0))" % kind.value, len(pts),
+                                      theta._worst(q_pairs), eps)]
+    return reports
+
+
+def _law_suite(pts, eps):
+    return [rep for kind in KINDS
+            for rep in (check_modular_ST(kind, "S", pts, eps),
+                        check_modular_ST(kind, "T", pts, eps),
+                        check_quasi_periodicity(kind, 1, 2, 0, samples=pts, eps=eps))]
+
+
+def test_law_suite_shares_image_values_exactly(monkeypatch):
+    # the S and T checks take their right-hand values theta_image(t, tau)
+    # from one slot per kind; every report equals, float for float, the one
+    # from evaluating both sides directly.  Each later suite moves one
+    # sample in one of Re t, Im t, Re tau, Im tau: a slot whose key missed
+    # that part would hand a stale value on, an O(1e-3) discrepancy
+    monkeypatch.setattr(theta, "_IMAGE_VALUES", {})
+    rng = random.Random(97)
+    pts = [(complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1)),
+            complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05)),
+            complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.4))) for _ in range(40)]
+    first = _law_suite(pts, 1e-9)
+    assert first == _direct_law_reports(pts, 1e-9)
+    assert all(rep.passed for rep in first)
+    for i, (dt, dtau) in enumerate(((1e-3, 0), (1e-3j, 0), (0, 1e-3), (0, 1e-3j))):
+        x, t, tau = pts[17 + i]
+        pts[17 + i] = (x, t + dt, tau + dtau)  # in place: the same list object
+        moved = _law_suite(pts, 1e-9)
+        assert moved == _direct_law_reports(pts, 1e-9), (dt, dtau)
+        assert all(rep.passed for rep in moved)
