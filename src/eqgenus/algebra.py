@@ -2,14 +2,13 @@
 
 Everything downstream is built over four carriers:
 
-* ``WLaurentPoly``   -- Laurent polynomials in w = z^{1/2} over the rationals,
-  where z = e^{2 pi i t} is the circle character.  Integral coefficients
-  are kept as ``int``, and every exact kernel runs on ints: the
-  integrands are built on scaled roots (``GradedElement.map_by_degree``)
-  with their 1/k! divided out exactly (``divided_series``), and a
-  ``Fraction`` appears only in the final reduction.
-* ``WLaurentRational`` -- reduced quotients of such polynomials, the
-  coefficient field for equivariant characters.
+* ``WLaurentPoly``   -- Laurent polynomials in w = z^{1/2} over the integers
+  (z = e^{2 pi i t} the circle character), the carrier of every exact
+  kernel: the integrands are built on scaled roots with their 1/k!
+  divided out exactly (``divided_series``).
+* ``WLaurentRational`` -- reduced quotients num/den of such polynomials,
+  a rational constant included, the coefficient field for equivariant
+  characters; a ``Fraction`` appears only where one prints.
 * ``GradedElement``  -- nilpotent polynomials in even-degree generators
   (Chern roots and base classes), truncated above a degree cap and
   stored densely over the ring's monomials; the same class carries the
@@ -58,20 +57,6 @@ class OffGridExponent(AlgebraError):
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in w
-
-
-def _exact(v) -> int | Fraction:
-    """v as an exact rational: an int when integral, else a Fraction."""
-    if type(v) is int:
-        return v
-    if type(v) is not Fraction:
-        v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
-
-
-def _quo(a, b) -> int | Fraction:
-    """The exact quotient a / b of two rationals (``/`` on ints is float)."""
-    return _exact(Fraction(a, b))
 
 
 # -- the sparse rules of both dict carriers (WLaurentPoly, QSeries): each
@@ -136,32 +121,29 @@ def _power(x, n: int, one):
 
 
 class WLaurentPoly:
-    """Laurent polynomial in w with exact rational coefficients.
+    """Laurent polynomial in w with integer coefficients.
 
-    Stored sparsely as exponent -> nonzero coefficient, an int when
-    integral and a Fraction otherwise; exponents may be negative.  w
-    stands for z^{1/2}, so the exponent counts half-powers of the circle
-    character z.
+    Stored sparsely as exponent -> nonzero int; exponents may be negative.
+    w stands for z^{1/2}, so the exponent counts half-powers of the circle
+    character z.  Any other coefficient, a rational one too, raises
+    ``TypeError``: rationals live in ``WLaurentRational``.
     """
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
-        c: dict[int, int | Fraction] = {}
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        c: dict[int, int] = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = _exact(v)
+                if type(v) is not int:
+                    raise TypeError("coefficient %r of w^%s is not an int" % (v, e))
                 if v:
                     c[int(e)] = v
         self.c = c
 
     @staticmethod
     def _raw(c: dict) -> "WLaurentPoly":
-        """The polynomial over c, a dict of nonzero values that it takes over
-        and whose integral Fractions it stores as ints."""
-        for e, v in c.items():
-            if type(v) is Fraction and v.denominator == 1:
-                c[e] = v.numerator
+        """The polynomial over c, a dict of nonzero ints that it takes over."""
         out = object.__new__(WLaurentPoly)
         out.c = c
         return out
@@ -208,7 +190,7 @@ class WLaurentPoly:
     def is_constant(self) -> bool:
         return not self.c or set(self.c) == {0}
 
-    def constant(self) -> int | Fraction:
+    def constant(self) -> int:
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)
         return self.c.get(0, 0)
@@ -216,7 +198,7 @@ class WLaurentPoly:
     # -- arithmetic
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = WLaurentPoly.const(other)
         if not isinstance(other, WLaurentPoly):
             return NotImplemented
@@ -229,7 +211,7 @@ class WLaurentPoly:
         return WLaurentPoly._raw({e: -v for e, v in self.c.items()})
 
     def __add__(self, other) -> "WLaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = WLaurentPoly.const(other)
         if not isinstance(other, WLaurentPoly):
             return NotImplemented
@@ -244,7 +226,7 @@ class WLaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "WLaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return WLaurentPoly._raw({e: v * other for e, v in self.c.items()} if other else {})
         if not isinstance(other, WLaurentPoly):
             return NotImplemented
@@ -269,43 +251,41 @@ class WLaurentPoly:
     # -- presentation
 
     def __str__(self) -> str:
-        if not self.c:
-            return "0"
-        parts = []
-        for e in sorted(self.c, reverse=True):
-            v = self.c[e]
-            if e == 0:
-                term = str(v)
-            else:
-                we = "w" if e == 1 else "w^%d" % e
-                if v == 1:
-                    term = we
-                elif v == -1:
-                    term = "-" + we
-                else:
-                    term = "%s*%s" % (v, we)
-            parts.append(term)
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
+        return _format_laurent(self.c)
 
     def __repr__(self):
         return "WLaurentPoly(%s)" % self
+
+
+def _format_laurent(c: Mapping) -> str:
+    """The Laurent polynomial of c, exponent -> nonzero rational."""
+    if not c:
+        return "0"
+    parts = []
+    for e in sorted(c, reverse=True):
+        v = c[e]
+        if e == 0:
+            term = str(v)
+        else:
+            we = "w" if e == 1 else "w^%d" % e
+            if v == 1:
+                term = we
+            elif v == -1:
+                term = "-" + we
+            else:
+                term = "%s*%s" % (v, we)
+        parts.append(term)
+    s = " + ".join(parts)
+    return s.replace("+ -", "- ")
 
 
 # -- integer-polynomial gcd machinery (primitive PRS), used for reduction
 
 
 def _dense_int(p: WLaurentPoly) -> list[int]:
-    """Dense ascending integer coefficient list of p shifted to low exponent 0,
-    with denominators cleared.  p must be nonzero."""
-    lo, hi = p.low, p.high
-    den = 1
-    for v in p.c.values():
-        den = den * v.denominator // int_gcd(den, v.denominator)
-    out = [0] * (hi - lo + 1)
-    for e, v in p.c.items():
-        out[e - lo] = int(v * den)
-    return out
+    """Dense ascending coefficient list of p shifted to low exponent 0.  p
+    must be nonzero."""
+    return [p.c.get(e, 0) for e in range(p.low, p.high + 1)]
 
 def _primitive(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -350,7 +330,8 @@ def wpoly_gcd(a: WLaurentPoly, b: WLaurentPoly) -> WLaurentPoly:
     return WLaurentPoly(dict(enumerate(A)))
 
 def wpoly_divexact(a: WLaurentPoly, b: WLaurentPoly) -> WLaurentPoly:
-    """Exact division a / b; raises AlgebraError when not exact."""
+    """Exact division a / b over Z; raises AlgebraError when the quotient
+    is not an integer Laurent polynomial."""
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
@@ -362,13 +343,15 @@ def wpoly_divexact(a: WLaurentPoly, b: WLaurentPoly) -> WLaurentPoly:
     if da < db:
         raise AlgebraError("inexact polynomial division")
     lb = B[db]
-    q: dict[int, int | Fraction] = {}
+    q: dict[int, int] = {}
     rem = dict(A)
     for e in range(da - db, -1, -1):
         v = rem.get(e + db, 0)
         if not v:
             continue
-        qv = _quo(v, lb)
+        qv, r = divmod(v, lb)
+        if r:
+            raise AlgebraError("inexact polynomial division")
         q[e] = qv
         for eb, vb in B.items():
             s = rem.get(e + eb, 0) - qv * vb
@@ -378,23 +361,22 @@ def wpoly_divexact(a: WLaurentPoly, b: WLaurentPoly) -> WLaurentPoly:
                 rem.pop(e + eb, None)
     if rem:
         raise AlgebraError("inexact polynomial division")
-    return WLaurentPoly({e + shift: v for e, v in q.items()})
+    return WLaurentPoly._raw({e + shift: v for e, v in q.items()})
 
 
 class WLaurentRational:
-    """Reduced rational function num/den in w.
+    """Reduced rational function num/den in w over Z.
 
-    Canonical form: den is a primitive integer polynomial with lowest
-    exponent 0 and positive leading coefficient, and gcd(num, den) is a
-    unit.  num may carry negative w-exponents, and may be given as a
-    rational constant.  Equality of canonical forms is literal equality.
+    Canonical form: num and den are integer Laurent polynomials, den with
+    lowest exponent 0 and positive leading coefficient, and the two share
+    no factor of positive degree and no integer content.  num may carry
+    negative w-exponents.  A rational constant p/q is const(p)/const(q).
+    Equality of canonical forms is literal equality.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: WLaurentPoly, den: WLaurentPoly | None = None, *, _reduced=False):
-        if not isinstance(num, WLaurentPoly):
-            num = WLaurentPoly.const(num)
         if den is None:
             den = WLaurentPoly.one()
         if not den:
@@ -405,30 +387,22 @@ class WLaurentRational:
         if not num:
             self.num, self.den = WLaurentPoly.zero(), WLaurentPoly.one()
             return
-        if den.is_constant():
-            f = den.constant()
-            self.num = num * _quo(1, f)
-            self.den = WLaurentPoly.one()
-            return
-        g = wpoly_gcd(num, den)
-        if g.degree_span() > 0:
-            num = wpoly_divexact(num, g)
-            den = wpoly_divexact(den, g)
-        # den: shift lowest exponent to 0, make primitive over Z, lc > 0
-        lo = den.low
-        if lo:
-            den = den.shift(-lo)
-            num = num.shift(-lo)
-        # den currently has rational coeffs; rescale so den matches its
-        # primitive integer image with positive leading coefficient
-        prim = _primitive(_dense_int(den))
-        if prim[-1] < 0:
-            prim = [-x for x in prim]
-        newden = WLaurentPoly(dict(enumerate(prim)))
-        # num must be scaled by newden/den (a constant)
-        e, v = next(iter(newden.c.items()))
-        self.num = num * _quo(v, den.c[e])
-        self.den = newden
+        if not den.is_constant():
+            g = wpoly_gcd(num, den)
+            if g.degree_span() > 0:
+                num = wpoly_divexact(num, g)
+                den = wpoly_divexact(den, g)
+            lo = den.low
+            if lo:
+                den = den.shift(-lo)
+                num = num.shift(-lo)
+        # the shared integer content, signed so that den leads positive
+        k = int_gcd(*den.c.values(), *num.c.values())
+        if den.c[den.high] < 0:
+            k = -k
+        if k != 1:
+            num, den = (WLaurentPoly._raw({e: v // k for e, v in p.c.items()}) for p in (num, den))
+        self.num, self.den = num, den
 
     # -- constructors / coercion
 
@@ -442,18 +416,22 @@ class WLaurentRational:
 
     @staticmethod
     def const(v) -> "WLaurentRational":
-        return WLaurentRational(WLaurentPoly.const(v))
+        v = Fraction(v)
+        return WLaurentRational(WLaurentPoly.const(v.numerator),
+                                WLaurentPoly.const(v.denominator), _reduced=True)
 
     @staticmethod
-    def w(exp: int = 1, coeff=1) -> "WLaurentRational":
+    def w(exp: int = 1, coeff: int = 1) -> "WLaurentRational":
         return WLaurentRational(WLaurentPoly.w(exp, coeff))
 
     @staticmethod
     def _coerce(x) -> "WLaurentRational | None":
         if isinstance(x, WLaurentRational):
             return x
-        if isinstance(x, (WLaurentPoly, int, Fraction)):
+        if isinstance(x, WLaurentPoly):
             return WLaurentRational(x)
+        if isinstance(x, (int, Fraction)):
+            return WLaurentRational.const(x)
         return None
 
     # -- predicates
@@ -467,7 +445,7 @@ class WLaurentRational:
     def constant(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)
-        return self.num.constant()
+        return Fraction(self.num.constant(), self.den.constant())
 
     # -- ring ops
 
@@ -538,9 +516,12 @@ class WLaurentRational:
         return self.den.degree_span()
 
     def __str__(self) -> str:
+        # over den's content k: a rational num over a primitive den, or none
+        k = int_gcd(*self.den.c.values())
+        num = _format_laurent({e: Fraction(v, k) for e, v in self.num.c.items()})
         if self.den.is_constant():
-            return str(self.num)
-        return "(%s) / (%s)" % (self.num, self.den)
+            return num
+        return "(%s) / (%s)" % (num, _format_laurent({e: v // k for e, v in self.den.c.items()}))
 
     def __repr__(self):
         return "WLaurentRational(%s)" % self
@@ -802,9 +783,9 @@ class IntegrationTable:
     """Linear functional on top fiber-degree monomials.
 
     ``entries`` maps exponent tuples over ``fiber_gens`` of total degree
-    2*k_alpha to rational values.  For an isolated point (k_alpha = 0,
-    no fiber generators) the table is empty and integration is the
-    identity on base classes.
+    2*k_alpha to rational values, ints where integral.  For an isolated
+    point (k_alpha = 0, no fiber generators) the table is empty and
+    integration is the identity on base classes.
     """
 
     __slots__ = ("fiber_gens", "k_alpha", "entries")
@@ -812,7 +793,8 @@ class IntegrationTable:
     def __init__(self, fiber_gens: Iterable[str], k_alpha: int, entries: Mapping[tuple[int, ...], Fraction] | None = None):
         self.fiber_gens = tuple(fiber_gens)
         self.k_alpha = int(k_alpha)
-        self.entries = {tuple(int(x) for x in k): Fraction(v) for k, v in (entries or {}).items()}
+        self.entries = {tuple(int(x) for x in k): f.numerator if (f := Fraction(v)).denominator == 1
+                        else f for k, v in (entries or {}).items()}
 
 
 def fiber_integrate(a: GradedElement, table: IntegrationTable) -> GradedElement:

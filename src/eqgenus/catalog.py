@@ -169,7 +169,7 @@ def borel_weil_character(k: int) -> WLaurentPoly:
     on the rotation sphere: k+1 symmetric w-powers stepping by 2 for
     k >= 0, zero at k = -1, and the negated mirror below."""
     if k >= 0:
-        return WLaurentPoly({2 * j - k: Fraction(1) for j in range(k + 1)})
+        return WLaurentPoly({2 * j - k: 1 for j in range(k + 1)})
     if k == -1:
         return WLaurentPoly.zero()
     return -borel_weil_character(-k - 2)
@@ -215,7 +215,7 @@ def oracle_check_s2(kind: OperatorKind, n8_small: int, normalized: bool = False)
             v = WLaurentRational.const(v)
         if v.den_degree() != 0 or not v.den.is_constant():
             raise ValueError("element character is not polynomial: %s" % v)
-        return WLaurentRational(_apply_borel_weil(v.num))
+        return WLaurentRational(_apply_borel_weil(v.num), v.den)
 
     oracle = el.map_coefficients(to_index)
     mismatch = engine.first_mismatch(oracle)

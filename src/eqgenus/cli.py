@@ -1,14 +1,15 @@
 """Command-line surface: dataset ingestion, computations, verification.
 
 Exit codes: 0 success, 2 parse/ingestion error, 3 validation error,
-4 computation error.  Reports go to stdout, diagnostics to stderr.
-No environment variable is consulted.
+4 computation error, 141 stdout closed early (128 + SIGPIPE).  Reports go
+to stdout, diagnostics to stderr.  No environment variable is consulted.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from .localization import (
 )
 from .theta import NonconvergentDomain, ThetaKind, theta_numeric
 
-EXIT_PARSE, EXIT_VALIDATION, EXIT_COMPUTE = 2, 3, 4
+EXIT_PARSE, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_BROKEN_PIPE = 2, 3, 4, 141
 
 # the largest --order (in eighth-steps) of the exact engine's commands
 MAX_ORDER = 256
@@ -401,7 +402,12 @@ def main(argv=None) -> int:
         print("catalog emit requires a name", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # an OSError, but the reader stopped (``| head``): quiet at exit too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _PARSE_ERRORS as e:
         print("parse error: %s" % e, file=sys.stderr)
         return EXIT_PARSE

@@ -34,8 +34,10 @@ Two independent realizations of each integrand exist:
   command, unreduced over den (``component_denominator``); ``reduced``
   puts a series over its denominator, once per coefficient of one
   component (``theta_quotient_integrand``) or of ``localization``'s
-  component sum.  Canonical forms of reduced quotients are unique, so
-  every path gives the term-by-term reduced result exactly.
+  component sum, as an integer num over an integer den, its rational
+  constant included: no ``Fraction`` enters either step.  Canonical
+  forms of reduced quotients are unique, so every path gives the
+  term-by-term reduced result exactly.
 
 * the exterior/symmetric-power expansion, assembled term by term in q
   from its own table in ``reference``, which the exact commands never
@@ -71,7 +73,6 @@ from .algebra import (
     QSeries,
     WLaurentPoly,
     WLaurentRational,
-    _exact,
     divided_series,
     graded_exp,
     graded_series,
@@ -425,8 +426,8 @@ def component_integrands(component, kinds, n8: int, normalized: bool,
     order, one family at a time, and multiplies them by 1/U and each
     output coefficient by adj(L).
     """
-    # roots times N^d; a fraction left over fails in divided_series
-    lines = tuple([(tw, x.map_by_degree(lambda v, d: _exact(v * N ** d)))
+    # roots times N^d: divided_series, which takes every root, makes them ints or raises
+    lines = tuple([(tw, x.map_by_degree(lambda v, d: v * N ** d))
                    for tw, x in part] for part in _lines(component))
     # work high enough that each shifted result reaches n8, and never below
     # q^0, where the unit series U would be empty

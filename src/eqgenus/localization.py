@@ -20,9 +20,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import lcm
 
-from .algebra import (DegreeOutOfRange, GradedElement, QSeries, WLaurentRational, _layout,
-                      fiber_integrate, format_monomial, wpoly_divexact, wpoly_gcd)
+from .algebra import (DegreeOutOfRange, GradedElement, IntegrationTable, QSeries, WLaurentRational,
+                      _layout, fiber_integrate, format_monomial, wpoly_divexact, wpoly_gcd)
 from .genera import (OperatorKind, bridge_to_index_character, component_denominator,
                      component_integrands, constants_ledger, reduced, root_scale)
 
@@ -313,17 +314,20 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
     integrands over the fixed components, each times its cofactor D / den
     over Z[w^{+-1}], D the lcm of the dens
     (``genera.component_denominator``); each summed coefficient of base
-    degree 2e is then reduced once over 2^two N^(K+e) D (``genera.reduced``).
+    degree 2e is then reduced once over 2^two T N^(K+e) D (``genera.reduced``).
     The integrands leave out the ledger's 2^two and run on roots scaled by
     one N for the dataset (``genera.root_scale``): a pushed coefficient
     carries N^(k_alpha + e), lifted by N^(K - k_alpha), K the largest
-    k_alpha.  The component classes (``_component_classes``) are the outer
-    loop: each representative's integrands (``genera.component_integrands``)
-    share one theta denominator, built once for every kind, and only one
-    representative's are alive at a time.  The class adds the pushed series
-    times its cofactor and summed sign, plus the same with w -> w^{-1}
-    times D / den(w^{-1}) and the conjugates' summed sign; a class whose
-    two sums are 0 is not built."""
+    k_alpha.  T, the lcm of the tables' denominators, multiplies each table,
+    or the lift where no table entry is read (k_alpha = 0), so the
+    push-forward stays over the ints.  The component classes
+    (``_component_classes``) are the outer loop: each representative's
+    integrands (``genera.component_integrands``) share one theta
+    denominator, built once for every kind, and only one representative's
+    are alive at a time.  The class adds the pushed series times its
+    cofactor and summed sign, plus the same with w -> w^{-1} times
+    D / den(w^{-1}) and the conjugates' summed sign; a class whose two sums
+    are 0 is not built."""
     validated(data)
     kinds = tuple(dict.fromkeys(kinds))
     for kind in kinds:
@@ -333,17 +337,20 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
                map(component_denominator, data.components))
     N = root_scale(data.components)
     K = max(c.k_alpha for c in data.components)
+    T = lcm(*(v.denominator for c in data.components for v in c.table.entries.values()))
     totals = {kind: QSeries.zero(n8) for kind in kinds}
     for comp, sign, conj_sign in _component_classes(data.components):
         if not (sign or conj_sign):
             continue
         den = component_denominator(comp)
-        lift = N ** (K - comp.k_alpha)
+        table = IntegrationTable(comp.table.fiber_gens, comp.table.k_alpha,
+                                 {e: v * T for e, v in comp.table.entries.items()})
+        lift = N ** (K - comp.k_alpha) * (1 if table.k_alpha else T)
         cofactor = wpoly_divexact(D, den) * (sign * lift)
         if conj_sign:
             conj_cofactor = wpoly_divexact(D, den.subs_w_inverse()) * (conj_sign * lift)
         for kind, series in component_integrands(comp, kinds, n8, normalized, N):
-            pushed = series.map_coefficients(lambda g: fiber_integrate(g, comp.table))
+            pushed = series.map_coefficients(lambda g: fiber_integrate(g, table))
             part = pushed.map_coefficients(lambda g: g * cofactor)
             if conj_sign:
                 part = part + pushed.map_coefficients(lambda g: g.subs_w_inverse() * conj_cofactor)
@@ -353,7 +360,7 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
     for kind, total in totals.items():
         l = data.components[0].v_rank() if kind.needs_v else 0
         ledger = constants_ledger(kind, normalized, l)
-        total = reduced(total, D, 2 ** ledger.two, N, K)
+        total = reduced(total, D, 2 ** ledger.two * T, N, K)
         out[kind] = GenusResult(total, kind, normalized, total.n8, data.base_gens,
                                 data.base_cap, data.fiber_half_dim, l, ledger, provenance)
     return out

@@ -59,22 +59,22 @@ def _char_series(kind: ThetaKind, n8: int) -> tuple[int, QSeries]:
     acc = series_product(acc, one, first, (WLaurentPoly.w(2, sgn), WLaurentPoly.w(-2, sgn)))
     if first == 4:
         return 0, acc
-    unit = WLaurentPoly({1: Fraction(1), -1: Fraction(sgn)})
+    unit = WLaurentPoly({1: 1, -1: sgn})
     return (-1 if kind is ThetaKind.Theta else 0), acc.scale(unit).shift_q8(1).truncate(n8)
 
 
 def _subst_char(poly: WLaurentPoly, m: Fraction, k: int) -> WLaurentRational:
-    """Map s^j -> (j/2)^k * w^{j m}; exponents must land on the integer grid."""
+    """Map s^j -> j^k w^{j m} / 2^k; exponents must land on the integer grid."""
     out = WLaurentPoly.zero()
     for j, v in poly.c.items():
         e = j * m
         if e.denominator != 1:
             raise OffGridExponent(
                 "weight %s sends the character s^%d off the w-grid" % (m, j))
-        coeff = v * Fraction(j, 2) ** k if k else v
+        coeff = v * j ** k
         if coeff:
             out = out + WLaurentPoly.w(int(e), coeff)
-    return WLaurentRational(out)
+    return WLaurentRational(out, WLaurentPoly.const(2 ** k))
 
 
 class ThetaSeries(namedtuple("ThetaSeries", "kind m series i_power vanishing_order")):

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from eqgenus.algebra import (
+    AlgebraError,
     GeneratorTableMismatch,
     GradedElement,
     IntegrationTable,
@@ -119,9 +120,9 @@ def test_series_ring_axioms():
 
 
 def _rand_wrat(rng):
-    num = WLaurentPoly({rng.randrange(-3, 4): Fraction(rng.randrange(-4, 5))
+    num = WLaurentPoly({rng.randrange(-3, 4): rng.randrange(-4, 5)
                         for _ in range(rng.randrange(1, 4))})
-    den = WLaurentPoly({k: Fraction(rng.randrange(-3, 4)) for k in range(rng.randrange(1, 3) + 1)})
+    den = WLaurentPoly({k: rng.randrange(-3, 4) for k in range(rng.randrange(1, 3) + 1)})
     if not den:
         den = WLaurentPoly.one()
     if not num:
@@ -171,12 +172,14 @@ def test_wrational_canonical_reduction():
 
 
 def test_wrational_normal_form_shape():
-    r = WLaurentRational(WLaurentPoly({1: Fraction(2), -1: Fraction(-2)}),
-                         WLaurentPoly({2: Fraction(4), 0: Fraction(-4)}))
-    # den normalized: low exponent 0, primitive, positive leading coefficient
+    r = WLaurentRational(WLaurentPoly({1: 2, -1: -2}), WLaurentPoly({2: -4, 0: 4}))
+    # den normalized: low exponent 0, positive leading coefficient, and no
+    # factor of positive degree or integer content shared with num
     assert r.den.low == 0
     assert r.den.c[r.den.high] > 0
-    assert r == WLaurentRational(WLaurentPoly({-1: Fraction(1, 2)}))
+    assert r.num.c == {-1: -1} and r.den.c == {0: 2}
+    assert r == WLaurentRational(WLaurentPoly({-1: -1}), WLaurentPoly.const(2))
+    assert str(r) == "-1/2*w^-1" and r == WLaurentRational.w(-1) * Fraction(-1, 2)
 
 
 def test_wpoly_gcd_basic():
@@ -189,38 +192,30 @@ def test_wpoly_gcd_basic():
 
 # -- carrier properties: int coefficients, canonical forms ---------------------
 
-def _rand_laurent(rng, lo=-3, hi=3, den=1):
-    return WLaurentPoly({e: Fraction(rng.randrange(-6, 7), rng.randrange(1, den + 1))
-                         for e in range(lo, hi + 1) if rng.random() < 0.6})
+def _rand_laurent(rng, lo=-3, hi=3):
+    return WLaurentPoly({e: rng.randrange(-6, 7) for e in range(lo, hi + 1) if rng.random() < 0.6})
 
 
 def _exact_types(p):
     return {type(v) for v in p.c.values()}
 
 
-def test_wpoly_int_and_fraction_coefficients_agree():
-    rng = random.Random(37)
-    for _ in range(50):
-        ints = {rng.randrange(-4, 5): rng.randrange(-6, 7) for _ in range(4)}
-        a = WLaurentPoly(ints)
-        b = WLaurentPoly({e: Fraction(v) for e, v in ints.items()})
-        assert a == b and hash(a) == hash(b) and str(a) == str(b)
-        assert _exact_types(b) <= {int}
-        assert a * b == b * b and str(a * a) == str(b * b)
-        half = WLaurentPoly({e: Fraction(v, 2) for e, v in ints.items()})
-        assert half * 2 == a and _exact_types(half * 2) <= {int}
-    assert WLaurentPoly.w(3, Fraction(4, 2)).c == {3: 2}
-    assert type(WLaurentPoly.const(Fraction(6, 3)).constant()) is int
-
-
-def test_wpoly_products_and_sums_keep_integral_values_int():
-    half = WLaurentPoly.const(Fraction(1, 2))
-    for p in (half * WLaurentPoly.const(2), half + half):
-        assert p.c == {0: 1} and type(p.c[0]) is int
-    # only the integral values of a product or sum turn int
-    p = WLaurentPoly({0: half.c[0], 1: 1}) * WLaurentPoly({0: 2, 1: Fraction(1, 3)})
-    assert p.c == {0: 1, 1: Fraction(13, 6), 2: Fraction(1, 3)} and type(p.c[0]) is int
-    assert type((p + WLaurentPoly.w(1, Fraction(5, 6))).c[1]) is int
+def test_wpoly_takes_int_coefficients_only():
+    # a rational coefficient is a WLaurentRational's business: it raises
+    # here, on construction and in arithmetic, and never rounds
+    with pytest.raises(TypeError):
+        WLaurentPoly({0: 1, 1: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        WLaurentPoly.const(Fraction(6, 3))
+    with pytest.raises(TypeError):
+        WLaurentPoly.one() * Fraction(1, 2)
+    # exact division runs over Z: (1 + w) / (3 + 3w) = 1/3 is no integer
+    # polynomial, and the same pair as a rational function prints 1/3
+    a, b = WLaurentPoly({0: 1, 1: 1}), WLaurentPoly({0: 3, 1: 3})
+    with pytest.raises(AlgebraError):
+        wpoly_divexact(a, b)
+    assert wpoly_divexact(b, a) == 3
+    assert str(WLaurentRational(a, b)) == "1/3"
 
 
 def test_integer_inputs_never_yield_float():
@@ -230,20 +225,20 @@ def test_integer_inputs_never_yield_float():
         if not a or not b:
             continue
         q = wpoly_divexact(a * b, b)
-        assert q == a and _exact_types(q) <= {int, Fraction}
+        assert q == a and _exact_types(q) <= {int}
         r = WLaurentRational(a, b)
-        assert _exact_types(r.num) <= {int, Fraction}
+        assert _exact_types(r.num) <= {int}
         assert _exact_types(r.den) <= {int}
         assert r.num * b == a * r.den
     # thirds are inexact in binary floating point, so a quotient of two ints
-    # taken with "/" shows here: a non-integral exact quotient, a constant
-    # denominator and a denominator with content 3
-    q = wpoly_divexact(WLaurentPoly({0: 1, 1: 1}), WLaurentPoly({0: 3, 1: 3}))
-    assert q.c == {0: Fraction(1, 3)}
+    # taken with "/" shows here: a constant denominator and a denominator
+    # with content 3, each kept over the ints and printed as a rational
     c = WLaurentRational(WLaurentPoly({0: 2}), WLaurentPoly({0: 3}))
-    assert c.num.c == {0: Fraction(2, 3)} and c.den.c == {0: 1}
+    assert c.num.c == {0: 2} and c.den.c == {0: 3}
+    assert str(c) == "2/3" and c.constant() == Fraction(2, 3)
     r = WLaurentRational(WLaurentPoly({0: 1}), WLaurentPoly({0: 3, 2: 6}))
-    assert r.num.c == {0: Fraction(1, 3)} and r.den.c == {0: 1, 2: 2}
+    assert r.num.c == {0: 1} and r.den.c == {0: 3, 2: 6}
+    assert str(r) == "(1/3) / (2*w^2 + 1)"
 
 
 def _sympy_laurent(sympy, w, p):
@@ -257,22 +252,23 @@ def test_wrational_canonical_form_matches_sympy_cancel():
     rng = random.Random(43)
     checked = 0
     for _ in range(60):
-        common = _rand_laurent(rng, -2, 1, den=2)
-        num = _rand_laurent(rng, -3, 2, den=3) * common
-        den = _rand_laurent(rng, -2, 3, den=2) * common
+        # integer contents 1..6 on num and den make the quotient rational
+        common = _rand_laurent(rng, -2, 1)
+        num = _rand_laurent(rng, -3, 2) * common * rng.randrange(1, 7)
+        den = _rand_laurent(rng, -2, 3) * common * rng.randrange(1, 7)
         if not num or not den:
             continue
         r = WLaurentRational(num, den)
         p, q = sympy.fraction(sympy.cancel(_sympy_laurent(sympy, w, num)
                                            / _sympy_laurent(sympy, w, den)))
-        # powers of w are units: strip them, then clear denominators and
-        # take the primitive part with positive leading coefficient
+        # powers of w are units: strip them, then scale p/q to integer
+        # coefficients with no common content and q leading positive
         qp = sympy.Poly(q, w)
-        qp = sympy.Poly(sympy.expand(q / w ** min(m for (m,) in qp.monoms())), w)
-        qp = qp.clear_denoms(convert=True)[1].primitive()[1]
-        if qp.LC() < 0:
-            qp = -qp
-        assert sympy.Poly(_sympy_laurent(sympy, w, r.den), w) == qp
+        qp = sympy.Poly(sympy.expand(q / w ** min(m for (m,) in qp.monoms())), w, domain="QQ")
+        coeffs = sympy.Poly(p, w, domain="QQ").coeffs() + qp.coeffs()
+        scale = sympy.Rational(sympy.ilcm(*(c.q for c in coeffs)), sympy.igcd(*(c.p for c in coeffs)))
+        qp = qp * (scale if qp.LC() > 0 else -scale)
+        assert sympy.Poly(_sympy_laurent(sympy, w, r.den), w, domain="QQ") == qp
         assert sympy.expand(_sympy_laurent(sympy, w, r.num) * q
                             - p * _sympy_laurent(sympy, w, r.den)) == 0
         checked += 1
@@ -284,11 +280,13 @@ def test_invert_roundtrip_negative_low_exponent():
     for _ in range(25):
         n8 = rng.randrange(6, 16)
         low = -rng.randrange(1, 7)
-        coeffs = {low: WLaurentPoly.const(rng.choice([1, -1, 2, Fraction(1, 3)]))}
+        p, q = rng.choice([(1, 1), (-1, 1), (2, 1), (1, 3)])
+        coeffs = {low: WLaurentRational(WLaurentPoly.const(p), WLaurentPoly.const(q))}
         for k in range(low + 1, n8 + 1):
             if rng.random() < 0.4:
-                coeffs[k] = _rand_laurent(rng, -2, 2, den=2)
-        a = QSeries({k: WLaurentRational(v) for k, v in coeffs.items()}, n8)
+                coeffs[k] = WLaurentRational(_rand_laurent(rng, -2, 2),
+                                             WLaurentPoly.const(rng.randrange(1, 3)))
+        a = QSeries({k: v for k, v in coeffs.items() if v}, n8)
         inv = series_invert(a)
         assert inv.low == -low and inv.n8 == n8 - 2 * low
         prod = series_mul(a, inv)
@@ -361,12 +359,12 @@ def test_graded_subs_w_inverse_flips_every_w_coefficient():
     # flip as rational-function ones do; rational constants stay
     x = GradedElement.generator(GENS, 4, "x")
     one = GradedElement.scalar(GENS, 4, 1)
-    poly = WLaurentPoly({3: 2, -1: Fraction(1, 2)})
-    g = one * Fraction(5, 3) + x * poly + x * x * WLaurentRational(poly, WLaurentPoly({0: 1, 2: -1}))
+    poly = WLaurentPoly({3: 4, -1: 1})
+    g = one * Fraction(5, 3) + x * poly + x * x * WLaurentRational(poly, WLaurentPoly({0: 2, 2: -2}))
     flipped = g.subs_w_inverse()
-    assert flipped == (one * Fraction(5, 3) + x * WLaurentPoly({-3: 2, 1: Fraction(1, 2)})
+    assert flipped == (one * Fraction(5, 3) + x * WLaurentPoly({-3: 4, 1: 1})
                        + x * x * WLaurentRational(poly.subs_w_inverse(),
-                                                  WLaurentPoly({0: 1, -2: -1})))
+                                                  WLaurentPoly({0: 2, -2: -2})))
     assert flipped.subs_w_inverse() == g
 
 

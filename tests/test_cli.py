@@ -115,6 +115,21 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_a_closed_stdout_exits_141_quietly():
+    # the reader closes the pipe at once, as `eqgenus expand ... | head`
+    # can: a broken pipe is no missing input file (exit 2), and at exit
+    # there is no "Exception ignored" line either
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eqgenus.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "eqgenus.cli", "expand", "--input",
+                             "catalog:s2-family-base", "--operator", "dv-theta-q", "--order",
+                             "48"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def _set_sign_null(d):
     d["components"][0]["sign"] = None
 

@@ -40,26 +40,29 @@ def rational_point():
     return FixedComponent("p", 0, None, normals, vbundles, IntegrationTable((), 0), 1, gens, 4)
 
 
-def fixed_line(weight=1, cap=8, sign=1):
-    """A fixed projective line (tangent root 2y, integral of y = 1) with one
-    normal line of root y + b/2, and V = TX + N: sigma runs to y^4 at cap 8,
-    where it needs (J + 1)! = 5! in N."""
+def fixed_line(weight=1, cap=8, sign=1, entry=1):
+    """A fixed projective line (tangent root 2y, integral of y = entry, 1
+    on the line itself) with one normal line of root y + b/2, and
+    V = TX + N: sigma runs to y^4 at cap 8, where it needs (J + 1)! = 5!
+    in N."""
     gens, (y, b) = _gens(("y",), cap)
     tangent = RootBundle(0, 1, (y * 2,))
     normal = RootBundle(weight, 1, (y + b * Fraction(1, 2),))
     return FixedComponent("line%+d" % weight, 1, tangent, (normal,), (tangent, normal),
-                          IntegrationTable(("y",), 1, {(1,): 1}), sign, gens, cap)
+                          IntegrationTable(("y",), 1, {(1,): entry}), sign, gens, cap)
 
 
-def line_and_point():
+def line_and_point(entry=1):
     """CP^2 under [z0 : z1 : t z2] over a base class b: the fixed line with
     k_alpha = 1 and the isolated point [0 : 0 : 1] with k_alpha = 0, so the
-    sum lifts the point's part by N."""
+    sum lifts the point's part by N.  ``entry`` is the line's table entry:
+    a non-integral one makes the sum clear its denominator over the ints
+    and lift the point's part by it too."""
     base = (("b", 2),)
     root = GradedElement.generator(base, 2, "b") * Fraction(-1, 2)
     lines = (RootBundle(-1, 2, (root, root)),)
     point = FixedComponent("pt", 0, None, lines, lines, IntegrationTable((), 0), 1, base, 2)
-    return ActionData(2, (fixed_line(cap=4), point), base_gens=base, base_cap=2,
+    return ActionData(2, (fixed_line(cap=4, entry=entry), point), base_gens=base, base_cap=2,
                       name="line-and-point")
 
 
@@ -126,11 +129,13 @@ def _assert_sum_is_the_pushed_integrands(data, normalized):
 
 @pytest.mark.parametrize("normalized", [False, True])
 def test_tables_next_to_points(normalized):
-    data = line_and_point()
-    for comp in data.components:
-        for kind in _kinds(normalized):
-            assert oracle_expand_vs_closed(kind, comp, 8, normalized).equal, (comp.name, kind)
-    assert _assert_sum_is_the_pushed_integrands(data, normalized) == _kinds(normalized)
+    # an integral table entry, and two that the sum must clear over the ints
+    for entry in (1, Fraction(1, 2), Fraction(-2, 3)):
+        data = line_and_point(entry)
+        for comp in data.components:
+            for kind in _kinds(normalized):
+                assert oracle_expand_vs_closed(kind, comp, 8, normalized).equal, (comp.name, kind)
+        assert _assert_sum_is_the_pushed_integrands(data, normalized) == _kinds(normalized), entry
 
 
 @pytest.mark.parametrize("normalized", [False, True])
