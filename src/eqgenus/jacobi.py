@@ -168,9 +168,13 @@ def check_jacobi(F, spec: JacobiFormSpec, samples=16, eps: float = 1e-8) -> Jaco
     (``GROUP_GENERATORS``); the lattice vectors are the basis of
     (LATTICE_SCALE Z)^2.  When |F| stays below ZERO_FLOOR at every sample,
     F is reported identically zero and passes; its discrepancies are still
-    reported.
+    reported.  A generator outside spec.group (``subgroup_member``) is a
+    ValueError: its law is not one the form has to satisfy.
     """
     generators = GROUP_GENERATORS[spec.group]
+    for g in generators:
+        if not subgroup_member(g, spec.group):
+            raise ValueError("generator %s is not in %s" % (g, spec.group.value))
     pts = _jacobi_samples(samples)
     if not pts:
         raise ValueError("no samples: a check of nothing cannot pass")
@@ -232,6 +236,18 @@ def _edge_winding(F, tau, a: complex, b: complex, zero_floor: float) -> float:
     return total
 
 
+def _sample_max(F, tau: complex, zs) -> float:
+    """The largest |F(z, tau)| over zs, 0 for none; NonFiniteSample at the
+    first value that is not finite."""
+    peak = 0.0
+    for z in zs:
+        val = F(z, tau)
+        if not cmath.isfinite(val):
+            raise NonFiniteSample("non-finite sample at %s" % z)
+        peak = max(peak, abs(val))
+    return peak
+
+
 def count_zeros(F, tau: complex, cell: tuple[complex, complex, complex]) -> ZeroCountResult:
     """Zeros minus poles of F in the cell (origin, v1, v2): the winding
     number of F around its boundary, from summed phase increments.  Panels
@@ -241,23 +257,22 @@ def count_zeros(F, tau: complex, cell: tuple[complex, complex, complex]) -> Zero
     The zero function is detected on a 16 x 16 grid first; the deciding
     samples are restricted to the low-imaginary band of the cell, where a
     cancelling sum is computable to full precision (the lattice law
-    transports vanishing on a band to the whole cell).  A boundary zero
-    triggers up to three perturbations of the cell origin.
+    transports vanishing on a band to the whole cell).  The band is
+    evaluated first, and the rest of the grid only when F is not zero
+    there, so for a zero F the non-finite check covers the band alone.  A
+    boundary zero triggers up to three perturbations of the cell origin.
     """
     origin, v1, v2 = (complex(x) for x in cell)
-    scale = 0.0
-    band_max = 0.0
+    band, rest = [], []
+    width = max(0.35, abs(v2) / 8)
     for i in range(16):
         for j in range(16):
             z = origin + (i + 0.5) / 16 * v1 + (j + 0.5) / 16 * v2
-            val = F(z, tau)
-            if not cmath.isfinite(val):
-                raise NonFiniteSample("non-finite sample at %s" % z)
-            scale = max(scale, abs(val))
-            if abs(z.imag - origin.imag) <= max(0.35, abs(v2) / 8):
-                band_max = max(band_max, abs(val))
+            (band if abs(z.imag - origin.imag) <= width else rest).append(z)
+    band_max = _sample_max(F, tau, band)
     if band_max < ZERO_FLOOR:
         return ZeroCountResult(None, True, 0)
+    scale = max(band_max, _sample_max(F, tau, rest))
     zero_floor = 1e-12 * scale
     shift = 0.0137 + 0.0089j
     base = origin

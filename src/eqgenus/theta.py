@@ -16,10 +16,15 @@ Numeric: evaluation on C x H within a relative error eps, after moving tau
 into the strip Im tau >= 0.8, where |q| < 0.0066, with the S and T
 transformations; the product is cut where a geometric tail bound, solved
 in closed form (``product_keys``), certifies that the rest is
-negligible.  Sampled checkers test the S, T and quasi-periodicity laws;
-the S and T images each permute the four kinds, so the S and T checkers
-share each kind's right-hand values theta_image(t, tau) at the same
-samples, computed once (``_image_values``).
+negligible.  A call may ask for a tuple of kinds at one argument: the
+argument checks and the reduction run once, and the two kinds of a pair
+grid share its exponentials, truncation and powers of q.
+
+Sampled checkers test the S, T and quasi-periodicity laws.  The S and T
+images each permute the four kinds, and every law's argument lists are
+the same for all kinds, so the checkers keep one table entry per argument
+list with all four kinds' values, filled by one tuple call per sample
+(``_law_values``).
 
 The module imports no other module of the package, so the law suite
 compiles nothing else.
@@ -34,6 +39,7 @@ from collections import namedtuple
 from enum import Enum
 from cmath import exp
 from math import ceil, expm1, inf, log, log1p
+from operator import mul
 
 
 class NonconvergentDomain(Exception):
@@ -106,6 +112,9 @@ _MODULAR_IMAGES = {
 _PI_I, _MINUS_TWO_PI = 1j * math.pi, -2 * math.pi
 # theta_kind(t + 1, tau) = -theta_kind(t, tau) for these kinds; the others are periodic
 _ANTIPERIODIC = frozenset((ThetaKind.Theta, ThetaKind.Theta1))
+# kind -> (S image, i^s, whether the S image is antiperiodic)
+_S_IMAGES = {kind: (image, 1j ** ipow, image in _ANTIPERIODIC)
+             for kind, ((image, ipow), _) in _MODULAR_IMAGES.items()}
 # e^{pi i k/4}, the T-shift phases
 _EIGHTHS = tuple(exp(_PI_I * k / 4) for k in range(8))
 # the smallest positive normal double
@@ -113,6 +122,9 @@ _MIN_NORMAL = sys.float_info.min
 # (n, parity) of the zeros recognized on t itself: t - s tau / 2 in
 # Z + parity / 2 for s = +-n
 _INPUT_ZEROS = {ThetaKind.Theta1: (0, 1), ThetaKind.Theta2: (1, 0), ThetaKind.Theta3: (1, 1)}
+# each kind's partner on its pair grid, with the same first key and the other sign
+_PARTNERS = {ThetaKind.Theta: ThetaKind.Theta1, ThetaKind.Theta1: ThetaKind.Theta,
+             ThetaKind.Theta2: ThetaKind.Theta3, ThetaKind.Theta3: ThetaKind.Theta2}
 
 
 def _t_shift(kind: ThetaKind, n: int) -> tuple[ThetaKind, complex]:
@@ -121,17 +133,65 @@ def _t_shift(kind: ThetaKind, n: int) -> tuple[ThetaKind, complex]:
     return (image if n % 2 else kind), _EIGHTHS[eighths * n % 8]
 
 
-def _s_step(kind: ThetaKind, t1: complex, tau1: complex) -> tuple[ThetaKind, complex]:
-    """theta_kind(t0, tau0) = factor * theta_kind'(t1, tau1) for
-    (t0, tau0) = (t1/tau1, -1/tau1); principal branch of sqrt(tau/i)."""
-    image, ipow = _MODULAR_IMAGES[kind][0]
-    root = cmath.sqrt(tau1 / 1j) * exp(_PI_I * t1 * t1 / tau1)
-    return image, root * 1j ** ipow
+def _s_root(t1: complex, tau1: complex) -> complex:
+    """sqrt(tau1/i) e^{pi i t1^2/tau1}, the part of every kind's S-step
+    factor that does not depend on the kind; principal branch of the root."""
+    return cmath.sqrt(tau1 / 1j) * exp(_PI_I * t1 * t1 / tau1)
 
 
-def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> complex:
-    """Product evaluation within relative eps, valid for Im tau bounded
-    away from 0.
+def _at_input_zero(kind: ThetaKind, t: complex, tau: complex) -> bool:
+    """Whether t is one of kind's zeros nearest the real axis (``_INPUT_ZEROS``)."""
+    zero = _INPUT_ZEROS.get(kind)
+    if zero and abs(t.imag) == zero[0] * tau.imag / 2 and cmath.isfinite(tau):
+        s = zero[0] if t.imag > 0 else -zero[0]
+        return 2 * (t.real - s * tau.real / 2) % 2 == zero[1]
+    return False
+
+
+def _reduce(t: complex, tau: complex):
+    """(n, steps, t', tau'): t - n, with n the integer nearest Re t, moved
+    by steps into (t', tau') in the strip Im tau' >= 0.8.  Each step is
+    (T-shift, the S-step's ``_s_root``, integer shift of the S-image's t);
+    none depends on the kind."""
+    n = round(t.real)  # t - n is exact in floating point
+    t -= n
+    steps = ()
+    for _ in range(200):
+        if tau.imag >= 0.8:
+            return n, steps, t, tau
+        shift = round(tau.real)
+        if shift:
+            tau -= shift
+        # |Re tau| <= 1/2 and Im tau < 0.8 < sqrt(3)/2: |tau| < 1
+        tau1 = -1 / tau
+        t1 = t * tau1
+        m = round(t1.real)
+        steps += ((shift, _s_root(t1, tau1), m),)
+        t, tau = t1 - m, tau1
+    raise NonconvergentDomain("modular reduction did not terminate")
+
+
+def _image(kind: ThetaKind, n: int, steps) -> tuple[ThetaKind, complex]:
+    """(image, factor) with theta_kind = factor * theta_image from the
+    argument of ``_reduce`` to the point it reached; the factor multiplies
+    in the order of the steps."""
+    factor = -1 + 0j if n & 1 and kind in _ANTIPERIODIC else 1 + 0j
+    for shift, root, m in steps:
+        if shift:
+            kind, f = _t_shift(kind, shift)
+            factor *= f
+        kind, ipow, antiperiodic = _S_IMAGES[kind]
+        factor *= root * ipow
+        if m & 1 and antiperiodic:
+            factor = -factor
+    return kind, factor
+
+
+def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float, pair: bool = False):
+    """theta_kind(t, tau) by the product within relative eps, valid for Im
+    tau bounded away from 0; with pair, the values of kind and of the other
+    kind of its pair grid, which share the grid's exponentials, its
+    truncation and the running powers of q.
 
     Each coefficient is formed as one exponential of its whole argument,
     so no power of q, z = e^{2 pi i t} or s = e^{pi i t} overflows on its
@@ -140,18 +200,31 @@ def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> comp
     first, sgn = PAIR_GRID[kind]
     qh = exp(_PI_I * tau)  # q^{1/2} pinned by tau, not by a branch cut
     q = qh * qh
-    # sign q^{first/8} z^{+-1}, the pair's coefficients at the first key (the
-    # sign multiplies exactly)
+    # q^{first/8} z^{+-1}, the pair's coefficients at the first key up to the
+    # kind's sign (the sign multiplies exactly)
     a, b = _PI_I / 4 * first * tau, 2 * _PI_I * t
-    qz, qzi = sgn * exp(a + b), sgn * exp(a - b)
-    prod = 1 + 0j
+    qz, qzi = exp(a + b), exp(a - b)
+    keys = product_keys(first, abs(q) + abs(qz) + abs(qzi), _MINUS_TWO_PI * tau.imag, eps)
+    minus = plus = 1 + 0j
     if first == 8:
-        # theta and theta1 carry q^{1/8} (s + sgn s^{-1}), theta with a factor
+        # theta and theta1 carry q^{1/8} (s + sign s^{-1}), theta with a factor
         # -i; q^{1/8} = e^{a/8} and s = e^{pi i t} = e^{b/2}
-        prod = (exp(a / 8 + b / 2) + sgn * exp(a / 8 - b / 2)) * (1 if sgn > 0 else -1j)
+        s, si = exp(a / 8 + b / 2), exp(a / 8 - b / 2)
+        minus, plus = (s - si) * -1j, s + si
     # the factors at key k: 1 - q^{(k + 8 - first)/8} and 1 + sign q^{k/8} z^{+-1}
     qn = q
-    for _ in product_keys(first, abs(q) + abs(qz) + abs(qzi), _MINUS_TWO_PI * tau.imag, eps):
+    if pair:
+        for _ in keys:
+            c = 1 - qn
+            minus *= c * (1 - qz) * (1 - qzi)
+            plus *= c * (1 + qz) * (1 + qzi)
+            qn *= q
+            qz *= q
+            qzi *= q
+        return (plus, minus) if sgn > 0 else (minus, plus)
+    prod = plus if sgn > 0 else minus
+    qz, qzi = sgn * qz, sgn * qzi
+    for _ in keys:
         prod *= (1 - qn) * (1 + qz) * (1 + qzi)
         qn *= q
         qz *= q
@@ -159,11 +232,32 @@ def _theta_direct(kind: ThetaKind, t: complex, tau: complex, eps: float) -> comp
     return prod
 
 
-def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
+def _checked(value: complex, image: ThetaKind, t: complex, t0: complex, tau0: complex) -> complex:
+    """value, theta_image at the reduced t, unless it is not finite or not a
+    normal double: below the normal doubles a value keeps no relative
+    precision, and an underflow reads as 0.  theta's one exact zero on the
+    reduced grid is t = 0."""
+    if not cmath.isfinite(value):
+        raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0))
+    if abs(value) < _MIN_NORMAL and not (image is ThetaKind.Theta and t == 0):
+        raise NonconvergentDomain("theta underflows the normal doubles at t=%s tau=%s"
+                                  % (t0, tau0))
+    return value
+
+
+def theta_numeric(kind: ThetaKind | tuple[ThetaKind, ...], t, tau, eps: float = 1e-12):
     """theta_kind(t, tau) within relative error eps, for tau in the upper
     half plane; NonconvergentDomain where the value or its bound is not
     finite, or where the value is not a normal double (bar the exact
     zeros below).
+
+    kind may also be a tuple of kinds: the call returns their values as a
+    tuple in the same order, each equal float for float to its single-kind
+    call.  The argument checks and the reduction run once, and each pair
+    grid an image lies on is evaluated once for both its kinds.  A tuple
+    call raises NonconvergentDomain where any of its kinds would raise,
+    though the others may be fine: at t = 0.3, tau = 1 + 950i theta
+    underflows, while theta2 and theta3 are about 1.
 
     Below Im tau = 0.8, T-translations and the S-inversion, whose
     prefactors are exact, move the argument into the strip Im tau >= 0.8,
@@ -183,48 +277,37 @@ def theta_numeric(kind: ThetaKind, t, tau, eps: float = 1e-12) -> complex:
         raise ValueError("eps must be positive and at least %r, the double-precision "
                          "epsilon, got %r" % (sys.float_info.epsilon, eps))
     t0 = complex(t)
-    tau = tau0 = complex(tau)
-    if tau.imag <= 0:
-        raise NonconvergentDomain("Im tau must be positive, got %g" % tau.imag)
-    zero = _INPUT_ZEROS.get(kind)
-    # Im t = s Im tau / 2 first: it fails at once off the zeros' lines
-    if zero and abs(t0.imag) == zero[0] * tau.imag / 2 and cmath.isfinite(tau):
-        s = zero[0] if t0.imag > 0 else -zero[0]
-        if 2 * (t0.real - s * tau.real / 2) % 2 == zero[1]:
+    tau0 = complex(tau)
+    if tau0.imag <= 0:
+        raise NonconvergentDomain("Im tau must be positive, got %g" % tau0.imag)
+    # Im t = s Im tau / 2 for s = 0 or +-1 first: off these lines no kind is
+    # at an input zero
+    on_line = t0.imag == 0 or abs(t0.imag) == tau0.imag / 2
+    if kind.__class__ is not tuple:
+        if on_line and _at_input_zero(kind, t0, tau0):
             return 0j
-    try:
-        n = round(t0.real)  # t - n is exact in floating point
-        t, factor = t0 - n, (-1 + 0j if n & 1 and kind in _ANTIPERIODIC else 1 + 0j)
-        for _ in range(200):
-            if tau.imag >= 0.8:
-                break
-            shift = round(tau.real)
-            if shift:
-                kind, f = _t_shift(kind, shift)
-                factor *= f
-                tau -= shift
-            # |Re tau| <= 1/2 and Im tau < 0.8 < sqrt(3)/2: |tau| < 1
-            tau1 = -1 / tau
-            t1 = t * tau1
-            kind, f = _s_step(kind, t1, tau1)
-            n = round(t1.real)
-            factor *= f
-            if n & 1 and kind in _ANTIPERIODIC:
-                factor = -factor
-            t, tau = t1 - n, tau1
-        else:
-            raise NonconvergentDomain("modular reduction did not terminate")
-        value = factor * _theta_direct(kind, t, tau, eps / 2)
-    except (ArithmeticError, ValueError) as e:  # round() of an infinite or NaN Re t
-        raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0)) from e
-    if not cmath.isfinite(value):
-        raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0))
-    # below the normal doubles a value keeps no relative precision, and an
-    # underflow reads as 0; theta's one exact zero on the reduced grid is t = 0
-    if abs(value) < _MIN_NORMAL and not (kind is ThetaKind.Theta and t == 0):
-        raise NonconvergentDomain("theta underflows the normal doubles at t=%s tau=%s"
-                                  % (t0, tau0))
-    return value
+        try:
+            n, steps, t, tau = _reduce(t0, tau0)
+            image, factor = _image(kind, n, steps)
+            value = factor * _theta_direct(image, t, tau, eps / 2)
+        except (ArithmeticError, ValueError) as e:  # round() of an infinite or NaN Re t
+            raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0)) from e
+        return _checked(value, image, t, t0, tau0)
+    live = [k for k in kind if not _at_input_zero(k, t0, tau0)] if on_line else kind
+    values = {}
+    if live:
+        try:
+            n, steps, t, tau = _reduce(t0, tau0)
+            prods = {}  # both kinds' values on each pair grid an image lies on
+            for k in live:
+                image, factor = _image(k, n, steps)
+                if image not in prods:
+                    prods[image], prods[_PARTNERS[image]] = _theta_direct(image, t, tau,
+                                                                          eps / 2, True)
+                values[k] = _checked(factor * prods[image], image, t, t0, tau0)
+        except (ArithmeticError, ValueError) as e:
+            raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0)) from e
+    return tuple([values.get(k, 0j) for k in kind])
 
 
 # ---------------------------------------------------------------------------
@@ -270,63 +353,102 @@ def _default_samples(samples, seed=1729):
             t = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05))
             tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.6, 1.4))
             out.append((x, t, tau))
-        return out
-    return list(samples)
+    else:
+        out = list(samples)
+    if not out:
+        raise ValueError("no samples: a check of nothing cannot pass")
+    return out
+
+
+# (argument list, bits of the samples) -> {kind: its values at the list's
+# argument of each sample}.  The argument lists are the same for every
+# kind: S's (t/tau, -1/tau), T's (t, tau + 1), the S and T images' (t, tau),
+# and quasi-periodicity's two, so one tuple call of theta_numeric per
+# sample fills a list for all four kinds, and every other check at the
+# same samples reads it.  The laws' factors that do not depend on the kind,
+# the S-steps' roots and quasi-periodicity's phases, are kept per sample
+# the same way.  The key holds the bits of every x, t and tau, so an entry
+# serves only the exact samples it was computed at; beyond
+# _LAW_VALUES_KEPT entries, two suites' worth, the oldest goes.
+_LAW_VALUES: dict = {}
+_LAW_VALUES_KEPT = 14
+
+
+def _sample_bits(pts) -> bytes:
+    from struct import Struct  # a shared library load that no command needs
+
+    pack = Struct("6d").pack
+    return b"".join([pack(x.real, x.imag, t.real, t.imag, tau.real, tau.imag)
+                     for x, t, tau in pts])
+
+
+def _law_entry(key, compute):
+    """The table's entry for key, or compute() stored there."""
+    entry = _LAW_VALUES.get(key)
+    if entry is None:
+        entry = compute()
+        if len(_LAW_VALUES) >= _LAW_VALUES_KEPT:
+            del _LAW_VALUES[next(iter(_LAW_VALUES))]
+        _LAW_VALUES[key] = entry
+    return entry
+
+
+def _law_values(key, arguments) -> dict:
+    """{kind: theta_numeric(kind, t, tau) at each (t, tau) of arguments},
+    from one tuple call per (t, tau), kept in the table under key."""
+    def compute():
+        kinds = tuple(ThetaKind)
+        return dict(zip(kinds, zip(*[theta_numeric(kinds, t, tau) for t, tau in arguments])))
+
+    return _law_entry(key, compute)
 
 
 def check_quasi_periodicity(kind: ThetaKind, l: int, a: int, b: int,
                             samples=10, eps: float = 1e-9) -> CheckReport:
     """Check theta_v(x + l(t + a tau + b), tau) =
-    e^{-pi i (2 l a x + 2 l^2 a t + l^2 a^2 tau)} theta_v(x + l t, tau)."""
+    e^{-pi i (2 l a x + 2 l^2 a t + l^2 a^2 tau)} theta_v(x + l t, tau).
+
+    Both sides' values are evaluated for all four kinds at once and shared
+    with their checks (``_law_values``): a sample where any kind is not
+    finite or not a normal double raises NonconvergentDomain for every
+    kind, not only for the kind that fails there."""
     if a % 2 or b % 2:
         raise ValueError("a and b must be even")
     pts = _default_samples(samples)
-    pairs = ((theta_numeric(kind, x + l * (t + a * tau + b), tau),
-              exp(-1j * math.pi * (2 * l * a * x + 2 * l * l * a * t + l * l * a * a * tau))
-              * theta_numeric(kind, x + l * t, tau)) for x, t, tau in pts)
+    bits = _sample_bits(pts)
+    lhs = _law_values(("shifted", l, a, b, bits),
+                      ((x + l * (t + a * tau + b), tau) for x, t, tau in pts))[kind]
+    rhs = _law_values(("base", l, bits), ((x + l * t, tau) for x, t, tau in pts))[kind]
+    phases = _law_entry(("phase", l, a, bits), lambda: [
+        exp(-1j * math.pi * (2 * l * a * x + 2 * l * l * a * t + l * l * a * a * tau))
+        for x, t, tau in pts])
     name = "%s(x + %d(t + %d tau + %d))" % (kind.value, l, a, b)
-    return CheckReport(name, len(pts), _worst(pairs), eps)
-
-
-# kind -> (samples key, theta_numeric(kind, t, tau) at each sample): a
-# suite that checks the S and T laws of every kind at the same samples asks
-# for each kind's values twice.  The key holds the bits of every t and tau,
-# so a slot serves only the exact samples it was computed at; other samples
-# replace it.  At most one slot per kind is kept for the process.
-_IMAGE_VALUES: dict = {}
-
-
-def _image_values(kind: ThetaKind, pts) -> tuple:
-    """theta_numeric(kind, t, tau) at each sample (x, t, tau), taken from
-    kind's slot when the slot holds these samples, else computed into it."""
-    from array import array  # a shared library load that no command needs
-
-    key = array("d", [c for _, t, tau in pts
-                      for c in (t.real, t.imag, tau.real, tau.imag)]).tobytes()
-    slot = _IMAGE_VALUES.get(kind)
-    if slot is None or slot[0] != key:
-        slot = _IMAGE_VALUES[kind] = key, tuple(theta_numeric(kind, t, tau)
-                                                 for _, t, tau in pts)
-    return slot[1]
+    return CheckReport(name, len(pts), _worst(zip(lhs, map(mul, phases, rhs))), eps)
 
 
 def check_modular_ST(kind: ThetaKind, generator: str, samples=10, eps: float = 1e-9) -> CheckReport:
-    """Check the S or T transformation law of one theta kind; the values
-    theta_image(t, tau) of the right-hand side are shared with the other
-    law checks at the same samples (``_image_values``)."""
-    pts = _default_samples(samples)
-    if generator.upper() == "T":
-        image, factor = _t_shift(kind, 1)
-        pairs = ((theta_numeric(kind, t, tau + 1), factor * value)
-                 for (_, t, tau), value in zip(pts, _image_values(image, pts)))
-        name = "%s(t, tau+1)" % kind.value
-    elif generator.upper() == "S":
-        # the image is the same at every sample; the factor of each
-        # sample's S-step is bound in the generator
-        image = _MODULAR_IMAGES[kind][0][0]
-        pairs = ((theta_numeric(kind, t / tau, -1 / tau), _s_step(kind, t, tau)[1] * value)
-                 for (_, t, tau), value in zip(pts, _image_values(image, pts)))
-        name = "%s(t/tau, -1/tau)" % kind.value
-    else:
+    """Check the S or T transformation law of one theta kind.
+
+    Both sides' values are evaluated for all four kinds at once and shared
+    with the other law checks (``_law_values``): a sample where any kind is
+    not finite or not a normal double raises NonconvergentDomain for every
+    kind's check, not only for the kind that fails there."""
+    generator = generator.upper()
+    if generator not in ("S", "T"):
         raise ValueError("generator must be 'S' or 'T'")
-    return CheckReport(name, len(pts), _worst(pairs), eps)
+    pts = _default_samples(samples)
+    bits = _sample_bits(pts)
+    images = _law_values(("image", bits), ((t, tau) for _, t, tau in pts))
+    if generator == "T":
+        image, factor = _t_shift(kind, 1)
+        lhs = _law_values(("T", bits), ((t, tau + 1) for _, t, tau in pts))[kind]
+        rhs = [factor * value for value in images[image]]
+        name = "%s(t, tau+1)" % kind.value
+    else:
+        # each sample's S-step factor, its root times i^s, times the image's value
+        image, ipow, _ = _S_IMAGES[kind]
+        lhs = _law_values(("S", bits), ((t / tau, -1 / tau) for _, t, tau in pts))[kind]
+        roots = _law_entry(("root", bits), lambda: [_s_root(t, tau) for _, t, tau in pts])
+        rhs = [root * ipow * value for root, value in zip(roots, images[image])]
+        name = "%s(t/tau, -1/tau)" % kind.value
+    return CheckReport(name, len(pts), _worst(zip(lhs, rhs)), eps)

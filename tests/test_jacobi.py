@@ -193,6 +193,14 @@ def test_check_jacobi_evaluates_base_once_per_sample():
     assert len(set(calls)) == 3 * 5
 
 
+def test_check_jacobi_rejects_a_generator_outside_its_group(monkeypatch):
+    # T is not in Gamma_theta: a law checked on it is not one the form obeys
+    monkeypatch.setitem(GROUP_GENERATORS, ModularGroup.GAMMA_THETA, (S, T))
+    spec = JacobiFormSpec(Fraction(1, 2), 2, ModularGroup.GAMMA_THETA)
+    with pytest.raises(ValueError, match=r"generator \[\[1,1\],\[0,1\]\] is not in Gamma_theta"):
+        check_jacobi(lambda t, tau: 1.0, spec, samples=3)
+
+
 def test_lattice_translation_example():
     # F(t + 2 tau, tau) = e^{-2 pi i m(4 tau + 4 t)} F(t, tau) for theta3
     # (a Jacobi-type function of index 1/2 for the doubled lattice)
@@ -220,6 +228,33 @@ def test_count_zeros_theta_unit_cell():
 def test_count_zeros_zero_function():
     res = count_zeros(lambda t, tau: 0j, 1j, (0.1, 1, 1j))
     assert res.identically_zero
+
+
+def _grid(origin, v1, v2):
+    return [origin + (i + 0.5) / 16 * v1 + (j + 0.5) / 16 * v2
+            for i in range(16) for j in range(16)]
+
+
+@pytest.mark.parametrize("tau, cell, band_size", [
+    (1j, (0.1, 1, 1j), 96),
+    (0.5 + 1.2j, (0.171 + 0.113j, 2, 1 + 2.4j), 32),
+])
+def test_count_zeros_reads_only_the_band_of_a_zero_function(tau, cell, band_size):
+    # the verdict reads the low band |Im z - Im origin| <= max(0.35, |v2|/8)
+    # alone, so a zero F is evaluated there and nowhere else
+    calls = []
+
+    def F(t, tt):
+        calls.append(t)
+        return 0j
+
+    assert count_zeros(F, tau, cell).identically_zero
+    origin, v1, v2 = (complex(c) for c in cell)
+    band = [z for z in _grid(origin, v1, v2)
+            if abs(z.imag - origin.imag) <= max(0.35, abs(v2) / 8)]
+    assert len(band) == band_size
+    assert sorted(calls, key=lambda z: (z.real, z.imag)) == \
+        sorted(band, key=lambda z: (z.real, z.imag))
 
 
 def test_count_zeros_random_theta_quotients():
@@ -293,6 +328,8 @@ def test_count_zeros_evaluation_budget():
     tau = 0.5 + 1.2j
     count_zeros(F, tau, (0.171 + 0.113j, 1, tau))
     assert len(calls) <= 400
+    # F is not zero: its scale comes from all 256 grid points
+    assert set(_grid(0.171 + 0.113j, 1, tau)) <= set(calls)
 
 
 # -- index classification ---------------------------------------------------------------

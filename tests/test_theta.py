@@ -347,8 +347,8 @@ def test_theta_numeric_at_the_reduction_threshold(monkeypatch):
                 rel = abs(theta_numeric(kind, t, tau, 1e-12) - ref) / abs(ref)
                 assert rel <= 1e-12, (kind, t, tau, rel)
     steps = []
-    s_step = theta._s_step
-    monkeypatch.setattr(theta, "_s_step", lambda *a: steps.append(a) or s_step(*a))
+    s_root = theta._s_root
+    monkeypatch.setattr(theta, "_s_root", lambda *a: steps.append(a) or s_root(*a))
     worst = 0
     for _ in range(400):
         tau = complex(rng.uniform(-3, 3), rng.uniform(0.05, 1.4))
@@ -364,9 +364,10 @@ def test_theta_numeric_keeps_few_product_keys(monkeypatch):
     # a cost guard with no timing: over the law suite's domain (S, T and
     # quasi-periodicity checks at Im tau in [0.05, 1.4]) the reduction into
     # the strip Im tau >= 0.8 keeps about 3.7 product keys per evaluation,
-    # and one that stops at Im tau >= 0.3 keeps 5.7; the S and T checks share
-    # their right-hand values, so each kind's five distinct evaluations per
-    # sample run once
+    # and one that stops at Im tau >= 0.3 keeps 5.7; the checks share one
+    # table of all four kinds' values per argument list, so each of the five
+    # distinct arguments per sample is evaluated once, and its two pair
+    # grids take one truncation each
     kept = []
     product_keys = theta.product_keys
 
@@ -376,7 +377,7 @@ def test_theta_numeric_keeps_few_product_keys(monkeypatch):
         return keys
 
     monkeypatch.setattr(theta, "product_keys", spy)
-    monkeypatch.setattr(theta, "_IMAGE_VALUES", {})
+    monkeypatch.setattr(theta, "_LAW_VALUES", {})
     rng = random.Random(83)
     pts = [(complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1)),
             complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05)),
@@ -385,7 +386,7 @@ def test_theta_numeric_keeps_few_product_keys(monkeypatch):
         assert check_modular_ST(kind, "S", pts).passed
         assert check_modular_ST(kind, "T", pts).passed
         assert check_quasi_periodicity(kind, 1, 2, 0, samples=pts).passed
-    assert len(kept) == 4 * 5 * len(pts)
+    assert len(kept) == 2 * 5 * len(pts)
     assert sum(kept) / len(kept) <= 4.5
 
 
@@ -464,8 +465,9 @@ def _direct_law_reports(pts, eps):
     reports = []
     for kind in KINDS:
         s_pairs = []
+        image, ipow, _ = theta._S_IMAGES[kind]
         for _, t, tau in pts:
-            image, factor = theta._s_step(kind, t, tau)
+            factor = theta._s_root(t, tau) * ipow
             s_pairs.append((theta_numeric(kind, t / tau, -1 / tau),
                             factor * theta_numeric(image, t, tau)))
         image, factor = theta._t_shift(kind, 1)
@@ -491,12 +493,22 @@ def _law_suite(pts, eps):
 
 
 def test_law_suite_shares_image_values_exactly(monkeypatch):
-    # the S and T checks take their right-hand values theta_image(t, tau)
-    # from one slot per kind; every report equals, float for float, the one
+    # every law check reads its values from one table entry per argument
+    # list, which holds all four kinds: a suite makes one tuple call per
+    # sample and list, and every report equals, float for float, the one
     # from evaluating both sides directly.  Each later suite moves one
-    # sample in one of Re t, Im t, Re tau, Im tau: a slot whose key missed
-    # that part would hand a stale value on, an O(1e-3) discrepancy
-    monkeypatch.setattr(theta, "_IMAGE_VALUES", {})
+    # sample in place in one of Re x, Im x, Re t, Im t, Re tau, Im tau, and
+    # must evaluate every list afresh: an entry whose key missed that part
+    # would serve the old values, which still satisfy the laws
+    monkeypatch.setattr(theta, "_LAW_VALUES", {})
+    calls = []
+    numeric = theta.theta_numeric
+
+    def spy(kinds, t, tau, *args):
+        calls.append(kinds)
+        return numeric(kinds, t, tau, *args)
+
+    monkeypatch.setattr(theta, "theta_numeric", spy)
     rng = random.Random(97)
     pts = [(complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1)),
             complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05)),
@@ -504,9 +516,105 @@ def test_law_suite_shares_image_values_exactly(monkeypatch):
     first = _law_suite(pts, 1e-9)
     assert first == _direct_law_reports(pts, 1e-9)
     assert all(rep.passed for rep in first)
-    for i, (dt, dtau) in enumerate(((1e-3, 0), (1e-3j, 0), (0, 1e-3), (0, 1e-3j))):
+    assert calls == [KINDS] * 5 * len(pts)
+    del calls[:]
+    assert _law_suite(pts, 1e-9) == first and not calls
+    moves = ((1e-3, 0, 0), (1e-3j, 0, 0), (0, 1e-3, 0), (0, 1e-3j, 0), (0, 0, 1e-3),
+             (0, 0, 1e-3j))
+    for i, (dx, dt, dtau) in enumerate(moves):
         x, t, tau = pts[17 + i]
-        pts[17 + i] = (x, t + dt, tau + dtau)  # in place: the same list object
+        pts[17 + i] = (x + dx, t + dt, tau + dtau)  # in place: the same list object
+        del calls[:]
         moved = _law_suite(pts, 1e-9)
-        assert moved == _direct_law_reports(pts, 1e-9), (dt, dtau)
+        assert len(calls) == 5 * len(pts), (dx, dt, dtau)
+        assert moved == _direct_law_reports(pts, 1e-9), (dx, dt, dtau)
         assert all(rep.passed for rep in moved)
+    assert len(theta._LAW_VALUES) <= theta._LAW_VALUES_KEPT
+
+
+def test_law_checkers_reject_an_empty_sample_set():
+    for samples in (0, []):
+        with pytest.raises(ValueError, match="no samples"):
+            check_modular_ST(ThetaKind.Theta, "S", samples=samples)
+        with pytest.raises(ValueError, match="no samples"):
+            check_quasi_periodicity(ThetaKind.Theta, 1, 2, 0, samples=samples)
+
+
+def _law_arguments(x, t, tau):
+    """The five (t, tau) at which the law suite evaluates each kind."""
+    return [(t / tau, -1 / tau), (t, tau + 1), (t, tau), (x + (t + 2 * tau), tau), (x + t, tau)]
+
+
+def _assert_tuple_call_matches(kinds, t, tau, eps=1e-12):
+    """The tuple call returns the single-kind values float for float, or
+    raises where one of them raises; whether it returned."""
+    try:
+        singles = [theta_numeric(kind, t, tau, eps) for kind in kinds]
+    except NonconvergentDomain:
+        with pytest.raises(NonconvergentDomain):
+            theta_numeric(kinds, t, tau, eps)
+        return False
+    got = theta_numeric(kinds, t, tau, eps)
+    assert isinstance(got, tuple) and len(got) == len(kinds)
+    for kind, value, single in zip(kinds, got, singles):
+        assert (value.real, value.imag) == (single.real, single.imag), (kind, t, tau)
+    return True
+
+
+def test_tuple_call_equals_single_kind_calls():
+    # a tuple of kinds returns each kind's single-kind value float for float:
+    # over the law suite's arguments, at input zeros (one kind 0, the others
+    # evaluated), at Re t = 1e12, at points that take 0 to 3 S-steps, and for
+    # 1-tuples and permuted orders
+    rng = random.Random(101)
+    orders = [KINDS, KINDS[::-1], (ThetaKind.Theta2, ThetaKind.Theta, ThetaKind.Theta3)]
+    orders += [(kind,) for kind in KINDS]
+    for _ in range(300):
+        x = complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1))
+        t = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05))
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.4))
+        for arg in _law_arguments(x, t, tau):
+            assert _assert_tuple_call_matches(KINDS, *arg)
+        assert _assert_tuple_call_matches(rng.choice(orders), t, tau)
+    tau = 0.3 + 0.7j
+    zeros = [(ThetaKind.Theta, 3), (ThetaKind.Theta1, 1.5), (ThetaKind.Theta1, -0.5),
+             (ThetaKind.Theta2, tau / 2), (ThetaKind.Theta2, 2 - tau / 2),
+             (ThetaKind.Theta3, 0.5 + tau / 2), (ThetaKind.Theta3, -0.5 - tau / 2)]
+    for kind, t in zeros:
+        values = theta_numeric(KINDS, t, tau)
+        assert values[KINDS.index(kind)] == 0, (kind, t)
+        assert sum(value != 0 for value in values) == 3, (kind, t)
+        _assert_tuple_call_matches(KINDS, t, tau)
+        _assert_tuple_call_matches((kind,), t, tau)
+    for _ in range(20):
+        t = complex(1e12 + rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.4))
+        assert _assert_tuple_call_matches(KINDS, t, tau)
+    # Im tau down to 0.002 takes three S-steps and more
+    returned = {}
+    for _ in range(400):
+        t = complex(rng.uniform(-0.5, 1.5), rng.uniform(-0.3, 0.3))
+        tau = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-2.7, 0.2))
+        steps = len(theta._reduce(t, tau)[1])
+        for eps in (1e-12, 1e-9):
+            returned[steps] = returned.get(steps, 0) + _assert_tuple_call_matches(KINDS, t, tau, eps)
+    assert all(returned.get(steps, 0) >= 10 for steps in range(4)), returned
+
+
+def test_tuple_call_raises_where_any_kind_raises():
+    # at 950i theta(0.3) underflows while theta2 and theta3 are about 1: every
+    # tuple holding theta raises, and so does the law check that reads it
+    assert abs(theta_numeric(ThetaKind.Theta3, 0.3, 950j) - 1) < 1e-12
+    for kinds in (KINDS, (ThetaKind.Theta3, ThetaKind.Theta), (ThetaKind.Theta,)):
+        with pytest.raises(NonconvergentDomain):
+            theta_numeric(kinds, 0.3, 950j)
+    assert theta_numeric((ThetaKind.Theta2, ThetaKind.Theta3), 0.3, 950j) == (
+        theta_numeric(ThetaKind.Theta2, 0.3, 950j), theta_numeric(ThetaKind.Theta3, 0.3, 950j))
+    with pytest.raises(ValueError, match="at least"):
+        theta_numeric(KINDS, 0.3, 1j, sys.float_info.epsilon / 2)
+    for tau in (0.5, 0.5 - 1j):
+        with pytest.raises(NonconvergentDomain):
+            theta_numeric(KINDS, 0.3, tau)
+    # theta3's check at t = 0.3, tau = 950i reads theta there, which underflows
+    with pytest.raises(NonconvergentDomain):
+        check_modular_ST(ThetaKind.Theta3, "T", [(0j, 0.3, 950j)])
