@@ -3,15 +3,16 @@
 Exit codes: 0 success, 2 parse/ingestion error, 3 validation error,
 4 computation error, 141 stdout closed early (128 + SIGPIPE).  Reports go
 to stdout, diagnostics to stderr.  No environment variable is consulted.
+
+The exact commands, ``expand`` and ``rigidity``, live here; the others
+live in ``cli_extra``, which is imported only when one of them runs.
 """
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .algebra import (
     AlgebraError,
@@ -20,25 +21,22 @@ from .algebra import (
     OffGridExponent,
     QSeries,
 )
-from .dataset import DatasetFormatError, dataset_to_json, load_dataset, parse_rational
+from .dataset import DatasetFormatError, load_dataset
 from .genera import NON_V_KINDS, V_KINDS, OperatorKind, ZeroWeightNormalBundle
+from .kinds import NonconvergentDomain, ThetaKind
 from .localization import (
     InconsistentAnomaly,
     NearPole,
     ValidationError,
-    anomaly_index,
     equivariant_character,
     equivariant_characters,
     rigidity_check,
 )
-from .theta import NonconvergentDomain, ThetaKind, theta_numeric
 
 EXIT_PARSE, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_BROKEN_PIPE = 2, 3, 4, 141
 
 # the largest --order (in eighth-steps) of the exact engine's commands
 MAX_ORDER = 256
-# the largest jacobi --samples
-MAX_SAMPLES = 1024
 
 _PARSE_ERRORS = (DatasetFormatError, OSError)
 # catalog.UnknownEntry is a ValidationError, and jacobi's BoundaryZero and
@@ -70,38 +68,9 @@ def _operator(name: str) -> OperatorKind:
                               (name, ", ".join(k.value for k in OperatorKind)))
 
 
-def _parse_complex(s: str) -> complex:
-    try:
-        z = complex(s.replace("i", "j").replace(" ", ""))
-    except ValueError:
-        raise ValidationError("cannot parse complex number %r (use e.g. 0.5+1.2i)" % s)
-    if not cmath.isfinite(z):
-        raise ValidationError("complex number %r is not finite" % s)
-    return z
-
-
-def _parse_tau(s: str) -> complex:
-    tau = _parse_complex(s)
-    if tau.imag <= 0:
-        raise ValidationError("tau must lie in the upper half plane")
-    return tau
-
-
 def _check_order(order: int):
     if not 0 <= order <= MAX_ORDER:
         raise ValidationError("order %d outside [0, %d] eighth-steps" % (order, MAX_ORDER))
-
-
-def _check_samples(samples: int):
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValidationError("--samples %d outside [1, %d]" % (samples, MAX_SAMPLES))
-
-
-def _check_tolerance(flag: str, x: float):
-    # a NaN fails both comparisons and is rejected too; below the
-    # double-precision epsilon a relative bound cannot be met
-    if not sys.float_info.epsilon <= x < 1:
-        raise ValidationError("%s %r outside [%r, 1)" % (flag, x, sys.float_info.epsilon))
 
 
 def _q_name(key: int) -> str:
@@ -196,127 +165,16 @@ def cmd_rigidity(args) -> int:
     return 0
 
 
-def cmd_jacobi(args) -> int:
-    from .jacobi import check_jacobi, designated_spec
-    from .numeric import degree_component_function
-    _check_samples(args.samples)
-    _check_tolerance("--tol", args.tol)
-    data = _load_input(args.input)
-    kind = _operator(args.operator)
-    if args.degree % 2 or args.degree < 0 or args.degree > data.base_cap:
-        raise ValidationError("degree %d outside the even range [0, %d]"
-                              % (args.degree, data.base_cap))
-    n = anomaly_index(data)
-    spec = designated_spec(kind, n, data.fiber_half_dim, data.components[0].v_rank(),
-                           args.degree // 2)
-    F = degree_component_function(data, kind, args.degree,
-                                  normalized=True, eps=args.tol * 1e-4)
-    rep = check_jacobi(F, spec, samples=args.samples, eps=args.tol)
-    report = {
-        "format": 1, "command": "jacobi", "dataset": data.name or args.input,
-        "operator": kind.value, "degree": args.degree, "monomial": F.monomial,
-        "anomaly": n, "index": str(Fraction(n, 2)), "weight": spec.weight,
-        "group": spec.group.value, "samples": rep.samples,
-        "max_modular_discrepancy": rep.max_modular_discrepancy,
-        "max_lattice_discrepancy": rep.max_lattice_discrepancy,
-        "tolerance": args.tol, "identically_zero": rep.identically_zero,
-        "passed": rep.passed,
-    }
-    lines = ["operator: %s, degree %d (monomial %s)" % (kind.value, args.degree, F.monomial),
-             "anomaly n = %d: expected index %s, weight %d over %s"
-             % (n, Fraction(n, 2), spec.weight, spec.group.value),
-             "max discrepancy: modular %.3e, lattice %.3e at %d samples"
-             % (rep.max_modular_discrepancy, rep.max_lattice_discrepancy, rep.samples)]
-    if rep.identically_zero:
-        lines.append("IdenticallyZero (sampled max |F| below the zero floor)")
-    lines.append("PASS" if rep.passed else "FAIL")
-    _emit(report, args.format, lines)
-    return 0 if rep.passed else 1
-
-
-def cmd_zeros(args) -> int:
-    from .jacobi import LATTICE_SCALE, count_zeros
-    from .numeric import degree_component_function
-    data = _load_input(args.input)
-    kind = _operator(args.operator)
-    tau = _parse_tau(args.tau)
-    origin = _parse_complex(args.origin) if args.origin else 0.171 + 0.113j
-    F = degree_component_function(data, kind, 0, normalized=True, eps=1e-12)
-    res = count_zeros(F, tau, (origin, LATTICE_SCALE, LATTICE_SCALE * tau))
-    try:
-        n = anomaly_index(data)
-    except InconsistentAnomaly:
-        n = None
-    # a form of index n/2 has n zeros in each unit cell of the lattice
-    cells = LATTICE_SCALE ** 2
-    report = {"format": 1, "command": "zeros", "dataset": data.name or args.input,
-              "operator": kind.value, "tau": str(tau),
-              "identically_zero": res.identically_zero,
-              "count": res.count, "anomaly": n,
-              "cell": "(%dZ)^2 fundamental cell (%d unit cells)" % (LATTICE_SCALE, cells)}
-    if res.identically_zero:
-        lines = ["IdenticallyZero (sampled max |F| below the zero floor)"]
-    else:
-        lines = ["zero count over the (%dZ)^2 cell at tau=%s: %.4f"
-                 % (LATTICE_SCALE, tau, round(res.count, 4) + 0.0),  # -1e-17 prints 0.0000
-                 "(area-scaled expectation for index n/2: %dn = %s)"
-                 % (cells, cells * n if n is not None else "unknown")]
-    _emit(report, args.format, lines)
-    return 0
-
-
-def cmd_theta(args) -> int:
-    kind = ThetaKind(args.kind)
-    if args.formal:
-        from .reference import theta_formal
-        _check_order(args.order)
-        ts = theta_formal(kind, parse_rational(args.m, "--m"), args.order)
-        report = {"format": 1, "command": "theta", "kind": kind.value,
-                  "m": args.m, "order_n8": args.order, "i_power": ts.i_power,
-                  "series": _series_payload(ts.series, 1)}
-        lines = ["theta kind %s at v = %s t, i-power %d" % (kind.value, args.m, ts.i_power)]
-        for k in sorted(ts.series.c):
-            lines.append("  q^{%s}: %s" % (_q_name(k), ts.series.c[k]))
-        if not ts.series.c:
-            lines.append("  identically zero (order-%d vanishing at v=0)" % ts.vanishing_order)
-        _emit(report, args.format, lines)
-        return 0
-    _check_tolerance("--eps", args.eps)
-    t = _parse_complex(args.t)
-    tau = _parse_tau(args.tau)
-    val = theta_numeric(kind, t, tau, args.eps)
-    report = {"format": 1, "command": "theta", "kind": kind.value,
-              "t": str(t), "tau": str(tau), "eps": args.eps,
-              "value": {"re": val.real, "im": val.imag}}
-    _emit(report, args.format, ["%s(%s, %s) = %s (within relative %g)"
-                                % (kind.value, t, tau, val, args.eps)])
-    return 0
-
-
-def cmd_catalog(args) -> int:
-    from .catalog import builtin, names as catalog_names
-    if args.action == "list":
-        report = {"format": 1, "command": "catalog", "entries": {}}
-        lines = []
-        for name in catalog_names():
-            e = builtin(name)
-            report["entries"][name] = {"doc": e.doc, "expected": e.expected}
-            lines.append("%-22s %s" % (name, e.doc.split(".")[0] + "."))
-        _emit(report, args.format, lines)
-        return 0
-    entry = builtin(args.name)
-    payload = dataset_to_json(entry.data)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print("wrote %s" % args.output)
-    else:
-        print(text)
-    return 0
-
-
 # -- wiring -----------------------------------------------------------------------
+
+
+def _off_stack(name: str):
+    """The command ``name`` of ``cli_extra``, which is imported only when
+    the command runs."""
+    def run(args):
+        from . import cli_extra
+        return getattr(cli_extra, name)(args)
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,13 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, default=0, help="base degree 2p")
     sp.add_argument("--samples", type=int, default=32)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.set_defaults(fn=cmd_jacobi)
+    sp.set_defaults(fn=_off_stack("cmd_jacobi"))
 
     sp = common(sub.add_parser("zeros", help="argument-principle zero count"))
     sp.add_argument("--operator", required=True)
     sp.add_argument("--tau", required=True)
     sp.add_argument("--origin", default=None)
-    sp.set_defaults(fn=cmd_zeros)
+    sp.set_defaults(fn=_off_stack("cmd_zeros"))
 
     sp = sub.add_parser("theta", help="theta function values and expansions")
     sp.add_argument("--kind", required=True,
@@ -368,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", default="1")
     sp.add_argument("--order", type=int, default=32)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(fn=cmd_theta)
+    sp.set_defaults(fn=_off_stack("cmd_theta"))
 
     sp = sub.add_parser("catalog", help="built-in datasets")
     sp.add_argument("action", choices=("list", "emit"))
     sp.add_argument("name", nargs="?")
     sp.add_argument("--output", default=None)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(fn=cmd_catalog)
+    sp.set_defaults(fn=_off_stack("cmd_catalog"))
     return p
 
 

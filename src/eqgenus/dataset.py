@@ -53,12 +53,12 @@ class DatasetFormatError(Exception):
         self.path = path
 
 
-_JSON_TYPES = {int: "an integer", list: "a list", dict: "an object"}
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
 def _field(obj: dict, key: str, kind: type, path: str, default=None):
-    """obj[key], which must be a JSON value of type ``kind`` (int, list or
-    dict); ``default`` when the key is absent."""
+    """obj[key], which must be a JSON value of type ``kind`` (int, str,
+    list or dict); ``default`` when the key is absent."""
     if key not in obj:
         return default
     v = obj[key]
@@ -267,7 +267,7 @@ def parse_dataset(obj: dict) -> ActionData:
         path = "$.components[%d]" % ci
         if not isinstance(c, dict):
             raise DatasetFormatError(path, "components are objects")
-        name = str(c.get("name", "component-%d" % ci))
+        name = _field(c, "name", str, path, "component-%d" % ci)
         k_alpha = _field(c, "k_alpha", int, path, 0)
         sign = _field(c, "sign", int, path, 1)
         tangent_raw = _field(c, "tangent_roots", list, path, [])
@@ -316,7 +316,7 @@ def parse_dataset(obj: dict) -> ActionData:
     return ActionData(k, tuple(comps), base_gens, base_cap,
                       _optional_int(obj, "v_half_rank", "$"),
                       _optional_int(obj, "declared_anomaly", "$"),
-                      str(obj.get("name", "")))
+                      _field(obj, "name", str, "$", ""))
 
 
 def load_dataset(path: str) -> ActionData:

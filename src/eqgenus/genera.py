@@ -80,7 +80,7 @@ from .algebra import (
     series_mul,
     wpoly_divexact,
 )
-from .theta import PAIR_GRID, ConstantsLedger, ThetaKind
+from .kinds import PAIR_GRID, ConstantsLedger, ThetaKind
 
 
 class ZeroWeightNormalBundle(Exception):
@@ -159,7 +159,7 @@ _THETA_PRIME_0 = "theta'(0)"
 
 # Each numerator: (tokens on every line, power of E^{1/2}, powers of c(q)
 # and q^{1/8}).  A ThetaKind token is that theta's pair product
-# (``theta.PAIR_GRID``) and "lin+-" the factor 1 +- E^{-1}.  The same
+# (``kinds.PAIR_GRID``) and "lin+-" the factor 1 +- E^{-1}.  The same
 # tokens serve a weight-0 tangent line: with the E^{1/2} power they give
 # theta1's e^{y/2} + e^{-y/2}.  Theta sits on TX only in the denominator,
 # where y / theta(y) = 1 / (sigma pairs) carries no E^{1/2}.

@@ -37,8 +37,8 @@ from .algebra import (DegreeOutOfRange, GradedElement, OffGridExponent, QSeries,
                       WLaurentRational, fiber_integrate, graded_invert, series_invert, series_mul)
 from .genera import (OperatorKind, RootBundle, _half_character, _iter_lines, _line, _one, _sigma,
                      bridge_to_index_character, series_product, theta_quotient_integrand)
+from .kinds import PAIR_GRID, ConstantsLedger, ThetaKind
 from .localization import ActionData, FixedComponent, GenusResult
-from .theta import PAIR_GRID, ConstantsLedger, ThetaKind
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@
     theta2(v) = c(q) prod (1 - q^{n-1/2} e^{2pi i v})(1 - q^{n-1/2} e^{-2pi i v})
     theta3(v) = c(q) prod (1 + q^{n-1/2} e^{2pi i v})(1 + q^{n-1/2} e^{-2pi i v})
 
-with c(q) = prod (1 - q^n).  Each kind's pair grid (``PAIR_GRID``), the
-truncation of a numeric product (``product_keys``) and the ledger of
-constants kept out of rational data (``ConstantsLedger``) also serve the
-integrands of ``genera`` and ``numeric``, whose backends form their own
-q-products; the exact q-expansions of the four kinds are independent
-checks and live in ``reference``.
+with c(q) = prod (1 - q^n).  The kinds, their pair grids (``PAIR_GRID``)
+and the ledger of constants kept out of rational data
+(``ConstantsLedger``) live in ``kinds``, which the exact stack reads
+without this module.  The truncation of a numeric product
+(``product_keys``) also serves the integrands of ``numeric``, whose
+backend forms its own q-products; the exact q-expansions of the four
+kinds are independent checks and live in ``reference``.
 
 Numeric: evaluation on C x H within a relative error eps, after moving tau
 into the strip Im tau >= 0.8, where |q| < 0.0066, with the S and T
@@ -26,7 +27,7 @@ the same for all kinds, so the checkers keep one table entry per argument
 list with all four kinds' values, filled by one tuple call per sample
 (``_law_values``).
 
-The module imports no other module of the package, so the law suite
+The module imports only ``kinds`` of the package, so the law suite
 compiles nothing else.
 """
 from __future__ import annotations
@@ -36,36 +37,12 @@ import math
 import random
 import sys
 from collections import namedtuple
-from enum import Enum
 from cmath import exp
 from math import ceil, expm1, inf, log, log1p
 from operator import mul
 
-
-class NonconvergentDomain(Exception):
-    """tau outside the upper half plane (or reduction failed)."""
-
-
-class ThetaKind(Enum):
-    Theta = "theta"
-    Theta1 = "theta1"
-    Theta2 = "theta2"
-    Theta3 = "theta3"
-
-    # members are singletons; hashing by identity keeps theta_numeric's table
-    # lookups in C (Enum.__hash__ is a Python-level call)
-    __hash__ = object.__hash__
-
-
-class ConstantsLedger(namedtuple("ConstantsLedger", "two_pi i two", defaults=(0, 0, 0))):
-    """Extracted constants: powers of 2*pi, i and 2 kept out of rational data."""
-
-    __slots__ = ()
-
-
-# (first key, sign) of each kind's pairs prod (1 + sign q^{k/8} e^{+-2 pi i v}), k += 8
-PAIR_GRID = {ThetaKind.Theta: (8, -1), ThetaKind.Theta1: (8, 1),
-             ThetaKind.Theta2: (4, -1), ThetaKind.Theta3: (4, 1)}
+# ConstantsLedger is unused here but keeps its old name theta.ConstantsLedger
+from .kinds import PAIR_GRID, ConstantsLedger, NonconvergentDomain, ThetaKind
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,15 @@ def _set_k_alpha_negative(d):
     d["components"][0]["k_alpha"] = -1
 
 
+def _set_name_list(d):
+    # a name is checked as a string, not converted with str()
+    d["name"] = ["x", {"y": 1}]
+
+
+def _set_component_name_int(d):
+    d["components"][0]["name"] = 7
+
+
 @pytest.mark.parametrize("mutate, json_path", [
     (_set_sign_null, "$.components[0].sign"),
     (_set_roots_int, "$.components[0].normals[0].roots"),
@@ -177,6 +186,8 @@ def _set_k_alpha_negative(d):
     (_set_generator_name_null, "$.base_generators[0]"),
     (_set_weight_decimal, "$.components[0].normals[0].weight"),
     (_set_k_alpha_negative, "$.components[0]"),
+    (_set_name_list, "$.name"),
+    (_set_component_name_int, "$.components[0].name"),
 ])
 def test_mistyped_field_exit_2_with_path(capsys, tmp_path, mutate, json_path):
     payload = dataset_to_json(builtin("s2-family-base").data)
@@ -462,10 +473,11 @@ def _loaded_modules(tmp_path, script, *flags):
 
 
 def test_each_command_loads_only_the_stack_it_runs(tmp_path):
-    # the numeric stack and the reference checks stay off the exact
-    # commands' import path, and the law suite needs theta alone
+    # the numeric stack, theta's evaluator, the commands off the exact
+    # stack and the reference checks stay off the exact commands' import
+    # path, and the law suite needs theta and its tables alone
     [theta] = _loaded_modules(tmp_path, "import eqgenus.theta\nmark()", "-S")
-    assert theta == {"eqgenus", "eqgenus.theta"}
+    assert theta == {"eqgenus", "eqgenus.kinds", "eqgenus.theta"}
     script = ("from eqgenus.cli import main\nmark()\n"
               "assert main(['rigidity', '--input', sys.argv[1], '--order', '8']) == 0\n"
               "assert main(['expand', '--input', sys.argv[1], '--order', '8',\n"
@@ -474,8 +486,8 @@ def test_each_command_loads_only_the_stack_it_runs(tmp_path):
               "             '--operator', 'dv-theta-q']) == 0\nmark()")
     imported, exact, jacobi = _loaded_modules(tmp_path, script)
     assert imported == exact == {"fractions", "eqgenus"} | {
-        "eqgenus." + m for m in ("algebra", "theta", "genera", "localization", "dataset", "cli")}
-    assert jacobi == exact | {"eqgenus.jacobi", "eqgenus.numeric"}
+        "eqgenus." + m for m in ("algebra", "kinds", "genera", "localization", "dataset", "cli")}
+    assert jacobi == exact | {"eqgenus." + m for m in ("jacobi", "numeric", "theta", "cli_extra")}
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():

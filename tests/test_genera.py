@@ -25,6 +25,7 @@ from eqgenus.genera import (
     constants_ledger,
     theta_quotient_integrand,
 )
+from eqgenus.kinds import PAIR_GRID, ConstantsLedger, ThetaKind
 from eqgenus.localization import ActionData, FixedComponent, equivariant_character
 from eqgenus.numeric import NumericPlan, _JetBackend, numeric_integrand
 from eqgenus.reference import (
@@ -35,7 +36,6 @@ from eqgenus.reference import (
     theta_taylor,
     witten_element_ch,
 )
-from eqgenus.theta import PAIR_GRID, ConstantsLedger, ThetaKind
 
 
 @dataclass
