@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .cli import _check_order, _emit, _load_input, _operator, _q_name, _series_payload
-from .dataset import dataset_to_json, parse_rational
+from .dataset import parse_rational
 from .kinds import ThetaKind
 from .localization import InconsistentAnomaly, ValidationError, anomaly_index
 
@@ -151,6 +151,7 @@ def cmd_theta(args) -> int:
 
 def cmd_catalog(args) -> int:
     from .catalog import builtin, names as catalog_names
+    from .serialize import dataset_to_json
     if args.action == "list":
         report = {"format": 1, "command": "catalog", "entries": {}}
         lines = []

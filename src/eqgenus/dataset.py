@@ -1,9 +1,10 @@
-"""JSON dataset ingestion and serialization.
+"""JSON dataset ingestion.
 
 The wire format (documented in docs/dataset-format.md) keeps everything
 exact: rationals travel as "p/q" strings, q-exponents as "n/8" strings,
 roots as linear combinations of generator names.  Ingestion errors carry
-the JSON path of the offending field.
+the JSON path of the offending field.  The writer, ``dataset_to_json``,
+lives in ``serialize``, which no exact command compiles.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import GradedElement, IntegrationTable, format_monomial
+from .algebra import GradedElement, IntegrationTable
 from .genera import RootBundle
 from .localization import ActionData, FixedComponent
 
@@ -91,8 +92,8 @@ def parse_rational(s, path: str) -> Fraction:
 
 # one term of a root expression, with the sign or operator before it: the
 # first term may start with "-", every later one starts with "+" or "-";
-# a coefficient may carry its own sign ("b + -1*y", as ``format_root``
-# writes it)
+# a coefficient may carry its own sign ("b + -1*y", as
+# ``serialize.format_root`` writes it)
 _TERM_RE = re.compile(r"(?P<op>^-?|[+-])(?:(?:(?P<coef>-?\d+(?:/\d+)?)\*)?"
                       r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<zero>0))")
 
@@ -126,18 +127,6 @@ def parse_root_expr(expr, gens, cap, path: str) -> GradedElement:
             coef = -coef
         out = out + GradedElement.generator(gens, cap, name) * coef
     return out
-
-
-def format_root(root: GradedElement) -> str:
-    names = [n for n, _ in root.gens]
-    parts = []
-    for exps, v in sorted(root.terms.items()):
-        idx = [i for i, e in enumerate(exps) if e]
-        if len(idx) != 1 or exps[idx[0]] != 1:
-            raise ValueError("roots must be linear in the generators")
-        name = names[idx[0]]
-        parts.append(name if v == 1 else "%s*%s" % (v, name))
-    return " + ".join(parts) if parts else "0"
 
 
 def parse_monomial(key: str, fiber_names, path: str) -> tuple[int, ...]:
@@ -328,37 +317,12 @@ def load_dataset(path: str) -> ActionData:
     return parse_dataset(obj)
 
 
-def dataset_to_json(data: ActionData) -> dict:
-    out: dict = {"format": FORMAT_VERSION, "fiber_half_dim": data.fiber_half_dim}
-    if data.name:
-        out["name"] = data.name
-    if data.base_gens:
-        out["base_generators"] = [{"name": n, "degree": d} for n, d in data.base_gens]
-    if data.base_cap:
-        out["base_degree_cap"] = data.base_cap
-    if data.v_half_rank is not None:
-        out["v_half_rank"] = data.v_half_rank
-    if data.declared_anomaly is not None:
-        out["declared_anomaly"] = data.declared_anomaly
-    comps = []
-    for c in data.components:
-        fiber_names = list(c.table.fiber_gens)
-        item = {
-            "name": c.name,
-            "k_alpha": c.k_alpha,
-            "sign": c.sign,
-            "tangent_roots": [format_root(r) for r in (c.tangent.roots if c.tangent else ())],
-            "normals": [{"weight": str(b.weight), "rank": b.rank,
-                         "roots": [format_root(r) for r in b.roots]} for b in c.normals],
-            "integration_table": {format_monomial(kk, fiber_names): str(v)
-                                  for kk, v in sorted(c.table.entries.items())},
-        }
-        if fiber_names:
-            fg = {n: d for n, d in c.gens}
-            item["fiber_generators"] = [{"name": n, "degree": fg[n]} for n in fiber_names]
-        if c.vbundles:
-            item["v"] = [{"weight": str(b.weight), "rank": b.rank,
-                          "roots": [format_root(r) for r in b.roots]} for b in c.vbundles]
-        comps.append(item)
-    out["components"] = comps
-    return out
+def __getattr__(name):
+    """``dataset_to_json``, which moved to ``serialize``: the benchmark
+    (``perfbench/``) and the tests import it under this module's name.
+    It loads ``serialize`` on first access, so the exact commands never
+    compile the writer."""
+    if name == "dataset_to_json":
+        from .serialize import dataset_to_json
+        return dataset_to_json
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .genera import _FAMILIES, _THETA_PRIME_0, OperatorKind
-from .theta import NonconvergentDomain, ThetaKind, _norm_diff
+from .kinds import NonconvergentDomain, ThetaKind
 
 
 class BoundaryZero(NonconvergentDomain):
@@ -159,6 +159,12 @@ def _jacobi_samples(samples, seed=271828):
                  complex(rng.uniform(-0.45, 0.45), rng.uniform(0.5, 0.95)))
                 for _ in range(samples)]
     return list(samples)
+
+
+def _norm_diff(lhs: complex, rhs: complex) -> float:
+    """|lhs - rhs| / (1 + max(|lhs|, |rhs|)), as ``theta.CheckReport``
+    normalizes its discrepancies."""
+    return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
 
 
 def check_jacobi(F, spec: JacobiFormSpec, samples=16, eps: float = 1e-8) -> JacobiReport:

@@ -27,7 +27,8 @@ from .algebra import (DegreeOutOfRange, GradedElement, fiber_integrate, format_m
 from .genera import (OperatorKind, _denominator, _half_character, _lines, _numerator, _one,
                      _prefactors, _recipe, _sigma)
 from .localization import ActionData, NearPole, _top_monomials, validated
-from .theta import NonconvergentDomain, product_keys
+from .kinds import NonconvergentDomain
+from .truncation import product_keys
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +81,7 @@ class _JetBackend:
 
     ``pair_product`` builds a theta pair product over a line from complex
     scalars and ``product`` the scalar powers (c(q)^m and the null
-    values).  Each q-product keeps the keys of ``theta.product_keys`` for
+    values).  Each q-product keeps the keys of ``truncation.product_keys`` for
     a bound on the l1 jet norms of its factors' deviations from 1 at the
     first key (l1 is submultiplicative on jets) and log |q| = -2 pi Im tau,
     within a relative budget of eps / (8 (lines + 1)).  The interpreter

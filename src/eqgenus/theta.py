@@ -9,69 +9,47 @@ with c(q) = prod (1 - q^n).  The kinds, their pair grids (``PAIR_GRID``)
 and the ledger of constants kept out of rational data
 (``ConstantsLedger``) live in ``kinds``, which the exact stack reads
 without this module.  The truncation of a numeric product
-(``product_keys``) also serves the integrands of ``numeric``, whose
-backend forms its own q-products; the exact q-expansions of the four
-kinds are independent checks and live in ``reference``.
+(``product_keys``) lives in ``truncation``, which also serves the
+integrands of ``numeric``; the exact q-expansions of the four kinds are
+independent checks and live in ``reference``.
 
 Numeric: evaluation on C x H within a relative error eps, after moving tau
 into the strip Im tau >= 0.8, where |q| < 0.0066, with the S and T
 transformations; the product is cut where a geometric tail bound, solved
 in closed form (``product_keys``), certifies that the rest is
 negligible.  A call may ask for a tuple of kinds at one argument: the
-argument checks and the reduction run once, and the two kinds of a pair
-grid share its exponentials, truncation and powers of q.
+argument checks and the reduction run once, each T-shift and S-step
+moves the image and factor of every asked kind through a small table
+over the four kind indices (``_T_STEP``, ``_S_STEP``) as it is made, and
+the two kinds of a pair grid share its exponentials, truncation and
+powers of q.
 
 Sampled checkers test the S, T and quasi-periodicity laws.  The S and T
 images each permute the four kinds, and every law's argument lists are
 the same for all kinds, so the checkers keep one table entry per argument
 list with all four kinds' values, filled by one tuple call per sample
-(``_law_values``).
+(``_law_values``), and one entry each for the samples' S roots and
+quasi-periodicity phases.
 
-The module imports only ``kinds`` of the package, so the law suite
-compiles nothing else.
+The module imports only ``kinds`` and ``truncation`` of the package, so
+the law suite compiles nothing else.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import random
 import sys
 from collections import namedtuple
-from cmath import exp
-from math import ceil, expm1, inf, log, log1p
+from cmath import exp, isfinite, sqrt
 from operator import mul
 
 # ConstantsLedger is unused here but keeps its old name theta.ConstantsLedger
 from .kinds import PAIR_GRID, ConstantsLedger, NonconvergentDomain, ThetaKind
+from .truncation import product_keys
 
 
 # ---------------------------------------------------------------------------
 # Numeric evaluation
-
-
-def product_keys(first: int, dev: float, log_q: float, eps: float) -> range:
-    """The keys first, first + 8, ... to keep of a product prod (1 + d)
-    whose factors at key first + 8 i deviate from 1 by at most dev |q|^i
-    in total, log_q = log |q| = -2 pi Im tau < 0.
-
-    From the first left-out step I the deviations sum to at most
-    S = dev |q|^I / (1 - |q|), and |prod (1 + d_j) - 1| <= exp(S) - 1
-    in any submultiplicative norm (|.| on numbers, l1 on jets); so the
-    keys below the least I with S <= log1p(eps) are kept.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if not (log_q < 0 and dev < inf):  # dev is a sum of absolute values
-        raise NonconvergentDomain("no certified truncation at log|q|=%g, deviation %g"
-                                  % (log_q, dev))
-    tail = log1p(eps) * -expm1(log_q)  # the largest dev |q|^I allowed
-    if dev <= tail:  # also where dev is 0
-        return range(first, first, 8)
-    # at least the first key, also where log_q is -inf
-    count = ceil(log(tail / dev) / log_q) or 1
-    if count > 100000:
-        raise NonconvergentDomain("product needs %d factors at log|q|=%g" % (count, log_q))
-    return range(first, first + 8 * count, 8)
 
 
 # Each kind's S and T images (Chandrasekharan, Elliptic Functions, ch. V):
@@ -87,74 +65,57 @@ _MODULAR_IMAGES = {
 }
 # pi i and -2 pi: q^{1/2} = e^{pi i tau} and log |q| = -2 pi Im tau
 _PI_I, _MINUS_TWO_PI = 1j * math.pi, -2 * math.pi
-# theta_kind(t + 1, tau) = -theta_kind(t, tau) for these kinds; the others are periodic
-_ANTIPERIODIC = frozenset((ThetaKind.Theta, ThetaKind.Theta1))
+# pi i / 4 and 2 pi i: q^{1/8} = e^{pi i tau / 4} and z = e^{2 pi i t}
+_PI_I_4, _TWO_PI_I = _PI_I / 4, 2 * _PI_I
+# the tables below index the kinds by their place here
+_KINDS = tuple(ThetaKind)
+_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
+# (first key, sign, slot of the sign in _theta_direct's pair) of each kind's pair grid
+_GRID = tuple((first, sign, sign > 0) for first, sign in map(PAIR_GRID.get, _KINDS))
+# theta_kind(t + 1, tau) = -theta_kind(t, tau) for theta and theta1; the others are periodic
+_ANTIPERIODIC = tuple(kind in (ThetaKind.Theta, ThetaKind.Theta1) for kind in _KINDS)
 # kind -> (S image, i^s, whether the S image is antiperiodic)
-_S_IMAGES = {kind: (image, 1j ** ipow, image in _ANTIPERIODIC)
-             for kind, ((image, ipow), _) in _MODULAR_IMAGES.items()}
+_S_STEP = tuple((_INDEX[image], 1j ** ipow, _ANTIPERIODIC[_INDEX[image]])
+                for (image, ipow), _ in map(_MODULAR_IMAGES.get, _KINDS))
 # e^{pi i k/4}, the T-shift phases
 _EIGHTHS = tuple(exp(_PI_I * k / 4) for k in range(8))
-# the smallest positive normal double
-_MIN_NORMAL = sys.float_info.min
+# kind -> shift mod 8 -> (image, phase), with
+# theta_kind(t, tau) = phase theta_image(t, tau - shift)
+_T_STEP = tuple(tuple((_INDEX[image] if n % 2 else kind, _EIGHTHS[eighths * n % 8])
+                      for n in range(8))
+                for kind, (_, (image, eighths)) in enumerate(map(_MODULAR_IMAGES.get, _KINDS)))
+# the smallest positive normal double, and the double-precision epsilon
+_MIN_NORMAL, _EPSILON = sys.float_info.min, sys.float_info.epsilon
 # (n, parity) of the zeros recognized on t itself: t - s tau / 2 in
 # Z + parity / 2 for s = +-n
 _INPUT_ZEROS = {ThetaKind.Theta1: (0, 1), ThetaKind.Theta2: (1, 0), ThetaKind.Theta3: (1, 1)}
 
 
-def _t_shift(kind: ThetaKind, n: int) -> tuple[ThetaKind, complex]:
-    """theta_kind(t, tau) = factor * theta_kind'(t, tau - n)."""
-    image, eighths = _MODULAR_IMAGES[kind][1]
-    return (image if n % 2 else kind), _EIGHTHS[eighths * n % 8]
-
-
 def _s_root(t1: complex, tau1: complex) -> complex:
     """sqrt(tau1/i) e^{pi i t1^2/tau1}, the part of every kind's S-step
     factor that does not depend on the kind; principal branch of the root."""
-    return cmath.sqrt(tau1 / 1j) * exp(_PI_I * t1 * t1 / tau1)
+    return sqrt(tau1 / 1j) * exp(_PI_I * t1 * t1 / tau1)
 
 
-def _reduce(t: complex, tau: complex):
-    """(n, steps, t', tau'): t - n, with n the integer nearest Re t, moved
-    by steps into (t', tau') in the strip Im tau' >= 0.8.  Each step is
-    (T-shift, the S-step's ``_s_root``, integer shift of the S-image's t);
-    none depends on the kind."""
-    n = round(t.real)  # t - n is exact in floating point
-    t -= n
-    steps = ()
-    for _ in range(200):
-        if tau.imag >= 0.8:
-            return n, steps, t, tau
-        shift = round(tau.real)
-        if shift:
-            tau -= shift
-        # |Re tau| <= 1/2 and Im tau < 0.8 < sqrt(3)/2: |tau| < 1
-        tau1 = -1 / tau
-        t1 = t * tau1
-        m = round(t1.real)
-        steps += ((shift, _s_root(t1, tau1), m),)
-        t, tau = t1 - m, tau1
-    raise NonconvergentDomain("modular reduction did not terminate")
-
-
-def _theta_direct(first: int, t: complex, tau: complex, eps: float, sign: int = 0):
+def _theta_direct(first: int, t: complex, tau: complex, q: complex, log_q: float, eps: float,
+                  sign: int = 0):
     """(minus, plus): the kinds of the pair grid at first key first with
     sign -1 and +1 (``PAIR_GRID``), by the product within relative eps,
-    valid for Im tau bounded away from 0.  The two share the grid's
-    exponentials, its truncation and the running powers of q.  With sign
-    +-1 only that kind's product is formed and the other slot is None, for
-    single-kind calls, which forming both makes about 8% slower.
+    valid for Im tau bounded away from 0, with q = e^{2 pi i tau} and
+    log_q = log |q| given.  The two share the grid's exponentials, its
+    truncation and the running powers of q.  With sign +-1 only that
+    kind's product is formed and the other slot is None, for single-kind
+    calls, which forming both makes about 8% slower.
 
     Each coefficient is formed as one exponential of its whole argument,
     so no power of q, z = e^{2 pi i t} or s = e^{pi i t} overflows on its
     own where the factors are finite (at t = 300i, tau = 1000i, z^{-1}
     alone is e^{600 pi})."""
-    qh = exp(_PI_I * tau)  # q^{1/2} pinned by tau, not by a branch cut
-    q = qh * qh
     # q^{first/8} z^{+-1}, the pair's coefficients at the first key up to the
     # kind's sign (the sign multiplies exactly)
-    a, b = _PI_I / 4 * first * tau, 2 * _PI_I * t
+    a, b = _PI_I_4 * first * tau, _TWO_PI_I * t
     qz, qzi = exp(a + b), exp(a - b)
-    keys = product_keys(first, abs(q) + abs(qz) + abs(qzi), _MINUS_TWO_PI * tau.imag, eps)
+    keys = product_keys(first, abs(q) + abs(qz) + abs(qzi), log_q, eps)
     minus = plus = 1 + 0j
     if first == 8:
         # theta and theta1 carry q^{1/8} (s + sign s^{-1}), theta with a factor
@@ -202,61 +163,93 @@ def theta_numeric(kind: ThetaKind | tuple[ThetaKind, ...], t, tau, eps: float = 
     since 0.8 < sqrt(3)/2, a tau below the strip with |Re tau| <= 1/2 has
     |tau| < 1, so each S-step raises Im tau, and from Im tau >= 0.05 three
     S-steps reach the strip.  First and after each S-step, t moves by the
-    integer nearest Re t.  The truncation takes eps / 2 and leaves the
-    rest to rounding, which near a zero grows as |t| / dist(t, zero)
-    ulps.  So the zeros nearest the real axis, theta1's at 1/2 + Z,
-    theta2's at +-tau/2 + Z and theta3's at 1/2 +- tau/2 + Z, are
-    recognized on t itself, before the reduction, whose rounding would
-    leave a residue there; theta's at Z land on the reduced t = 0.  Their
+    integer nearest Re t.  Each step moves every asked kind's image and
+    factor through ``_T_STEP`` or ``_S_STEP`` as it is made, multiplying
+    each factor in the order of the steps.  The truncation takes eps / 2
+    and leaves the rest to rounding, which near a zero grows as
+    |t| / dist(t, zero) ulps.  So the zeros nearest the real axis,
+    theta1's at 1/2 + Z, theta2's at +-tau/2 + Z and theta3's at
+    1/2 +- tau/2 + Z, are recognized on t itself, before the reduction,
+    whose rounding would leave a residue there (tested only where |Im t|
+    is 0 or Im tau / 2); theta's at Z land on the reduced t = 0.  Their
     other lattice translates wait for t to be reduced modulo tau.
     """
-    if not eps >= sys.float_info.epsilon:
+    if not eps >= _EPSILON:
         raise ValueError("eps must be positive and at least %r, the double-precision "
-                         "epsilon, got %r" % (sys.float_info.epsilon, eps))
+                         "epsilon, got %r" % (_EPSILON, eps))
     t0 = complex(t)
     tau0 = complex(tau)
     if tau0.imag <= 0:
         raise NonconvergentDomain("Im tau must be positive, got %g" % tau0.imag)
     single = kind.__class__ is not tuple
+    kinds = (kind,) if single else kind
+    zeros = ()  # the places of the kinds at an input zero
     values = []
-    steps = None  # the reduction, made at the first kind not at an input zero
-    grids = {}  # first key -> (minus, plus) at the reduced point
     try:
-        for k in ((kind,) if single else kind):
-            zero = _INPUT_ZEROS.get(k)
-            if zero and abs(t0.imag) == zero[0] * tau0.imag / 2 and cmath.isfinite(tau0):
-                s = zero[0] if t0.imag > 0 else -zero[0]
-                if 2 * (t0.real - s * tau0.real / 2) % 2 == zero[1]:
-                    values.append(0j)
-                    continue
-            if steps is None:
-                n, steps, t, tau = _reduce(t0, tau0)
-            # theta_k = factor * theta_image, the factor multiplied in the
-            # order of the steps
-            image = k
-            factor = -1 + 0j if n & 1 and k in _ANTIPERIODIC else 1 + 0j
-            for shift, root, m in steps:
+        im = abs(t0.imag)
+        if (im == 0 or im == tau0.imag / 2) and isfinite(tau0):
+            zeros = []
+            for i, k in enumerate(kinds):
+                zero = _INPUT_ZEROS.get(k)
+                if zero and im == zero[0] * tau0.imag / 2:
+                    s = zero[0] if t0.imag > 0 else -zero[0]
+                    if 2 * (t0.real - s * tau0.real / 2) % 2 == zero[1]:
+                        zeros.append(i)
+            kinds = [k for i, k in enumerate(kinds) if i not in zeros]
+        if kinds:
+            # each kind's [image, factor], moved by every step as it is made, so
+            # that theta_kind(t0, tau0) = factor theta_image(t, tau) at the end
+            # (a single kind's is built without a comprehension)
+            states = [[_INDEX[kind], 1 + 0j]] if single else [[_INDEX[k], 1 + 0j] for k in kinds]
+            n = round(t0.real)
+            t, tau = t0 - n, tau0  # t0 - n is exact in floating point
+            if n & 1:
+                for state in states:
+                    if _ANTIPERIODIC[state[0]]:
+                        state[1] = -1 + 0j
+            for _ in range(200):
+                if tau.imag >= 0.8:
+                    break
+                shift = round(tau.real)
                 if shift:
-                    image, f = _t_shift(image, shift)
-                    factor *= f
-                image, ipow, antiperiodic = _S_IMAGES[image]
-                factor *= root * ipow
-                if m & 1 and antiperiodic:
-                    factor = -factor
-            first, sgn = PAIR_GRID[image]
-            pair = grids.get(first)
-            if pair is None:
-                # a single kind forms its own product alone
-                pair = grids[first] = _theta_direct(first, t, tau, eps / 2, single and sgn)
-            value = factor * pair[sgn > 0]
-            if not cmath.isfinite(value):
-                raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0))
-            # below the normal doubles a value keeps no relative precision, and an
-            # underflow reads as 0; theta's one exact zero on the reduced grid is t = 0
-            if abs(value) < _MIN_NORMAL and not (image is ThetaKind.Theta and t == 0):
-                raise NonconvergentDomain("theta underflows the normal doubles at t=%s tau=%s"
-                                          % (t0, tau0))
-            values.append(value)
+                    tau -= shift
+                    row = shift % 8
+                    for state in states:
+                        state[0], phase = _T_STEP[state[0]][row]
+                        state[1] *= phase
+                # |Re tau| <= 1/2 and Im tau < 0.8 < sqrt(3)/2: |tau| < 1
+                tau1 = -1 / tau
+                t1 = t * tau1
+                m = round(t1.real)
+                root = _s_root(t1, tau1)
+                for state in states:
+                    state[0], ipow, antiperiodic = _S_STEP[state[0]]
+                    factor = state[1] * (root * ipow)
+                    state[1] = -factor if m & 1 and antiperiodic else factor
+                t, tau = t1 - m, tau1
+            else:
+                raise NonconvergentDomain("modular reduction did not terminate")
+            qh = exp(_PI_I * tau)  # q^{1/2} pinned by tau, not by a branch cut
+            q, log_q = qh * qh, _MINUS_TWO_PI * tau.imag
+            grids = {}  # first key -> (minus, plus) at the reduced point
+            for image, factor in states:
+                first, sgn, slot = _GRID[image]
+                pair = grids.get(first)
+                if pair is None:
+                    # a single kind forms its own product alone
+                    pair = grids[first] = _theta_direct(first, t, tau, q, log_q, eps / 2,
+                                                        single and sgn)
+                value = factor * pair[slot]
+                if not isfinite(value):
+                    raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0))
+                # below the normal doubles a value keeps no relative precision, and an
+                # underflow reads as 0; theta's one exact zero on the reduced grid is t = 0
+                if abs(value) < _MIN_NORMAL and not (_KINDS[image] is ThetaKind.Theta and t == 0):
+                    raise NonconvergentDomain("theta underflows the normal doubles at t=%s tau=%s"
+                                              % (t0, tau0))
+                values.append(value)
+        for i in zeros:
+            values.insert(i, 0j)
     except (ArithmeticError, ValueError) as e:  # round() of an infinite or NaN Re t
         raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0)) from e
     return values[0] if single else tuple(values)
@@ -281,13 +274,9 @@ class CheckReport(namedtuple("CheckReport", "identity samples max_discrepancy ep
         return self.max_discrepancy < self.eps
 
 
-def _norm_diff(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-
-
 def _worst(pairs) -> float:
-    """The largest ``_norm_diff`` over (lhs, rhs) pairs, 0 for none, in one
-    loop with no call per pair."""
+    """The largest scale-normalized discrepancy (``CheckReport``) over
+    (lhs, rhs) pairs, 0 for none, in one loop with no call per pair."""
     worst = 0.0
     for lhs, rhs in pairs:
         d = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
@@ -312,14 +301,15 @@ def _default_samples(samples, seed=1729):
     return out
 
 
-# (argument list, bits of the samples) -> {kind: its values at the list's
-# argument of each sample}.  The argument lists are the same for every
-# kind: S's (t/tau, -1/tau), T's (t, tau + 1), the S and T images' (t, tau),
-# and quasi-periodicity's two, so one tuple call of theta_numeric per
-# sample fills a list for all four kinds, and every other check at the
-# same samples reads it.  The key holds the bits of every x, t and tau, so
-# an entry serves only the exact samples it was computed at; beyond
-# _LAW_VALUES_KEPT entries, two suites' worth, the oldest goes.
+# (argument list, bits of the samples) -> per kind index, its values at
+# the list's argument of each sample.  The argument lists are the same for
+# every kind: S's (t/tau, -1/tau), T's (t, tau + 1), the S and T images'
+# (t, tau), and quasi-periodicity's two, so one tuple call of theta_numeric
+# per sample fills a list for all four kinds, and every other check at the
+# same samples reads it.  The samples' S roots and quasi-periodicity phases
+# are kept beside them, one entry each.  The key holds the bits of every x,
+# t and tau, so an entry serves only the exact samples it was computed at;
+# beyond _LAW_VALUES_KEPT entries, two suites' worth, the oldest goes.
 _LAW_VALUES: dict = {}
 _LAW_VALUES_KEPT = 14
 
@@ -332,17 +322,22 @@ def _sample_bits(pts) -> bytes:
                      for x, t, tau in pts])
 
 
-def _law_values(key, arguments) -> dict:
-    """{kind: theta_numeric(kind, t, tau) at each (t, tau) of arguments},
-    from one tuple call per (t, tau), kept in the table under key."""
+def _law_entry(key, build) -> list:
+    """The table's entry under key, made by build() where it is missing."""
     entry = _LAW_VALUES.get(key)
     if entry is None:
-        kinds = tuple(ThetaKind)
-        entry = dict(zip(kinds, zip(*[theta_numeric(kinds, t, tau) for t, tau in arguments])))
+        entry = build()
         if len(_LAW_VALUES) >= _LAW_VALUES_KEPT:
             del _LAW_VALUES[next(iter(_LAW_VALUES))]
         _LAW_VALUES[key] = entry
     return entry
+
+
+def _law_values(key, arguments) -> list:
+    """Per kind index, theta_numeric(kind, t, tau) at each (t, tau) of
+    arguments, from one tuple call per (t, tau), kept under key."""
+    return _law_entry(key, lambda: list(zip(*[theta_numeric(_KINDS, t, tau)
+                                              for t, tau in arguments])))
 
 
 def check_quasi_periodicity(kind: ThetaKind, l: int, a: int, b: int,
@@ -358,11 +353,13 @@ def check_quasi_periodicity(kind: ThetaKind, l: int, a: int, b: int,
         raise ValueError("a and b must be even")
     pts = _default_samples(samples)
     bits = _sample_bits(pts)
+    k = _INDEX[kind]
     lhs = _law_values(("shifted", l, a, b, bits),
-                      ((x + l * (t + a * tau + b), tau) for x, t, tau in pts))[kind]
-    rhs = _law_values(("base", l, bits), ((x + l * t, tau) for x, t, tau in pts))[kind]
-    phases = [exp(-1j * math.pi * (2 * l * a * x + 2 * l * l * a * t + l * l * a * a * tau))
-              for x, t, tau in pts]
+                      ((x + l * (t + a * tau + b), tau) for x, t, tau in pts))[k]
+    rhs = _law_values(("base", l, bits), ((x + l * t, tau) for x, t, tau in pts))[k]
+    phases = _law_entry(("phase", l, a, bits), lambda: [
+        exp(-1j * math.pi * (2 * l * a * x + 2 * l * l * a * t + l * l * a * a * tau))
+        for x, t, tau in pts])
     name = "%s(x + %d(t + %d tau + %d))" % (kind.value, l, a, b)
     return CheckReport(name, len(pts), _worst(zip(lhs, map(mul, phases, rhs))), eps)
 
@@ -379,17 +376,18 @@ def check_modular_ST(kind: ThetaKind, generator: str, samples=10, eps: float = 1
         raise ValueError("generator must be 'S' or 'T'")
     pts = _default_samples(samples)
     bits = _sample_bits(pts)
+    k = _INDEX[kind]
     images = _law_values(("image", bits), ((t, tau) for _, t, tau in pts))
     if generator == "T":
-        image, factor = _t_shift(kind, 1)
-        lhs = _law_values(("T", bits), ((t, tau + 1) for _, t, tau in pts))[kind]
+        image, factor = _T_STEP[k][1]
+        lhs = _law_values(("T", bits), ((t, tau + 1) for _, t, tau in pts))[k]
         rhs = [factor * value for value in images[image]]
         name = "%s(t, tau+1)" % kind.value
     else:
         # each sample's S-step factor, its root times i^s, times the image's value
-        image, ipow, _ = _S_IMAGES[kind]
-        lhs = _law_values(("S", bits), ((t / tau, -1 / tau) for _, t, tau in pts))[kind]
-        rhs = [_s_root(t, tau) * ipow * value
-               for (_, t, tau), value in zip(pts, images[image])]
+        image, ipow, _ = _S_STEP[k]
+        lhs = _law_values(("S", bits), ((t / tau, -1 / tau) for _, t, tau in pts))[k]
+        roots = _law_entry(("S root", bits), lambda: [_s_root(t, tau) for _, t, tau in pts])
+        rhs = [root * ipow * value for root, value in zip(roots, images[image])]
         name = "%s(t/tau, -1/tau)" % kind.value
     return CheckReport(name, len(pts), _worst(zip(lhs, rhs)), eps)

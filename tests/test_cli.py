@@ -474,10 +474,11 @@ def _loaded_modules(tmp_path, script, *flags):
 
 def test_each_command_loads_only_the_stack_it_runs(tmp_path):
     # the numeric stack, theta's evaluator, the commands off the exact
-    # stack and the reference checks stay off the exact commands' import
-    # path, and the law suite needs theta and its tables alone
+    # stack, the dataset writer and the reference checks stay off the exact
+    # commands' import path; jacobi and zeros never compile theta; and the
+    # law suite needs theta, its tables and the product truncation alone
     [theta] = _loaded_modules(tmp_path, "import eqgenus.theta\nmark()", "-S")
-    assert theta == {"eqgenus", "eqgenus.kinds", "eqgenus.theta"}
+    assert theta == {"eqgenus", "eqgenus.kinds", "eqgenus.truncation", "eqgenus.theta"}
     script = ("from eqgenus.cli import main\nmark()\n"
               "assert main(['rigidity', '--input', sys.argv[1], '--order', '8']) == 0\n"
               "assert main(['expand', '--input', sys.argv[1], '--order', '8',\n"
@@ -487,7 +488,12 @@ def test_each_command_loads_only_the_stack_it_runs(tmp_path):
     imported, exact, jacobi = _loaded_modules(tmp_path, script)
     assert imported == exact == {"fractions", "eqgenus"} | {
         "eqgenus." + m for m in ("algebra", "kinds", "genera", "localization", "dataset", "cli")}
-    assert jacobi == exact | {"eqgenus." + m for m in ("jacobi", "numeric", "theta", "cli_extra")}
+    numeric = exact | {"eqgenus." + m for m in ("jacobi", "numeric", "truncation", "cli_extra")}
+    assert jacobi == numeric
+    script = ("from eqgenus.cli import main\n"
+              "assert main(['zeros', '--input', sys.argv[1], '--operator', 'dv-theta-q',\n"
+              "             '--tau', '0.5+1.2i']) == 0\nmark()")
+    assert _loaded_modules(tmp_path, script) == [numeric]
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():

@@ -1,6 +1,10 @@
 import cmath
+import hashlib
+import json
 import math
+import os
 import random
+import runpy
 import sys
 from fractions import Fraction
 
@@ -220,7 +224,8 @@ def test_theta_numeric_low_im_tau_reduction():
     # compare against the (slow but convergent) raw product
     from eqgenus.theta import PAIR_GRID, _theta_direct
     first, sign = PAIR_GRID[kind]
-    raw = _theta_direct(first, t, tau, 1e-12)[sign > 0]
+    q = cmath.exp(2j * math.pi * tau)
+    raw = _theta_direct(first, t, tau, q, -2 * math.pi * tau.imag, 1e-12)[sign > 0]
     assert abs(via_reduction - raw) / (1 + abs(raw)) < 1e-9
 
 
@@ -260,7 +265,7 @@ _ZERO = {ThetaKind.Theta: (0, 0), ThetaKind.Theta1: (0.5, 0),
          ThetaKind.Theta2: (0, 0.5), ThetaKind.Theta3: (0.5, 0.5)}
 
 
-def test_theta_numeric_within_relative_eps(monkeypatch):
+def test_theta_numeric_within_relative_eps():
     # seeded points with Re t in [-0.5, 1.5], |Im t| <= 0.3 and
     # 0.05 <= Im tau <= 1.4, where |theta| reaches well above 1, and for
     # each kind a point 5e-4 to 1e-3 from one of its zeros (Im tau <= 0.6
@@ -286,15 +291,6 @@ def test_theta_numeric_within_relative_eps(monkeypatch):
         t = complex(rng.uniform(-0.5, 1.5), rng.uniform(-0.3, 0.3))
         tau = complex(rng.choice((-3, -1, 1, 3)) + rng.uniform(-0.2, 0.2), rng.uniform(0.05, 0.3))
         points += [(kind, t, tau) for kind in KINDS]
-    swaps = []
-    t_shift = theta._t_shift
-
-    def spy(kind, n):
-        swapped, factor = t_shift(kind, n)
-        swaps.append(swapped is not kind)
-        return swapped, factor
-
-    monkeypatch.setattr(theta, "_t_shift", spy)
     large = 0
     with mpmath.workdps(30):
         for kind, t, tau in points:
@@ -304,8 +300,12 @@ def test_theta_numeric_within_relative_eps(monkeypatch):
                 rel = abs(theta_numeric(kind, t, tau, eps) - ref) / abs(ref)
                 assert rel <= eps, (kind, t, tau, eps, rel / eps)
     assert large > 100
-    # each theta2 and theta3 point of the last set swaps at its first step
-    assert sum(swaps) >= 2 * 2 * 300
+    # each point of the last set starts with an odd T-shift, at which the
+    # reduction's table swaps theta2 and theta3
+    assert all(round(tau.real) % 2 and tau.imag < 0.8 for _, _, tau in points[-4 * 300:])
+    theta2, theta3 = KINDS.index(ThetaKind.Theta2), KINDS.index(ThetaKind.Theta3)
+    for shift in (1, 3, 5, 7):
+        assert [theta._T_STEP[k][shift][0] for k in (theta2, theta3)] == [theta3, theta2]
 
 
 def test_theta_numeric_rejects_a_nonpositive_eps():
@@ -459,19 +459,29 @@ def test_check_modular_all_eight():
             assert r.passed, (kind, g, r.max_discrepancy)
 
 
+# each kind's S image and power s of i, and its T image and eighths e:
+# theta_kind(t/tau, -1/tau) = i^s sqrt(tau/i) e^{pi i t^2/tau} theta_image(t, tau)
+# and theta_kind(t, tau + 1) = e^{pi i e/4} theta_image(t, tau)
+_S_LAW = {ThetaKind.Theta: (ThetaKind.Theta, -1), ThetaKind.Theta1: (ThetaKind.Theta2, 0),
+          ThetaKind.Theta2: (ThetaKind.Theta1, 0), ThetaKind.Theta3: (ThetaKind.Theta3, 0)}
+_T_LAW = {ThetaKind.Theta: (ThetaKind.Theta, 1), ThetaKind.Theta1: (ThetaKind.Theta1, 1),
+          ThetaKind.Theta2: (ThetaKind.Theta3, 0), ThetaKind.Theta3: (ThetaKind.Theta2, 0)}
+
+
 def _direct_law_reports(pts, eps):
     """The 12 law reports with both sides of every law evaluated straight
-    from theta_numeric, in the suite's order (S, T, quasi-periodicity per
-    kind)."""
+    from theta_numeric and the laws above, in the suite's order (S, T,
+    quasi-periodicity per kind)."""
     reports = []
     for kind in KINDS:
         s_pairs = []
-        image, ipow, _ = theta._S_IMAGES[kind]
+        image, s = _S_LAW[kind]
         for _, t, tau in pts:
-            factor = theta._s_root(t, tau) * ipow
+            factor = cmath.sqrt(tau / 1j) * cmath.exp(1j * math.pi * t * t / tau) * 1j ** s
             s_pairs.append((theta_numeric(kind, t / tau, -1 / tau),
                             factor * theta_numeric(image, t, tau)))
-        image, factor = theta._t_shift(kind, 1)
+        image, e = _T_LAW[kind]
+        factor = cmath.exp(1j * math.pi * e / 4)
         t_pairs = [(theta_numeric(kind, t, tau + 1), factor * theta_numeric(image, t, tau))
                    for _, t, tau in pts]
         q_pairs = [(theta_numeric(kind, x + (t + 2 * tau), tau),
@@ -546,6 +556,15 @@ def _law_arguments(x, t, tau):
     return [(t / tau, -1 / tau), (t, tau + 1), (t, tau), (x + (t + 2 * tau), tau), (x + t, tau)]
 
 
+def _s_steps(tau):
+    """The number of S-steps that move tau into the strip Im tau >= 0.8."""
+    steps = 0
+    while tau.imag < 0.8:
+        tau = -1 / (tau - round(tau.real))
+        steps += 1
+    return steps
+
+
 def _assert_tuple_call_matches(kinds, t, tau, eps=1e-12):
     """The tuple call returns the single-kind values float for float, or
     raises where one of them raises; whether it returned."""
@@ -596,7 +615,7 @@ def test_tuple_call_equals_single_kind_calls():
     for _ in range(400):
         t = complex(rng.uniform(-0.5, 1.5), rng.uniform(-0.3, 0.3))
         tau = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-2.7, 0.2))
-        steps = len(theta._reduce(t, tau)[1])
+        steps = _s_steps(tau)
         for eps in (1e-12, 1e-9):
             returned[steps] = returned.get(steps, 0) + _assert_tuple_call_matches(KINDS, t, tau, eps)
     assert all(returned.get(steps, 0) >= 10 for steps in range(4)), returned
@@ -619,3 +638,76 @@ def test_tuple_call_raises_where_any_kind_raises():
     # theta3's check at t = 0.3, tau = 950i reads theta there, which underflows
     with pytest.raises(NonconvergentDomain):
         check_modular_ST(ThetaKind.Theta3, "T", [(0j, 0.3, 950j)])
+
+
+# (offset, sign) of each kind's theta series:
+# sum_n sign^n e^{pi i ((n + offset)^2 tau + 2 (n + offset) t)}, times -i for theta
+_SERIES = {ThetaKind.Theta: (0.5, -1), ThetaKind.Theta1: (0.5, 1),
+           ThetaKind.Theta2: (0, -1), ThetaKind.Theta3: (0, 1)}
+
+
+def _series_theta(mpmath, kind, t, tau):
+    """theta_kind(t, tau) as its theta series, summed in mpmath: no product,
+    no modular reduction.  The terms are taken around the largest, out to
+    10^-digits of it, and the working precision is raised until the sum
+    keeps 20 digits past the cancellation among its terms (20 lost at
+    t = 0.84 + 0.045i, tau = -0.0046 + 0.005i)."""
+    offset, sign = _SERIES[kind]
+    digits = 20
+    while digits < 300:
+        with mpmath.workdps(digits + 10):
+            mt, mtau = mpmath.mpc(t), mpmath.mpc(tau)
+            centre = -mt.imag / mtau.imag - offset
+            width = mpmath.sqrt(digits * mpmath.log(10) / (mpmath.pi * mtau.imag)) + 2
+            terms = [sign ** n * mpmath.exp(1j * mpmath.pi * ((n + offset) ** 2 * mtau
+                                                              + 2 * (n + offset) * mt))
+                     for n in range(int(mpmath.floor(centre - width)),
+                                    int(mpmath.ceil(centre + width)) + 1)]
+            total = mpmath.fsum(terms)
+            lost = mpmath.log10(max(map(abs, terms)) / abs(total)) if total else 300
+            if digits >= 20 + lost:
+                return complex(-1j * total if kind is ThetaKind.Theta else total)
+            digits = 25 + int(mpmath.ceil(lost))
+    raise ValueError("the theta series cancels past 300 digits")
+
+
+def test_law_arguments_match_the_theta_series_down_to_im_tau_0_005():
+    # the law suite's argument lists for all four kinds, at seeded samples
+    # with Im tau = 0.005 for the first, and log-uniform in [0.005, 0.01]
+    # for four more and in [0.005, 1.4] for the other 20: no
+    # NonconvergentDomain, and every value within the relative eps of the
+    # theta series.  mpmath.jtheta itself is no reference at the S images of
+    # such tau: at t = -25.07 - 31.97i, tau = 80.95 + 96.98i it gives
+    # theta2 = -95 - 208i at 20 digits and about -3.6e29 at 80, where the
+    # series gives 1 - 4.8e-46i
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(113)
+    for i in range(25):
+        x = complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1))
+        t = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05))
+        top = 0.005 if i == 0 else 0.01 if i < 5 else 1.4
+        tau = complex(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(math.log10(0.005), math.log10(top)))
+        for arg in _law_arguments(x, t, tau):
+            for kind, value in zip(KINDS, theta_numeric(KINDS, *arg, 1e-12)):
+                ref = _series_theta(mpmath, kind, *arg)
+                assert abs(value - ref) <= 1e-12 * abs(ref), (kind, arg)
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "31005fc1eda3ee8a26710b46f64103e54c7d40de96394b28b87398f1347b56b5"),
+    (7, "f8511e084f6ab48473ce4284e5b8485a5a56b5b07ee64dd1c4ec223253d4c0b5"),
+])
+def test_law_suite_report_is_pinned(tmp_path, capsys, seed, digest):
+    # the sha256 of the report that the benchmark's law task
+    # (perfbench/child.py laws) prints at its 2,500 points of the seed, with
+    # eps 1e-9 and (l, a, b) = (1, 2, 0); recorded before theta_numeric's
+    # reduction moved to transition tables, which keep every bit
+    points = runpy.run_path(os.path.join(PERFBENCH, "workloads.py"))["law_points"]
+    path = tmp_path / "law-points.json"
+    path.write_text(json.dumps({"eps": 1e-9, "quasi_period": [1, 2, 0],
+                                "points": points(random.Random(seed), 2500)}))
+    assert runpy.run_path(os.path.join(PERFBENCH, "child.py"))["law_suite"](str(path)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
