@@ -121,6 +121,7 @@ def validate(data: ActionData) -> ValidationReport:
 
     per_comp_n: list[Fraction] = []
     per_comp_tx: list[Fraction] = []
+    spin_sums: list[Fraction] = []
     h_ok = True
     for c in data.components:
         label = "component %r" % c.name
@@ -137,6 +138,7 @@ def validate(data: ActionData) -> ValidationReport:
             if b.weight == 0:
                 errors.append("%s: ZeroWeightNormalBundle (normal summand with weight 0)" % label)
         spin_sum = sum((b.weight * b.rank for b in c.normals), Fraction(0))
+        spin_sums.append(spin_sum)
         if spin_sum.denominator != 1:
             warnings.append("%s: sum of m*d(m) = %s is not an integer; "
                             "theta-denominator kinds will leave the w-grid"
@@ -181,6 +183,15 @@ def validate(data: ActionData) -> ValidationReport:
         # loop-space condition p1(TX) restricted to the component
         if tx_lin or tx_roots_sq:
             h_ok = False
+
+    # under integer weights, the parity of sum m*d(m) on a spin manifold is the
+    # same at every fixed component (Bott-Taubes, J. AMS 2, 1989); half-integer
+    # weights are those of the circle of period 2, whose doubled sums are even
+    integral = all(b.weight.denominator == 1 for c in data.components for b in c.normals)
+    if integral and len({s % 2 for s in spin_sums}) > 1:
+        warnings.append("sums of m*d(m) over the normals differ in parity (%s): the data "
+                        "is not that of a circle action on a spin manifold"
+                        % ", ".join("%r %s" % (c.name, s) for c, s in zip(data.components, spin_sums)))
 
     v_ranks = {c.v_rank() for c in data.components if c.vbundles}
     if len(v_ranks) > 1:

@@ -17,19 +17,19 @@ Numeric: evaluation on C x H within a relative error eps, after moving tau
 into the strip Im tau >= 0.8, where |q| < 0.0066, with the S and T
 transformations; the product is cut where a geometric tail bound, solved
 in closed form (``product_keys``), certifies that the rest is
-negligible.  A call may ask for a tuple of kinds at one argument: the
-argument checks and the reduction run once, each T-shift and S-step
-moves the image and factor of every asked kind through a small table
-over the four kind indices (``_T_STEP``, ``_S_STEP``) as it is made, and
-the two kinds of a pair grid share its exponentials, truncation and
-powers of q.
+negligible.  A call asks for one kind or a tuple of kinds at one
+argument, on one path: the argument checks and the reduction run once,
+each T-shift and S-step moves the image and factor of every asked kind
+through a small table over the four kind indices (``_T_STEP``,
+``_S_STEP``) as it is made, and each pair grid forms both its kinds'
+products, which share its exponentials, truncation and powers of q.
 
 Sampled checkers test the S, T and quasi-periodicity laws.  The S and T
 images each permute the four kinds, and every law's argument lists are
-the same for all kinds, so the checkers keep one table entry per argument
-list with all four kinds' values, filled by one tuple call per sample
-(``_law_values``), and one entry each for the samples' S roots and
-quasi-periodicity phases.
+the same for all kinds, so each law keeps a one-entry memo of all four
+kinds' values at its argument lists, filled by one tuple call per sample
+and keyed on the samples as a tuple: ``_modular_values`` for S and T,
+``_quasi_values`` for quasi-periodicity.
 
 The module imports only ``kinds`` and ``truncation`` of the package, so
 the law suite compiles nothing else.
@@ -41,10 +41,10 @@ import random
 import sys
 from collections import namedtuple
 from cmath import exp, isfinite, sqrt
+from functools import lru_cache
 from operator import mul
 
-# ConstantsLedger is unused here but keeps its old name theta.ConstantsLedger
-from .kinds import PAIR_GRID, ConstantsLedger, NonconvergentDomain, ThetaKind
+from .kinds import PAIR_GRID, NonconvergentDomain, ThetaKind
 from .truncation import product_keys
 
 
@@ -70,8 +70,8 @@ _PI_I_4, _TWO_PI_I = _PI_I / 4, 2 * _PI_I
 # the tables below index the kinds by their place here
 _KINDS = tuple(ThetaKind)
 _INDEX = {kind: i for i, kind in enumerate(_KINDS)}
-# (first key, sign, slot of the sign in _theta_direct's pair) of each kind's pair grid
-_GRID = tuple((first, sign, sign > 0) for first, sign in map(PAIR_GRID.get, _KINDS))
+# (first key, slot of the sign in _theta_direct's pair) of each kind's pair grid
+_GRID = tuple((first, sign > 0) for first, sign in map(PAIR_GRID.get, _KINDS))
 # theta_kind(t + 1, tau) = -theta_kind(t, tau) for theta and theta1; the others are periodic
 _ANTIPERIODIC = tuple(kind in (ThetaKind.Theta, ThetaKind.Theta1) for kind in _KINDS)
 # kind -> (S image, i^s, whether the S image is antiperiodic)
@@ -97,15 +97,13 @@ def _s_root(t1: complex, tau1: complex) -> complex:
     return sqrt(tau1 / 1j) * exp(_PI_I * t1 * t1 / tau1)
 
 
-def _theta_direct(first: int, t: complex, tau: complex, q: complex, log_q: float, eps: float,
-                  sign: int = 0):
+def _theta_direct(first: int, t: complex, tau: complex, q: complex, log_q: float, eps: float):
     """(minus, plus): the kinds of the pair grid at first key first with
     sign -1 and +1 (``PAIR_GRID``), by the product within relative eps,
     valid for Im tau bounded away from 0, with q = e^{2 pi i tau} and
-    log_q = log |q| given.  The two share the grid's exponentials, its
-    truncation and the running powers of q.  With sign +-1 only that
-    kind's product is formed and the other slot is None, for single-kind
-    calls, which forming both makes about 8% slower.
+    log_q = log |q| given.  Both are formed in one loop, also where only
+    one is asked for, sharing the grid's exponentials, its truncation and
+    the running powers of q.
 
     Each coefficient is formed as one exponential of its whole argument,
     so no power of q, z = e^{2 pi i t} or s = e^{pi i t} overflows on its
@@ -124,15 +122,6 @@ def _theta_direct(first: int, t: complex, tau: complex, q: complex, log_q: float
         minus, plus = (s - si) * -1j, s + si
     # the factors at key k: 1 - q^{(k + 8 - first)/8} and 1 + sign q^{k/8} z^{+-1}
     qn = q
-    if sign:
-        prod = plus if sign > 0 else minus
-        qz, qzi = sign * qz, sign * qzi
-        for _ in keys:
-            prod *= (1 - qn) * (1 + qz) * (1 + qzi)
-            qn *= q
-            qz *= q
-            qzi *= q
-        return (None, prod) if sign > 0 else (prod, None)
     for _ in keys:
         c = 1 - qn
         minus *= c * (1 - qz) * (1 - qzi)
@@ -150,10 +139,11 @@ def theta_numeric(kind: ThetaKind | tuple[ThetaKind, ...], t, tau, eps: float = 
     zeros below).
 
     kind may also be a tuple of kinds: the call returns their values as a
-    tuple in the same order, each equal float for float to its single-kind
-    call.  The argument checks and the reduction run once, and each pair
-    grid an image lies on is evaluated once for both its kinds.  A tuple
-    call raises NonconvergentDomain where any of its kinds would raise,
+    tuple in the same order.  A single kind is the one-kind case of the
+    same path, so each value equals its single-kind call float for float.
+    The argument checks and the reduction run once, and each pair grid an
+    image lies on is evaluated once for both its kinds.  A tuple call
+    raises NonconvergentDomain where any of its kinds would raise,
     though the others may be fine: at t = 0.3, tau = 1 + 950i theta
     underflows, while theta2 and theta3 are about 1.
 
@@ -199,8 +189,7 @@ def theta_numeric(kind: ThetaKind | tuple[ThetaKind, ...], t, tau, eps: float = 
         if kinds:
             # each kind's [image, factor], moved by every step as it is made, so
             # that theta_kind(t0, tau0) = factor theta_image(t, tau) at the end
-            # (a single kind's is built without a comprehension)
-            states = [[_INDEX[kind], 1 + 0j]] if single else [[_INDEX[k], 1 + 0j] for k in kinds]
+            states = [[_INDEX[k], 1 + 0j] for k in kinds]
             n = round(t0.real)
             t, tau = t0 - n, tau0  # t0 - n is exact in floating point
             if n & 1:
@@ -233,12 +222,10 @@ def theta_numeric(kind: ThetaKind | tuple[ThetaKind, ...], t, tau, eps: float = 
             q, log_q = qh * qh, _MINUS_TWO_PI * tau.imag
             grids = {}  # first key -> (minus, plus) at the reduced point
             for image, factor in states:
-                first, sgn, slot = _GRID[image]
+                first, slot = _GRID[image]
                 pair = grids.get(first)
                 if pair is None:
-                    # a single kind forms its own product alone
-                    pair = grids[first] = _theta_direct(first, t, tau, q, log_q, eps / 2,
-                                                        single and sgn)
+                    pair = grids[first] = _theta_direct(first, t, tau, q, log_q, eps / 2)
                 value = factor * pair[slot]
                 if not isfinite(value):
                     raise NonconvergentDomain("theta is not finite at t=%s tau=%s" % (t0, tau0))
@@ -285,59 +272,50 @@ def _worst(pairs) -> float:
     return worst
 
 
-def _default_samples(samples, seed=1729):
+def _default_samples(samples, seed=1729) -> tuple:
+    """The samples as a tuple of (x, t, tau) tuples, the key of the law
+    memos; an int draws that many seeded samples."""
     if isinstance(samples, int):
         rng = random.Random(seed)
-        out = []
-        for _ in range(samples):
-            x = complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1))
-            t = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05))
-            tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.6, 1.4))
-            out.append((x, t, tau))
-    else:
-        out = list(samples)
-    if not out:
+        samples = [(complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1)),
+                    complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05)),
+                    complex(rng.uniform(-0.4, 0.4), rng.uniform(0.6, 1.4)))
+                   for _ in range(samples)]
+    pts = tuple(map(tuple, samples))
+    if not pts:
         raise ValueError("no samples: a check of nothing cannot pass")
-    return out
+    return pts
 
 
-# (argument list, bits of the samples) -> per kind index, its values at
-# the list's argument of each sample.  The argument lists are the same for
-# every kind: S's (t/tau, -1/tau), T's (t, tau + 1), the S and T images'
-# (t, tau), and quasi-periodicity's two, so one tuple call of theta_numeric
-# per sample fills a list for all four kinds, and every other check at the
-# same samples reads it.  The samples' S roots and quasi-periodicity phases
-# are kept beside them, one entry each.  The key holds the bits of every x,
-# t and tau, so an entry serves only the exact samples it was computed at;
-# beyond _LAW_VALUES_KEPT entries, two suites' worth, the oldest goes.
-_LAW_VALUES: dict = {}
-_LAW_VALUES_KEPT = 14
-
-
-def _sample_bits(pts) -> bytes:
-    from struct import Struct  # a shared library load that no command needs
-
-    pack = Struct("6d").pack
-    return b"".join([pack(x.real, x.imag, t.real, t.imag, tau.real, tau.imag)
-                     for x, t, tau in pts])
-
-
-def _law_entry(key, build) -> list:
-    """The table's entry under key, made by build() where it is missing."""
-    entry = _LAW_VALUES.get(key)
-    if entry is None:
-        entry = build()
-        if len(_LAW_VALUES) >= _LAW_VALUES_KEPT:
-            del _LAW_VALUES[next(iter(_LAW_VALUES))]
-        _LAW_VALUES[key] = entry
-    return entry
-
-
-def _law_values(key, arguments) -> list:
+def _per_kind(arguments) -> tuple:
     """Per kind index, theta_numeric(kind, t, tau) at each (t, tau) of
-    arguments, from one tuple call per (t, tau), kept under key."""
-    return _law_entry(key, lambda: list(zip(*[theta_numeric(_KINDS, t, tau)
-                                              for t, tau in arguments])))
+    arguments, by one tuple call per (t, tau)."""
+    return tuple(zip(*[theta_numeric(_KINDS, t, tau) for t, tau in arguments]))
+
+
+# One entry each, keyed on the samples as tuples, which compare by value:
+# a sample moved in place gives a new key.  Both look theta_numeric up as
+# a module global at every call, and hold tuples, which no caller can change.
+@lru_cache(maxsize=1)
+def _modular_values(pts: tuple) -> tuple:
+    """(images, S, T, roots): per kind index, the values at every sample's
+    (t, tau), (t/tau, -1/tau) and (t, tau + 1), and each sample's S root
+    (``_s_root``)."""
+    return (_per_kind((t, tau) for _, t, tau in pts),
+            _per_kind((t / tau, -1 / tau) for _, t, tau in pts),
+            _per_kind((t, tau + 1) for _, t, tau in pts),
+            tuple([_s_root(t, tau) for _, t, tau in pts]))
+
+
+@lru_cache(maxsize=1)
+def _quasi_values(pts: tuple, l: int, a: int, b: int) -> tuple:
+    """(shifted, base, phases) of ``check_quasi_periodicity``: per kind
+    index, the values at every sample's x + l(t + a tau + b) and x + l t,
+    and each sample's phase."""
+    return (_per_kind((x + l * (t + a * tau + b), tau) for x, t, tau in pts),
+            _per_kind((x + l * t, tau) for x, t, tau in pts),
+            tuple([exp(-1j * math.pi * (2 * l * a * x + 2 * l * l * a * t + l * l * a * a * tau))
+                   for x, t, tau in pts]))
 
 
 def check_quasi_periodicity(kind: ThetaKind, l: int, a: int, b: int,
@@ -345,49 +323,43 @@ def check_quasi_periodicity(kind: ThetaKind, l: int, a: int, b: int,
     """Check theta_v(x + l(t + a tau + b), tau) =
     e^{-pi i (2 l a x + 2 l^2 a t + l^2 a^2 tau)} theta_v(x + l t, tau).
 
-    Both sides' values are evaluated for all four kinds at once and shared
-    with their checks (``_law_values``): a sample where any kind is not
-    finite or not a normal double raises NonconvergentDomain for every
-    kind, not only for the kind that fails there."""
+    Both sides' values are evaluated for all four kinds at once and kept
+    for the other kinds' checks at the same samples and (l, a, b)
+    (``_quasi_values``): a sample where any kind is not finite or not a
+    normal double raises NonconvergentDomain for every kind, not only for
+    the kind that fails there."""
     if a % 2 or b % 2:
         raise ValueError("a and b must be even")
     pts = _default_samples(samples)
-    bits = _sample_bits(pts)
+    shifted, base, phases = _quasi_values(pts, l, a, b)
     k = _INDEX[kind]
-    lhs = _law_values(("shifted", l, a, b, bits),
-                      ((x + l * (t + a * tau + b), tau) for x, t, tau in pts))[k]
-    rhs = _law_values(("base", l, bits), ((x + l * t, tau) for x, t, tau in pts))[k]
-    phases = _law_entry(("phase", l, a, bits), lambda: [
-        exp(-1j * math.pi * (2 * l * a * x + 2 * l * l * a * t + l * l * a * a * tau))
-        for x, t, tau in pts])
     name = "%s(x + %d(t + %d tau + %d))" % (kind.value, l, a, b)
-    return CheckReport(name, len(pts), _worst(zip(lhs, map(mul, phases, rhs))), eps)
+    return CheckReport(name, len(pts), _worst(zip(shifted[k], map(mul, phases, base[k]))), eps)
 
 
 def check_modular_ST(kind: ThetaKind, generator: str, samples=10, eps: float = 1e-9) -> CheckReport:
     """Check the S or T transformation law of one theta kind.
 
-    Both sides' values are evaluated for all four kinds at once and shared
-    with the other law checks (``_law_values``): a sample where any kind is
-    not finite or not a normal double raises NonconvergentDomain for every
-    kind's check, not only for the kind that fails there."""
+    The values of both laws are evaluated for all four kinds at once and
+    kept for the other S and T checks at the same samples
+    (``_modular_values``): a sample where any kind is not finite or not a
+    normal double at any of the S and T arguments raises
+    NonconvergentDomain for every kind's check of either law."""
     generator = generator.upper()
     if generator not in ("S", "T"):
         raise ValueError("generator must be 'S' or 'T'")
     pts = _default_samples(samples)
-    bits = _sample_bits(pts)
+    images, s_values, t_values, roots = _modular_values(pts)
     k = _INDEX[kind]
-    images = _law_values(("image", bits), ((t, tau) for _, t, tau in pts))
     if generator == "T":
         image, factor = _T_STEP[k][1]
-        lhs = _law_values(("T", bits), ((t, tau + 1) for _, t, tau in pts))[k]
+        lhs = t_values[k]
         rhs = [factor * value for value in images[image]]
         name = "%s(t, tau+1)" % kind.value
     else:
         # each sample's S-step factor, its root times i^s, times the image's value
         image, ipow, _ = _S_STEP[k]
-        lhs = _law_values(("S", bits), ((t / tau, -1 / tau) for _, t, tau in pts))[k]
-        roots = _law_entry(("S root", bits), lambda: [_s_root(t, tau) for _, t, tau in pts])
+        lhs = s_values[k]
         rhs = [root * ipow * value for root, value in zip(roots, images[image])]
         name = "%s(t/tau, -1/tau)" % kind.value
     return CheckReport(name, len(pts), _worst(zip(lhs, rhs)), eps)

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from eqgenus.catalog import builtin
-from eqgenus.genera import OperatorKind
+from eqgenus.catalog import builtin, names
+from eqgenus.genera import _NUMERATORS, _THETA_PRIME_0, OperatorKind, _numerators
 from eqgenus.jacobi import (
     GROUP_GENERATORS,
     IDENTITY,
@@ -16,6 +16,7 @@ from eqgenus.jacobi import (
     ModularMatrix,
     S,
     T,
+    _jacobi_samples,
     check_jacobi,
     count_zeros,
     designated_spec,
@@ -24,7 +25,7 @@ from eqgenus.jacobi import (
     subgroup_member,
 )
 from eqgenus.localization import anomaly_index, equivariant_character
-from eqgenus.numeric import degree_component_function
+from eqgenus.numeric import NumericPlan, degree_component_function, numeric_integrand
 from eqgenus.theta import ThetaKind, theta_numeric
 
 
@@ -213,6 +214,98 @@ def test_lattice_translation_example():
         rhs = cmath.exp(-2j * math.pi * m * (4 * tau + 4 * t)) * \
             theta_numeric(ThetaKind.Theta3, t, tau)
         assert abs(lhs - rhs) / (1 + max(abs(lhs), abs(rhs))) < 1e-9
+
+
+# -- the numeric integrand against theta_numeric ------------------------------------
+
+_NULLS = (ThetaKind.Theta1, ThetaKind.Theta2, ThetaKind.Theta3)
+
+
+def _line_value(num, v, tau, eps):
+    """(value, count): ``genera``'s numerator num (a key of ``_NUMERATORS``)
+    on a line at v, from theta_numeric, and the number of theta values it
+    reads.  A theta kind's tokens are its pair product times E^{1/2} (1 -+
+    E^{-1}) where it has "lin-+", which is 2 i sin(pi v) or 2 cos(pi v), so
+    the kind's value is theta_numeric's times i per "lin-".  theta'(0) =
+    c(q)^3 q^{1/8} is D_v = (2 pi i)^{-1} d/dv of that i theta at 0, and
+    Jacobi's derivative formula, theta'(0) = pi theta1(0) theta2(0)
+    theta3(0) in d/dv, makes it theta1(0) theta2(0) theta3(0) / 2, the 2
+    being theta1's "lin+" at E = 1."""
+    if num is None:
+        return 1, 0
+    if num == _THETA_PRIME_0:
+        # the table's c(q) and q^{1/8} powers of theta'(0) are those of the product
+        assert _NUMERATORS[num][2:] == tuple(map(sum, zip(*(_NUMERATORS[k][2:] for k in _NULLS))))
+        lin = _NUMERATORS[ThetaKind.Theta1][0].count("lin+")
+        return math.prod(theta_numeric(_NULLS, 0, tau, eps)) / 2 ** lin, 3
+    return 1j ** _NUMERATORS[num][0].count("lin-") * theta_numeric(num, v, tau, eps), 1
+
+
+def _quotient_at_point(kind, normalized, comp, t, tau, eps):
+    """(value, count): the theta quotient of (kind, normalized) at an
+    isolated fixed point with its roots at 0, as a product of
+    theta_numeric values at (m t, tau) (``_line_value``): the TX numerator
+    over theta on each normal line, and on each V line the V numerator over
+    its value at 0 (``genera._numerators``)."""
+    tx_num, v_num, null_num = _numerators(kind, normalized)
+    value, count = 1, 0
+    parts = [(comp.normals, tx_num, ThetaKind.Theta, None)]
+    if kind.needs_v:
+        parts.append((comp.vbundles, v_num, null_num, 0))
+    for bundles, num, den, den_at in parts:
+        for b in bundles:
+            v = b.weight * t
+            for _ in range(b.rank):
+                (top, n), (bottom, m) = (_line_value(num, v, tau, eps),
+                                         _line_value(den, v if den_at is None else den_at, tau, eps))
+                value, count = value * top / bottom, count + n + m
+    return value, count
+
+
+def _oracle_points():
+    """check_jacobi's default samples, their images under every group
+    generator (Im tau down to 0.12), and seeded points down to Im tau = 0.1."""
+    pts = _jacobi_samples(16)
+    images = [g.act(t, tau) for gens in GROUP_GENERATORS.values() for g in gens
+              for t, tau in pts]
+    rng = random.Random(131)
+    seeded = [(complex(rng.uniform(0.07, 0.93), rng.uniform(-0.02, 0.02)),
+               complex(rng.uniform(-0.5, 0.5), 0.1 if i == 0 else 10 ** rng.uniform(-1, 0.1)))
+              for i in range(16)]
+    return pts + images + seeded
+
+
+def test_numeric_integrand_matches_theta_numeric_quotients():
+    # at every isolated fixed point of every catalog dataset and variant,
+    # for every kind, raw and dim-normalized, the integrand's scalar part
+    # (all of it but at s2-family-base, whose roots are b) is the product of
+    # theta_numeric quotients at (m t, tau) that its family names; each of
+    # the n theta values is within relative eps and the jet within
+    # l1-relative eps, so the two agree within (n + 1) eps of the jet's l1
+    # norm.  Nothing is fitted: the constants come from genera's tables
+    eps = 1e-12
+    points = _oracle_points()
+    assert min(tau.imag for _, tau in points) == 0.1
+    cases = 0
+    for name in names():
+        entry = builtin(name)
+        for data in (entry.data, *entry.variants.values()):
+            has_v = bool(data.components[0].vbundles)
+            for kind in OperatorKind:
+                if kind.needs_v and not has_v:
+                    continue
+                for normalized in (False, True)[:1 + kind.supports_normalized]:
+                    for comp in data.components:
+                        assert comp.k_alpha == 0
+                        plan = NumericPlan(kind, normalized, comp)
+                        for t, tau in points:
+                            jet = numeric_integrand(kind, comp, t, tau, eps, normalized, plan)
+                            want, count = _quotient_at_point(kind, normalized, comp, t, tau, eps)
+                            err = abs(jet.scalar_part() - want)
+                            assert err <= (count + 1) * eps * sum(map(abs, jet.c)), (
+                                data.name, kind, normalized, comp.name, t, tau)
+                            cases += 1
+    assert cases > 5000
 
 
 # -- zero counting --------------------------------------------------------------------

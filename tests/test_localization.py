@@ -51,6 +51,35 @@ def test_validate_s2():
     assert rep.witten_h_applicable
 
 
+def _weighted_cp(weights):
+    """CP^n under [z_0 : ... : t^{a_n} z_n] with distinct weights a_i: the
+    fixed point e_i has the normal weights a_j - a_i."""
+    return ActionData(len(weights) - 1,
+                      tuple(isolated("e%d" % i, [b - a for b in weights if b != a])
+                            for i, a in enumerate(weights)), name="cp%s" % (weights,))
+
+
+def _parity_warnings(data):
+    return [w for w in validate(data).warnings if "parity" in w]
+
+
+def test_validate_warns_on_mixed_spin_parity():
+    # on a spin manifold sum m d(m) has one parity at every fixed point
+    # (Bott-Taubes): CP^2 is not spin, and under (0, 1, 2) its sums are 3, 0
+    # and -3; CP^3 is spin, and under (0, 1, 2, 3) they are 6, 2, -2 and -6
+    rep = validate(_weighted_cp((0, 1, 2)))
+    assert rep.ok
+    [warning] = _parity_warnings(_weighted_cp((0, 1, 2)))
+    assert "'e0' 3, 'e1' 0, 'e2' -3" in warning
+    assert not _parity_warnings(_weighted_cp((0, 1, 2, 3)))
+    # half-integer weights are the circle of period 2's: s4-rotation's
+    # variant has the sums 1 and 0, whose doubles are even
+    for name in names():
+        entry = builtin(name)
+        for data in (entry.data, *entry.variants.values()):
+            assert not _parity_warnings(data), data.name
+
+
 def test_validate_zero_weight():
     data = ActionData(1, (isolated("p", (0,)),))
     rep = validate(data)

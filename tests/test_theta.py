@@ -12,9 +12,9 @@ import pytest
 
 from eqgenus import theta
 from eqgenus.algebra import OffGridExponent, QSeries, WLaurentRational
+from eqgenus.kinds import ConstantsLedger
 from eqgenus.reference import evaluate_formal, theta_formal, theta_taylor
 from eqgenus.theta import (
-    ConstantsLedger,
     NonconvergentDomain,
     ThetaKind,
     check_modular_ST,
@@ -365,8 +365,8 @@ def test_theta_numeric_keeps_few_product_keys(monkeypatch):
     # a cost guard with no timing: over the law suite's domain (S, T and
     # quasi-periodicity checks at Im tau in [0.05, 1.4]) the reduction into
     # the strip Im tau >= 0.8 keeps about 3.7 product keys per evaluation,
-    # and one that stops at Im tau >= 0.3 keeps 5.7; the checks share one
-    # table of all four kinds' values per argument list, so each of the five
+    # and one that stops at Im tau >= 0.3 keeps 5.7; the checks share all
+    # four kinds' values at each argument list (the law memos), so each of the five
     # distinct arguments per sample is evaluated once, and its two pair
     # grids take one truncation each
     kept = []
@@ -378,7 +378,7 @@ def test_theta_numeric_keeps_few_product_keys(monkeypatch):
         return keys
 
     monkeypatch.setattr(theta, "product_keys", spy)
-    monkeypatch.setattr(theta, "_LAW_VALUES", {})
+    _clear_law_memos()
     rng = random.Random(83)
     pts = [(complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1)),
             complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05)),
@@ -496,22 +496,16 @@ def _direct_law_reports(pts, eps):
     return reports
 
 
-def _law_suite(pts, eps):
-    return [rep for kind in KINDS
-            for rep in (check_modular_ST(kind, "S", pts, eps),
-                        check_modular_ST(kind, "T", pts, eps),
-                        check_quasi_periodicity(kind, 1, 2, 0, samples=pts, eps=eps))]
+def _clear_law_memos():
+    """Empty the law checkers' memos, so that the next suite evaluates
+    every argument list afresh."""
+    theta._modular_values.cache_clear()
+    theta._quasi_values.cache_clear()
 
 
-def test_law_suite_shares_image_values_exactly(monkeypatch):
-    # every law check reads its values from one table entry per argument
-    # list, which holds all four kinds: a suite makes one tuple call per
-    # sample and list, and every report equals, float for float, the one
-    # from evaluating both sides directly.  Each later suite moves one
-    # sample in place in one of Re x, Im x, Re t, Im t, Re tau, Im tau, and
-    # must evaluate every list afresh: an entry whose key missed that part
-    # would serve the old values, which still satisfy the laws
-    monkeypatch.setattr(theta, "_LAW_VALUES", {})
+def _record_theta_calls(monkeypatch):
+    """The list of the kinds of every theta_numeric call made through the
+    module global from now on."""
     calls = []
     numeric = theta.theta_numeric
 
@@ -520,6 +514,26 @@ def test_law_suite_shares_image_values_exactly(monkeypatch):
         return numeric(kinds, t, tau, *args)
 
     monkeypatch.setattr(theta, "theta_numeric", spy)
+    return calls
+
+
+def _law_suite(pts, eps):
+    return [rep for kind in KINDS
+            for rep in (check_modular_ST(kind, "S", pts, eps),
+                        check_modular_ST(kind, "T", pts, eps),
+                        check_quasi_periodicity(kind, 1, 2, 0, samples=pts, eps=eps))]
+
+
+def test_law_suite_shares_image_values_exactly(monkeypatch):
+    # every law check reads its values from its law's memo, which holds all
+    # four kinds at each argument list: a suite makes one tuple call per
+    # sample and list, and every report equals, float for float, the one
+    # from evaluating both sides directly.  Each later suite moves one
+    # sample in place in one of Re x, Im x, Re t, Im t, Re tau, Im tau, and
+    # must evaluate every list afresh: a memo whose key missed that part
+    # would serve the old values, which still satisfy the laws
+    _clear_law_memos()
+    calls = _record_theta_calls(monkeypatch)
     rng = random.Random(97)
     pts = [(complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1)),
             complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05)),
@@ -540,7 +554,47 @@ def test_law_suite_shares_image_values_exactly(monkeypatch):
         assert len(calls) == 5 * len(pts), (dx, dt, dtau)
         assert moved == _direct_law_reports(pts, 1e-9), (dx, dt, dtau)
         assert all(rep.passed for rep in moved)
-    assert len(theta._LAW_VALUES) <= theta._LAW_VALUES_KEPT
+    # the memos hold the one sample set of the last suite
+    assert theta._modular_values.cache_info().currsize == 1
+    assert theta._quasi_values.cache_info().currsize == 1
+    del calls[:]
+    assert _law_suite(pts, 1e-9) == moved and not calls
+
+
+def test_law_suite_takes_samples_as_lists(monkeypatch):
+    # samples given as lists [x, t, tau] are read like tuples: the same
+    # reports, and a second suite at equal samples evaluates nothing
+    _clear_law_memos()
+    calls = _record_theta_calls(monkeypatch)
+    rng = random.Random(103)
+    pts = [[complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1)),
+            complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05)),
+            complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.4))] for _ in range(20)]
+    reports = _law_suite(pts, 1e-9)
+    assert reports == _direct_law_reports(pts, 1e-9)
+    assert len(calls) == 5 * len(pts)
+    del calls[:]
+    assert _law_suite([tuple(p) for p in pts], 1e-9) == reports and not calls
+    pts[3][1] += 1e-3  # in place, inside the inner list
+    assert _law_suite(pts, 1e-9) == _direct_law_reports(pts, 1e-9)
+    assert len(calls) == 5 * len(pts)
+
+
+def test_law_suite_at_a_sample_moved_between_signed_zeros():
+    # +0.0 and -0.0 compare equal, so a sample moved between them in place
+    # keeps the memos' key: the reports must still equal the direct ones
+    _clear_law_memos()
+    rng = random.Random(107)
+    pts = [(complex(rng.uniform(0.05, 0.45), rng.uniform(-0.1, 0.1)),
+            complex(rng.uniform(0.05, 0.95), rng.uniform(-0.05, 0.05)),
+            complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.4))) for _ in range(20)]
+    # t = 1/2 is theta1's input zero, whose test reads the sign of Im t
+    moves = ((complex(0.2, 0.0), complex(0.5, 0.0)), (complex(0.2, -0.0), complex(0.5, 0.0)),
+             (complex(0.2, -0.0), complex(0.5, -0.0)), (complex(0.2, 0.0), complex(0.5, -0.0)),
+             (complex(0.2, 0.0), complex(0.5, 0.0)))
+    for x, t in moves:
+        pts[5] = (x, t, pts[5][2])  # in place: the same list object
+        assert _law_suite(pts, 1e-9) == _direct_law_reports(pts, 1e-9), (x, t)
 
 
 def test_law_checkers_reject_an_empty_sample_set():
