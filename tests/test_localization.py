@@ -67,8 +67,7 @@ def test_validate_warns_on_mixed_spin_parity():
     # on a spin manifold sum m d(m) has one parity at every fixed point
     # (Bott-Taubes): CP^2 is not spin, and under (0, 1, 2) its sums are 3, 0
     # and -3; CP^3 is spin, and under (0, 1, 2, 3) they are 6, 2, -2 and -6
-    rep = validate(_weighted_cp((0, 1, 2)))
-    assert rep.ok
+    assert validate(_weighted_cp((0, 1, 2))).ok
     [warning] = _parity_warnings(_weighted_cp((0, 1, 2)))
     assert "'e0' 3, 'e1' 0, 'e2' -3" in warning
     assert not _parity_warnings(_weighted_cp((0, 1, 2, 3)))
