@@ -83,7 +83,8 @@ def _sparse_add(a: dict, b: dict, top: int | None = None) -> dict:
 
 def _sparse_mul(a: dict, b: dict, top: int | None = None) -> dict:
     """The convolution a * b, keeping the keys <= top: each row is filtered
-    once, since a test per term slows the untruncated polynomial product."""
+    once, and an untruncated product loops outside over the shorter one."""
+    a, b = (b, a) if top is None and len(a) > len(b) else (a, b)
     c = {}
     get = c.get
     row = b.items()

@@ -99,6 +99,7 @@ def cmd_expand(args) -> int:
     data = _load_input(args.input)
     kind = _operator(args.operator)
     res = equivariant_character(data, kind, args.order, args.normalized)
+    digest = data.digest()
     mono_series: dict[str, dict] = {}
     for exps in res.monomials():
         name = res.monomial_name(exps)
@@ -106,13 +107,13 @@ def cmd_expand(args) -> int:
         mono_series[name] = _series_payload(sub)
     report = {
         "format": 1, "command": "expand", "dataset": data.name or args.input,
-        "digest": res.provenance, "operator": kind.value,
+        "digest": digest, "operator": kind.value,
         "normalized": args.normalized, "order_n8": res.n8,
         "ledger": {"two_pi": res.ledger.two_pi, "i": res.ledger.i, "two": res.ledger.two},
         "coefficients": mono_series,
     }
     lines = ["operator: %s%s" % (kind.value, " (dim-normalized)" if args.normalized else ""),
-             "dataset: %s  digest %s" % (data.name or args.input, res.provenance),
+             "dataset: %s  digest %s" % (data.name or args.input, digest),
              "order: q-exponents up to %s" % _q_name(res.n8),
              "ledger (2pi, i, 2) powers: (%d, %d, %d)"
              % (res.ledger.two_pi, res.ledger.i, res.ledger.two)]

@@ -24,10 +24,14 @@ Two independent realizations of each integrand exist:
   that does not depend on the point is its ``_recipe``, and ``_token``
   builds each distinct (token, weight, root) factor once per integrand.
   The exact one (``_SeriesBackend``) runs over the ints, on roots scaled
-  by ``root_scale``; the numeric one (``numeric._JetBackend``) serves
-  ``numeric.numeric_integrand``, the same product at a point (t, tau),
-  on complex jets.  The theta denominator is a property of the fixed
-  component, not of the family (``_denominator``): L, the q-free
+  by ``root_scale``, with each product factored (``_Factored``) per key
+  into 1 +- (E + E^{-1}) q^{k/8} + q^{k/4} (a line's pair, E E^{-1} = 1)
+  and 1 +- q^{k/8} (c(q), the null values), which ``_expand`` multiplies
+  or divides into a dense coefficient list one factor at a time, with no
+  series product or inverse.  The numeric one (``numeric._JetBackend``)
+  serves ``numeric.numeric_integrand``, the same product at a point
+  (t, tau), on complex jets.  The theta denominator is a property of the
+  fixed component, not of the family (``_denominator``): L, the q-free
   product of 1 - w^{-2m} e^{-x} over the normal lines, times the unit
   series U of the sigma units and the pair products.  On the exact path
   ``component_integrands`` is one fixed component's whole share of a
@@ -75,6 +79,7 @@ from .algebra import (
     WLaurentRational,
     divided_series,
     graded_exp,
+    graded_invert,
     graded_series,
     series_invert,
     series_mul,
@@ -350,10 +355,41 @@ def series_product(acc: QSeries, one, first: int, coeffs) -> QSeries:
     return acc
 
 
+class _Factored(namedtuple("_Factored", "head muls divs")):
+    """head * prod(muls) / prod(divs): a q^0 graded element times factors
+    (k, a, square), each 1 + a q^{k/8}, plus q^{k/4} where square.  ``*``
+    concatenates the factors; the inverse swaps them and inverts head."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return _Factored(self.head * other.head, self.muls + other.muls, self.divs + other.divs)
+
+    def inverse(self):
+        return _Factored(graded_invert(self.head), self.divs, self.muls)
+
+
+def _expand(c: list, f: _Factored) -> list:
+    """c, the coefficients of q^0, q^{1/2}, q^1, ... (every key is a multiple
+    of 4), times f in place, to its last entry.  A multiply step runs over
+    descending keys and reads the old coefficients, a divide step over
+    ascending ones and reads the new; each factor is monic, so Z suffices."""
+    c[:] = [v * f.head if v else 0 for v in c]
+    for factors, sign in ((f.muls, 1), (f.divs, -1)):
+        for k, a, square in factors:
+            j = k // 4
+            for i in range(len(c) - 1, j - 1, -1) if sign > 0 else range(j, len(c)):
+                t, u = c[i - j], c[i - 2 * j] if square and i >= 2 * j else 0
+                t = (t * a + u if u else t * a) if t else u
+                if t:
+                    c[i] = (c[i] + t if c[i] else t) if sign > 0 else (c[i] - t if c[i] else -t)
+    return c
+
+
 class _SeriesBackend:
-    """Exact coefficients: q-series truncated at n8 over graded elements
-    with Laurent-polynomial coefficients, all over the ints on scaled roots
-    (``component_integrands``); scalar products are series over the ints."""
+    """Exact coefficients: factored q-series (``_Factored``) over graded
+    elements with Laurent-polynomial coefficients, all over the ints on
+    scaled roots (``component_integrands``), with keys up to n8."""
 
     field = int
     w = staticmethod(WLaurentPoly.w)
@@ -365,24 +401,25 @@ class _SeriesBackend:
         self.one = _one(component.gens, component.cap)
         self.tokens = {}
 
-    def lift(self, g: GradedElement) -> QSeries:
-        return QSeries({0: g}, self.n8)
+    def lift(self, g: GradedElement) -> _Factored:
+        return _Factored(g, (), ())
 
     def lin(self, sign: int, tw: int, x: GradedElement) -> GradedElement:
         """1 + sign E^{-1}, E = w^{tw} e^x, unlifted."""
         e = _line(-tw, -x, self, self.field)
         return self.one + e if sign > 0 else self.one - e
 
-    def product(self, first: int, c: int, m: int) -> QSeries:
-        """(prod (1 + c q^{k/8}))^m, as the product of m copies of each factor."""
-        return series_product(QSeries.one(self.n8), 1, first, (c,) * m)
+    def product(self, first: int, c: int, m: int) -> _Factored:
+        """(prod (1 + c q^{k/8}))^m, as m copies of each factor."""
+        return _Factored(self.one, tuple((k, c, False) for k in range(first, self.n8 + 1, 8)
+                                         for _ in range(m)), ())
 
-    def pair_product(self, first: int, sign: int, tw: int, x: GradedElement) -> QSeries:
+    def pair_product(self, first: int, sign: int, tw: int, x: GradedElement) -> _Factored:
         """prod (1 + sign E q^{k/8})(1 + sign E^{-1} q^{k/8}) over the keys
-        k = first, first + 8, ..., E = w^{tw} e^x."""
-        return series_product(QSeries({0: self.one}, self.n8), self.one, first,
-                              (_line(tw, x, self, self.field) * sign,
-                               _line(-tw, -x, self, self.field) * sign))
+        k = first, first + 8, ..., E = w^{tw} e^x: per key the factor
+        1 + sign (E + E^{-1}) q^{k/8} + q^{k/4}, since E E^{-1} = 1."""
+        a = (_line(tw, x, self, self.field) + _line(-tw, -x, self, self.field)) * sign
+        return _Factored(self.one, tuple((k, a, True) for k in range(first, self.n8 + 1, 8)), ())
 
 
 def _normal_scalar(component) -> WLaurentPoly:
@@ -418,13 +455,13 @@ def component_integrands(component, kinds, n8: int, normalized: bool,
     powers of 2 pi and i cancel by construction.
 
     The component's lines, U and L are built once, when the first series
-    is asked for, and U is inverted once, at the deepest working order
-    max(n8 - q8_shift, 0) that any of ``kinds`` needs for a result to n8.
-    With n = L - s (nilpotent, n^{J+1} = 0 for J = cap // 2),
+    is asked for, and 1/U is expanded once by ``_expand``, at the deepest
+    working order max(n8 - q8_shift, 0) that any of ``kinds`` needs for a
+    result to n8.  With n = L - s (nilpotent, n^{J+1} = 0 for J = cap // 2),
     L^{-1} = adj(L) / s^{J+1} where adj(L) = sum_j (-n)^j s^{J-j}.  Each
-    family then builds its numerator and scalar series at its own working
-    order, one family at a time, and multiplies them by 1/U and each
-    output coefficient by adj(L).
+    family then applies its numerator's factors and divides by its scalar
+    factors on a copy of that expansion cut to its own working order, one
+    family at a time, and multiplies each output coefficient by adj(L).
     """
     # roots times N^d: divided_series, which takes every root, makes them ints or raises
     lines = tuple([(tw, x.map_by_degree(lambda v, d: v * N ** d))
@@ -433,22 +470,24 @@ def component_integrands(component, kinds, n8: int, normalized: bool,
     # q^0, where the unit series U would be empty
     n_tx, n_v = len(lines[0]) + len(lines[1]), len(lines[2])
     shifts = {kind: _prefactors(kind, normalized, n_tx, n_v)[0] for kind in kinds}
-    u, lin = _denominator(_SeriesBackend(component, max(n8 - min(shifts.values()), 0)),
-                          *lines[:2])
+    top = max(n8 - min(shifts.values()), 0)
+    u, lin = _denominator(_SeriesBackend(component, top), *lines[:2])
     s, J = _normal_scalar(component), component.cap // 2
     neg_n = -(lin - s)
     adj = term = lin.one_like()
     for _ in range(J):
         term = term * neg_n
         adj = adj * s + term
-    inv_u = series_invert(u)
+    inv_u = _expand([1] + [0] * (top // 4), u.inverse())
     for kind, shift in shifts.items():
-        num, scalar_den = _numerator(_SeriesBackend(component, max(n8 - shift, 0)),
+        order = max(n8 - shift, 0)
+        num, scalar_den = _numerator(_SeriesBackend(component, order),
                                      _recipe(kind, normalized, component, lines))
         if scalar_den is not None:
-            num = series_mul(num, series_invert(scalar_den))
-        out = series_mul(num, inv_u).shift_q8(shift).truncate(n8)
-        yield kind, out.map_coefficients(lambda g: g * adj)
+            num = num * scalar_den.inverse()
+        c = enumerate(_expand(inv_u[:order // 4 + 1], num))
+        yield kind, QSeries._raw({4 * i + shift: v * adj for i, v in c
+                                  if v and 4 * i + shift <= n8}, n8)
 
 
 def component_denominator(component) -> WLaurentPoly:

@@ -69,8 +69,8 @@ class ActionData(namedtuple("ActionData", "fiber_half_dim components base_gens b
     ``__slots__``: ``report`` is cached in the instance dict."""
 
     def digest(self) -> str:
-        # imported here: only expand and rigidity take a digest, and loading
-        # hashlib costs every command's start-up
+        # imported here: only expand prints a digest, and loading hashlib
+        # costs every command's start-up
         import hashlib
 
         h = hashlib.sha256()
@@ -252,7 +252,7 @@ def anomaly_index(data: ActionData) -> int:
 
 
 class GenusResult(namedtuple("GenusResult", "series kind normalized n8 base_gens base_cap "
-                                            "bridge_k v_rank ledger provenance")):
+                                            "bridge_k v_rank ledger")):
     """Localized equivariant character: q-series of base-graded classes."""
 
     __slots__ = ()
@@ -367,13 +367,12 @@ def equivariant_characters(data: ActionData, kinds, n8: int,
                 part = part + pushed.map_coefficients(lambda g: g.subs_w_inverse() * conj_cofactor)
             totals[kind] = totals[kind] + part
     out = {}
-    provenance = data.digest()
     for kind, total in totals.items():
         l = data.components[0].v_rank() if kind.needs_v else 0
         ledger = constants_ledger(kind, normalized, l)
         total = reduced(total, D, 2 ** ledger.two * T, N, K)
         out[kind] = GenusResult(total, kind, normalized, total.n8, data.base_gens,
-                                data.base_cap, data.fiber_half_dim, l, ledger, provenance)
+                                data.base_cap, data.fiber_half_dim, l, ledger)
     return out
 
 

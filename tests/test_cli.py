@@ -496,6 +496,22 @@ def test_each_command_loads_only_the_stack_it_runs(tmp_path):
     assert _loaded_modules(tmp_path, script) == [numeric]
 
 
+def test_only_expand_loads_hashlib():
+    # expand prints the dataset's digest; rigidity prints none, so it never
+    # loads hashlib (and OpenSSL's _hashlib with it)
+    script = ("import sys; from eqgenus.cli import main\n"
+              "for cmd in ('rigidity', 'expand'):\n"
+              "    argv = [cmd, '--input', 'catalog:s2-rotation', '--operator', 'ds-theta-prime']\n"
+              "    assert main(argv) == 0\n"
+              "    print(cmd, 'hashlib' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eqgenus.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.endswith((" True", " False"))] \
+        == ["rigidity False", "expand True"]
+
+
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     # the record classes are namedtuples: importing dataclasses, which pulls
     # in inspect, ast, dis and tokenize, costs every command start-up time;
@@ -727,25 +743,25 @@ def test_each_command_validates_its_dataset_once(monkeypatch, capsys, argv):
 @pytest.mark.parametrize("name", names())
 def test_rigidity_all_builds_and_inverts_each_theta_denominator_once(monkeypatch, capsys,
                                                                       name):
-    # U, theta over the TX lines, is the one series of graded elements that
-    # the exact path inverts (each family's scalar series is a Fraction
-    # series); one command reads the lines of each component class's
-    # representative (test_localization pins the classes), and builds and
-    # inverts its U, once for every kind
+    # U, theta over the TX lines, is the one series that the exact path
+    # divides by theta pair factors (each family divides only by scalar
+    # factors); one command reads the lines of each component class's
+    # representative (test_localization pins the classes), and builds U and
+    # expands its inverse once, for every kind
     from eqgenus import genera
     from eqgenus.localization import _component_classes
     read, built, inverted = [], [], []
-    lines, denominator, series_invert = genera._lines, genera._denominator, genera.series_invert
+    lines, denominator, expand = genera._lines, genera._denominator, genera._expand
 
-    def counting_invert(a):
-        if any(isinstance(v, GradedElement) for v in a.c.values()):
-            inverted.append(a)
-        return series_invert(a)
+    def counting_expand(c, f):
+        if any(isinstance(a, GradedElement) for _, a, _ in f.divs):
+            inverted.append(f)
+        return expand(c, f)
 
     monkeypatch.setattr(genera, "_lines", lambda comp: read.append(comp) or lines(comp))
     monkeypatch.setattr(genera, "_denominator",
                         lambda be, *parts: built.append(be) or denominator(be, *parts))
-    monkeypatch.setattr(genera, "series_invert", counting_invert)
+    monkeypatch.setattr(genera, "_expand", counting_expand)
     code, out, _ = run(capsys, "rigidity", "--input", "catalog:" + name, "--order", "24",
                        "--format", "json")
     assert code == 0

@@ -12,6 +12,7 @@ from eqgenus.algebra import (
     IntegrationTable,
     OffGridExponent,
     QSeries,
+    WLaurentPoly,
     WLaurentRational,
     series_invert,
     series_mul,
@@ -611,10 +612,77 @@ def test_exact_scalar_product_is_c_cubed():
     # theta'(0) = c(q)^3 q^{1/8} from the formal expansion of theta; by
     # Jacobi's identity c(q)^3 = 1 - 3q + 5q^3 - 7q^6 + ...
     n8 = 64
-    got = genera._SeriesBackend(point(1), n8).product(8, -1, 3)
+    cubed = genera._SeriesBackend(point(1), n8).product(8, -1, 3)
+    got = genera._expand([1] + [0] * (n8 // 4), cubed)
     want = theta_taylor(ThetaKind.Theta, 0, 1, n8 + 1).entries[1].shift_q8(-1)
-    assert got.n8 == want.n8 == n8 and len(got.c) > 3
-    assert got.c == {k: v.constant() for k, v in want.c.items()}
+    assert want.n8 == n8 and len(want.c) > 3
+    assert {4 * i: v.scalar_part() for i, v in enumerate(got) if v} == {
+        k: v.constant() for k, v in want.c.items()}
+
+
+# -- the exact path's factor steps ----------------------------------------------
+
+STEP_GENS = (("x", 2), ("b", 2))
+
+
+def _graded(rng, unit=False):
+    """A random element of Z[w^+-1][x, b] truncated at degree 4; with
+    ``unit`` its scalar part is +-1."""
+    terms = {m: WLaurentPoly({rng.randint(-4, 4): rng.randint(-3, 3) for _ in range(2)})
+             for m in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1))}
+    if unit:
+        terms[(0, 0)] = rng.choice((1, -1))
+    return GradedElement(STEP_GENS, 4, terms)
+
+
+def _factors(rng, n8):
+    """Random per-key factors: trinomials with a graded middle coefficient
+    and binomials 1 +- q^{k/8}, on keys up to past n8; the first is a
+    trinomial whose q^{k/4} term lies within n8."""
+    out = [(4 * rng.randint(1, n8 // 8), _graded(rng), True)]
+    for _ in range(rng.randint(0, 3)):
+        k = 4 * rng.randint(1, n8 // 4 + 2)
+        out.append((k, _graded(rng), True) if rng.random() < 0.6
+                   else (k, rng.choice((1, -1)), False))
+    return tuple(out)
+
+
+def _dense(rng, n8):
+    return [_graded(rng) if rng.random() < 0.8 else 0 for _ in range(n8 // 4 + 1)]
+
+
+def _series(c, n8):
+    return QSeries({4 * i: v for i, v in enumerate(c)}, n8)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_factor_step_and_its_division_cancel_exactly(seed):
+    rng = random.Random(seed)
+    n8 = rng.randint(8, 40)
+    c = _dense(rng, n8)
+    f = genera._Factored(_graded(rng, unit=True), _factors(rng, n8), _factors(rng, n8))
+    got = genera._expand(genera._expand(list(c), f), f.inverse())
+    assert _series(got, n8) == _series(c, n8)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factor_steps_equal_the_series_product_and_inverse(seed):
+    # the reference: each factor as a truncated series, multiplied in by
+    # series_mul and divided out by series_invert; the orders are not all
+    # multiples of the key step, and the input may start above q^0
+    rng = random.Random(100 + seed)
+    n8 = rng.randint(8, 52)
+    c = _dense(rng, n8)
+    c[0] = 0 if seed % 2 else c[0]
+    head = _graded(rng, unit=True)
+    muls, divs = _factors(rng, n8), _factors(rng, n8)
+    want = _series(c, n8)
+    want = series_mul(want, QSeries({0: head}, n8))
+    for factors, step in ((muls, lambda f: f), (divs, series_invert)):
+        for k, a, square in factors:
+            want = series_mul(want, step(QSeries({0: 1, k: a, 2 * k: int(square)}, n8)))
+    got = genera._expand(list(c), genera._Factored(head, muls, divs))
+    assert _series(got, n8) == want
 
 
 def test_numeric_scalar_product_is_the_product_of_the_copies(monkeypatch):

@@ -468,12 +468,21 @@ def test_equal_components_are_built_once_and_sum_like_their_contributions(monkey
     for kind, normalized in _variants(data):
         rep = _summed_contributions(data, kind, 16, normalized)
         assert equivariant_character(data, kind, 16, normalized).series == rep.summed
-    built = []
-    denominator = genera._denominator
+    # each class builds U and expands 1/U, the one series divided by theta
+    # pair factors, once for every kind
+    built, inverted = [], []
+    denominator, expand = genera._denominator, genera._expand
     monkeypatch.setattr(genera, "_denominator",
                         lambda be, *parts: built.append(be) or denominator(be, *parts))
+
+    def counting_expand(c, f):
+        if any(isinstance(a, GradedElement) for _, a, _ in f.divs):
+            inverted.append(f)
+        return expand(c, f)
+
+    monkeypatch.setattr(genera, "_expand", counting_expand)
     equivariant_characters(data, [kind for kind, _ in _variants(data)], 16)
-    assert len(built) == 2
+    assert len(built) == len(inverted) == 2
 
 
 @pytest.mark.parametrize("name", names() + ["cp3-repeated"])
