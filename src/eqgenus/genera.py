@@ -26,11 +26,11 @@ Two independent realizations of each integrand exist:
   The exact one (``_SeriesBackend``) runs over the ints, on roots scaled
   by ``root_scale``, with each product factored (``_Factored``) per key
   into 1 +- (E + E^{-1}) q^{k/8} + q^{k/4} (a line's pair, E E^{-1} = 1)
-  and 1 +- q^{k/8} (c(q), the null values), which ``_expand`` multiplies
-  or divides into a dense coefficient list one factor at a time, with no
-  series product or inverse.  The numeric one (``numeric._JetBackend``)
-  serves ``numeric.numeric_integrand``, the same product at a point
-  (t, tau), on complex jets.  The theta denominator is a property of the
+  and 1 +- q^{k/8} (c(q), the null values), which ``_expand``, the one
+  exact q-product (the bridge's c(q) too), multiplies or divides into a
+  dense coefficient list one factor at a time.  The numeric one
+  (``numeric._JetBackend``) serves ``numeric.numeric_integrand``, the
+  same product at a point (t, tau), on complex jets.  The theta denominator is a property of the
   fixed component, not of the family (``_denominator``): L, the q-free
   product of 1 - w^{-2m} e^{-x} over the normal lines, times the unit
   series U of the sigma units and the pair products.  On the exact path
@@ -81,8 +81,6 @@ from .algebra import (
     graded_exp,
     graded_invert,
     graded_series,
-    series_invert,
-    series_mul,
     wpoly_divexact,
 )
 from .kinds import PAIR_GRID, ConstantsLedger, ThetaKind
@@ -345,14 +343,10 @@ def _numerator(be, recipe):
     return num, scalar_den
 
 
-def series_product(acc: QSeries, one, first: int, coeffs) -> QSeries:
-    """acc times prod (1 + c q^{k/8}) over k = first, first + 8, ... <= acc.n8
-    and every c in coeffs; ``one`` is the unit of the coefficient ring."""
-    n8 = acc.n8
-    for k in range(first, n8 + 1, 8):
-        for c in coeffs:
-            acc = acc * QSeries({0: one, k: c}, n8)
-    return acc
+def _binomials(first: int, c: int, m: int, n8: int) -> tuple:
+    """The factors of (prod (1 + c q^{k/8}))^m over the keys k = first,
+    first + 8, ... <= n8: m copies of (k, c, False) per key."""
+    return tuple((k, c, False) for k in range(first, n8 + 1, 8) for _ in range(m))
 
 
 class _Factored(namedtuple("_Factored", "head muls divs")):
@@ -411,8 +405,7 @@ class _SeriesBackend:
 
     def product(self, first: int, c: int, m: int) -> _Factored:
         """(prod (1 + c q^{k/8}))^m, as m copies of each factor."""
-        return _Factored(self.one, tuple((k, c, False) for k in range(first, self.n8 + 1, 8)
-                                         for _ in range(m)), ())
+        return _Factored(self.one, _binomials(first, c, m, self.n8), ())
 
     def pair_product(self, first: int, sign: int, tw: int, x: GradedElement) -> _Factored:
         """prod (1 + sign E q^{k/8})(1 + sign E^{-1} q^{k/8}) over the keys
@@ -454,11 +447,13 @@ def component_integrands(component, kinds, n8: int, normalized: bool,
     factor is resolved by dividing out theta's explicit order-1 unit; all
     powers of 2 pi and i cancel by construction.
 
-    The component's lines, U and L are built once, when the first series
-    is asked for, and 1/U is expanded once by ``_expand``, at the deepest
-    working order max(n8 - q8_shift, 0) that any of ``kinds`` needs for a
-    result to n8.  With n = L - s (nilpotent, n^{J+1} = 0 for J = cap // 2),
-    L^{-1} = adj(L) / s^{J+1} where adj(L) = sum_j (-n)^j s^{J-j}.  Each
+    The component's lines, one backend, U and L are built once, when the
+    first series is asked for, and 1/U is expanded once by ``_expand``, at
+    the deepest working order max(n8 - q8_shift, 0) that any of ``kinds``
+    needs for a result to n8; the backend's tokens serve every family, and
+    factors keyed past a family's shorter list are no-ops.  With n = L - s
+    (nilpotent, n^{J+1} = 0 for J = cap // 2), L^{-1} = adj(L) / s^{J+1}
+    where adj(L) = sum_j (-n)^j s^{J-j}.  Each
     family then applies its numerator's factors and divides by its scalar
     factors on a copy of that expansion cut to its own working order, one
     family at a time, and multiplies each output coefficient by adj(L).
@@ -471,7 +466,8 @@ def component_integrands(component, kinds, n8: int, normalized: bool,
     n_tx, n_v = len(lines[0]) + len(lines[1]), len(lines[2])
     shifts = {kind: _prefactors(kind, normalized, n_tx, n_v)[0] for kind in kinds}
     top = max(n8 - min(shifts.values()), 0)
-    u, lin = _denominator(_SeriesBackend(component, top), *lines[:2])
+    be = _SeriesBackend(component, top)
+    u, lin = _denominator(be, *lines[:2])
     s, J = _normal_scalar(component), component.cap // 2
     neg_n = -(lin - s)
     adj = term = lin.one_like()
@@ -481,8 +477,7 @@ def component_integrands(component, kinds, n8: int, normalized: bool,
     inv_u = _expand([1] + [0] * (top // 4), u.inverse())
     for kind, shift in shifts.items():
         order = max(n8 - shift, 0)
-        num, scalar_den = _numerator(_SeriesBackend(component, order),
-                                     _recipe(kind, normalized, component, lines))
+        num, scalar_den = _numerator(be, _recipe(kind, normalized, component, lines))
         if scalar_den is not None:
             num = num * scalar_den.inverse()
         c = enumerate(_expand(inv_u[:order // 4 + 1], num))
@@ -540,14 +535,17 @@ def bridge_to_index_character(kind: OperatorKind, normalized: bool,
     bundle.  ``_prefactors`` derives both steps from ``_NUMERATORS`` for k
     TX and l V lines: undo q^{q8_shift/8} c(q)^{c_power} (nothing when
     theta'(0) sits on TX) and multiply by 2^two i^i, the constants of
-    ``constants_ledger``."""
+    ``constants_ledger``.  The shifted series lies on the integrand's keys
+    4i, i >= 0; ``_expand`` applies c(q)^|c_power| by ``_binomials``."""
     out = series
     q8_shift, c_power, two, i = _prefactors(kind, normalized, k, l)
     if _numerators(kind, normalized)[0] is not _THETA_PRIME_0:
         out = out.shift_q8(-q8_shift)
         if c_power:
-            cpow = series_product(QSeries.one(max(out.n8, 0)), 1, 8, (-1,) * abs(c_power))
-            out = series_mul(out, cpow if c_power < 0 else series_invert(cpow))
+            steps = _binomials(8, -1, abs(c_power), out.n8)
+            c = _expand([out.c.get(e, 0) for e in range(0, out.n8 + 1, 4)],
+                        _Factored(1, steps, ()) if c_power < 0 else _Factored(1, (), steps))
+            out = QSeries._raw({4 * j: v for j, v in enumerate(c) if v}, out.n8)
     scale = Fraction(2) ** two * (-1) ** (i // 2)
     return out if scale == 1 else out.scale(scale)
 

@@ -89,8 +89,6 @@ class _JetBackend:
     the integrand by an l1-relative amount below eps.
     """
 
-    field = float
-
     def __init__(self, plan: "NumericPlan", t: complex, tau: complex, eps: float):
         self.w1 = cmath.exp(1j * math.pi * t)
         self.qh = cmath.exp(1j * math.pi * tau)
@@ -256,15 +254,18 @@ def evaluate_numeric(data: ActionData, kind: OperatorKind, t, tau,
         raise NonconvergentDomain("Im tau must be positive")
     if plans is None:
         plans = [NumericPlan(kind, normalized, comp) for comp in data.components]
-    w = cmath.exp(1j * math.pi * t)
-    for plan in plans:
-        for tw, _ in plan.lines[1]:
-            # theta denominators vanish where a normal line's character w^{2m}
-            # returns to 1; |w^{2m} - 1| ~ pi |2m| |t - pole| near a pole,
-            # tolerance 1e-6 in t
-            if abs(w ** tw - 1) < math.pi * abs(tw) * 1e-6:
-                raise NearPole("t=%s is within tolerance of a pole of weight %s"
-                               % (t, Fraction(tw, 2)))
+    try:
+        w = cmath.exp(1j * math.pi * t)
+        for plan in plans:
+            for tw, _ in plan.lines[1]:
+                # theta denominators vanish where a normal line's character
+                # w^{2m} returns to 1; |w^{2m} - 1| ~ pi |2m| |t - pole| near
+                # a pole, tolerance 1e-6 in t
+                if abs(w ** tw - 1) < math.pi * abs(tw) * 1e-6:
+                    raise NearPole("t=%s is within tolerance of a pole of weight %s"
+                                   % (t, Fraction(tw, 2)))
+    except ArithmeticError as e:  # w = e^{pi i t}, or a power of it, over- or underflows
+        raise NonconvergentDomain("w^{2m} is 0 or not finite at t=%s tau=%s" % (t, tau)) from e
     totals: dict[tuple[int, ...], complex] = {}
     for comp, plan in zip(data.components, plans):
         jet = numeric_integrand(kind, comp, t, tau, eps, normalized, plan)

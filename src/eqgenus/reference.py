@@ -36,7 +36,7 @@ from functools import lru_cache
 from .algebra import (DegreeOutOfRange, GradedElement, OffGridExponent, QSeries, WLaurentPoly,
                       WLaurentRational, fiber_integrate, graded_invert, series_invert, series_mul)
 from .genera import (OperatorKind, RootBundle, _half_character, _iter_lines, _line, _one, _sigma,
-                     bridge_to_index_character, series_product, theta_quotient_integrand)
+                     bridge_to_index_character, theta_quotient_integrand)
 from .kinds import PAIR_GRID, ConstantsLedger, ThetaKind
 from .localization import ActionData, FixedComponent, GenusResult
 
@@ -53,10 +53,10 @@ def _char_series(kind: ThetaKind, n8: int) -> tuple[int, QSeries]:
     the symbol s and theta = i^{i_power} * series.  All four kinds carry the
     c(q) factor; the sin/cos kinds carry q^{1/8} and the (s -+ s^{-1}) unit.
     """
-    one = WLaurentPoly.one()
-    acc = series_product(QSeries({0: one}, n8), one, 8, (WLaurentPoly.const(-1),))
-    first, sgn = PAIR_GRID[kind]
-    acc = series_product(acc, one, first, (WLaurentPoly.w(2, sgn), WLaurentPoly.w(-2, sgn)))
+    one, (first, sgn) = WLaurentPoly.one(), PAIR_GRID[kind]
+    grids = ((8, (-one,)), (first, (WLaurentPoly.w(2, sgn), WLaurentPoly.w(-2, sgn))))
+    acc = math.prod((QSeries({0: one, k: c}, n8) for start, cs in grids
+                     for k in range(start, n8 + 1, 8) for c in cs), start=QSeries({0: one}, n8))
     if first == 4:
         return 0, acc
     unit = WLaurentPoly({1: 1, -1: sgn})

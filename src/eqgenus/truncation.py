@@ -31,7 +31,7 @@ def product_keys(first: int, dev: float, log_q: float, eps: float) -> range:
     if dev <= tail:  # also where dev is 0
         return range(first, first, 8)
     # at least the first key, also where log_q is -inf
-    count = ceil(log(tail / dev) / log_q) or 1
+    count = log(tail / dev) / log_q  # a float: it may be too large for an int
     if count > 100000:
-        raise NonconvergentDomain("product needs %d factors at log|q|=%g" % (count, log_q))
-    return range(first, first + 8 * count, 8)
+        raise NonconvergentDomain("product needs more than 100000 factors at log|q|=%g" % log_q)
+    return range(first, first + 8 * (ceil(count) or 1), 8)

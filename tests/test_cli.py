@@ -382,6 +382,23 @@ def test_cli_numbers_that_set_the_work_are_bounded(argv, code, prefix):
     assert proc.stderr.startswith(prefix)
 
 
+@pytest.mark.parametrize("argv, message", [
+    # w = e^{pi i t} at Im t near 122 underflowed in the pole check's w^{2m}
+    # with m < 0, and the error named a negative power of 0.0
+    (["--input", "catalog:s2-family-base", "--operator", "dv-star-difference",
+      "--tau", "150i"], "computation error: w^{2m} is 0 or not finite at t=(0.2335+"),
+    # the error printed the product's factor count, a 300-digit number
+    (["--input", "catalog:s2-v-double-tangent", "--operator", "dv-theta-q",
+      "--tau", "1e-300i"], "computation error: product needs more than 100000 factors"),
+], ids=["tau-150i", "tau-1e-300i"])
+def test_zeros_out_of_range_ends_in_a_short_computation_error(capsys, argv, message):
+    code, out, err = run(capsys, "zeros", *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith(message)
+    assert len(err) < 120
+
+
 def test_theta_small_normal_value_prints(capsys):
     # 800i is still above the underflow: the value agrees with 30-digit mpmath
     code, out, _ = run(capsys, "theta", "--kind", "theta", "--t", "0.3", "--tau", "800i")
@@ -747,11 +764,13 @@ def test_rigidity_all_builds_and_inverts_each_theta_denominator_once(monkeypatch
     # divides by theta pair factors (each family divides only by scalar
     # factors); one command reads the lines of each component class's
     # representative (test_localization pins the classes), and builds U and
-    # expands its inverse once, for every kind
+    # expands its inverse once, for every kind; each class has one exact
+    # backend, which serves U and every kind's numerator
     from eqgenus import genera
     from eqgenus.localization import _component_classes
-    read, built, inverted = [], [], []
+    read, built, inverted, backends, numerators = [], [], [], [], []
     lines, denominator, expand = genera._lines, genera._denominator, genera._expand
+    backend, numerator = genera._SeriesBackend, genera._numerator
 
     def counting_expand(c, f):
         if any(isinstance(a, GradedElement) for _, a, _ in f.divs):
@@ -762,15 +781,22 @@ def test_rigidity_all_builds_and_inverts_each_theta_denominator_once(monkeypatch
     monkeypatch.setattr(genera, "_denominator",
                         lambda be, *parts: built.append(be) or denominator(be, *parts))
     monkeypatch.setattr(genera, "_expand", counting_expand)
+    monkeypatch.setattr(genera, "_SeriesBackend",
+                        lambda *args: backends.append(backend(*args)) or backends[-1])
+    monkeypatch.setattr(genera, "_numerator",
+                        lambda be, recipe: numerators.append(be) or numerator(be, recipe))
     code, out, _ = run(capsys, "rigidity", "--input", "catalog:" + name, "--order", "24",
                        "--format", "json")
     assert code == 0
-    assert len(json.loads(out)["verdicts"]) >= 3
+    verdicts = json.loads(out)["verdicts"]
+    assert len(verdicts) >= 3
     components = builtin(name).data.components
     firsts = [c.name for c, _, _ in _component_classes(components)]
     assert len(firsts) < len(components) or name == "s4-rotation"
     assert [c.name for c in read] == firsts
     assert len(built) == len(inverted) == len(read)
+    assert [id(be) for be in backends] == [id(be) for be in built]
+    assert [id(be) for be in numerators] == [id(be) for be in built for _ in verdicts]
 
 
 def test_theta_cli_cross_path(capsys):

@@ -685,6 +685,20 @@ def test_factor_steps_equal_the_series_product_and_inverse(seed):
     assert _series(got, n8) == want
 
 
+@pytest.mark.parametrize("square", [False, True])
+def test_a_factor_keyed_past_the_list_leaves_it_unchanged(square):
+    # one backend serves every working order of a build, so a factor keyed
+    # at or past the end of a shorter list must be a no-op, multiplied in
+    # or divided out
+    rng = random.Random(7 + square)
+    c = _dense(rng, 24)
+    for k in (28, 32, 40, 100):
+        a = _graded(rng) if square else rng.choice((1, -1))
+        for f in (genera._Factored(1, ((k, a, square),), ()),
+                  genera._Factored(1, (), ((k, a, square),))):
+            assert genera._expand(list(c), f) == c
+
+
 def test_numeric_scalar_product_is_the_product_of_the_copies(monkeypatch):
     # (prod (1 + c q^{k/8}))^m against m copies of each factor multiplied
     # one by one to convergence: within the product's budget, on the keys

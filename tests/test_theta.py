@@ -325,6 +325,18 @@ def test_theta_numeric_rejects_an_eps_below_double_precision():
     assert abs(theta_numeric(ThetaKind.Theta3, 0.3, 1j, floor) - ref) <= 1e-12 * abs(ref)
 
 
+def test_product_keys_states_the_bound_it_exceeds():
+    # the error printed the factor count, a 300-digit number at Im tau =
+    # 1e-300, and at 1e-310 the count overflowed the float before the check
+    from eqgenus.kinds import NonconvergentDomain
+    from eqgenus.truncation import product_keys
+    for log_q in (-2 * math.pi * 1e-300, -2 * math.pi * 1e-310, -1e-6):
+        with pytest.raises(NonconvergentDomain) as err:
+            product_keys(8, 1.0, log_q, 1e-12)
+        assert str(err.value) == "product needs more than 100000 factors at log|q|=%g" % log_q
+    assert len(product_keys(8, 1.0, -1e-3, 1e-12)) == 34540  # below the bound: the count
+
+
 def test_theta_numeric_at_the_reduction_threshold(monkeypatch):
     # seeded points with Im tau in [0.78, 0.82] and |Re tau| near 1/2, on
     # either side of the threshold Im tau = 0.8, and points near |tau| = 1
