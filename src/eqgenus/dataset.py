@@ -90,12 +90,14 @@ def parse_rational(s, path: str) -> Fraction:
     raise DatasetFormatError(path, "expected a rational like '3/2', got %r" % (s,))
 
 
+# a generator name, also the only token the fiber-generator inference takes
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # one term of a root expression, with the sign or operator before it: the
 # first term may start with "-", every later one starts with "+" or "-";
 # a coefficient may carry its own sign ("b + -1*y", as
 # ``serialize.format_root`` writes it)
 _TERM_RE = re.compile(r"(?P<op>^-?|[+-])(?:(?:(?P<coef>-?\d+(?:/\d+)?)\*)?"
-                      r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<zero>0))")
+                      r"(?P<name>%s)|(?P<zero>0))" % _NAME_RE.pattern)
 
 
 def parse_root_expr(expr, gens, cap, path: str) -> GradedElement:
@@ -261,8 +263,9 @@ def parse_dataset(obj: dict) -> ActionData:
         sign = _field(c, "sign", int, path, 1)
         tangent_raw = _field(c, "tangent_roots", list, path, [])
         table_raw = _field(c, "integration_table", dict, path, {})
-        # fiber generators: explicit, else inferred from table keys and
-        # tangent root expressions (degree 2)
+        # fiber generators: explicit, else inferred from the names in table
+        # keys and tangent root expressions (degree 2); any other factor is
+        # left to the parsers, which reject it with its path
         if "fiber_generators" in c:
             fiber_gens = _gen_list(_field(c, "fiber_generators", list, path),
                                    path + ".fiber_generators")
@@ -272,13 +275,12 @@ def parse_dataset(obj: dict) -> ActionData:
             for key in table_raw:
                 for factor in str(key).replace(" ", "").split("*"):
                     nm = factor.partition("^")[0]
-                    if nm and nm != "1" and nm not in base_names and nm not in seen:
+                    if _NAME_RE.fullmatch(nm) and nm not in base_names and nm not in seen:
                         seen.append(nm)
             for expr in tangent_raw:
                 for term in str(expr).replace("-", "+").replace(" ", "").split("+"):
                     nm = term.partition("*")[2] or term
-                    if nm and not nm.replace("/", "").isdigit() and nm not in base_names \
-                            and nm not in seen:
+                    if _NAME_RE.fullmatch(nm) and nm not in base_names and nm not in seen:
                         seen.append(nm)
             fiber_gens = tuple((nm, 2) for nm in seen)
         if k_alpha < 0:

@@ -19,18 +19,20 @@ Two independent realizations of each integrand exist:
   constant of 2 pi and i cancels identically and the coefficients are
   honest rational functions of w.  One interpreter builds it over one
   carrier, ``GradedElement``, through two backends that differ in their
-  coefficient ring and in how they form a line's theta pair product and
-  a scalar product's power (c(q)^m, the null values).  A family's part
-  that does not depend on the point is its ``_recipe``, and ``_token``
-  builds each distinct (token, weight, root) factor once per integrand.
-  The exact one (``_SeriesBackend``) runs over the ints, on roots scaled
-  by ``root_scale``, with each product factored (``_Factored``) per key
-  into 1 +- (E + E^{-1}) q^{k/8} + q^{k/4} (a line's pair, E E^{-1} = 1)
-  and 1 +- q^{k/8} (c(q), the null values), which ``_expand``, the one
-  exact q-product (the bridge's c(q) too), multiplies or divides into a
-  dense coefficient list one factor at a time.  The numeric one
-  (``numeric._JetBackend``) serves ``numeric.numeric_integrand``, the
-  same product at a point (t, tau), on complex jets.  The theta denominator is a property of the
+  coefficient ring and in how they form a q-product.  Every q-product is
+  one family (first, a, square, m): the product over the keys
+  k = first, first + 8, ... of 1 + a q^{k/8}, plus q^{k/4} for a line's
+  theta pair (1 +- (E + E^{-1}) q^{k/8} + q^{k/4}, since E E^{-1} = 1),
+  to a signed power m; c(q)^c_power and the null values are binomial
+  families.  An operator family's part that does not depend on the point
+  is its ``_recipe``, and ``_token`` builds each distinct (token, weight, root)
+  factor once per integrand.  The exact backend (``_SeriesBackend``) runs
+  over the ints, on roots scaled by ``root_scale``, and keeps each
+  product factored (``_Factored``) into families, which ``_expand``, the
+  one exact q-product (the bridge's c(q) too), multiplies or divides into
+  a dense coefficient list.  The numeric one (``numeric._JetBackend``)
+  serves ``numeric.numeric_integrand``, the same product at a point
+  (t, tau), on complex jets.  The theta denominator is a property of the
   fixed component, not of the family (``_denominator``): L, the q-free
   product of 1 - w^{-2m} e^{-x} over the normal lines, times the unit
   series U of the sigma units and the pair products.  On the exact path
@@ -291,13 +293,13 @@ def _recipe(kind: OperatorKind, normalized: bool, component, lines):
     """The family's part of the theta quotient of (kind, normalized) over one
     fixed component that does not depend on the point, with ``lines`` (from
     ``_lines``) in a backend's coefficient ring: (tokens, stray_w,
-    stray_cls, c_up, dens).  tokens are the (token, tw, root) factors
-    of num in product order; stray_w and stray_cls the strays' total
-    w-power and class.  A tangent line's stray is the numerator's alone,
-    since theta's tangent denominator is the sigma unit.  num takes c(q) to
-    the power c_up, and each (first, sign, m) of dens is a scalar product
-    of the denominator: c(q)^-c_power where c_power < 0, and the null
-    values (each a pair product at E = 1 per V line)."""
+    stray_cls, products).  tokens are the (token, tw, root) factors of num
+    in product order; stray_w and stray_cls the strays' total w-power and
+    class.  A tangent line's stray is the numerator's alone, since theta's
+    tangent denominator is the sigma unit.  Each (first, sign, m) of
+    products is a scalar product (prod (1 + sign q^{k/8}))^m over the keys
+    k = first, first + 8, ...: c(q)^c_power, and each null value (a pair
+    product at E = 1) to the power -2 per V line."""
     if kind.needs_v and not component.vbundles:
         raise ValueError("%s requires V-bundle data" % kind.value)
     tx_num, v_num, null_num = _numerators(kind, normalized)
@@ -316,87 +318,80 @@ def _recipe(kind: OperatorKind, normalized: bool, component, lines):
             if stray:
                 stray_w += Fraction(stray * tw, 2)
                 stray_cls = stray_cls + x * stray
-    dens = [(8, -1, -c_power)] if c_power < 0 else []
-    dens += [(*PAIR_GRID[tok], 2 * len(v_lines))
-             for tok in _NUMERATORS[null_num][0] if isinstance(tok, ThetaKind)]
-    return tokens, stray_w, stray_cls, max(c_power, 0), dens
+    products = [(8, -1, c_power)] if c_power else []
+    products += [(*PAIR_GRID[tok], -2 * len(v_lines))
+                 for tok in _NUMERATORS[null_num][0] if isinstance(tok, ThetaKind)]
+    return tokens, stray_w, stray_cls, products
 
 
 def _numerator(be, recipe):
-    """(num, scalar_den) of a ``_recipe`` in the backend's rings: the
-    integrand is num / (scalar_den * U * L) times q^{q8_shift/8}.  num takes
-    the strays' half-character, and leaves the 1/2 per theta1(0) (the
-    ledger's 2^two) to the caller; scalar_den (None when trivial), the
-    product of the recipe's dens, stays in the scalar ring."""
-    tokens, stray_w, stray_cls, c_up, dens = recipe
+    """num of a ``_recipe`` in the backend's product ring: the integrand is
+    num / (U * L) times q^{q8_shift/8}.  num takes the strays'
+    half-character and the recipe's products, and leaves the 1/2 per
+    theta1(0) (the ledger's 2^two) to the caller."""
+    tokens, stray_w, stray_cls, products = recipe
     num = be.lift(be.one)
     for tok, tw, x in tokens:
         num = num * _token(be, tok, tw, x)
     if stray_w or stray_cls:
         num = num * be.lift(be.half_character(stray_w, stray_cls))
-    if c_up:
-        num = num * be.product(8, -1, c_up)
-    scalar_den = None
-    for first, sign, m in dens:
-        f = be.product(first, sign, m)
-        scalar_den = f if scalar_den is None else scalar_den * f
-    return num, scalar_den
+    for first, sign, m in products:
+        num = num * be.product(first, sign, m)
+    return num
 
 
-def _binomials(first: int, c: int, m: int, n8: int) -> tuple:
-    """The factors of (prod (1 + c q^{k/8}))^m over the keys k = first,
-    first + 8, ... <= n8: m copies of (k, c, False) per key."""
-    return tuple((k, c, False) for k in range(first, n8 + 1, 8) for _ in range(m))
-
-
-class _Factored(namedtuple("_Factored", "head muls divs")):
-    """head * prod(muls) / prod(divs): a q^0 graded element times factors
-    (k, a, square), each 1 + a q^{k/8}, plus q^{k/4} where square.  ``*``
-    concatenates the factors; the inverse swaps them and inverts head."""
+class _Factored(namedtuple("_Factored", "head factors")):
+    """head times families (first, a, square, m): each the product over the
+    keys k = first, first + 8, ... of 1 + a q^{k/8}, plus q^{k/4} where
+    square, to the signed power m.  ``*`` concatenates the families; the
+    inverse negates every m and inverts head."""
 
     __slots__ = ()
 
     def __mul__(self, other):
-        return _Factored(self.head * other.head, self.muls + other.muls, self.divs + other.divs)
+        return _Factored(self.head * other.head, self.factors + other.factors)
 
     def inverse(self):
-        return _Factored(graded_invert(self.head), self.divs, self.muls)
+        return _Factored(graded_invert(self.head),
+                         tuple((first, a, square, -m) for first, a, square, m in self.factors))
 
 
 def _expand(c: list, f: _Factored) -> list:
     """c, the coefficients of q^0, q^{1/2}, q^1, ... (every key is a multiple
-    of 4), times f in place, to its last entry.  A multiply step runs over
-    descending keys and reads the old coefficients, a divide step over
-    ascending ones and reads the new; each factor is monic, so Z suffices."""
+    of 4), times f in place, to its last entry.  Each family runs over its
+    keys up to the end of the list, |m| steps per key.  A multiply step
+    (m > 0) runs over descending indices and reads the old coefficients, a
+    divide step (m < 0) over ascending ones and reads the new; each factor
+    is monic, so Z suffices."""
     c[:] = [v * f.head if v else 0 for v in c]
-    for factors, sign in ((f.muls, 1), (f.divs, -1)):
-        for k, a, square in factors:
-            j = k // 4
-            for i in range(len(c) - 1, j - 1, -1) if sign > 0 else range(j, len(c)):
-                t, u = c[i - j], c[i - 2 * j] if square and i >= 2 * j else 0
-                t = (t * a + u if u else t * a) if t else u
-                if t:
-                    c[i] = (c[i] + t if c[i] else t) if sign > 0 else (c[i] - t if c[i] else -t)
+    for first, a, square, m in f.factors:
+        for j in range(first // 4, len(c), 2):
+            for _ in range(abs(m)):
+                for i in range(len(c) - 1, j - 1, -1) if m > 0 else range(j, len(c)):
+                    t, u = c[i - j], c[i - 2 * j] if square and i >= 2 * j else 0
+                    t = (t * a + u if u else t * a) if t else u
+                    if t:
+                        c[i] = (c[i] + t if c[i] else t) if m > 0 else (c[i] - t if c[i] else -t)
     return c
 
 
 class _SeriesBackend:
     """Exact coefficients: factored q-series (``_Factored``) over graded
     elements with Laurent-polynomial coefficients, all over the ints on
-    scaled roots (``component_integrands``), with keys up to n8."""
+    scaled roots (``component_integrands``).  A product is one family over
+    all its keys, which ``_expand`` cuts at the end of its list."""
 
     field = int
     w = staticmethod(WLaurentPoly.w)
     sigma = staticmethod(partial(_sigma, field=int))
     half_character = staticmethod(partial(_half_character, w=WLaurentPoly.w, field=int))
 
-    def __init__(self, component, n8: int):
-        self.n8 = n8
+    def __init__(self, component):
         self.one = _one(component.gens, component.cap)
         self.tokens = {}
 
     def lift(self, g: GradedElement) -> _Factored:
-        return _Factored(g, (), ())
+        return _Factored(g, ())
 
     def lin(self, sign: int, tw: int, x: GradedElement) -> GradedElement:
         """1 + sign E^{-1}, E = w^{tw} e^x, unlifted."""
@@ -404,22 +399,15 @@ class _SeriesBackend:
         return self.one + e if sign > 0 else self.one - e
 
     def product(self, first: int, c: int, m: int) -> _Factored:
-        """(prod (1 + c q^{k/8}))^m, as m copies of each factor."""
-        return _Factored(self.one, _binomials(first, c, m, self.n8), ())
+        """(prod (1 + c q^{k/8}))^m over the keys k = first, first + 8, ..."""
+        return _Factored(self.one, ((first, c, False, m),))
 
     def pair_product(self, first: int, sign: int, tw: int, x: GradedElement) -> _Factored:
         """prod (1 + sign E q^{k/8})(1 + sign E^{-1} q^{k/8}) over the keys
         k = first, first + 8, ..., E = w^{tw} e^x: per key the factor
         1 + sign (E + E^{-1}) q^{k/8} + q^{k/4}, since E E^{-1} = 1."""
         a = (_line(tw, x, self, self.field) + _line(-tw, -x, self, self.field)) * sign
-        return _Factored(self.one, tuple((k, a, True) for k in range(first, self.n8 + 1, 8)), ())
-
-
-def _normal_scalar(component) -> WLaurentPoly:
-    """s, the scalar part of L: the product of 1 - w^{-2m} over the normal
-    lines."""
-    return prod((1 - WLaurentPoly.w(-tw) for tw, _ in _iter_lines(component.normals)),
-                start=WLaurentPoly.one())
+        return _Factored(self.one, ((first, a, True, 1),))
 
 
 def root_scale(components) -> int:
@@ -450,13 +438,12 @@ def component_integrands(component, kinds, n8: int, normalized: bool,
     The component's lines, one backend, U and L are built once, when the
     first series is asked for, and 1/U is expanded once by ``_expand``, at
     the deepest working order max(n8 - q8_shift, 0) that any of ``kinds``
-    needs for a result to n8; the backend's tokens serve every family, and
-    factors keyed past a family's shorter list are no-ops.  With n = L - s
-    (nilpotent, n^{J+1} = 0 for J = cap // 2), L^{-1} = adj(L) / s^{J+1}
-    where adj(L) = sum_j (-n)^j s^{J-j}.  Each
-    family then applies its numerator's factors and divides by its scalar
-    factors on a copy of that expansion cut to its own working order, one
-    family at a time, and multiplies each output coefficient by adj(L).
+    needs for a result to n8; the backend's tokens serve every family.
+    With s the scalar part of L and n = L - s (nilpotent, n^{J+1} = 0 for
+    J = cap // 2), L^{-1} = adj(L) / s^{J+1} where
+    adj(L) = sum_j (-n)^j s^{J-j}.  Each family then applies its
+    numerator on a copy of that expansion cut to its own working order,
+    one family at a time, and multiplies each output coefficient by adj(L).
     """
     # roots times N^d: divided_series, which takes every root, makes them ints or raises
     lines = tuple([(tw, x.map_by_degree(lambda v, d: v * N ** d))
@@ -466,9 +453,9 @@ def component_integrands(component, kinds, n8: int, normalized: bool,
     n_tx, n_v = len(lines[0]) + len(lines[1]), len(lines[2])
     shifts = {kind: _prefactors(kind, normalized, n_tx, n_v)[0] for kind in kinds}
     top = max(n8 - min(shifts.values()), 0)
-    be = _SeriesBackend(component, top)
+    be = _SeriesBackend(component)
     u, lin = _denominator(be, *lines[:2])
-    s, J = _normal_scalar(component), component.cap // 2
+    s, J = lin.scalar_part(), component.cap // 2
     neg_n = -(lin - s)
     adj = term = lin.one_like()
     for _ in range(J):
@@ -477,17 +464,19 @@ def component_integrands(component, kinds, n8: int, normalized: bool,
     inv_u = _expand([1] + [0] * (top // 4), u.inverse())
     for kind, shift in shifts.items():
         order = max(n8 - shift, 0)
-        num, scalar_den = _numerator(be, _recipe(kind, normalized, component, lines))
-        if scalar_den is not None:
-            num = num * scalar_den.inverse()
+        num = _numerator(be, _recipe(kind, normalized, component, lines))
         c = enumerate(_expand(inv_u[:order // 4 + 1], num))
         yield kind, QSeries._raw({4 * i + shift: v * adj for i, v in c
                                   if v and 4 * i + shift <= n8}, n8)
 
 
 def component_denominator(component) -> WLaurentPoly:
-    """den = s^{J+1} of ``component_integrands``, from the weights alone."""
-    return _normal_scalar(component) ** (component.cap // 2 + 1)
+    """den = s^{J+1} of ``component_integrands``, from the weights alone: s,
+    the scalar part of L, is the product of 1 - w^{-2m} over the normal
+    lines."""
+    s = prod((1 - WLaurentPoly.w(-tw) for tw, _ in _iter_lines(component.normals)),
+             start=WLaurentPoly.one())
+    return s ** (component.cap // 2 + 1)
 
 
 def reduced(series: QSeries, den: WLaurentPoly, scale: int, N: int, lift: int) -> QSeries:
@@ -536,15 +525,14 @@ def bridge_to_index_character(kind: OperatorKind, normalized: bool,
     TX and l V lines: undo q^{q8_shift/8} c(q)^{c_power} (nothing when
     theta'(0) sits on TX) and multiply by 2^two i^i, the constants of
     ``constants_ledger``.  The shifted series lies on the integrand's keys
-    4i, i >= 0; ``_expand`` applies c(q)^|c_power| by ``_binomials``."""
+    4i, i >= 0; ``_expand`` applies c(q)^{-c_power} to it."""
     out = series
     q8_shift, c_power, two, i = _prefactors(kind, normalized, k, l)
     if _numerators(kind, normalized)[0] is not _THETA_PRIME_0:
         out = out.shift_q8(-q8_shift)
         if c_power:
-            steps = _binomials(8, -1, abs(c_power), out.n8)
             c = _expand([out.c.get(e, 0) for e in range(0, out.n8 + 1, 4)],
-                        _Factored(1, steps, ()) if c_power < 0 else _Factored(1, (), steps))
+                        _Factored(1, ((8, -1, False, -c_power),)))
             out = QSeries._raw({4 * j: v for j, v in enumerate(c) if v}, out.n8)
     scale = Fraction(2) ** two * (-1) ** (i // 2)
     return out if scale == 1 else out.scale(scale)

@@ -148,7 +148,8 @@ def validate(data: ActionData) -> ValidationReport:
             tops = _top_monomials(tuple(zip(c.table.fiber_gens, fiber_degrees)), 2 * c.k_alpha)
             missing = [mono for mono in tops if mono not in c.table.entries]
             for mono in missing:
-                errors.append("%s: integration table misses top monomial %r" % (label, mono))
+                errors.append("%s: integration table misses top monomial %s"
+                              % (label, format_monomial(mono, c.table.fiber_gens)))
             # orientation heuristic for projective-type tables: the top
             # product of the tangent roots should pair positively with the
             # declared sign (the root classes fix the orientation, the list

@@ -4,7 +4,7 @@ characters at a point (t, tau).
 ``numeric_integrand`` runs the one interpreter of ``genera`` through its
 second backend, ``_JetBackend``: jets at (t, tau), graded elements with
 complex coefficients, within an l1-relative error eps; a scalar
-q-product's power is one complex product raised to its multiplicity.
+q-product's power is one complex product raised to its signed power.
 ``evaluate_numeric`` pushes each component's jet forward and sums them,
 and ``degree_component_function`` turns one base monomial of the sum
 into the function F(t, tau) that the Jacobi-form and zero-count checks
@@ -121,9 +121,9 @@ class _JetBackend:
         return self.qh ** (k // 4)
 
     def product(self, first: int, c: complex, m: int) -> complex:
-        """(prod (1 + c q^{k/8}))^m: one product over the keys of m copies
-        of each factor, whose deviations sum to m |c| |q^{first/8}|."""
-        keys = product_keys(first, m * abs(c) * abs(self.qpow(first)), self.log_q, self.budget)
+        """(prod (1 + c q^{k/8}))^m for a signed m: one product over the
+        keys certified for |m c q^{first/8}|, raised to m."""
+        keys = product_keys(first, abs(m * c) * abs(self.qpow(first)), self.log_q, self.budget)
         return prod((1 + c * self.qpow(k) for k in keys), start=1 + 0j) ** m
 
     def pair_product(self, first: int, sign: int, tw: int, x: _Root) -> GradedElement:
@@ -221,10 +221,7 @@ def numeric_integrand(kind: OperatorKind, component, t: complex, tau: complex,
     try:
         be = _JetBackend(plan, t, tau, eps)
         den, lin = _denominator(be, *plan.lines[:2])
-        num, scalar_den = _numerator(be, plan.recipe)
-        if scalar_den is not None:
-            den = den * scalar_den
-        out = num * graded_invert(den * lin)
+        out = _numerator(be, plan.recipe) * graded_invert(den * lin)
         if plan.halves:
             out = out * (1.0 / 2 ** plan.halves)
         if plan.q8_shift:

@@ -627,6 +627,22 @@ def test_malformed_root_expression_exit_2_with_path(capsys, tmp_path, expr):
     assert err.startswith("parse error: $.components[0].normals[0].roots[0]: ")
 
 
+@pytest.mark.parametrize("key", ["2*y", "1/2*y", "y*2"])
+def test_malformed_table_key_exit_2_with_path(capsys, tmp_path, key):
+    # with no fiber_generators, the inference reads only generator names,
+    # so the numeric factor reaches parse_monomial, not validation
+    doc = {"format": 1, "fiber_half_dim": 1,
+           "components": [{"name": "all", "k_alpha": 1, "sign": 1, "tangent_roots": ["2*y"],
+                           "normals": [], "integration_table": {key: "1"}}]}
+    path = tmp_path / "bad-key.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "expand", "--input", str(path),
+                         "--operator", "ds-theta-prime", "--order", "8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: $.components[0].integration_table[%r]: " % key)
+
+
 def _field_paths(node, path=()):
     """Every key or index path of a JSON value, containers included."""
     out = [path] if path else []
@@ -773,7 +789,7 @@ def test_rigidity_all_builds_and_inverts_each_theta_denominator_once(monkeypatch
     backend, numerator = genera._SeriesBackend, genera._numerator
 
     def counting_expand(c, f):
-        if any(isinstance(a, GradedElement) for _, a, _ in f.divs):
+        if any(isinstance(a, GradedElement) and m < 0 for _, a, _, m in f.factors):
             inverted.append(f)
         return expand(c, f)
 

@@ -612,7 +612,7 @@ def test_exact_scalar_product_is_c_cubed():
     # theta'(0) = c(q)^3 q^{1/8} from the formal expansion of theta; by
     # Jacobi's identity c(q)^3 = 1 - 3q + 5q^3 - 7q^6 + ...
     n8 = 64
-    cubed = genera._SeriesBackend(point(1), n8).product(8, -1, 3)
+    cubed = genera._SeriesBackend(point(1)).product(8, -1, 3)
     got = genera._expand([1] + [0] * (n8 // 4), cubed)
     want = theta_taylor(ThetaKind.Theta, 0, 1, n8 + 1).entries[1].shift_q8(-1)
     assert want.n8 == n8 and len(want.c) > 3
@@ -635,15 +635,16 @@ def _graded(rng, unit=False):
     return GradedElement(STEP_GENS, 4, terms)
 
 
-def _factors(rng, n8):
-    """Random per-key factors: trinomials with a graded middle coefficient
-    and binomials 1 +- q^{k/8}, on keys up to past n8; the first is a
-    trinomial whose q^{k/4} term lies within n8."""
-    out = [(4 * rng.randint(1, n8 // 8), _graded(rng), True)]
-    for _ in range(rng.randint(0, 3)):
-        k = 4 * rng.randint(1, n8 // 4 + 2)
-        out.append((k, _graded(rng), True) if rng.random() < 0.6
-                   else (k, rng.choice((1, -1)), False))
+def _families(rng, n8):
+    """Random families (first, a, square, m) with signed m: trinomials with
+    a graded middle coefficient and binomials 1 +- q^{k/8}, first keys up
+    to past n8; the first is a trinomial whose q^{first/4} term lies
+    within n8."""
+    out = [(4 * rng.randint(1, n8 // 8), _graded(rng), True, rng.choice((-2, -1, 1, 2)))]
+    for _ in range(rng.randint(1, 4)):
+        first, m = 4 * rng.randint(1, n8 // 4 + 2), rng.choice((-2, -1, 1, 2))
+        out.append((first, _graded(rng), True, m) if rng.random() < 0.6
+                   else (first, rng.choice((1, -1)), False, m))
     return tuple(out)
 
 
@@ -660,43 +661,45 @@ def test_a_factor_step_and_its_division_cancel_exactly(seed):
     rng = random.Random(seed)
     n8 = rng.randint(8, 40)
     c = _dense(rng, n8)
-    f = genera._Factored(_graded(rng, unit=True), _factors(rng, n8), _factors(rng, n8))
+    f = genera._Factored(_graded(rng, unit=True), _families(rng, n8))
     got = genera._expand(genera._expand(list(c), f), f.inverse())
     assert _series(got, n8) == _series(c, n8)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_factor_steps_equal_the_series_product_and_inverse(seed):
-    # the reference: each factor as a truncated series, multiplied in by
-    # series_mul and divided out by series_invert; the orders are not all
-    # multiples of the key step, and the input may start above q^0
+    # the reference: each key's factor as a truncated series, multiplied in
+    # m times by series_mul or divided out -m times by series_invert, on
+    # keys well past the order; the orders are not all multiples of the
+    # key step, and the input may start above q^0
     rng = random.Random(100 + seed)
     n8 = rng.randint(8, 52)
     c = _dense(rng, n8)
     c[0] = 0 if seed % 2 else c[0]
     head = _graded(rng, unit=True)
-    muls, divs = _factors(rng, n8), _factors(rng, n8)
+    families = _families(rng, n8)
     want = _series(c, n8)
     want = series_mul(want, QSeries({0: head}, n8))
-    for factors, step in ((muls, lambda f: f), (divs, series_invert)):
-        for k, a, square in factors:
-            want = series_mul(want, step(QSeries({0: 1, k: a, 2 * k: int(square)}, n8)))
-    got = genera._expand(list(c), genera._Factored(head, muls, divs))
+    for first, a, square, m in families:
+        for k in range(first, 2 * n8 + 16, 8):
+            f = QSeries({0: 1, k: a, 2 * k: int(square)}, n8)
+            for _ in range(abs(m)):
+                want = series_mul(want, f if m > 0 else series_invert(f))
+    got = genera._expand(list(c), genera._Factored(head, families))
     assert _series(got, n8) == want
 
 
 @pytest.mark.parametrize("square", [False, True])
 def test_a_factor_keyed_past_the_list_leaves_it_unchanged(square):
-    # one backend serves every working order of a build, so a factor keyed
-    # at or past the end of a shorter list must be a no-op, multiplied in
-    # or divided out
+    # one backend serves every working order of a build, so a family whose
+    # first key is at or past the end of a shorter list must be a no-op,
+    # multiplied in or divided out
     rng = random.Random(7 + square)
     c = _dense(rng, 24)
-    for k in (28, 32, 40, 100):
+    for first in (28, 32, 40, 100):
         a = _graded(rng) if square else rng.choice((1, -1))
-        for f in (genera._Factored(1, ((k, a, square),), ()),
-                  genera._Factored(1, (), ((k, a, square),))):
-            assert genera._expand(list(c), f) == c
+        for m in (1, -1, 3, -3):
+            assert genera._expand(list(c), genera._Factored(1, ((first, a, square, m),))) == c
 
 
 def test_numeric_scalar_product_is_the_product_of_the_copies(monkeypatch):

@@ -92,6 +92,17 @@ def test_validate_rank_bookkeeping():
     assert not rep.ok
 
 
+def test_validate_names_a_missing_top_monomial():
+    # a fixed surface with fiber generators y, z whose table has z^2 alone
+    gens = (("y", 2), ("z", 2))
+    y, z = (GradedElement.generator(gens, 4, n) for n, _ in gens)
+    comp = FixedComponent("f", 2, RootBundle(0, 2, (y, z)), (), (),
+                          IntegrationTable(("y", "z"), 2, {(0, 2): 1}), 1, gens, 4)
+    missing = [e.rpartition(" ")[2] for e in validate(ActionData(2, (comp,))).errors
+               if "misses top monomial" in e]
+    assert missing == ["y*z", "y^2"]
+
+
 def test_anomaly_examples():
     # per-component sums: V = TX + TX gives 2 m^2 - m^2 = m^2 = 1 on the sphere
     assert anomaly_index(s2()) == 1
@@ -476,7 +487,7 @@ def test_equal_components_are_built_once_and_sum_like_their_contributions(monkey
                         lambda be, *parts: built.append(be) or denominator(be, *parts))
 
     def counting_expand(c, f):
-        if any(isinstance(a, GradedElement) for _, a, _ in f.divs):
+        if any(isinstance(a, GradedElement) and m < 0 for _, a, _, m in f.factors):
             inverted.append(f)
         return expand(c, f)
 

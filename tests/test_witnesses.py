@@ -10,6 +10,9 @@
   (the line's sigma unit is 1 at cap 2).  The character at w = 1 is the
   ordinary index, which does not depend on the action, so every action
   gives the same numbers there.
+* The CP^2 bundle P(C + L + C) -> B under (0,1,2) and (0,1,3): at w = 1
+  the character is the Chern character of the family index in H*(B), so
+  the two weightings agree there on every base coefficient.
 """
 import hashlib
 import json
@@ -21,7 +24,7 @@ import pytest
 from eqgenus.algebra import GradedElement, IntegrationTable, WLaurentPoly, WLaurentRational
 from eqgenus.cli import main
 from eqgenus.genera import OperatorKind, RootBundle
-from eqgenus.localization import ActionData, FixedComponent, equivariant_characters
+from eqgenus.localization import ActionData, FixedComponent, equivariant_characters, validate
 from eqgenus.serialize import dataset_to_json
 
 
@@ -114,3 +117,38 @@ def test_cp2_index_at_w_one_does_not_depend_on_the_action(weights):
     for kind in kinds:
         assert got[kind] == {key: at_w_one(want[kind].coefficient(key))
                              for key in sorted(want[kind].series.c)}, kind
+
+
+def cp2_bundle(weights) -> ActionData:
+    """P(C + L + C) -> B with c_1(L) = b, under the fiberwise weights
+    (m_0, m_1, m_2), base cap 4: three isolated sections, and at section i
+    the line j has weight m_j - m_i and root c_j - c_i, c = (0, b, 0)."""
+    gens = (("b", 2),)
+    b = GradedElement.generator(gens, 4, "b")
+    c = (b * 0, b, b * 0)
+    return ActionData(2, tuple(
+        FixedComponent("s%d" % i, 0, None,
+                       tuple(RootBundle(m - mi, 1, (c[j] - c[i],))
+                             for j, m in enumerate(weights) if j != i),
+                       (), IntegrationTable((), 0, {}), 1, gens, 4)
+        for i, mi in enumerate(weights)), gens, 4, name="cp2-bundle%s" % (weights,))
+
+
+def test_cp2_bundle_index_at_w_one_does_not_depend_on_the_action():
+    # the family pair: every (q, base monomial) coefficient at w = 1 agrees,
+    # a coefficient missing on one side reading 0; (0,1,3) has a b term
+    # that (0,1,2) lacks, and it reads 0 at w = 1
+    kinds = (OperatorKind.DsThetaPrime, OperatorKind.DThetaQ, OperatorKind.DThetaMinusQ)
+    got = {}
+    for weights in ((0, 1, 3), (0, 1, 2)):
+        data = cp2_bundle(weights)
+        assert [w for w in validate(data).warnings if "parity" in w], weights
+        got[weights] = {kind: {(key, mono): at_w_one(v)
+                               for key, g in res.series.c.items() for mono, v in g.terms.items()}
+                        for kind, res in equivariant_characters(data, kinds, 16).items()}
+    for kind in kinds:
+        a, b = got[(0, 1, 3)][kind], got[(0, 1, 2)][kind]
+        assert all(a.get(k, 0) == b.get(k, 0) for k in a.keys() | b.keys()), kind
+    ds = got[(0, 1, 3)][OperatorKind.DsThetaPrime]
+    assert ds[(8, (2,))] == 8 and ds[(16, (2,))] == 128
+    assert ds[(8, (1,))] == 0 and (8, (1,)) not in got[(0, 1, 2)][OperatorKind.DsThetaPrime]
